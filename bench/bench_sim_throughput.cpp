@@ -27,8 +27,10 @@
 
 #include "msg/message.hpp"
 #include "runner/sweep.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/fmt.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -94,8 +96,7 @@ struct FloodMeasurement {
 
 /// Builds a W-wide strip of modules (rows of 1024) and floods it with
 /// tokens.
-FloodMeasurement run_flood(size_t module_count, uint64_t target_events,
-                           sim::QueueKind queue) {
+FloodMeasurement run_flood(size_t module_count, uint64_t target_events) {
   const auto width = static_cast<int32_t>(std::min<size_t>(
       module_count, 1024));
   const auto height =
@@ -103,7 +104,6 @@ FloodMeasurement run_flood(size_t module_count, uint64_t target_events,
   sim::World world(width, std::max<int32_t>(height, 1),
                    motion::RuleLibrary::standard());
   sim::SimConfig config;
-  config.queue = queue;
   config.detailed_stats = false;  // measure the core, not the counters
   uint32_t id = 1;
   for (size_t i = 0; i < module_count; ++i) {
@@ -142,8 +142,7 @@ void report_table() {
   double smallest = 0;
   double largest = 0;
   for (const size_t n : {1024u, 16384u, 131072u, 1048576u}) {
-    const double rate =
-        run_flood(n, 2'000'000, sim::QueueKind::kBinaryHeap).rate();
+    const double rate = run_flood(n, 2'000'000).rate();
     std::printf("%12zu %18.0f\n", n, rate);
     if (n == 1024u) smallest = rate;
     largest = rate;
@@ -152,8 +151,8 @@ void report_table() {
               largest / smallest);
   std::printf(
       "verdict: %s (hundreds of thousands of events/s at the 10^6-module "
-      "scale;\n  per-event cost is O(log queue) + cache effects, matching "
-      "the paper's 650k/s magnitude)\n",
+      "scale;\n  per-event cost is an O(1) queue step + cache effects, "
+      "matching the paper's 650k/s magnitude)\n",
       largest > 100'000 ? "REPRODUCED" : "DIVERGES");
 }
 
@@ -251,8 +250,7 @@ int report_json(const std::string& path, int repeat, bool include_giant) {
 
   for (const size_t n : {1024u, 16384u, 131072u}) {
     for (int rep = 0; rep < repeat; ++rep) {
-      const FloodMeasurement m =
-          run_flood(n, 1'500'000, sim::QueueKind::kBinaryHeap);
+      const FloodMeasurement m = run_flood(n, 1'500'000);
       runner::RunRow row;
       row.scenario = "flood-" + std::to_string(n);
       row.ruleset = "standard";
@@ -281,14 +279,40 @@ int report_json(const std::string& path, int repeat, bool include_giant) {
 void BM_EventChurn(benchmark::State& state) {
   const auto modules = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
-    const double rate = run_flood(modules, 500'000,
-                                  sim::QueueKind::kBinaryHeap).rate();
+    const double rate = run_flood(modules, 500'000).rate();
     state.counters["events/s"] =
         benchmark::Counter(rate, benchmark::Counter::kAvgThreads);
   }
 }
 BENCHMARK(BM_EventChurn)->Arg(1024)->Arg(65536)->Unit(
     benchmark::kMillisecond);
+
+/// One pop plus one push per iteration at a steady pending depth, each
+/// popped record re-scheduled 1-8 ticks later (uniform(1,8) links) — the
+/// replay bench_e2e times as sim.queue_push_pop_ns. Depths 15 and 96000
+/// are the pending-event peaks of tower128 to convergence and of one
+/// Algorithm-1 epoch on blob100000. sim::EventQueue is the simulator's
+/// queue; sim::BinaryHeapEventQueue is the reference heap.
+template <typename Queue>
+void BM_QueuePushPop(benchmark::State& state) {
+  const auto depth = static_cast<uint64_t>(state.range(0));
+  Queue queue;
+  Rng rng(depth);
+  for (uint64_t i = 0; i < depth; ++i) {
+    queue.push(sim::EventRecord::timer(rng.next_below(8), lat::BlockId{1}, i));
+  }
+  for (auto _ : state) {
+    sim::EventRecord record = queue.pop();
+    benchmark::DoNotOptimize(record.seq);
+    record.time += 1 + rng.next_below(8);
+    queue.push(std::move(record));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_TEMPLATE(BM_QueuePushPop, sim::EventQueue)->Arg(15)->Arg(96'000);
+BENCHMARK_TEMPLATE(BM_QueuePushPop, sim::BinaryHeapEventQueue)
+    ->Arg(15)
+    ->Arg(96'000);
 
 }  // namespace
 

@@ -30,10 +30,176 @@ void sort_extracted(std::vector<EventRecord>& out, size_t first) {
             });
 }
 
+/// Moves the records of `records` addressed to `target` to `out`, keeping
+/// the others' relative order; true when any moved.
+bool extract_matching(std::vector<EventRecord>& records, lat::BlockId target,
+                      std::vector<EventRecord>& out) {
+  size_t kept = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (addressed_to(records[i], target)) {
+      out.push_back(std::move(records[i]));
+    } else {
+      if (kept != i) records[kept] = std::move(records[i]);
+      ++kept;
+    }
+  }
+  if (kept == records.size()) return false;
+  records.erase(records.begin() + static_cast<ptrdiff_t>(kept),
+                records.end());
+  return true;
+}
+
+/// Heap order for std::push_heap/pop_heap: the earliest record on top.
+bool later(const EventRecord& a, const EventRecord& b) {
+  return event_before(b, a);
+}
+
+constexpr uint64_t slot_bit(size_t slot) { return uint64_t{1} << slot; }
+
 }  // namespace
 
+// ---------------------------------------------------------------------------
+// EventQueue (calendar)
+// ---------------------------------------------------------------------------
+
+EventRecord EventQueue::pop() {
+  SB_EXPECTS(size_ > 0, "pop from empty event queue");
+  if (occupied_ == 0) {
+    // Nothing inside the window: jump it to the earliest overflow tick.
+    base_ = overflow_.front().time;
+    migrate_overflow();
+  }
+  const SimTime t = base_ + first_occupied_offset();
+  const size_t slot = t & kRingMask;
+  if (t != base_) {
+    // Every tick in [base_, t) is empty, so the window may start at t; the
+    // ticks it gains at its far end may have records waiting in overflow.
+    base_ = t;
+    if (!overflow_.empty() && overflow_.front().time - base_ < kRingSize) {
+      migrate_overflow();
+    }
+  }
+  Bucket& bucket = ring_[slot];
+  EventRecord record = take_front(bucket);
+  if (bucket.head == nullptr) occupied_ &= ~slot_bit(slot);
+  --size_;
+  return record;
+}
+
+EventRecord EventQueue::take_front(Bucket& bucket) {
+  Chunk* head = bucket.head;
+  EventRecord record = std::move(head->records[bucket.head_index++]);
+  if (head == bucket.tail) {
+    if (bucket.head_index == bucket.tail_count) {
+      release(head);
+      bucket = Bucket{};
+    }
+  } else if (bucket.head_index == kChunkRecords) {
+    bucket.head = head->next;
+    bucket.head_index = 0;
+    release(head);
+  }
+  return record;
+}
+
+void EventQueue::grow(Bucket& bucket) {
+  Chunk* chunk = free_;
+  if (chunk != nullptr) {
+    free_ = chunk->next;
+    chunk->next = nullptr;
+  } else {
+    chunks_.push_back(std::make_unique<Chunk>());
+    chunk = chunks_.back().get();
+  }
+  if (bucket.tail == nullptr) {
+    bucket.head = chunk;
+    bucket.head_index = 0;
+  } else {
+    bucket.tail->next = chunk;
+  }
+  bucket.tail = chunk;
+  bucket.tail_count = 0;
+}
+
+void EventQueue::push_outside_ring(EventRecord&& record) {
+  const SimTime t = record.time;
+  if (t < base_) {
+    // The simulator never schedules below its clock, but the queue accepts
+    // it: the window moves back to start at t.
+    rewind(t);
+    append(ring_[t & kRingMask], std::move(record));
+    occupied_ |= slot_bit(t & kRingMask);
+    return;
+  }
+  overflow_.push_back(std::move(record));
+  std::push_heap(overflow_.begin(), overflow_.end(), later);
+}
+
+void EventQueue::rewind(SimTime t) {
+  // The buckets leaving the window are those at or past t + kRingSize: the
+  // top `shift` offsets of the current window, or all of it. Only their
+  // occupancy bits are visited.
+  const SimTime shift = base_ - t;
+  uint64_t leaving = occupied_;
+  if (shift < kRingSize) {
+    const uint64_t top = ~uint64_t{0} << (kRingSize - shift);
+    leaving &= std::rotl(top, static_cast<int>(base_ & kRingMask));
+  }
+  for (uint64_t bits = leaving; bits != 0; bits &= bits - 1) {
+    Bucket& bucket = ring_[static_cast<size_t>(std::countr_zero(bits))];
+    while (bucket.head != nullptr) {
+      overflow_.push_back(take_front(bucket));
+      std::push_heap(overflow_.begin(), overflow_.end(), later);
+    }
+  }
+  occupied_ &= ~leaving;
+  base_ = t;
+}
+
+void EventQueue::migrate_overflow() {
+  // Overflow ticks all lie at or past the old window's end, so each one
+  // lands in a bucket that is empty or holds only records migrated just
+  // before it — heap order keeps every bucket in seq order.
+  while (!overflow_.empty() && overflow_.front().time - base_ < kRingSize) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), later);
+    const size_t slot = overflow_.back().time & kRingMask;
+    append(ring_[slot], std::move(overflow_.back()));
+    occupied_ |= slot_bit(slot);
+    overflow_.pop_back();
+  }
+}
+
+void EventQueue::extract_for(lat::BlockId target,
+                             std::vector<EventRecord>& out) {
+  const size_t first = out.size();
+  for (uint64_t bits = occupied_; bits != 0; bits &= bits - 1) {
+    const auto slot = static_cast<size_t>(std::countr_zero(bits));
+    Bucket& bucket = ring_[slot];
+    Bucket kept;
+    while (bucket.head != nullptr) {
+      EventRecord record = take_front(bucket);
+      if (addressed_to(record, target)) {
+        out.push_back(std::move(record));
+      } else {
+        append(kept, std::move(record));
+      }
+    }
+    bucket = kept;
+    if (kept.head == nullptr) occupied_ &= ~slot_bit(slot);
+  }
+  if (extract_matching(overflow_, target, out)) {
+    std::make_heap(overflow_.begin(), overflow_.end(), later);
+  }
+  size_ -= out.size() - first;
+  sort_extracted(out, first);
+}
+
+// ---------------------------------------------------------------------------
+// BinaryHeapEventQueue (reference)
+// ---------------------------------------------------------------------------
+
 // Manual sift with a moving hole: each level costs one move instead of the
-// swap (three moves) std::push_heap/pop_heap would do on 80-byte records.
+// swap (three moves) std::push_heap/pop_heap would do.
 
 void BinaryHeapEventQueue::sift_up(size_t i) {
   EventRecord moving = std::move(heap_[i]);
@@ -88,152 +254,10 @@ const EventRecord* BinaryHeapEventQueue::peek() const {
 void BinaryHeapEventQueue::extract_for(lat::BlockId target,
                                        std::vector<EventRecord>& out) {
   const size_t first = out.size();
-  size_t kept = 0;
-  for (size_t i = 0; i < heap_.size(); ++i) {
-    if (addressed_to(heap_[i], target)) {
-      out.push_back(std::move(heap_[i]));
-    } else {
-      if (kept != i) heap_[kept] = std::move(heap_[i]);
-      ++kept;
-    }
-  }
-  if (kept == heap_.size()) return;  // nothing matched
-  heap_.resize(kept);
+  if (!extract_matching(heap_, target, out)) return;
   // Floyd heap construction over the survivors.
-  for (size_t i = kept / 2; i-- > 0;) sift_down(i);
+  for (size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
   sort_extracted(out, first);
-}
-
-BucketMapEventQueue::Bucket& BucketMapEventQueue::ring_bucket(SimTime t) {
-  Bucket& bucket = ring_[static_cast<size_t>(t & kRingMask)];
-  if (bucket.time != t) {
-    // A slot can only hold a different timestamp when that bucket has been
-    // fully drained (times within the window map to distinct slots).
-    SB_ASSERT(bucket.drained(), "calendar slot collision at t=", t);
-    bucket.time = t;
-    bucket.head = 0;
-    bucket.records.clear();  // keeps capacity: steady state never allocates
-  }
-  return bucket;
-}
-
-void BucketMapEventQueue::migrate_overflow() {
-  while (!overflow_.empty() &&
-         overflow_.begin()->first < cursor_ + kRingSize) {
-    auto it = overflow_.begin();
-    Bucket& slot = ring_bucket(it->first);
-    SB_ASSERT(slot.drained(), "overflow migration into a live slot");
-    slot.head = it->second.head;
-    slot.records = std::move(it->second.records);
-    overflow_.erase(it);
-  }
-}
-
-void BucketMapEventQueue::push(EventRecord record) {
-  record.seq = next_seq_++;
-  const SimTime t = record.time;
-  if (t < cursor_) {
-    // The simulator never schedules into the past, but the queue API
-    // permits it. Rewind the window and spill entries that no longer fit.
-    for (Bucket& bucket : ring_) {
-      if (!bucket.drained() && bucket.time - t >= kRingSize) {
-        Bucket& spill = overflow_[bucket.time];
-        spill.head = bucket.head;
-        spill.records = std::move(bucket.records);
-        bucket.records.clear();
-        bucket.head = 0;
-      }
-    }
-    cursor_ = t;
-  }
-  ++size_;
-  if (t - cursor_ < kRingSize) {
-    ring_bucket(t).records.push_back(std::move(record));
-    return;
-  }
-  overflow_[t].records.push_back(std::move(record));
-}
-
-EventRecord BucketMapEventQueue::pop() {
-  SB_EXPECTS(size_ > 0, "pop from empty event queue");
-  // Scan forward from the cursor; simulated time only advances, so each
-  // slot is crossed once per ring revolution (amortized O(1) per pop).
-  for (size_t k = 0; k < kRingSize; ++k) {
-    const SimTime t = cursor_ + k;
-    Bucket& bucket = ring_[static_cast<size_t>(t & kRingMask)];
-    if (bucket.time != t || bucket.drained()) continue;
-    cursor_ = t;
-    if (k > 0) migrate_overflow();
-    EventRecord record = std::move(bucket.records[bucket.head]);
-    ++bucket.head;
-    --size_;
-    return record;
-  }
-  // Ring window empty: jump to the earliest overflow bucket.
-  SB_ASSERT(!overflow_.empty(), "calendar lost events");
-  cursor_ = overflow_.begin()->first;
-  migrate_overflow();
-  Bucket& bucket = ring_[static_cast<size_t>(cursor_ & kRingMask)];
-  SB_ASSERT(bucket.time == cursor_ && !bucket.drained());
-  EventRecord record = std::move(bucket.records[bucket.head]);
-  ++bucket.head;
-  --size_;
-  return record;
-}
-
-void BucketMapEventQueue::extract_for(lat::BlockId target,
-                                      std::vector<EventRecord>& out) {
-  const size_t first = out.size();
-  const auto sweep_bucket = [&](Bucket& bucket) {
-    size_t kept = bucket.head;
-    for (size_t i = bucket.head; i < bucket.records.size(); ++i) {
-      if (addressed_to(bucket.records[i], target)) {
-        out.push_back(std::move(bucket.records[i]));
-        --size_;
-      } else {
-        if (kept != i) bucket.records[kept] = std::move(bucket.records[i]);
-        ++kept;
-      }
-    }
-    bucket.records.resize(kept);
-  };
-  for (Bucket& bucket : ring_) {
-    if (!bucket.drained()) sweep_bucket(bucket);
-  }
-  for (auto& [time, bucket] : overflow_) {
-    if (!bucket.drained()) sweep_bucket(bucket);
-  }
-  // A sweep can empty an overflow bucket outright; drop it, or the
-  // pop()/peek() fall-through — which trusts overflow_.begin() to hold a
-  // live record — would migrate a drained bucket into the ring. (Drained
-  // ring slots are harmless: the scans skip them and ring_bucket() resets
-  // them on reuse.)
-  std::erase_if(overflow_,
-                [](const auto& entry) { return entry.second.drained(); });
-  sort_extracted(out, first);
-}
-
-const EventRecord* BucketMapEventQueue::peek() const {
-  if (size_ == 0) return nullptr;
-  for (size_t k = 0; k < kRingSize; ++k) {
-    const SimTime t = cursor_ + k;
-    const Bucket& bucket = ring_[static_cast<size_t>(t & kRingMask)];
-    if (bucket.time == t && !bucket.drained()) {
-      return &bucket.records[bucket.head];
-    }
-  }
-  const Bucket& bucket = overflow_.begin()->second;
-  return &bucket.records[bucket.head];
-}
-
-std::unique_ptr<EventQueue> make_event_queue(QueueKind kind) {
-  switch (kind) {
-    case QueueKind::kBinaryHeap:
-      return std::make_unique<BinaryHeapEventQueue>();
-    case QueueKind::kBucketMap:
-      return std::make_unique<BucketMapEventQueue>();
-  }
-  SB_UNREACHABLE();
 }
 
 }  // namespace sb::sim

@@ -1,14 +1,24 @@
 #pragma once
-// Pending-event set implementations.
+// The pending-event set.
 //
-// Two interchangeable structures back the simulator: a binary heap (the
-// default) and a time-bucketed ordered map. Both store EventRecords by
-// value — pushing a built-in event allocates nothing, and the heap is one
-// contiguous array. bench_ablations compares their throughput; the
-// VisibleSim paper's 650k events/s claim is sensitive to exactly this
-// choice.
+// EventQueue is the simulator's one queue — the classic loop, the sharded
+// engine's sequential queue and every shard's queue hold one by value. It
+// is a calendar queue: a 64-tick ring of per-tick FIFO buckets covering
+// [base, base + 64), plus a binary-heap overflow for later ticks. Link
+// latencies and motion durations are a handful of ticks, so nearly every
+// push is an O(1) append to a bucket, and a 64-bit occupancy word turns
+// peek() and pop() into one rotate and one count-trailing-zeros at any
+// depth. Only fault-mode timers and long latency tails reach the overflow.
+// Buckets are chains of fixed-size chunks drawn from one free list, so
+// storage tracks the pending-event count rather than every slot's
+// high-water mark.
+//
+// BinaryHeapEventQueue is the reference: an array min-heap with the same
+// interface and the same (time, seq) pop order. The differential queue
+// tests and bench_e2e's queue replay use it; the simulator does not.
 
-#include <map>
+#include <array>
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -18,100 +28,134 @@ namespace sb::sim {
 
 class EventQueue {
  public:
-  virtual ~EventQueue() = default;
+  /// Ring span in ticks. Public so the tests can target the exact tick
+  /// where a push spills from the ring into the overflow.
+  static constexpr SimTime kRingSize = 64;
 
-  /// Takes ownership; assigns the tie-breaking sequence number.
-  virtual void push(EventRecord record) = 0;
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
+  /// Takes ownership; assigns the tie-breaking sequence number. Any time is
+  /// accepted, including one below the last popped event's.
+  void push(EventRecord record) {
+    record.seq = next_seq_++;
+    ++size_;
+    const SimTime t = record.time;
+    if (t - base_ < kRingSize) {  // unsigned: false for t < base_ as well
+      append(ring_[t & kRingMask], std::move(record));
+      occupied_ |= uint64_t{1} << (t & kRingMask);
+    } else {
+      push_outside_ring(std::move(record));
+    }
+  }
 
   /// Removes and returns the earliest event (time, then seq). Queue must be
   /// non-empty.
-  virtual EventRecord pop() = 0;
+  EventRecord pop();
 
   /// Earliest event without removing it; nullptr when empty.
-  [[nodiscard]] virtual const EventRecord* peek() const = 0;
+  [[nodiscard]] const EventRecord* peek() const {
+    if (occupied_ != 0) {
+      const Bucket& bucket =
+          ring_[(base_ + first_occupied_offset()) & kRingMask];
+      return &bucket.head->records[bucket.head_index];
+    }
+    return overflow_.empty() ? nullptr : &overflow_.front();
+  }
 
   /// Removes every pending event addressed to `target` (start/timer events
   /// whose subject it is, deliveries whose receiver it is) and appends them
   /// to `out` in (time, seq) order. The sharded simulator re-homes a
   /// migrating block's events with this when a motion carries it across a
-  /// stripe boundary; motions are rare, so the linear scan is off the hot
+  /// shard boundary; motions are rare, so the linear scan is off the hot
   /// path.
-  virtual void extract_for(lat::BlockId target,
-                           std::vector<EventRecord>& out) = 0;
+  void extract_for(lat::BlockId target, std::vector<EventRecord>& out);
 
-  [[nodiscard]] virtual size_t size() const = 0;
-  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
 
- protected:
+ private:
+  static constexpr SimTime kRingMask = kRingSize - 1;
+  static constexpr uint32_t kChunkRecords = 64;
+
+  struct Chunk {
+    std::array<EventRecord, kChunkRecords> records;
+    Chunk* next = nullptr;
+  };
+
+  /// FIFO of one tick's records: a chain of chunks, popped at the head and
+  /// appended at the tail. Empty buckets hold no chunk.
+  struct Bucket {
+    Chunk* head = nullptr;
+    Chunk* tail = nullptr;
+    uint32_t head_index = 0;  ///< next record to pop in `head`
+    uint32_t tail_count = 0;  ///< records written into `tail`
+  };
+
+  /// Ticks from base_ to the earliest occupied bucket. Requires
+  /// occupied_ != 0.
+  [[nodiscard]] SimTime first_occupied_offset() const {
+    return static_cast<SimTime>(std::countr_zero(
+        std::rotr(occupied_, static_cast<int>(base_ & kRingMask))));
+  }
+
+  void append(Bucket& bucket, EventRecord&& record) {
+    if (bucket.tail == nullptr || bucket.tail_count == kChunkRecords) {
+      grow(bucket);
+    }
+    bucket.tail->records[bucket.tail_count++] = std::move(record);
+  }
+  /// Removes the bucket's first record, returning drained chunks to the
+  /// free list. The bucket must be non-empty.
+  EventRecord take_front(Bucket& bucket);
+
+  void grow(Bucket& bucket);
+  void release(Chunk* chunk) {
+    chunk->next = free_;
+    free_ = chunk;
+  }
+  /// Push for a tick outside [base_, base_ + kRingSize): rewinds the window
+  /// first when the tick is below it, then lands in the ring or overflow.
+  void push_outside_ring(EventRecord&& record);
+  /// Moves the window start back to `t`, spilling the occupied buckets that
+  /// fall off its far end into the overflow.
+  void rewind(SimTime t);
+  /// Moves overflow records that the window now covers into the ring, in
+  /// (time, seq) order, ahead of any later push to the same tick.
+  void migrate_overflow();
+
+  /// Start of the ring window; never above the earliest pending time.
+  SimTime base_ = 0;
+  /// Bit s set iff ring_[s] holds records (of the window tick ≡ s mod 64).
+  uint64_t occupied_ = 0;
+  std::array<Bucket, kRingSize> ring_{};
+  /// Min-heap on (time, seq) of records at or past base_ + kRingSize.
+  std::vector<EventRecord> overflow_;
+  /// Every chunk ever allocated; the ring's chains and the free list
+  /// (`free_`, linked through Chunk::next) point into it.
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  Chunk* free_ = nullptr;
+  size_t size_ = 0;
   uint64_t next_seq_ = 0;
 };
 
-/// Array-backed binary min-heap of records.
-class BinaryHeapEventQueue final : public EventQueue {
+/// Array-backed binary min-heap of records: the reference queue.
+class BinaryHeapEventQueue {
  public:
-  void push(EventRecord record) override;
-  EventRecord pop() override;
-  [[nodiscard]] const EventRecord* peek() const override;
-  void extract_for(lat::BlockId target, std::vector<EventRecord>& out) override;
-  [[nodiscard]] size_t size() const override { return heap_.size(); }
+  void push(EventRecord record);
+  EventRecord pop();
+  [[nodiscard]] const EventRecord* peek() const;
+  void extract_for(lat::BlockId target, std::vector<EventRecord>& out);
+  [[nodiscard]] size_t size() const { return heap_.size(); }
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
 
  private:
   void sift_up(size_t i);
   void sift_down(size_t i);
 
   std::vector<EventRecord> heap_;
+  uint64_t next_seq_ = 0;
 };
-
-/// Calendar queue: a power-of-two ring of per-timestamp FIFO buckets for
-/// the near future, plus an ordered overflow map for timestamps beyond the
-/// ring horizon. Link latencies and motion durations are a handful of
-/// ticks, so nearly every push lands in the ring at O(1) with a single
-/// record move — no heap sift over 80-byte records, no map lookup — and
-/// pops scan forward from the time cursor (amortized O(1): simulated time
-/// only advances). Pop order is exactly (time, seq), identical to the
-/// binary heap, so runs are bit-for-bit the same under either queue.
-class BucketMapEventQueue final : public EventQueue {
- public:
-  /// Ring span in ticks; larger than any latency model's typical draw so
-  /// overflow stays rare (timers and exponential tails still land there).
-  /// Public so the ring-horizon boundary tests can target the exact tick
-  /// where a push spills from the ring into the overflow map.
-  static constexpr size_t kRingBits = 7;
-  static constexpr size_t kRingSize = size_t{1} << kRingBits;
-  static constexpr SimTime kRingMask = kRingSize - 1;
-
-  void push(EventRecord record) override;
-  EventRecord pop() override;
-  [[nodiscard]] const EventRecord* peek() const override;
-  void extract_for(lat::BlockId target, std::vector<EventRecord>& out) override;
-  [[nodiscard]] size_t size() const override { return size_; }
-
- private:
-
-  struct Bucket {
-    SimTime time = 0;
-    size_t head = 0;  ///< index of the earliest un-popped record
-    std::vector<EventRecord> records;
-
-    [[nodiscard]] bool drained() const { return head >= records.size(); }
-  };
-
-  /// Bucket for in-window time `t`, reset (retaining capacity) if it still
-  /// holds a fully drained older timestamp.
-  [[nodiscard]] Bucket& ring_bucket(SimTime t);
-  /// Moves overflow buckets that entered the ring window after the cursor
-  /// advanced; keeps the "overflow times are beyond the window" invariant.
-  void migrate_overflow();
-
-  std::vector<Bucket> ring_ = std::vector<Bucket>(kRingSize);
-  /// Lower bound on the earliest pending timestamp (== last popped time).
-  SimTime cursor_ = 0;
-  std::map<SimTime, Bucket> overflow_;
-  size_t size_ = 0;
-};
-
-enum class QueueKind { kBinaryHeap, kBucketMap };
-
-[[nodiscard]] std::unique_ptr<EventQueue> make_event_queue(QueueKind kind);
 
 }  // namespace sb::sim

@@ -75,7 +75,7 @@ struct PhaseBreakdown {
 struct ShardState {
   size_t index = 0;
   /// Pending events addressed to blocks inside this shard.
-  std::unique_ptr<EventQueue> queue;
+  EventQueue queue;
   /// Independent latency stream, forked from the master seed by shard
   /// index; consumed only while this shard drains, so draw order is
   /// deterministic.
@@ -113,8 +113,12 @@ struct ShardState {
 /// blocks until all `threads` participants arrive; the last arriver runs
 /// the serial section before releasing the rest, so serial work happens
 /// exactly once per rendezvous with no extra handoff. Waiters spin briefly
-/// (windows are short), then yield, then park on the atomic (futex-backed)
-/// so oversubscribed or single-core boxes do not burn their quantum.
+/// (windows are short), then yield, then park on a condition variable so
+/// oversubscribed or single-core boxes do not burn their quantum. The
+/// releaser advances the phase under the parking mutex: a waiter tests the
+/// phase and parks atomically with respect to that store, so no wakeup can
+/// fall between its test and its sleep. With one thread, arrive() runs the
+/// serial section inline and takes no lock.
 class WindowBarrier {
  public:
   explicit WindowBarrier(uint32_t threads) : threads_(threads) {}
@@ -126,23 +130,29 @@ class WindowBarrier {
 
   template <typename SerialFn>
   void arrive(SerialFn&& serial) {
+    if (threads_ == 1) {
+      serial();
+      return;
+    }
     const uint32_t ticket = phase_.load(std::memory_order_relaxed);
     if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == threads_) {
       serial();
       arrived_.store(0, std::memory_order_relaxed);
-      phase_.store(ticket + 1, std::memory_order_release);
-      phase_.notify_all();
+      {
+        const std::lock_guard<std::mutex> lock(park_mutex_);
+        phase_.store(ticket + 1, std::memory_order_release);
+      }
+      parked_.notify_all();
       return;
     }
     for (int spin = 0; spin < 1024; ++spin) {
       if (phase_.load(std::memory_order_acquire) != ticket) return;
       if (spin >= 64) std::this_thread::yield();
     }
-    uint32_t seen = phase_.load(std::memory_order_acquire);
-    while (seen == ticket) {
-      phase_.wait(seen, std::memory_order_acquire);
-      seen = phase_.load(std::memory_order_acquire);
-    }
+    std::unique_lock<std::mutex> lock(park_mutex_);
+    parked_.wait(lock, [&] {
+      return phase_.load(std::memory_order_acquire) != ticket;
+    });
   }
 
  private:
@@ -150,6 +160,10 @@ class WindowBarrier {
   std::atomic<uint32_t> arrived_{0};
   /// Round counter; a changed phase releases the current rendezvous.
   std::atomic<uint32_t> phase_{0};
+  /// Parking for waiters that outlast the spin; the phase only advances
+  /// while this is held.
+  std::mutex park_mutex_;
+  std::condition_variable parked_;
 };
 
 /// The channel-driven shard engine: a fixed set of resident workers that

@@ -70,8 +70,7 @@ thread_local ShardState* Simulator::tls_exec_ = nullptr;
 Simulator::Simulator(World world, SimConfig config)
     : world_(std::move(world)),
       config_(config),
-      rng_(config.seed),
-      queue_(make_event_queue(config.queue)) {
+      rng_(config.seed) {
   if (config_.shards > 1) init_shards();
 }
 
@@ -123,11 +122,11 @@ void Simulator::schedule_record(EventRecord record) {
   if (!sharded_) {
     SB_EXPECTS(record.time >= now_, "cannot schedule into the past (t=",
                record.time, " < now=", now_, ")");
-    queue_->push(std::move(record));
+    queue_.push(std::move(record));
     return;
   }
   // Sharded routing: grid-mutating / external events go to the sequential
-  // global queue; module events go to the queue of the shard owning the
+  // queue; module events go to the queue of the shard owning the
   // target block. From inside a window, cross-shard deliveries go straight
   // into the destination shard's inbound channel slot for this producer —
   // single-writer, so no thread ever touches another shard's queue or
@@ -142,7 +141,7 @@ void Simulator::schedule_record(EventRecord record) {
       if (ctx != nullptr) {
         ctx->pending_global.push_back(std::move(record));
       } else {
-        global_queue_->push(std::move(record));
+        queue_.push(std::move(record));
       }
       return;
     case EventKind::kStart:
@@ -152,7 +151,7 @@ void Simulator::schedule_record(EventRecord record) {
       // module that set them, which executes on its own shard.
       SB_ASSERT(ctx == nullptr || dest == ctx->index,
                 "start/timer scheduled across shards for block ", record.a);
-      shards_[dest]->queue->push(std::move(record));
+      shards_[dest]->queue.push(std::move(record));
       return;
     }
     case EventKind::kDelivery: {
@@ -175,7 +174,7 @@ void Simulator::schedule_record(EventRecord record) {
         }
         shards_[dest]->inbound[ctx->index].push_back(std::move(record));
       } else {
-        shards_[dest]->queue->push(std::move(record));
+        shards_[dest]->queue.push(std::move(record));
       }
       return;
     }
@@ -212,14 +211,14 @@ void Simulator::dispatch(EventRecord& record) {
       return;
     }
     case EventKind::kDelivery:
-      deliver(record.a, record.b, *record.message, record.tag);
+      deliver(record.a, record.b, record.message(), record.tag);
       return;
     case EventKind::kMotionComplete:
-      complete_motion(record.a, record.app);
+      complete_motion(record.a, record.app());
       if (mutation_observer_) mutation_observer_(*this);
       return;
     case EventKind::kExternal:
-      record.external->execute(*this);
+      record.external().execute(*this);
       if (mutation_observer_) mutation_observer_(*this);
       return;
   }
@@ -229,8 +228,8 @@ void Simulator::dispatch(EventRecord& record) {
 bool Simulator::step() {
   SB_EXPECTS(!sharded_, "step() is only supported in classic (shards=1) "
                         "mode; use run() on a sharded simulator");
-  if (queue_->empty()) return false;
-  EventRecord record = queue_->pop();
+  if (queue_.empty()) return false;
+  EventRecord record = queue_.pop();
   SB_ASSERT(record.time >= now_, "event time ran backwards");
   now_ = record.time;
   count_event(record);
@@ -243,7 +242,7 @@ StopReason Simulator::run(RunLimits limits) {
   if (sharded_) return run_sharded(limits);
   uint64_t processed = 0;
   while (!halted_) {
-    const EventRecord* next = queue_->peek();
+    const EventRecord* next = queue_.peek();
     if (next == nullptr) return StopReason::kQueueEmpty;
     if (next->time > limits.until) return StopReason::kTimeLimit;
     if (processed >= limits.max_events) return StopReason::kEventLimit;

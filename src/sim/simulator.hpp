@@ -34,7 +34,6 @@ struct SimConfig {
   msg::LatencyModel latency = msg::LatencyModel::fixed(1);
   /// Ticks a motion takes from request to landing.
   Ticks motion_duration = 10;
-  QueueKind queue = QueueKind::kBinaryHeap;
   /// Disable per-kind counter maps in tight throughput benches.
   bool detailed_stats = true;
   /// Shards the world is partitioned into. 1 keeps the classic single
@@ -237,9 +236,8 @@ class Simulator {
   void clear_halt() { halted_ = false; }
 
   [[nodiscard]] size_t pending_events() const {
-    if (!sharded_) return queue_->size();
-    size_t pending = global_queue_->size();
-    for (const auto& shard : shards_) pending += shard->queue->size();
+    size_t pending = queue_.size();
+    for (const auto& shard : shards_) pending += shard->queue.size();
     return pending;
   }
 
@@ -303,7 +301,11 @@ class Simulator {
   Rng rng_;
   SimTime now_ = 0;
   bool halted_ = false;
-  std::unique_ptr<EventQueue> queue_;
+  /// Classic mode: every pending event. Sharded mode: the grid-mutating
+  /// (motion-complete) and external events, always executed sequentially
+  /// between windows so handlers see a quiescent world; module events live
+  /// in the shard queues.
+  EventQueue queue_;
   /// Dense table indexed by id (ids are small and near-contiguous; see
   /// Grid). Index order == id order, so iteration stays deterministic.
   std::vector<std::unique_ptr<Module>> modules_;
@@ -324,9 +326,6 @@ class Simulator {
   Ticks lookahead_ = 1;
   lat::ShardMap shard_map_;
   std::vector<std::unique_ptr<ShardState>> shards_;
-  /// Grid-mutating (motion-complete) and external events; always executed
-  /// sequentially between windows so handlers see a quiescent world.
-  std::unique_ptr<EventQueue> global_queue_;
   std::unique_ptr<ShardEngine> engine_;
   /// Per-run() loop state shared by the engine hooks: limits, events
   /// counted so far, and the stop reason sharded_decide() settled on.

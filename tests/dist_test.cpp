@@ -292,19 +292,29 @@ std::string dist_report_text(const runner::SweepCliOptions& options,
   copts.total_timeout_ms = 60000;  // CI backstop
   Coordinator coordinator(options, copts);
 
-  std::vector<std::thread> fleet;
   std::vector<int> codes(workers, -1);
-  for (size_t i = 0; i < workers; ++i) {
+  const auto launch = [&](size_t i) {
     Worker::Options wopts;
     wopts.port = coordinator.port();
     wopts.heartbeat_ms = 50;
     if (i == 0) wopts.abandon_after_units = abandon_after;
-    fleet.emplace_back([wopts, i, &codes] {
-      codes[i] = Worker(wopts).run();
-    });
-  }
+    return std::thread([wopts, i, &codes] { codes[i] = Worker(wopts).run(); });
+  };
+  // A worker set to die mid-sweep runs alone until it has died: peers
+  // racing it for the one-spec units could drain the queue before it
+  // pulls the unit it is to abandon, and it would then exit cleanly.
+  std::thread fleet([&] {
+    size_t first = 0;
+    if (abandon_after != SIZE_MAX) {
+      launch(0).join();
+      first = 1;
+    }
+    std::vector<std::thread> running;
+    for (size_t i = first; i < workers; ++i) running.push_back(launch(i));
+    for (std::thread& worker : running) worker.join();
+  });
   const std::vector<runner::RunRow> rows = coordinator.run();
-  for (std::thread& worker : fleet) worker.join();
+  fleet.join();
   for (size_t i = 0; i < workers; ++i) {
     const int expected =
         i == 0 && abandon_after != SIZE_MAX ? Worker::kExitFault

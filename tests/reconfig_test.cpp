@@ -232,20 +232,6 @@ TEST(Reconfig, PaperEq6InitializationHasDocumentedLimitation) {
   EXPECT_GT(result.elections_completed, 5u);
 }
 
-TEST(Reconfig, BucketQueueGivesIdenticalRun) {
-  SessionConfig heap = quiet_config();
-  heap.sim.queue = sim::QueueKind::kBinaryHeap;
-  SessionConfig bucket = quiet_config();
-  bucket.sim.queue = sim::QueueKind::kBucketMap;
-  const auto a = ReconfigurationSession::run_scenario(
-      lat::make_fig10_scenario(), heap);
-  const auto b = ReconfigurationSession::run_scenario(
-      lat::make_fig10_scenario(), bucket);
-  EXPECT_EQ(a.elementary_moves, b.elementary_moves);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.sim_ticks, b.sim_ticks);
-}
-
 // ---------------------------------------------------------------------------
 // Tower scaling (the Lemma 1 extremal family)
 // ---------------------------------------------------------------------------

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 #include <string>
 #include <thread>
@@ -453,6 +456,53 @@ TEST(WindowBarrier, RunsTheSerialSectionOncePerRendezvous) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(serial_runs, kRounds);
   EXPECT_EQ(parallel_work.load(), kRounds * static_cast<int>(kThreads));
+}
+
+// Lost-wakeup stress: a releaser that publishes the phase and then wakes
+// parked waiters, without ordering both against a waiter's test-then-park,
+// can leave a waiter asleep forever with every other thread parked behind
+// it. Half a million rendezvous at four threads (more threads than free
+// cores under a parallel ctest, so waiters do park) must all complete. A
+// hang fails through the watchdog, which aborts once no rendezvous has
+// completed for 60 s, rather than stalling the suite.
+TEST(WindowBarrier, HalfAMillionRendezvousLoseNoWakeup) {
+  constexpr uint32_t kThreads = 4;
+  constexpr int kRounds = 500'000;
+  sim::WindowBarrier barrier(kThreads);
+  std::atomic<int> serial_runs{0};
+  std::atomic<bool> finished{false};
+  std::thread watchdog([&] {
+    int last = -1;
+    auto last_progress = std::chrono::steady_clock::now();
+    while (!finished.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      const int now_runs = serial_runs.load(std::memory_order_relaxed);
+      const auto now = std::chrono::steady_clock::now();
+      if (now_runs != last) {
+        last = now_runs;
+        last_progress = now;
+      } else if (now - last_progress > std::chrono::seconds(60)) {
+        std::fprintf(stderr,
+                     "WindowBarrier stalled after %d of %d rendezvous: "
+                     "lost wakeup\n",
+                     now_runs, kRounds);
+        std::abort();
+      }
+    }
+  });
+  auto participant = [&] {
+    for (int round = 0; round < kRounds; ++round) {
+      barrier.arrive(
+          [&] { serial_runs.fetch_add(1, std::memory_order_relaxed); });
+    }
+  };
+  std::vector<std::thread> threads;
+  for (uint32_t t = 1; t < kThreads; ++t) threads.emplace_back(participant);
+  participant();
+  for (auto& t : threads) t.join();
+  finished.store(true, std::memory_order_release);
+  watchdog.join();
+  EXPECT_EQ(serial_runs.load(), kRounds);
 }
 
 TEST(ShardEngine, CyclesFoldIntegrateDecideDrainRounds) {

@@ -24,7 +24,9 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "lattice/scenario.hpp"
 #include "msg/message.hpp"
 #include "runner/sweep.hpp"
 #include "sim/event_queue.hpp"
@@ -313,6 +315,22 @@ BENCHMARK_TEMPLATE(BM_QueuePushPop, sim::EventQueue)->Arg(15)->Arg(96'000);
 BENCHMARK_TEMPLATE(BM_QueuePushPop, sim::BinaryHeapEventQueue)
     ->Arg(15)
     ->Arg(96'000);
+
+/// lat::validate on a valid scenario, which runs every rule. Scenario set-up
+/// pays it twice: once in the generator, once in the session constructor.
+void BM_ValidateScenario(benchmark::State& state, const char* name) {
+  const lat::Scenario scenario = lat::resolve_scenario(name);
+  for (auto _ : state) {
+    const std::vector<std::string> issues = lat::validate(scenario);
+    benchmark::DoNotOptimize(issues.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(scenario.block_count()));
+}
+BENCHMARK_CAPTURE(BM_ValidateScenario, tower128, "tower128")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ValidateScenario, blob100000, "blob100000")
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -14,6 +14,7 @@
 #include "lattice/scenario.hpp"
 #include "motion/rule_xml.hpp"
 #include "util/cli.hpp"
+#include "util/string_util.hpp"
 #include "viz/ascii.hpp"
 
 int main(int argc, char** argv) {
@@ -41,10 +42,8 @@ int main(int argc, char** argv) {
   }
   const auto issues = sb::lat::validate(scenario);
   if (!issues.empty()) {
-    std::fprintf(stderr, "scenario violates the paper's assumptions:\n");
-    for (const auto& issue : issues) {
-      std::fprintf(stderr, "  - %s\n", issue.c_str());
-    }
+    std::fprintf(stderr, "scenario violates the paper's assumptions: %s\n",
+                 sb::join(issues, "; ").c_str());
     return 1;
   }
 

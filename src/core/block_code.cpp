@@ -9,23 +9,26 @@ namespace sb::core {
 
 SmartBlockCode::SmartBlockCode(lat::BlockId id, bool is_root,
                                const PlannerSet* planners,
-                               AlgorithmConfig config, SessionShared* shared)
+                               const AlgorithmConfig* config,
+                               SessionShared* shared)
     : sim::Module(id),
       is_root_(is_root),
       planners_(planners),
       config_(config),
       shared_(shared),
-      tie_rng_(0),
-      tabu_(config.tabu_capacity, config.tabu_horizon) {
+      tabu_(config->tabu_capacity, config->tabu_horizon) {
   SB_EXPECTS(planners_ != nullptr && shared_ != nullptr);
 }
 
 void SmartBlockCode::on_start() {
   // Derive the per-block RNG from the simulation seed so runs stay
-  // reproducible (only consumed by the kRandom tie policies).
-  tie_rng_ = sim().rng().fork(id().value);
+  // reproducible; only the kRandom tie policies consume it.
+  if (config_->election_tie == ElectionTie::kRandom ||
+      planners_->for_shard(0).config().tie == MoveTie::kRandom) {
+    tie_rng_ = std::make_unique<Rng>(sim().rng().fork(id().value));
+  }
   if (is_root_) {
-    SB_ASSERT(position() == config_.input,
+    SB_ASSERT(position() == config_->input,
               "the Root must sit on the input cell");
     set_epoch(1);
     start_election();
@@ -62,7 +65,7 @@ ActivateMsg SmartBlockCode::make_activate() const {
   ActivateMsg m;
   m.epoch = epoch_;
   m.father = id();
-  m.output = config_.output;
+  m.output = config_->output;
   m.shortest_distance = best_dist_;
   m.id_shortest = best_id_;
   return m;
@@ -70,11 +73,11 @@ ActivateMsg SmartBlockCode::make_activate() const {
 
 void SmartBlockCode::start_election() {
   SB_ASSERT(is_root_, "only the Root starts elections");
-  if (epoch_ > config_.max_iterations) {
+  if (epoch_ > config_->max_iterations) {
     shared_->metrics.blocked = true;
     shared_->metrics.final_epoch = epoch_ - 1;
     log_warn("iteration cap {} reached - reporting blocked",
-             config_.max_iterations);
+             config_->max_iterations);
     sim().halt();
     return;
   }
@@ -84,8 +87,8 @@ void SmartBlockCode::start_election() {
 
   // Eq (6)/(7): the paper initializes the record with the I-to-O distance
   // and the Root's id; the library default is +inf (DESIGN.md note).
-  if (config_.paper_eq6_init) {
-    best_dist_ = initial_shortest_distance(config_.input, config_.output);
+  if (config_->paper_eq6_init) {
+    best_dist_ = initial_shortest_distance(config_->input, config_->output);
     best_id_ = id();
     best_via_.reset();
   }
@@ -111,14 +114,14 @@ int SmartBlockCode::broadcast_activates(
     auto m = std::make_unique<ActivateMsg>(activate);
     m->son = neighbor_table().neighbor(d);
     send(d, std::move(m));
-    if (config_.ack_timeout > 0) {
+    if (config_->ack_timeout > 0) {
       awaiting_contact_[static_cast<size_t>(d)] = true;
     }
     ++sent;
   }
-  if (sent > 0 && config_.ack_timeout > 0) {
+  if (sent > 0 && config_->ack_timeout > 0) {
     ack_timer_renewals_ = 0;
-    set_timer(config_.ack_timeout, timer_tag(epoch_, kAckTimer));
+    set_timer(config_->ack_timeout, timer_tag(epoch_, kAckTimer));
   }
   return sent;
 }
@@ -183,7 +186,7 @@ void SmartBlockCode::handle_activate(lat::Direction from_side,
 
   // Fault mode: tell the father right away that this block engaged (its
   // subtree Ack may take a while; silence must only ever mean death).
-  if (config_.ack_timeout > 0) {
+  if (config_->ack_timeout > 0) {
     SonNotifyMsg notify;
     notify.epoch = epoch_;
     notify.son = id();
@@ -199,7 +202,7 @@ void SmartBlockCode::handle_activate(lat::Direction from_side,
   const MotionPlanner& planner =
       planners_->for_shard(sim().shard_for(pos));
   decision_ = planner.evaluate(sim().world(), pos, &tabu_, epoch_,
-                               &shared_->metrics, &tie_rng_);
+                               &shared_->metrics, tie_rng_.get());
   // Fold the incoming record and our own distance into the local minimum.
   merge_report(m.shortest_distance, m.id_shortest, std::nullopt);
   if (decision_.eligible()) {
@@ -215,7 +218,7 @@ void SmartBlockCode::merge_report(int32_t dist, lat::BlockId report_id,
   if (dist == kInfiniteDistance || !report_id.valid()) return;
   bool better = dist < best_dist_;
   if (dist == best_dist_) {
-    switch (config_.election_tie) {
+    switch (config_->election_tie) {
       case ElectionTie::kFirst:
         better = false;
         break;
@@ -223,7 +226,7 @@ void SmartBlockCode::merge_report(int32_t dist, lat::BlockId report_id,
         better = report_id < best_id_;
         break;
       case ElectionTie::kRandom:
-        better = tie_rng_.next_bool();
+        better = tie_rng_->next_bool();
         break;
     }
   }
@@ -240,7 +243,7 @@ void SmartBlockCode::handle_ack(lat::Direction from_side, const AckMsg& m) {
   if (m.engaged) {
     merge_report(m.shortest_distance, m.id_shortest, from_side);
   }
-  if (config_.ack_timeout > 0 && pending_acks_ == 0) {
+  if (config_->ack_timeout > 0 && pending_acks_ == 0) {
     return;  // a neighbour declared dead turned out to be merely slow
   }
   SB_ASSERT(pending_acks_ > 0, "unexpected Ack at block ", id());
@@ -282,10 +285,10 @@ void SmartBlockCode::root_conclude_election() {
     // out under the paper's assumptions; it is reported rather than
     // asserted because callers can feed adversarial scenarios.)
     ++empty_elections_;
-    if (empty_elections_ <= config_.tabu_horizon + 1 &&
-        epoch_ < config_.max_iterations) {
+    if (empty_elections_ <= config_->tabu_horizon + 1 &&
+        epoch_ < config_->max_iterations) {
       log_debug("election {}: no eligible block; retrying ({}/{})", epoch_,
-                empty_elections_, config_.tabu_horizon + 1);
+                empty_elections_, config_->tabu_horizon + 1);
       set_epoch(epoch_ + 1);
       start_election();
       return;
@@ -311,8 +314,8 @@ void SmartBlockCode::root_conclude_election() {
   } else {
     SB_UNREACHABLE("the Root cannot elect itself");
   }
-  if (config_.ack_timeout > 0) {
-    set_timer(config_.ack_timeout, timer_tag(epoch_, kRootMoveTimer));
+  if (config_->ack_timeout > 0) {
+    set_timer(config_->ack_timeout, timer_tag(epoch_, kRootMoveTimer));
   }
 }
 
@@ -326,7 +329,7 @@ void SmartBlockCode::handle_select(const SelectMsg& m) {
   ++shared_->metrics.select_forwards;
   if (!best_via_.has_value() || best_id_ != m.target) {
     // Possible only when a fault broke the aggregation invariant.
-    SB_ASSERT(config_.ack_timeout > 0,
+    SB_ASSERT(config_->ack_timeout > 0,
               "Select routing lost its trail at block ", id());
     log_warn("block {}: cannot route Select for {} (fault recovery pending)",
              id().value, m.target.value);
@@ -371,7 +374,7 @@ void SmartBlockCode::on_motion_complete() {
   if (decision_.move.has_value()) {
     tabu_.push(decision_.move->subject_from(), epoch_);
   }
-  const bool reached = position() == config_.output;
+  const bool reached = position() == config_->output;
   if (shared_->move_listener && decision_.move.has_value()) {
     shared_->move_listener(epoch_, id(), *decision_.move);
   }
@@ -435,7 +438,7 @@ void SmartBlockCode::root_maybe_advance() {
 }
 
 void SmartBlockCode::on_timer(uint64_t tag) {
-  if (config_.ack_timeout == 0) return;
+  if (config_->ack_timeout == 0) return;
   const Epoch tag_epoch = static_cast<Epoch>(tag >> 2);
   const auto kind = static_cast<TimerKind>(tag & 3);
   if (tag_epoch != epoch_) return;  // the epoch moved on; timer is stale
@@ -466,7 +469,7 @@ void SmartBlockCode::on_timer(uint64_t tag) {
     // bounded number of renewals as a backstop against a son that died
     // mid-aggregation.
     if (++ack_timer_renewals_ <= kMaxAckTimerRenewals) {
-      set_timer(config_.ack_timeout, timer_tag(epoch_, kAckTimer));
+      set_timer(config_->ack_timeout, timer_tag(epoch_, kAckTimer));
     } else {
       log_warn("block {}: forcing aggregation after {} renewals in epoch {}",
                id().value, ack_timer_renewals_, epoch_);

@@ -23,11 +23,12 @@
 //      (termination condition of Algorithm 1).
 //
 // The code is fully message-driven: a block only ever uses its own
-// registers (position, I, O), its mailboxes, and its bounded sensing
+// registers (position, I, O), its lateral contacts, and its bounded sensing
 // window. The optional fault-tolerance extension (paper §VI future work)
 // adds ack timeouts and election restarts.
 
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "core/messages.hpp"
@@ -84,8 +85,9 @@ struct SessionShared {
 
 class SmartBlockCode final : public sim::Module {
  public:
+  /// `config` and `shared` are the session's and must outlive the block.
   SmartBlockCode(lat::BlockId id, bool is_root, const PlannerSet* planners,
-                 AlgorithmConfig config, SessionShared* shared);
+                 const AlgorithmConfig* config, SessionShared* shared);
 
   [[nodiscard]] bool is_root() const { return is_root_; }
   [[nodiscard]] Epoch epoch() const { return epoch_; }
@@ -145,9 +147,10 @@ class SmartBlockCode final : public sim::Module {
   /// Per-shard planner memos; the block evaluates on its current shard's
   /// planner so parallel windows never share a cache.
   const PlannerSet* planners_;
-  AlgorithmConfig config_;
+  const AlgorithmConfig* config_;
   SessionShared* shared_;
-  Rng tie_rng_;  // used only for ElectionTie::kRandom / MoveTie::kRandom
+  /// Created by on_start only for ElectionTie::kRandom / MoveTie::kRandom.
+  std::unique_ptr<Rng> tie_rng_;
   TabuList tabu_;
 
   // -- per-epoch election state ----------------------------------------------
@@ -182,5 +185,10 @@ class SmartBlockCode final : public sim::Module {
   // -- root: consecutive elections that found no eligible block ---------------
   uint32_t empty_elections_ = 0;
 };
+
+// One program per block: the election flood touches every block's program,
+// so its size is a per-block cost of large worlds.
+static_assert(sizeof(SmartBlockCode) <= 256,
+              "SmartBlockCode grew past 256 bytes");
 
 }  // namespace sb::core

@@ -78,7 +78,7 @@ ReconfigurationSession::ReconfigurationSession(const lat::Scenario& scenario,
   for (const auto& [id, pos] : scenario_.blocks) {
     const bool is_root = pos == scenario_.input;
     simulator_->add_module(std::make_unique<SmartBlockCode>(
-        id, is_root, planners_.get(), algorithm_, &shared_));
+        id, is_root, planners_.get(), &algorithm_, &shared_));
   }
 }
 
@@ -95,7 +95,7 @@ sim::Module& ReconfigurationSession::hot_join(lat::BlockId id, lat::Vec2 pos) {
   simulator_->notify_cells_changed({pos});
   sim::Module& module =
       simulator_->add_module(std::make_unique<SmartBlockCode>(
-          id, /*is_root=*/false, planners_.get(), algorithm_, &shared_));
+          id, /*is_root=*/false, planners_.get(), &algorithm_, &shared_));
   simulator_->start_module(id);
   return module;
 }

@@ -157,7 +157,8 @@ class ReconfigurationSession {
 
   lat::Scenario scenario_;
   SessionConfig config_;
-  /// Per-block algorithm parameters, kept for hot_join'ed modules.
+  /// Per-block algorithm parameters. Every module points here, so this is
+  /// declared before simulator_ and outlives the modules it owns.
   AlgorithmConfig algorithm_;
   SessionShared shared_;
   std::unique_ptr<sim::Simulator> simulator_;

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <set>
 #include <sstream>
+#include <utility>
 
-#include "lattice/connectivity.hpp"
 #include "lattice/region.hpp"
 #include "util/assert.hpp"
 #include "util/fmt.hpp"
@@ -48,26 +47,47 @@ std::vector<std::string> validate(const Scenario& s) {
   }
   if (!issues.empty()) return issues;
 
-  std::set<BlockId> ids;
-  std::set<Vec2> cells;
+  // One pass over dense marks: a bit per id (ids above the grid's dense-id
+  // limit are reported, not marked) and a byte per cell, which the
+  // connectivity flood below reuses.
+  const auto width = static_cast<size_t>(s.width);
+  const auto cell_of = [&](Vec2 p) {
+    return static_cast<size_t>(p.y) * width + static_cast<size_t>(p.x);
+  };
+  std::vector<uint8_t> cells(width * static_cast<size_t>(s.height), 0);
+  std::vector<bool> ids;
+  bool invalid_seen = false;
+  bool one_column = true;
+  bool one_row = true;
   for (const auto& [id, pos] : s.blocks) {
-    if (!id.valid()) issues.push_back("invalid block id in scenario");
-    if (!ids.insert(id).second) {
-      issues.push_back(fmt("duplicate block id {}", id));
+    if (!id.valid()) {
+      issues.push_back("invalid block id in scenario");
+      if (invalid_seen) issues.push_back(fmt("duplicate block id {}", id));
+      invalid_seen = true;
+    } else if (id.value > Grid::kMaxBlockIdValue) {
+      issues.push_back(fmt("block id {} exceeds the dense-id limit ({}); "
+                           "renumber the scenario's blocks",
+                           id, Grid::kMaxBlockIdValue));
+    } else {
+      if (id.value >= ids.size()) ids.resize(id.value + 1);
+      if (ids[id.value]) issues.push_back(fmt("duplicate block id {}", id));
+      ids[id.value] = true;
     }
     if (!in_bounds(pos)) {
       issues.push_back(fmt("block {} at {} is outside the surface", id, pos));
-    } else if (!cells.insert(pos).second) {
+    } else if (std::exchange(cells[cell_of(pos)], uint8_t{1}) != 0) {
       issues.push_back(fmt("two blocks share cell {}", pos));
     }
+    one_column &= pos.x == s.blocks.front().second.x;
+    one_row &= pos.y == s.blocks.front().second.y;
   }
   if (!issues.empty()) return issues;
 
-  if (!cells.count(s.input)) {
+  if (cells[cell_of(s.input)] == 0) {
     issues.push_back(
         "no block on the input cell (Assumption 2 requires the Root at I)");
   }
-  if (cells.count(s.output)) {
+  if (cells[cell_of(s.output)] != 0) {
     issues.push_back("the output cell must start empty");
   }
   // Lemma 1: a path of N-1 cells needs N blocks (one spare for the final
@@ -79,11 +99,33 @@ std::vector<std::string> validate(const Scenario& s) {
         s.blocks.size(), path_cells));
   }
 
-  const Grid grid = s.to_grid();
-  if (!is_connected(grid)) {
-    issues.push_back("blocks are not connected (Assumption 1)");
+  // Assumption 1: flood from any block, marking reached cells 1 -> 2. A
+  // neighbour off the surface maps to the cell itself, already marked.
+  if (!s.blocks.empty()) {
+    std::vector<size_t> stack{cell_of(s.blocks.front().second)};
+    cells[stack.back()] = 2;
+    size_t reached = 0;
+    while (!stack.empty()) {
+      const size_t cell = stack.back();
+      stack.pop_back();
+      ++reached;
+      const size_t x = cell % width;
+      const size_t next[4] = {
+          x + 1 < width ? cell + 1 : cell, x > 0 ? cell - 1 : cell,
+          cell + width < cells.size() ? cell + width : cell,
+          cell >= width ? cell - width : cell};
+      for (const size_t n : next) {
+        if (cells[n] == 1) {
+          cells[n] = 2;
+          stack.push_back(n);
+        }
+      }
+    }
+    if (reached != s.blocks.size()) {
+      issues.push_back("blocks are not connected (Assumption 1)");
+    }
   }
-  if (grid.block_count() > 1 && is_single_line(grid)) {
+  if (s.blocks.size() > 1 && (one_column || one_row)) {
     issues.push_back(
         "blocks form a single row/column (excluded by Assumption 1: such a "
         "pattern cannot support any motion)");
@@ -98,10 +140,23 @@ namespace {
       fmt("scenario parse error at line {}: {}", line_no, message));
 }
 
-int32_t parse_coord(const std::string& token, int line_no) {
+/// Parses an integer in [lo, hi]; `what` names it in the error.
+int64_t parse_bounded(const std::string& token, int line_no, const char* what,
+                      int64_t lo, int64_t hi) {
   const auto value = parse_int(token);
   if (!value) parse_fail(line_no, fmt("expected an integer, got '{}'", token));
-  return static_cast<int32_t>(*value);
+  if (*value < lo || *value > hi) {
+    parse_fail(line_no,
+               fmt("{} {} is outside [{}, {}]", what, *value, lo, hi));
+  }
+  return *value;
+}
+
+/// A size or coordinate: any int32_t (validate() judges the geometry).
+int32_t parse_coord(const std::string& token, int line_no,
+                    const char* what = "coordinate") {
+  return static_cast<int32_t>(
+      parse_bounded(token, line_no, what, INT32_MIN, INT32_MAX));
 }
 
 }  // namespace
@@ -125,8 +180,8 @@ Scenario parse_scenario(const std::string& text) {
       s.name = tokens[1];
     } else if (keyword == "size") {
       if (tokens.size() != 3) parse_fail(line_no, "size expects W H");
-      s.width = parse_coord(tokens[1], line_no);
-      s.height = parse_coord(tokens[2], line_no);
+      s.width = parse_coord(tokens[1], line_no, "size");
+      s.height = parse_coord(tokens[2], line_no, "size");
       saw_size = true;
     } else if (keyword == "input") {
       if (tokens.size() != 3) parse_fail(line_no, "input expects x y");
@@ -140,12 +195,12 @@ Scenario parse_scenario(const std::string& text) {
       saw_output = true;
     } else if (keyword == "block") {
       if (tokens.size() != 4) parse_fail(line_no, "block expects id x y");
-      const auto id = parse_int(tokens[1]);
-      if (!id || *id < 0) parse_fail(line_no, "block id must be >= 0");
-      s.blocks.emplace_back(
-          BlockId{static_cast<uint32_t>(*id)},
-          Vec2{parse_coord(tokens[2], line_no),
-               parse_coord(tokens[3], line_no)});
+      // UINT32_MAX is kInvalidBlock, so the largest id is one below it.
+      const auto id = static_cast<uint32_t>(parse_bounded(
+          tokens[1], line_no, "block id", 0, int64_t{UINT32_MAX} - 1));
+      s.blocks.emplace_back(BlockId{id},
+                            Vec2{parse_coord(tokens[2], line_no),
+                                 parse_coord(tokens[3], line_no)});
     } else {
       parse_fail(line_no, fmt("unknown keyword '{}'", keyword));
     }
@@ -200,7 +255,15 @@ Scenario resolve_scenario(const std::string& name, uint64_t master_seed) {
                              name + "'");
   }
   if (name == "fig10") return make_fig10_scenario();
-  return load_scenario(name);  // throws with a message on a bad path
+  // The generators above assert validity; a file is checked here, so a bad
+  // one is an error and never reaches the session's precondition.
+  Scenario scenario = load_scenario(name);  // throws on a bad path
+  const std::vector<std::string> issues = validate(scenario);
+  if (!issues.empty()) {
+    throw std::runtime_error(
+        fmt("scenario '{}' is invalid: {}", name, issues.front()));
+  }
+  return scenario;
 }
 
 std::string serialize_scenario(const Scenario& s) {

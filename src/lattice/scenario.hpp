@@ -42,13 +42,16 @@ struct Scenario {
 
 /// Checks the scenario against the paper's assumptions. Returns a list of
 /// human-readable problems; empty means valid. Checked: bounds, distinct
-/// ids/cells, a block on I, O initially free, connectivity (Assumption 1/2),
-/// non-degenerate 2-D topology, and that enough blocks exist to tile the
-/// shortest path (Lemma 1 needs N >= manhattan(I,O)+1).
+/// ids/cells, ids within Grid::kMaxBlockIdValue, a block on I, O initially
+/// free, connectivity (Assumption 1/2), non-degenerate 2-D topology, and
+/// that enough blocks exist to tile the shortest path (Lemma 1 needs
+/// N >= manhattan(I,O)+1). One pass over the blocks, on dense marks (a bit
+/// per id, a byte per cell).
 [[nodiscard]] std::vector<std::string> validate(const Scenario& scenario);
 
 /// Parses the text format. Throws std::runtime_error with a line number on
-/// malformed input.
+/// malformed input, including ids outside [0, 2^32 - 2] and sizes or
+/// coordinates outside int32_t.
 [[nodiscard]] Scenario parse_scenario(const std::string& text);
 
 /// Loads a scenario file.
@@ -67,9 +70,11 @@ struct Scenario {
 ///              `master_seed`)
 ///   rect<N>    giant block rectangle, 64 <= N <= 10000000
 ///   fig10      the paper's Figs 10-11 example
-///   <path>     anything else is loaded as a .surf scenario file
-/// Throws std::runtime_error with a usage-style message on bad names or
-/// out-of-range sizes.
+///   <path>     anything else is loaded as a .surf scenario file and
+///              validated
+/// Throws std::runtime_error with a usage-style message on bad names,
+/// out-of-range sizes, unreadable or malformed files, and files that fail
+/// validate() (the message names the file and its first issue).
 [[nodiscard]] Scenario resolve_scenario(const std::string& name,
                                         uint64_t master_seed = 0x5eedULL);
 

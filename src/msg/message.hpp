@@ -39,8 +39,8 @@ class Message {
   /// Deep copy. Messages are value-like: flooding forwards clones.
   [[nodiscard]] virtual std::unique_ptr<Message> clone() const = 0;
 
-  /// Estimated payload size in bytes (excluding the envelope); used for
-  /// bandwidth accounting in the mailbox counters.
+  /// Estimated payload size in bytes (excluding the envelope); delivery
+  /// records carry it as their tag, which event traces print.
   [[nodiscard]] virtual size_t payload_bytes() const { return 0; }
 
   /// One-line rendering for traces.

@@ -67,8 +67,8 @@ struct EventRecord {
   /// Monotone insertion sequence; breaks timestamp ties deterministically
   /// (same seed -> identical execution order). Assigned by the queue.
   uint64_t seq = 0;
-  /// Timer tag; for deliveries, the payload size in bytes (so the receive
-  /// side does not re-query the message's virtual payload_bytes()).
+  /// Timer tag; for deliveries, the payload size in bytes, which event-trace
+  /// lines print (Simulator::enable_event_trace).
   uint64_t tag = 0;
   lat::BlockId a;  ///< start/timer target, delivery sender, motion subject
   lat::BlockId b;  ///< delivery receiver

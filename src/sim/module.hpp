@@ -12,8 +12,8 @@
 #include "lattice/neighborhood.hpp"
 #include "lattice/vec2.hpp"
 #include "motion/apply.hpp"
-#include "msg/mailbox.hpp"
 #include "msg/message.hpp"
+#include "msg/neighbor_table.hpp"
 #include "sim/time.hpp"
 
 namespace sb::sim {
@@ -35,7 +35,6 @@ class Module {
   /// reads the same column.
   [[nodiscard]] bool alive() const;
 
-  [[nodiscard]] const msg::Mailbox& mailbox() const { return mailbox_; }
   [[nodiscard]] const msg::NeighborTable& neighbor_table() const {
     return neighbors_;
   }
@@ -76,7 +75,7 @@ class Module {
   [[nodiscard]] lat::Vec2 position() const;
 
   /// Sends across the lateral contact on `side`; silently dropped (and
-  /// counted) when no neighbor is attached there.
+  /// counted in SimStats) when no neighbor is attached there.
   void send(lat::Direction side, msg::MessagePtr message);
 
   /// Sends a clone of `message` to every attached neighbor, except the one
@@ -99,7 +98,6 @@ class Module {
 
   lat::BlockId id_;
   Simulator* host_ = nullptr;
-  msg::Mailbox mailbox_;
   msg::NeighborTable neighbors_;
 };
 

@@ -211,7 +211,7 @@ void Simulator::dispatch(EventRecord& record) {
       return;
     }
     case EventKind::kDelivery:
-      deliver(record.a, record.b, record.message(), record.tag);
+      deliver(record.a, record.b, record.message());
       return;
     case EventKind::kMotionComplete:
       complete_motion(record.a, record.app());
@@ -255,25 +255,23 @@ StopReason Simulator::run(RunLimits limits) {
 void Simulator::send_from(Module& sender, lat::Direction side,
                           msg::MessagePtr message) {
   SB_EXPECTS(message != nullptr);
-  const size_t bytes = message->payload_bytes();
   SimStats& stats = active_stats();
-  sender.mailbox_.record_send(side, bytes);
   ++stats.messages_sent;
   if (config_.detailed_stats) ++stats.messages_by_kind[message->kind()];
 
   const lat::BlockId receiver = sender.neighbors_.neighbor(side);
   if (!receiver.valid()) {
-    sender.mailbox_.record_drop(side);
     ++stats.messages_dropped;
     return;
   }
   const Ticks latency = config_.latency.sample(active_rng(sender));
+  const size_t bytes = message->payload_bytes();
   schedule_record(EventRecord::delivery(now() + latency, sender.id(), receiver,
                                         std::move(message), bytes));
 }
 
 void Simulator::deliver(lat::BlockId sender, lat::BlockId receiver,
-                        const msg::Message& message, size_t payload_bytes) {
+                        const msg::Message& message) {
   SimStats& stats = active_stats();
   Module* target = find_module(receiver);
   if (target == nullptr || !target->alive()) {
@@ -294,7 +292,6 @@ void Simulator::deliver(lat::BlockId sender, lat::BlockId receiver,
     ++stats.messages_dropped;
     return;
   }
-  target->mailbox_.record_receive(*from_side, payload_bytes);
   ++stats.messages_delivered;
   target->on_message(*from_side, message);
 }

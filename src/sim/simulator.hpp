@@ -252,7 +252,7 @@ class Simulator {
   void dispatch(EventRecord& record);
 
   void deliver(lat::BlockId sender, lat::BlockId receiver,
-               const msg::Message& message, size_t payload_bytes);
+               const msg::Message& message);
   void complete_motion(lat::BlockId subject,
                        const motion::RuleApplication& app);
   /// Recomputes neighbor tables around the given cells and fires

@@ -1,35 +1,16 @@
-// Tests for the message-passing substrate: mailbox counters (Fig 8),
-// neighbour table NT, and the message envelope of the core vocabulary.
+// Tests for the message-passing substrate: the neighbour table NT (Fig 8)
+// and the message envelope of the core vocabulary.
 
 #include <gtest/gtest.h>
 
 #include "core/messages.hpp"
-#include "msg/mailbox.hpp"
+#include "msg/neighbor_table.hpp"
 
 namespace sb {
 namespace {
 
 using lat::BlockId;
 using lat::Direction;
-
-TEST(Mailbox, CountersPerSide) {
-  msg::Mailbox mailbox;
-  mailbox.record_send(Direction::kEast, 24);
-  mailbox.record_send(Direction::kEast, 8);
-  mailbox.record_receive(Direction::kWest, 16);
-  mailbox.record_drop(Direction::kNorth);
-
-  EXPECT_EQ(mailbox.side(Direction::kEast).messages_sent, 2u);
-  EXPECT_EQ(mailbox.side(Direction::kEast).bytes_sent, 32u);
-  EXPECT_EQ(mailbox.side(Direction::kWest).messages_received, 1u);
-  EXPECT_EQ(mailbox.side(Direction::kWest).bytes_received, 16u);
-  EXPECT_EQ(mailbox.side(Direction::kNorth).messages_dropped, 1u);
-  EXPECT_EQ(mailbox.side(Direction::kSouth).messages_sent, 0u);
-
-  EXPECT_EQ(mailbox.total_sent(), 2u);
-  EXPECT_EQ(mailbox.total_received(), 1u);
-  EXPECT_EQ(mailbox.total_dropped(), 1u);
-}
 
 TEST(NeighborTable, TracksFourSides) {
   msg::NeighborTable nt;
@@ -70,8 +51,8 @@ TEST(CoreMessages, CloneIsDeep) {
 }
 
 TEST(CoreMessages, PayloadBytesArePlausible) {
-  // The envelope sizes drive the mailbox bandwidth accounting; they must
-  // at least cover the fields the paper's message formats list (§V.C).
+  // Delivery records carry these sizes (event traces print them); they
+  // must at least cover the fields the paper's message formats list (§V.C).
   EXPECT_GE(core::ActivateMsg{}.payload_bytes(), 20u);
   EXPECT_GE(core::AckMsg{}.payload_bytes(), 13u);
   EXPECT_GE(core::SelectMsg{}.payload_bytes(), 8u);

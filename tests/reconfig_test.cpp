@@ -215,6 +215,21 @@ INSTANTIATE_TEST_SUITE_P(Ties, ElectionTieTest,
                            return "?";
                          });
 
+TEST(Reconfig, RandomMoveTieRunsThroughTheSession) {
+  // Blocks create their tie-break coin only under a kRandom policy; the
+  // planner needs it for MoveTie::kRandom too, and the same seed must
+  // replay the same run.
+  SessionConfig config = quiet_config();
+  config.move_tie = MoveTie::kRandom;
+  const auto first = ReconfigurationSession::run_scenario(
+      lat::make_fig10_scenario(), config);
+  const auto again = ReconfigurationSession::run_scenario(
+      lat::make_fig10_scenario(), config);
+  EXPECT_TRUE(first.complete);
+  EXPECT_EQ(first.hops, again.hops);
+  EXPECT_EQ(first.events_processed, again.events_processed);
+}
+
 TEST(Reconfig, PaperEq6InitializationHasDocumentedLimitation) {
   // With Eq (6)'s literal initialization (ShortestDistance = |I-O|,
   // IDshortest = Root), a block whose distance equals or exceeds |I-O| can

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "lattice/region.hpp"
 #include "lattice/scenario.hpp"
 
@@ -166,6 +168,54 @@ TEST(Scenario, MissingSizeFails) {
                std::runtime_error);
 }
 
+/// The parse error for `text`, or "" when it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    (void)parse_scenario(text);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Scenario, RejectsNumbersThatWouldWrap) {
+  // A cast straight to uint32_t / int32_t would load 4294967299 as
+  // block 3.
+  const std::string head = "size 4 4\ninput 0 0\noutput 3 3\n";
+  EXPECT_EQ(parse_error(head + "block 4294967299 1 1\n"),
+            "scenario parse error at line 4: block id 4294967299 is outside "
+            "[0, 4294967294]");
+  // UINT32_MAX is the invalid-id sentinel, not an id.
+  EXPECT_EQ(parse_error(head + "block 4294967295 1 1\n"),
+            "scenario parse error at line 4: block id 4294967295 is outside "
+            "[0, 4294967294]");
+  EXPECT_EQ(parse_error(head + "block -1 1 1\n"),
+            "scenario parse error at line 4: block id -1 is outside "
+            "[0, 4294967294]");
+  EXPECT_EQ(parse_error(head + "block 1 1 -2147483649\n"),
+            "scenario parse error at line 4: coordinate -2147483649 is "
+            "outside [-2147483648, 2147483647]");
+  EXPECT_EQ(parse_error("size 4294967300 4\n"),
+            "scenario parse error at line 1: size 4294967300 is outside "
+            "[-2147483648, 2147483647]");
+  EXPECT_EQ(parse_error("size 4 4\ninput 2147483648 0\n"),
+            "scenario parse error at line 2: coordinate 2147483648 is "
+            "outside [-2147483648, 2147483647]");
+  EXPECT_NE(parse_error(head + "block 99999999999999999999 1 1\n")
+                .find("line 4: expected an integer"),
+            std::string::npos);
+
+  // The extremes themselves parse; validate() judges them.
+  const Scenario edge = parse_scenario(
+      "size 2147483647 -2147483648\ninput -2147483648 2147483647\n"
+      "output 0 0\nblock 4294967294 -2147483648 2147483647\n");
+  EXPECT_EQ(edge.width, INT32_MAX);
+  EXPECT_EQ(edge.height, INT32_MIN);
+  EXPECT_EQ(edge.input, Vec2(INT32_MIN, INT32_MAX));
+  ASSERT_EQ(edge.blocks.size(), 1u);
+  EXPECT_EQ(edge.blocks[0].first, BlockId{UINT32_MAX - 1});
+}
+
 TEST(Scenario, ToGridPlacesAllBlocks) {
   const Scenario s = make_fig10_scenario();
   const Grid grid = s.to_grid();
@@ -252,6 +302,142 @@ TEST(ScenarioValidate, RejectsInputEqualsOutput) {
   Scenario s = make_fig10_scenario();
   s.output = s.input;
   EXPECT_FALSE(validate(s).empty());
+}
+
+// Exact issue lists, one malformed scenario per rule plus mixed cases that
+// pin the order rules report in. Each case edits a 2x3 tower on a 5x6
+// surface (I = (1,0), O = (1,4): a 5-cell path for 6 blocks).
+Scenario small_tower() {
+  Scenario s;
+  s.name = "pinned";
+  s.width = 5;
+  s.height = 6;
+  s.input = {1, 0};
+  s.output = {1, 4};
+  uint32_t id = 1;
+  for (int32_t y = 0; y < 3; ++y) {
+    for (int32_t x = 1; x < 3; ++x) {
+      s.blocks.emplace_back(BlockId{id++}, Vec2{x, y});
+    }
+  }
+  return s;
+}
+
+/// A row of blocks at y = 0 on an 8x6 surface, x = 1..7 except `gap`.
+Scenario block_row(int32_t gap) {
+  Scenario s = small_tower();
+  s.width = 8;
+  s.blocks.clear();
+  uint32_t id = 1;
+  for (int32_t x = 1; x < 8; ++x) {
+    if (x != gap) s.blocks.emplace_back(BlockId{id++}, Vec2{x, 0});
+  }
+  return s;
+}
+
+TEST(ScenarioValidate, ReportsExactIssuesInOrder) {
+  const std::string kRoot =
+      "no block on the input cell (Assumption 2 requires the Root at I)";
+  const std::string kDisconnected = "blocks are not connected (Assumption 1)";
+  const std::string kSingleLine =
+      "blocks form a single row/column (excluded by Assumption 1: such a "
+      "pattern cannot support any motion)";
+  struct Case {
+    const char* rule;
+    Scenario scenario;
+    std::vector<std::string> issues;
+  };
+  std::vector<Case> cases;
+  const auto add = [&](const char* rule, auto edit,
+                       std::vector<std::string> issues) {
+    Scenario s = small_tower();
+    edit(s);
+    cases.push_back({rule, std::move(s), std::move(issues)});
+  };
+
+  add("valid", [](Scenario&) {}, {});
+  add("non-positive size", [](Scenario& s) { s.width = 0; },
+      {"surface dimensions must be positive, got 0x6"});
+  add("invalid id", [](Scenario& s) { s.blocks[5].first = BlockId{}; },
+      {"invalid block id in scenario"});
+  add("repeated invalid id",
+      [](Scenario& s) { s.blocks[4].first = s.blocks[5].first = BlockId{}; },
+      {"invalid block id in scenario", "invalid block id in scenario",
+       "duplicate block id #invalid"});
+  add("duplicate id", [](Scenario& s) { s.blocks[5].first = BlockId{2}; },
+      {"duplicate block id #2"});
+  add("out-of-bounds block", [](Scenario& s) { s.blocks[5].second = {7, 2}; },
+      {"block #6 at (7,2) is outside the surface"});
+  add("shared cell", [](Scenario& s) { s.blocks[5].second = {1, 2}; },
+      {"two blocks share cell (1,2)"});
+  add("missing Root", [](Scenario& s) { s.input = {0, 0}; }, {kRoot});
+  add("occupied O", [](Scenario& s) { s.output = {2, 2}; },
+      {"the output cell must start empty"});
+  add("too few blocks", [](Scenario& s) { s.output = {4, 5}; },
+      {"only 6 blocks for a 9-cell shortest path; the path cannot be built"});
+  add("disconnected", [](Scenario& s) { s.blocks[5].second = {4, 4}; },
+      {kDisconnected});
+  add("I off the surface", [](Scenario& s) { s.input = {-1, 0}; },
+      {"input (-1,0) is outside the surface"});
+  add("O off the surface", [](Scenario& s) { s.output = {1, 6}; },
+      {"output (1,6) is outside the surface"});
+  add("I and O off the surface",
+      [](Scenario& s) {
+        s.input = {5, 0};
+        s.output = {5, 0};
+      },
+      {"input (5,0) is outside the surface",
+       "output (5,0) is outside the surface", "input and output must differ"});
+  add("I == O", [](Scenario& s) { s.output = s.input; },
+      {"input and output must differ"});
+  add("per-block issues in block order",
+      [](Scenario& s) {
+        s.blocks[1] = {BlockId{}, {9, 9}};
+        s.blocks[3] = {BlockId{1}, {1, 0}};
+        s.blocks[4] = {BlockId{1}, {-1, 2}};
+      },
+      {"invalid block id in scenario",
+       "block #invalid at (9,9) is outside the surface",
+       "duplicate block id #1", "two blocks share cell (1,0)",
+       "duplicate block id #1", "block #1 at (-1,2) is outside the surface"});
+  add("late rules accumulate",
+      [](Scenario& s) {
+        s.input = {0, 5};
+        s.output = {2, 1};
+        s.blocks[5].second = {4, 5};
+      },
+      {kRoot, "the output cell must start empty",
+       "only 6 blocks for a 7-cell shortest path; the path cannot be built",
+       kDisconnected});
+  add("no blocks", [](Scenario& s) { s.blocks.clear(); },
+      {kRoot,
+       "only 0 blocks for a 5-cell shortest path; the path cannot be built"});
+  add("lone Root",
+      [](Scenario& s) { s.blocks.resize(1); },
+      {"only 1 blocks for a 5-cell shortest path; the path cannot be built"});
+  cases.push_back({"single line", block_row(/*gap=*/0), {kSingleLine}});
+  cases.push_back({"broken single line", block_row(/*gap=*/4),
+                   {kDisconnected, kSingleLine}});
+
+  for (const Case& c : cases) {
+    EXPECT_EQ(validate(c.scenario), c.issues) << c.rule;
+  }
+}
+
+TEST(ScenarioValidate, ReportsIdsAboveTheDenseIdLimit) {
+  // Grid::place asserts this bound; validate() reports it instead, so an
+  // oversized id in a .surf file is an error, not an abort.
+  Scenario s = small_tower();
+  s.blocks[5].first = BlockId{Grid::kMaxBlockIdValue};
+  EXPECT_TRUE(validate(s).empty());
+  s.blocks[4].first = BlockId{Grid::kMaxBlockIdValue + 1};
+  s.blocks[5].first = BlockId{UINT32_MAX - 1};
+  EXPECT_EQ(validate(s),
+            (std::vector<std::string>{
+                "block id #67108864 exceeds the dense-id limit (67108863); "
+                "renumber the scenario's blocks",
+                "block id #4294967294 exceeds the dense-id limit (67108863); "
+                "renumber the scenario's blocks"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -370,6 +556,47 @@ TEST(ResolveScenario, FallsBackToScenarioFiles) {
                        "/scenarios/fig10.surf");
   EXPECT_EQ(s.block_count(), 12u);
   EXPECT_THROW(resolve_scenario("no/such/file.surf"), std::runtime_error);
+}
+
+/// What resolve_scenario throws for a file holding `text`.
+std::string resolve_error(const std::string& file, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + file;
+  std::ofstream(path) << text;
+  try {
+    (void)resolve_scenario(path);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(ResolveScenario, RejectsInvalidScenarioFiles) {
+  // Files are validated on load, so a bad one is an error here, not a
+  // failed precondition in the session or in Grid::place.
+  const std::string head = "size 5 6\ninput 1 0\noutput 1 4\n";
+  const std::string tower =
+      "block 1 1 0\nblock 2 2 0\nblock 3 1 1\nblock 4 2 1\nblock 5 1 2\n";
+  const std::string shared = resolve_error(
+      "region_shared_cell.surf", head + tower + "block 6 1 2\n");
+  EXPECT_NE(shared.find("region_shared_cell.surf' is invalid: two blocks "
+                        "share cell (1,2)"),
+            std::string::npos)
+      << shared;
+  const std::string oversized = resolve_error(
+      "region_big_id.surf", head + tower + "block 67108864 2 2\n");
+  EXPECT_NE(oversized.find("region_big_id.surf' is invalid: block id "
+                           "#67108864 exceeds the dense-id limit"),
+            std::string::npos)
+      << oversized;
+  // 2^32 + 6 would wrap to block 6 and make a valid scenario.
+  const std::string wrapped = resolve_error(
+      "region_wrapped_id.surf", head + tower + "block 4294967302 2 2\n");
+  EXPECT_NE(wrapped.find("line 9: block id 4294967302 is outside"),
+            std::string::npos)
+      << wrapped;
+  EXPECT_EQ(resolve_error("region_valid.surf", head + tower +
+                                                   "block 6 2 2\n"),
+            "");
 }
 
 }  // namespace

@@ -166,12 +166,13 @@ void report_table() {
 ///
 ///   - tower16/tower64: the full distributed algorithm (run to completion)
 ///     through the sweep harness;
-///   - blob10000/blob100000/blob1000000: giant random blobs driving the
-///     validation hot path at scale, capped at kGiantEventBudget events per
-///     run (a full reconfiguration at these sizes is O(N^2) hops — the
-///     bench measures event throughput, not completion). The 10^6 group is
-///     the paper's §V.E scale on the batched row oracle: throughput must
-///     hold flat across the 10^4 -> 10^6 decades;
+///   - blob10000/blob100000/blob1000000: giant random blobs, capped at
+///     kGiantEventBudget events per run (a full reconfiguration at these
+///     sizes is O(N^2) hops — the bench measures event throughput, not
+///     completion). Inside the cap the runs are mostly election traffic:
+///     blob100000 makes ~540 connectivity-oracle probes per run and
+///     blob1000000 none. The 10^6 group is the paper's §V.E scale:
+///     throughput must hold flat across the 10^4 -> 10^6 decades;
 ///   - blob10000000 (only with --giant): one decade past the paper, a
 ///     10^7-module blob on a ~5000^2 surface. Too heavy for routine CI
 ///     runners, so the group is opt-in and listed in perf_check --optional;

@@ -112,6 +112,12 @@ FuzzCase FuzzCase::from_json(const util::JsonValue& json) {
   fuzz_case.name = require(json, "name").as_string();
   fuzz_case.scenario =
       lat::parse_scenario(require(json, "scenario").as_string());
+  // The session asserts a valid scenario; a bad file is an error here.
+  const std::vector<std::string> issues = lat::validate(fuzz_case.scenario);
+  if (!issues.empty()) {
+    throw std::runtime_error(fmt("fuzz case '{}' has an invalid scenario: {}",
+                                 fuzz_case.name, issues.front()));
+  }
   const util::JsonValue& latency = require(json, "latency");
   fuzz_case.latency_kind = require(latency, "kind").as_string();
   fuzz_case.latency_lo =

@@ -79,7 +79,9 @@ struct FuzzCase {
   [[nodiscard]] std::string describe() const;
 
   [[nodiscard]] util::JsonValue to_json() const;
-  /// Inverse of to_json. Throws std::runtime_error on malformed input.
+  /// Inverse of to_json. Throws std::runtime_error on malformed input and
+  /// on a scenario that fails lat::validate() (naming the case and the
+  /// first issue).
   [[nodiscard]] static FuzzCase from_json(const util::JsonValue& json);
 
   /// File round-trip; throws std::runtime_error on IO or parse errors.

@@ -1,16 +1,8 @@
 #include "lattice/connectivity.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/assert.hpp"
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define SB_CONN_HAVE_SSSE3 1
-#include <immintrin.h>
-#else
-#define SB_CONN_HAVE_SSSE3 0
-#endif
 
 namespace sb::lat {
 
@@ -104,15 +96,12 @@ size_t flood_fill(const Grid& grid, FloodScratch& scratch, Vec2 start,
 // ---------------------------------------------------------------------------
 // 8-neighborhood mask rule
 //
-// Ring cells around a center, in cyclic order; consecutive ring cells are
+// The ring cells around a center, in cyclic order: N, NE, E, SE, S, SW, W,
+// NW (bit i of a ring mask is ring cell i). Consecutive ring cells are
 // 4-adjacent to each other, so a cyclically contiguous run of occupied ring
 // cells is itself 4-connected without passing through the center.
 // ---------------------------------------------------------------------------
 
-constexpr std::array<Vec2, 8> kRing = {
-    Vec2{0, 1},  Vec2{1, 1},   Vec2{1, 0},  Vec2{1, -1},
-    Vec2{0, -1}, Vec2{-1, -1}, Vec2{-1, 0}, Vec2{-1, 1},
-};
 /// Ring indices of the 4-adjacent (orthogonal) neighbors: N, E, S, W.
 constexpr uint32_t kOrthoMask = 0b01010101;
 
@@ -146,151 +135,30 @@ constexpr std::array<bool, 256> make_removal_table() {
 
 constexpr std::array<bool, 256> kRemovalSafe = make_removal_table();
 
-uint32_t ring_mask(const Grid& grid, Vec2 center) {
-  uint32_t mask = 0;
-  for (size_t i = 0; i < kRing.size(); ++i) {
-    if (grid.occupied(center + kRing[i])) mask |= 1u << i;
-  }
-  return mask;
+/// Tier 1 of the oracle. Every mask verdict (probes, frontier batches, row
+/// sweeps) comes from here: the ring mask of cell `x` is assembled from
+/// three padded occupancy rows (`up` is row y + 1, `mid` row y, `dn` row
+/// y - 1) and looked up in kRemovalSafe. The padding ring reads 0, so edge
+/// and corner cells need no bounds branches.
+bool removal_safe(const uint8_t* up, const uint8_t* mid, const uint8_t* dn,
+                  int32_t x) {
+  const uint32_t mask = (static_cast<uint32_t>(up[x]) << 0) |       // N
+                        (static_cast<uint32_t>(up[x + 1]) << 1) |   // NE
+                        (static_cast<uint32_t>(mid[x + 1]) << 2) |  // E
+                        (static_cast<uint32_t>(dn[x + 1]) << 3) |   // SE
+                        (static_cast<uint32_t>(dn[x]) << 4) |       // S
+                        (static_cast<uint32_t>(dn[x - 1]) << 5) |   // SW
+                        (static_cast<uint32_t>(mid[x - 1]) << 6) |  // W
+                        (static_cast<uint32_t>(up[x - 1]) << 7);    // NW
+  return kRemovalSafe[mask];
 }
 
-// ---------------------------------------------------------------------------
-// Batched mask sweeps
-//
-// Whole rows of removal verdicts are computed from three padded occupancy
-// rows of the SoA byte image — eight byte loads, shifts, and one table
-// lookup per cell, with no bounds branches (the padding ring reads 0). The
-// verdict bytes live in WorldState's per-row cache, stamped with the grid
-// version they were computed against. On SSSE3 hosts the sweep runs 16
-// cells per step: the eight neighbor loads become unaligned vector loads,
-// the mask assembly becomes shifts and ORs, and the 256-entry bool table
-// becomes a 32-byte bitset gathered with two pshufbs.
-// ---------------------------------------------------------------------------
-
-bool batch_enabled_from_env() {
-#ifdef SB_SCALAR_ORACLE
-  return false;  // dual-build CI job: force the per-candidate path
-#else
-  const char* env = std::getenv("SB_CONN_BATCH");
-  if (env == nullptr) return true;
-  return !(env[0] == '0' && env[1] == '\0');
-#endif
-}
-
-/// Scalar mask assembly for cells [x0, x1) of one row. The bit positions
-/// follow kRing exactly, so kRemovalSafe answers are identical to the
-/// per-candidate ring_mask path by construction.
-void removal_masks_scalar(const uint8_t* up, const uint8_t* mid,
-                          const uint8_t* dn, int32_t x0, int32_t x1,
-                          uint8_t* out) {
-  for (int32_t x = x0; x < x1; ++x) {
-    const uint32_t mask = (static_cast<uint32_t>(up[x]) << 0) |
-                          (static_cast<uint32_t>(up[x + 1]) << 1) |
-                          (static_cast<uint32_t>(mid[x + 1]) << 2) |
-                          (static_cast<uint32_t>(dn[x + 1]) << 3) |
-                          (static_cast<uint32_t>(dn[x]) << 4) |
-                          (static_cast<uint32_t>(dn[x - 1]) << 5) |
-                          (static_cast<uint32_t>(mid[x - 1]) << 6) |
-                          (static_cast<uint32_t>(up[x - 1]) << 7);
-    out[x] = kRemovalSafe[mask] ? 1 : 0;
-  }
-}
-
-#if SB_CONN_HAVE_SSSE3
-
-/// kRemovalSafe as a 256-bit set: byte mask >> 3, bit mask & 7. Small
-/// enough to gather with two pshufbs.
-constexpr std::array<uint8_t, 32> make_removal_bitset() {
-  std::array<uint8_t, 32> bits{};
-  for (uint32_t mask = 0; mask < 256; ++mask) {
-    if (kRemovalSafe[mask]) {
-      bits[mask >> 3] = static_cast<uint8_t>(bits[mask >> 3] |
-                                             (1u << (mask & 7u)));
-    }
-  }
-  return bits;
-}
-
-alignas(16) constexpr std::array<uint8_t, 32> kRemovalBitset =
-    make_removal_bitset();
-
-/// 16 cells per step. The occupancy bytes are 0/1, so a 16-bit-lane left
-/// shift by <= 7 never carries across byte lanes and assembles the same
-/// per-byte ring mask as the scalar path; the padding ring guarantees the
-/// x-1 / x+1 loads stay in bounds for every step with x + 16 <= width.
-__attribute__((target("ssse3"))) void removal_row_ssse3(
-    const uint8_t* up, const uint8_t* mid, const uint8_t* dn, int32_t width,
-    uint8_t* out) {
-  const auto load = [](const uint8_t* p) {
-    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  };
-  const __m128i table_lo = load(kRemovalBitset.data());
-  const __m128i table_hi = load(kRemovalBitset.data() + 16);
-  // 1 << (mask & 7), indexed by the low three mask bits.
-  const __m128i bit_select =
-      _mm_setr_epi8(1, 2, 4, 8, 16, 32, 64, -128, 1, 2, 4, 8, 16, 32, 64,
-                    -128);
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i one = _mm_set1_epi8(1);
-  int32_t x = 0;
-  for (; x + 16 <= width; x += 16) {
-    __m128i mask = load(up + x);                                  // bit 0
-    mask = _mm_or_si128(mask, _mm_slli_epi16(load(up + x + 1), 1));
-    mask = _mm_or_si128(mask, _mm_slli_epi16(load(mid + x + 1), 2));
-    mask = _mm_or_si128(mask, _mm_slli_epi16(load(dn + x + 1), 3));
-    mask = _mm_or_si128(mask, _mm_slli_epi16(load(dn + x), 4));
-    mask = _mm_or_si128(mask, _mm_slli_epi16(load(dn + x - 1), 5));
-    mask = _mm_or_si128(mask, _mm_slli_epi16(load(mid + x - 1), 6));
-    mask = _mm_or_si128(mask, _mm_slli_epi16(load(up + x - 1), 7));
-    // Bitset gather: byte index mask >> 3 is 0..31 (the 16-bit shift leaks
-    // the neighbor byte's bits into positions 5..7 — masked off). Adding
-    // 112 keeps indices 0..15 addressing table_lo and pushes 16..31 into
-    // pshufb's zeroing range; subtracting 16 does the mirror for table_hi.
-    const __m128i byte_index =
-        _mm_and_si128(_mm_srli_epi16(mask, 3), _mm_set1_epi8(31));
-    const __m128i gathered = _mm_or_si128(
-        _mm_shuffle_epi8(table_lo,
-                         _mm_add_epi8(byte_index, _mm_set1_epi8(112))),
-        _mm_shuffle_epi8(table_hi,
-                         _mm_sub_epi8(byte_index, _mm_set1_epi8(16))));
-    const __m128i bit =
-        _mm_shuffle_epi8(bit_select, _mm_and_si128(mask, _mm_set1_epi8(7)));
-    // (gathered & bit) != 0 -> verdict byte 1, else 0.
-    const __m128i unsafe = _mm_cmpeq_epi8(_mm_and_si128(gathered, bit), zero);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + x),
-                     _mm_add_epi8(unsafe, one));
-  }
-  removal_masks_scalar(up, mid, dn, x, width, out);  // tail
-}
-
-#endif  // SB_CONN_HAVE_SSSE3
-
-bool wide_enabled_from_env() {
-  const char* env = std::getenv("SB_CONN_WIDE");
-  const bool requested =
-      env == nullptr || !(env[0] == '0' && env[1] == '\0');
-#if SB_CONN_HAVE_SSSE3
-  return requested && __builtin_cpu_supports("ssse3");
-#else
-  (void)requested;
-  return false;
-#endif
-}
-
-/// One cache-linear sweep over row `y`, wide when the host allows it.
-void compute_removal_row(const Grid& grid, int32_t y, uint8_t* out) {
+/// removal_safe for one cell of the grid, which must be on the surface.
+bool removal_safe(const Grid& grid, Vec2 p) {
+  SB_EXPECTS(grid.in_bounds(p), "removal probe off the surface at ", p);
   const WorldState& state = grid.state();
-  const uint8_t* up = state.occupancy_row(y + 1);
-  const uint8_t* mid = state.occupancy_row(y);
-  const uint8_t* dn = state.occupancy_row(y - 1);
-  const int32_t width = grid.width();
-#if SB_CONN_HAVE_SSSE3
-  if (detail::connectivity_wide_enabled()) {
-    removal_row_ssse3(up, mid, dn, width, out);
-    return;
-  }
-#endif
-  removal_masks_scalar(up, mid, dn, 0, width, out);
+  return removal_safe(state.occupancy_row(p.y + 1), state.occupancy_row(p.y),
+                      state.occupancy_row(p.y - 1), p.x);
 }
 
 }  // namespace
@@ -299,71 +167,32 @@ namespace detail {
 
 void compute_removal_row_scalar(const Grid& grid, int32_t y, uint8_t* out) {
   const WorldState& state = grid.state();
-  removal_masks_scalar(state.occupancy_row(y + 1), state.occupancy_row(y),
-                       state.occupancy_row(y - 1), 0, grid.width(), out);
-}
-
-void compute_removal_row_wide(const Grid& grid, int32_t y, uint8_t* out) {
-#if SB_CONN_HAVE_SSSE3
-  if (__builtin_cpu_supports("ssse3")) {
-    const WorldState& state = grid.state();
-    removal_row_ssse3(state.occupancy_row(y + 1), state.occupancy_row(y),
-                      state.occupancy_row(y - 1), grid.width(), out);
-    return;
+  const uint8_t* up = state.occupancy_row(y + 1);
+  const uint8_t* mid = state.occupancy_row(y);
+  const uint8_t* dn = state.occupancy_row(y - 1);
+  const int32_t width = grid.width();
+  for (int32_t x = 0; x < width; ++x) {
+    out[x] = removal_safe(up, mid, dn, x) ? 1 : 0;
   }
-#endif
-  compute_removal_row_scalar(grid, y, out);
 }
 
-bool connectivity_wide_enabled() {
-  static const bool enabled = wide_enabled_from_env();
-  return enabled;
+// Kept only because bench_e2e/layers.cpp calls it (connectivity.hpp).
+void compute_removal_row_wide(const Grid& grid, int32_t y, uint8_t* out) {
+  compute_removal_row_scalar(grid, y, out);
 }
 
 }  // namespace detail
 
-bool connectivity_batch_enabled() {
-  static const bool enabled = batch_enabled_from_env();
-  return enabled;
-}
-
-const uint8_t* removal_verdict_row(const Grid& grid, int32_t y) {
-  const WorldState& state = grid.state();
-  uint8_t* row = state.removal_verdict_row(y);
-  if (state.removal_row_version(y) != grid.version()) {
-    compute_removal_row(grid, y, row);
-    state.set_removal_row_version(y, grid.version());
-  }
-  return row;
-}
-
 void batch_removal_verdicts(const Grid& grid, const Vec2* cells, size_t count,
                             uint8_t* out) {
-  if (!connectivity_batch_enabled() || Grid::thread_has_connectivity_view()) {
-    // Scalar fallback: per-candidate table lookups, no shared row cache.
-    for (size_t i = 0; i < count; ++i) {
-      out[i] = kRemovalSafe[ring_mask(grid, cells[i])] ? 1 : 0;
-    }
-    return;
-  }
   for (size_t i = 0; i < count; ++i) {
-    out[i] = removal_verdict_row(grid, cells[i].y)[cells[i].x];
+    out[i] = removal_safe(grid, cells[i]) ? 1 : 0;
   }
 }
 
 LocalVerdict local_removal_check(const Grid& grid, Vec2 from) {
-  // Sequential probes are served from the batched verdict rows; probes made
-  // under an installed scratch view (parallel shard windows) or with the
-  // batch disabled take the per-candidate lookup. Same table, same
-  // occupancy bytes — identical verdicts either way.
-  if (connectivity_batch_enabled() && !Grid::thread_has_connectivity_view()) {
-    return removal_verdict_row(grid, from.y)[from.x] != 0
-               ? LocalVerdict::kPreservesConnectivity
-               : LocalVerdict::kInconclusive;
-  }
-  return kRemovalSafe[ring_mask(grid, from)]
-             ? LocalVerdict::kPreservesConnectivity
-             : LocalVerdict::kInconclusive;
+  return removal_safe(grid, from) ? LocalVerdict::kPreservesConnectivity
+                                  : LocalVerdict::kInconclusive;
 }
 
 LocalVerdict local_move_check(const Grid& grid, Vec2 from, Vec2 to) {

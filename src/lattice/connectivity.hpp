@@ -13,7 +13,8 @@
 //   occupied orthogonal neighbor of the cell lies in a single cyclically
 //   contiguous run of occupied ring cells (consecutive ring cells are
 //   4-adjacent, so the run reroutes every path that used the vacated cell).
-//   The rule answers most probes from a 256-entry lookup table.
+//   The rule answers most probes with one lookup in a 256-entry table,
+//   indexed by the ring mask read from the padded occupancy rows.
 //
 //   Slow path — a generation-stamped scratch-buffer flood over the grid's
 //   dense occupancy array: no hashing, no per-call allocation (the stamp
@@ -77,10 +78,11 @@ enum class LocalVerdict : uint8_t {
   kInconclusive,           ///< needs the full flood
 };
 
-/// O(1) sufficient test that vacating `from` keeps the remaining blocks
-/// connected, by the 8-neighborhood mask rule. Never returns kDisconnects
-/// (a failed mask can still be globally safe). Precondition for trusting
-/// kPreservesConnectivity: the grid is currently connected.
+/// O(1) sufficient test that vacating `from` (on the surface) keeps the
+/// remaining blocks connected, by the 8-neighborhood mask rule. Never
+/// returns kDisconnects (a failed mask can still be globally safe).
+/// Precondition for trusting kPreservesConnectivity: the grid is currently
+/// connected.
 [[nodiscard]] LocalVerdict local_removal_check(const Grid& grid, Vec2 from);
 
 /// O(1) test for the net effect of a move batch that vacates `from` and
@@ -109,52 +111,30 @@ enum class LocalVerdict : uint8_t {
 [[nodiscard]] bool single_line_after_moves(
     const Grid& grid, const std::vector<std::pair<Vec2, Vec2>>& moves);
 
-// -- batched mask oracle ------------------------------------------------------
+// -- the mask rule over many cells -------------------------------------------
 //
-// The 256-entry removal mask is evaluated for whole grid rows at a time over
-// the SoA occupancy bytes (three row pointers, one table lookup per cell —
-// cache-linear and SIMD-friendly), and the verdict bytes are cached per row
-// against the grid version. Sequential probes (local_removal_check /
-// local_move_check) are then served from the cached rows. The per-candidate
-// scalar path remains the implementation of record: it serves every probe
-// made while a ConnectivityScratchView is installed (shards > 1 parallel
-// windows, where the shared row cache would race) and every probe when the
-// batch is disabled. Both paths read the same table over the same occupancy,
-// so verdicts — and therefore traces — are identical by construction.
+// local_removal_check, local_move_check and the functions below share
+// one routine (lattice/connectivity.cpp): it assembles a cell's 8-bit ring
+// mask from the three padded occupancy rows of lat::WorldState around it
+// and looks it up in the 256-entry table. Nothing is cached and nothing
+// depends on the calling thread, so every caller gets the same verdict for
+// the same occupancy.
 
-/// Whether this process batch-evaluates the mask over rows. Defaults to on;
-/// the SB_CONN_BATCH=0 environment variable or the SB_SCALAR_ORACLE build
-/// option forces the scalar per-candidate path everywhere.
-[[nodiscard]] bool connectivity_batch_enabled();
-
-/// Recomputes (if stale) and returns row `y` of removal-mask verdicts, one
-/// byte per cell: 1 = vacating the cell provably preserves connectivity.
-/// Exposed for the equivalence tests and the frontier sweep benchmark.
-[[nodiscard]] const uint8_t* removal_verdict_row(const Grid& grid, int32_t y);
-
-/// Batch-evaluates the removal mask for an arbitrary frontier of cells,
-/// writing one verdict byte per cell (grouped row sweeps internally).
+/// Evaluates the removal mask for an arbitrary frontier of on-surface
+/// cells, one verdict byte per cell: 1 = vacating the cell provably
+/// preserves connectivity (kPreservesConnectivity), 0 = inconclusive.
 void batch_removal_verdicts(const Grid& grid, const Vec2* cells, size_t count,
                             uint8_t* out);
 
 namespace detail {
 
-// Row-sweep kernels behind removal_verdict_row, exposed so the equivalence
-// tests can compare them cell for cell. Both assemble the same kRing bit
-// layout from the same padded occupancy bytes; the wide kernel processes 16
-// cells per step (SSSE3 table gathers) with a scalar tail, so its verdict
-// bytes are identical to the scalar sweep by construction.
-
-/// Reference sweep: one table lookup per cell.
+/// Removal verdicts for row `y` of the grid, one byte per cell as in
+/// batch_removal_verdicts; `out` receives width() bytes.
 void compute_removal_row_scalar(const Grid& grid, int32_t y, uint8_t* out);
 
-/// SIMD sweep; falls back to the scalar sweep on hosts without SSSE3.
+/// Forwards to compute_removal_row_scalar. It stays only because
+/// bench_e2e/layers.cpp calls it.
 void compute_removal_row_wide(const Grid& grid, int32_t y, uint8_t* out);
-
-/// Whether row recomputation takes the SIMD kernel: the CPU supports SSSE3
-/// and SB_CONN_WIDE is not "0" (the env latch exists so perf triage can
-/// isolate the kernel without rebuilding).
-[[nodiscard]] bool connectivity_wide_enabled();
 
 }  // namespace detail
 

@@ -246,13 +246,6 @@ class Grid {
     tls_conn_view = view;
   }
 
-  /// True when the calling thread has a scratch view installed (a parallel
-  /// shard window). The batched mask oracle bypasses its shared row cache
-  /// then and serves probes per-candidate (lattice/connectivity.cpp).
-  [[nodiscard]] static bool thread_has_connectivity_view() {
-    return tls_conn_view != nullptr;
-  }
-
   friend bool operator==(const Grid& a, const Grid& b) {
     return a.width_ == b.width_ && a.height_ == b.height_ &&
            a.cells_ == b.cells_;
@@ -286,9 +279,9 @@ class Grid {
   int32_t width_;
   int32_t height_;
   std::vector<BlockId> cells_;
-  /// SoA columns: positions by id, occupancy bytes, module tag/epoch/pending
-  /// columns, and the batched removal-verdict rows. Occupancy and positions
-  /// are kept in lock-step with cells_ by the mutations below.
+  /// SoA columns: positions by id, occupancy bytes, and module
+  /// tag/epoch/pending columns. Occupancy and positions are kept in
+  /// lock-step with cells_ by the mutations below.
   WorldState state_;
   size_t block_count_ = 0;
   /// Blocks per row / column, kept in lock-step with cells_.

@@ -26,11 +26,27 @@ BlockId Scenario::root_id() const {
   return kInvalidBlock;
 }
 
+namespace {
+
+/// Largest surface validate() accepts, in cells: the same 2^26 bound as the
+/// dense-id limit (Grid::kMaxBlockIdValue). The largest built-in surface,
+/// blob10000000's 5008^2, is about 25.1M cells.
+constexpr uint64_t kMaxSurfaceCells = uint64_t{1} << 26;
+
+}  // namespace
+
 std::vector<std::string> validate(const Scenario& s) {
   std::vector<std::string> issues;
   if (s.width <= 0 || s.height <= 0) {
     issues.push_back(fmt("surface dimensions must be positive, got {}x{}",
                          s.width, s.height));
+    return issues;
+  }
+  const uint64_t cell_count =
+      static_cast<uint64_t>(s.width) * static_cast<uint64_t>(s.height);
+  if (cell_count > kMaxSurfaceCells) {
+    issues.push_back(fmt("surface {}x{} has {} cells, above the limit of {}",
+                         s.width, s.height, cell_count, kMaxSurfaceCells));
     return issues;
   }
   const auto in_bounds = [&](Vec2 p) {

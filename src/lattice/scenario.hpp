@@ -41,7 +41,8 @@ struct Scenario {
 };
 
 /// Checks the scenario against the paper's assumptions. Returns a list of
-/// human-readable problems; empty means valid. Checked: bounds, distinct
+/// human-readable problems; empty means valid. Checked: a surface of at
+/// most 2^26 cells (before anything is allocated), bounds, distinct
 /// ids/cells, ids within Grid::kMaxBlockIdValue, a block on I, O initially
 /// free, connectivity (Assumption 1/2), non-degenerate 2-D topology, and
 /// that enough blocks exist to tile the shortest path (Lemma 1 needs

@@ -8,9 +8,6 @@ WorldState::WorldState(int32_t width, int32_t height)
              "world dimensions must be positive, got ", width, "x", height);
   occ_.assign(
       static_cast<size_t>(width_ + 2) * static_cast<size_t>(height_ + 2), 0);
-  removal_safe_.assign(
-      static_cast<size_t>(width_) * static_cast<size_t>(height_), 0);
-  removal_row_version_.assign(static_cast<size_t>(height_), UINT64_MAX);
 }
 
 void WorldState::ensure_id(BlockId id) {

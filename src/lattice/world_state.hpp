@@ -7,8 +7,9 @@
 // simulator's in-flight registry. WorldState gathers the hot columns into
 // dense id-indexed arrays (position x/y, state tag, epoch, pending-move)
 // plus a byte-per-cell occupancy image of the grid, so that scans touch
-// cache-linear memory and the 8-neighborhood mask oracle can batch-evaluate
-// whole rows with byte lookups (lattice/connectivity.cpp).
+// cache-linear memory and the 8-neighborhood mask oracle reads a cell's
+// ring from three padded rows with no bounds branches
+// (lattice/connectivity.cpp).
 //
 // WorldState is owned by Grid and mutated only through Grid's mutations and
 // the simulator's column writers; everything else reads it through the
@@ -110,24 +111,6 @@ class WorldState {
   /// Number of set pending-move bits (oracle cross-check; O(max id)).
   [[nodiscard]] size_t pending_move_count() const;
 
-  // -- batched removal-verdict cache (lattice/connectivity.cpp) --------------
-  //
-  // Per-cell byte: 1 when vacating the cell provably preserves connectivity
-  // by the 256-entry mask rule. Rows are recomputed lazily, one cache-linear
-  // sweep per row per grid mutation; row_version records the grid version a
-  // row was computed against. Derived state, so mutable through const.
-
-  [[nodiscard]] uint8_t* removal_verdict_row(int32_t y) const {
-    return removal_safe_.data() +
-           static_cast<size_t>(y) * static_cast<size_t>(width_);
-  }
-  [[nodiscard]] uint64_t removal_row_version(int32_t y) const {
-    return removal_row_version_[static_cast<size_t>(y)];
-  }
-  void set_removal_row_version(int32_t y, uint64_t version) const {
-    removal_row_version_[static_cast<size_t>(y)] = version;
-  }
-
  private:
   [[nodiscard]] size_t pad_index(int32_t x, int32_t y) const {
     return static_cast<size_t>(y + 1) * static_cast<size_t>(width_ + 2) +
@@ -147,9 +130,6 @@ class WorldState {
   std::vector<uint8_t> tag_;
   std::vector<uint32_t> epoch_;
   std::vector<uint8_t> pending_;
-  /// Removal-verdict rows; see removal_verdict_row().
-  mutable std::vector<uint8_t> removal_safe_;
-  mutable std::vector<uint64_t> removal_row_version_;
 };
 
 }  // namespace sb::lat

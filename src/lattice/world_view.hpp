@@ -41,8 +41,8 @@ class WorldView {
   [[nodiscard]] BlockId at(Vec2 p) const { return grid_->at(p); }
 
   /// Occupancy bytes of row `y` starting at x = 0 (one ring of padding on
-  /// every side reads 0); the batched mask sweeps and the sense fast path
-  /// consume rows wholesale. Valid for y in [-1, height()].
+  /// every side reads 0), for readers that scan rows wholesale, such as the
+  /// invariant oracle's column check. Valid for y in [-1, height()].
   [[nodiscard]] const uint8_t* occupancy_row(int32_t y) const {
     return grid_->state().occupancy_row(y);
   }

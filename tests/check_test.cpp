@@ -17,6 +17,7 @@
 #include "core/reconfig.hpp"
 #include "lattice/region.hpp"
 #include "lattice/scenario.hpp"
+#include "util/fmt.hpp"
 
 namespace sb::check {
 namespace {
@@ -91,6 +92,32 @@ TEST(FuzzCaseFile, MalformedInputThrows) {
   EXPECT_THROW(FuzzCase::from_json(bad), std::runtime_error);
   EXPECT_THROW(FuzzCase::load("/nonexistent/x.fuzz.json"),
                std::runtime_error);
+
+  // A scenario that parses but fails lat::validate() is rejected on load
+  // (the session would abort on it), naming the case and its first issue.
+  const auto expect_invalid = [](const FuzzCase& fuzz_case,
+                                 const std::string& issue) {
+    try {
+      (void)FuzzCase::from_json(fuzz_case.to_json());
+      ADD_FAILURE() << "accepted an invalid scenario: " << issue;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(issue), std::string::npos)
+          << error.what();
+      EXPECT_NE(std::string(error.what()).find(fuzz_case.name),
+                std::string::npos)
+          << error.what();
+    }
+  };
+  // A second block, under an id the generator never uses, on a taken cell.
+  FuzzCase shared_cell = generate_case(1);
+  const lat::Vec2 taken = shared_cell.scenario.blocks.front().second;
+  shared_cell.scenario.blocks.emplace_back(
+      lat::BlockId{lat::Grid::kMaxBlockIdValue}, taken);
+  expect_invalid(shared_cell, fmt("two blocks share cell {}", taken));
+  FuzzCase oversized = generate_case(1);
+  oversized.scenario.width = 100000;
+  oversized.scenario.height = 100000;
+  expect_invalid(oversized, "surface 100000x100000 has 10000000000 cells");
 }
 
 // ---------------------------------------------------------------------------

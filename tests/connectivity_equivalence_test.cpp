@@ -6,16 +6,22 @@
 // hash-set BFS reference (the pre-fast-path implementation) over thousands
 // of random grids and move batches — including disconnecting moves,
 // handover chains and carrying-style double moves — and across mutations,
-// which exercises the grid's cached connectivity hint.
+// which exercises the grid's cached connectivity hint. The mask rule itself
+// is pinned cell by cell against a bounds-checked re-derivation through
+// every function that exposes it.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "lattice/connectivity.hpp"
 #include "motion/apply.hpp"
+#include "util/fmt.hpp"
 #include "util/rng.hpp"
 
 namespace sb::lat {
@@ -293,6 +299,157 @@ TEST(ConnectivityEquivalence, HintCacheSurvivesMutations) {
           << "trial " << trial << " step " << step;
     }
   }
+}
+
+// -- the mask rule against a bounds-checked re-derivation ---------------------
+
+/// The run rule derived from scratch with bounds-checked occupancy: label
+/// the cyclic runs of occupied ring cells, then vacating `p` is provably
+/// safe iff at least one orthogonal neighbor is occupied and all of them
+/// carry the same run label.
+bool reference_removal_safe(const Grid& grid, Vec2 p) {
+  // Ring in cyclic order; even indices are the orthogonal neighbors.
+  constexpr std::array<Vec2, 8> kRing = {
+      Vec2{0, 1},  Vec2{1, 1},   Vec2{1, 0},  Vec2{1, -1},
+      Vec2{0, -1}, Vec2{-1, -1}, Vec2{-1, 0}, Vec2{-1, 1},
+  };
+  bool occupied[8];
+  for (int i = 0; i < 8; ++i) occupied[i] = grid.occupied(p + kRing[i]);
+  int label[8];
+  int labels = 0;
+  for (int i = 0; i < 8; ++i) {
+    if (!occupied[i]) {
+      label[i] = -1;
+    } else {
+      label[i] = i > 0 && occupied[i - 1] ? label[i - 1] : labels++;
+    }
+  }
+  // The ring closes: a run through NW and N is one run.
+  if (occupied[7] && occupied[0] && label[7] != label[0]) {
+    const int merged = label[7];
+    for (int& l : label) {
+      if (l == merged) l = label[0];
+    }
+  }
+  int ortho_label = -1;
+  for (int i = 0; i < 8; i += 2) {
+    if (!occupied[i]) continue;
+    if (ortho_label >= 0 && label[i] != ortho_label) return false;
+    ortho_label = label[i];
+  }
+  return ortho_label >= 0;
+}
+
+/// Every cell of the grid, occupied or empty, through each public face of
+/// the mask rule; returns the number of safe verdicts seen.
+size_t expect_mask_matches_reference(const Grid& grid, const char* where) {
+  std::vector<Vec2> all_cells;
+  for (int32_t y = 0; y < grid.height(); ++y) {
+    for (int32_t x = 0; x < grid.width(); ++x) all_cells.push_back({x, y});
+  }
+  std::vector<uint8_t> batch(all_cells.size(), 0xAA);
+  batch_removal_verdicts(grid, all_cells.data(), all_cells.size(),
+                         batch.data());
+  const auto width = static_cast<size_t>(grid.width());
+  std::vector<uint8_t> row(width + 1);
+  size_t safe = 0;
+  for (int32_t y = 0; y < grid.height(); ++y) {
+    std::fill(row.begin(), row.end(), uint8_t{0xAA});
+    detail::compute_removal_row_scalar(grid, y, row.data());
+    EXPECT_EQ(row[width], 0xAA) << where << ": row " << y << " overran";
+    for (int32_t x = 0; x < grid.width(); ++x) {
+      const Vec2 p{x, y};
+      const bool expected = reference_removal_safe(grid, p);
+      safe += expected ? 1 : 0;
+      const size_t i = static_cast<size_t>(y) * width + static_cast<size_t>(x);
+      EXPECT_EQ(local_removal_check(grid, p),
+                expected ? LocalVerdict::kPreservesConnectivity
+                         : LocalVerdict::kInconclusive)
+          << where << " at " << p;
+      EXPECT_EQ(batch[i], expected ? 1 : 0) << where << " at " << p;
+      EXPECT_EQ(row[static_cast<size_t>(x)], expected ? 1 : 0)
+          << where << " at " << p;
+      // A move from an occupied cell to an empty 4-neighbor adds the
+      // attachment test on top of the same mask.
+      if (!grid.occupied(p)) continue;
+      for (Direction d : all_directions()) {
+        const Vec2 to = p + delta(d);
+        if (!grid.in_bounds(to) || grid.occupied(to)) continue;
+        bool attaches = false;
+        for (Direction e : all_directions()) {
+          const Vec2 q = to + delta(e);
+          attaches |= q != p && grid.occupied(q);
+        }
+        LocalVerdict want = LocalVerdict::kDisconnects;
+        if (attaches) {
+          want = expected ? LocalVerdict::kPreservesConnectivity
+                          : LocalVerdict::kInconclusive;
+        }
+        EXPECT_EQ(local_move_check(grid, p, to), want)
+            << where << ": " << p << " -> " << to;
+      }
+    }
+  }
+  return safe;
+}
+
+TEST(ConnectivityEquivalence, MaskRuleMatchesReferenceOnEveryCell) {
+  // Surfaces 1 to 3 cells wide or tall (every cell is an edge or corner,
+  // so the padding ring stands in for most of each ring), then larger
+  // ones; each is checked as generated and after every random move.
+  Rng rng(0x3A5CULL);
+  std::vector<std::pair<int32_t, int32_t>> sizes;
+  for (int32_t thin = 1; thin <= 3; ++thin) {
+    for (int32_t len = 1; len <= 9; ++len) {
+      sizes.emplace_back(thin, len);
+      sizes.emplace_back(len, thin);
+    }
+  }
+  for (int i = 0; i < 40; ++i) {
+    sizes.emplace_back(static_cast<int32_t>(rng.next_in(4, 13)),
+                       static_cast<int32_t>(rng.next_in(4, 13)));
+  }
+  size_t safe = 0;
+  size_t cells_checked = 0;
+  size_t states = 0;
+  for (const auto& [w, h] : sizes) {
+    for (int trial = 0; trial < 4; ++trial) {
+      Grid grid(w, h);
+      std::vector<Vec2> cells;
+      uint32_t id = 1;
+      // Trial 0 fills the surface (every interior ring is the full mask);
+      // the others sprinkle at densities from sparse to dense.
+      const int64_t keep = trial == 0 ? 4 : rng.next_in(1, 3);
+      for (int32_t y = 0; y < h; ++y) {
+        for (int32_t x = 0; x < w; ++x) {
+          if (rng.next_in(0, 3) >= keep) continue;
+          grid.place(BlockId{id++}, {x, y});
+          cells.push_back({x, y});
+        }
+      }
+      const std::string where = fmt("surface {}x{} trial {}", w, h, trial);
+      safe += expect_mask_matches_reference(grid, where.c_str());
+      cells_checked += grid.cell_count();
+      ++states;
+      for (int step = 0; step < 8 && !cells.empty(); ++step) {
+        const size_t index = rng.pick_index(cells);
+        const Vec2 to{static_cast<int32_t>(rng.next_in(0, w - 1)),
+                      static_cast<int32_t>(rng.next_in(0, h - 1))};
+        if (grid.occupied(to)) continue;
+        grid.move(cells[index], to);
+        cells[index] = to;
+        const std::string after = fmt("{} step {}", where, step);
+        safe += expect_mask_matches_reference(grid, after.c_str());
+        cells_checked += grid.cell_count();
+        ++states;
+      }
+      if (HasFailure()) return;
+    }
+  }
+  // Both verdicts must actually occur.
+  EXPECT_GT(states, 1000u);
+  EXPECT_GT(safe, 1000u);
+  EXPECT_GT(cells_checked - safe, 1000u);
 }
 
 }  // namespace

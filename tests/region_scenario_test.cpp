@@ -440,6 +440,29 @@ TEST(ScenarioValidate, ReportsIdsAboveTheDenseIdLimit) {
                 "renumber the scenario's blocks"}));
 }
 
+TEST(ScenarioValidate, ReportsSurfacesAboveTheCellLimit) {
+  // validate() allocates a byte per cell; a surface above 2^26 cells is
+  // one issue, reported before anything is allocated.
+  Scenario s = small_tower();
+  s.width = 100000;
+  s.height = 100000;
+  EXPECT_EQ(validate(s),
+            (std::vector<std::string>{
+                "surface 100000x100000 has 10000000000 cells, above the "
+                "limit of 67108864"}));
+  s.width = INT32_MAX;
+  s.height = INT32_MAX;
+  EXPECT_EQ(validate(s),
+            (std::vector<std::string>{
+                "surface 2147483647x2147483647 has 4611686014132420609 "
+                "cells, above the limit of 67108864"}));
+  s.width = 8192;
+  s.height = 8193;  // one row past the limit
+  EXPECT_EQ(validate(s).size(), 1u);
+  s.height = 8192;  // exactly 2^26 cells
+  EXPECT_TRUE(validate(s).empty());
+}
+
 // ---------------------------------------------------------------------------
 // Generators
 // ---------------------------------------------------------------------------

@@ -1,50 +1,33 @@
-// SoA <-> AoS equivalence suite for the WorldState column store and the
-// batched connectivity oracle (the PR-7 redesign).
+// SoA <-> AoS equivalence suite for the WorldState column store.
 //
-// Three layers of evidence, from micro to end-to-end:
+// Two layers of evidence, from micro to end-to-end:
 //
 //   1. Column mirroring: random mutation sequences (place / remove / move /
 //      simultaneous handover chains) through Grid must keep the SoA columns
 //      (occupancy byte image, position columns) byte-consistent with the
 //      AoS cell array they shadow, as observed through lat::WorldView.
 //
-//   2. Oracle verdicts: the batched row sweeps over the occupancy image
-//      must produce exactly the verdict bytes of the per-candidate scalar
-//      path (forced by installing a ConnectivityScratchView, the same
-//      mechanism parallel shard windows use), including after mutations
-//      that stale the per-row version stamps.
+//   2. Traces: a batch of fresh fuzz seeds runs through the full
+//      differential harness, which compares the classic and sharded
+//      engines' move traces and final occupancy byte for byte.
 //
-//   3. Traces: every committed corpus repro and a batch of fresh fuzz
-//      seeds run through the full differential harness. Backend A (classic)
-//      answers probes from the batched row cache while backends B/C answer
-//      window probes on the per-candidate path, so the harness's
-//      byte-for-byte move-trace / final-occupancy comparison crosses the
-//      two oracle implementations on every case.
-//
-// The binary is registered with ctest twice (tests/CMakeLists.txt): once
-// with the default batched oracle and once under SB_CONN_BATCH=0, so both
-// layouts replay the corpus on every test run and a digest that drifts on
-// either path fails loudly.
+// The mask oracle that reads the occupancy image is pinned cell by cell
+// against an independent reference in connectivity_equivalence_test, and
+// the committed corpus replays on every backend in fuzz_corpus_test.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "check/differential.hpp"
 #include "check/generator.hpp"
-#include "lattice/connectivity.hpp"
 #include "lattice/grid.hpp"
 #include "lattice/world_view.hpp"
 #include "util/rng.hpp"
 
 namespace sb {
 namespace {
-
-namespace fs = std::filesystem;
 
 // -- shared random-grid machinery -------------------------------------------
 
@@ -181,154 +164,13 @@ TEST(SoaEquivalence, ColumnsMirrorTheCellArrayUnderRandomMutations) {
   }
 }
 
-// -- batched vs scalar verdicts ---------------------------------------------
-
-/// Scalar removal verdicts for `cells`, via the same escape hatch the
-/// sharded simulator uses: with a ConnectivityScratchView installed on the
-/// thread, batch_removal_verdicts serves every probe from the per-candidate
-/// ring-mask lookup and never touches the shared row cache. The grid is not
-/// mutated while the view is installed (mirroring the frozen-window
-/// contract), so the redirected hint cache cannot go stale.
-std::vector<uint8_t> scalar_verdicts(const lat::Grid& grid,
-                                     const std::vector<lat::Vec2>& cells) {
-  std::vector<uint8_t> out(cells.size(), 0xAA);
-  lat::ConnectivityScratchView view;
-  lat::Grid::install_connectivity_view(&view);
-  lat::batch_removal_verdicts(grid, cells.data(), cells.size(), out.data());
-  lat::Grid::install_connectivity_view(nullptr);
-  return out;
-}
-
-TEST(SoaEquivalence, BatchedVerdictRowsMatchTheScalarOracle) {
-  Rng rng(0xBA7C4EDULL);
-  std::vector<lat::Vec2> cells;
-  for (int trial = 0; trial < 150; ++trial) {
-    uint32_t next_id = 1;
-    lat::Grid grid = random_grid(rng, cells, next_id);
-    // Every cell of every row, not just occupied ones: the verdict bytes
-    // must agree on empty cells too (the sweep computes whole rows).
-    std::vector<lat::Vec2> all_cells;
-    for (int32_t y = 0; y < grid.height(); ++y) {
-      for (int32_t x = 0; x < grid.width(); ++x) {
-        all_cells.push_back({x, y});
-      }
-    }
-    const std::vector<uint8_t> scalar = scalar_verdicts(grid, all_cells);
-    std::vector<uint8_t> batched(all_cells.size(), 0x55);
-    lat::batch_removal_verdicts(grid, all_cells.data(), all_cells.size(),
-                                batched.data());
-    ASSERT_EQ(batched, scalar) << "trial " << trial;
-
-    // Mutate and re-compare: the per-row version stamps must invalidate
-    // exactly the rows whose verdicts can change.
-    for (int step = 0; step < 6; ++step) {
-      if (cells.empty()) break;
-      const size_t index = rng.pick_index(cells);
-      const lat::Vec2 from = cells[index];
-      const lat::Vec2 to =
-          from + delta(static_cast<lat::Direction>(rng.next_in(0, 3)));
-      if (!grid.in_bounds(to) || grid.occupied(to)) continue;
-      grid.move(from, to);
-      cells[index] = to;
-      const std::vector<uint8_t> scalar_after =
-          scalar_verdicts(grid, all_cells);
-      std::vector<uint8_t> batched_after(all_cells.size(), 0x55);
-      lat::batch_removal_verdicts(grid, all_cells.data(), all_cells.size(),
-                                  batched_after.data());
-      ASSERT_EQ(batched_after, scalar_after)
-          << "trial " << trial << " step " << step
-          << ": stale verdict row survived a mutation";
-    }
-  }
-}
-
-TEST(SoaEquivalence, WideRowSweepMatchesTheScalarKernel) {
-  // The SIMD row kernel (16 cells per step, SSSE3 bitset gathers) against
-  // the scalar reference, cell for cell. Widths straddle the vector step:
-  // below 16 (pure scalar tail), exact multiples (no tail), and odd
-  // offsets around them (worst-case tails). On hosts without SSSE3 the
-  // wide kernel falls back to the scalar one and the test pins that too.
-  Rng rng(0x51DE0ULL);
-  for (const int32_t width : {5, 15, 16, 17, 31, 32, 33, 48, 61}) {
-    for (int trial = 0; trial < 20; ++trial) {
-      lat::Grid grid(width, 12);
-      uint32_t next_id = 1;
-      for (int32_t y = 0; y < grid.height(); ++y) {
-        for (int32_t x = 0; x < width; ++x) {
-          // Trial 0 is fully occupied (every cell takes the 0xFF full-ring
-          // mask); later trials thin out at random.
-          if (trial != 0 && rng.next_in(0, 2) != 0) continue;
-          grid.place(lat::BlockId{next_id++}, {x, y});
-        }
-      }
-      std::vector<uint8_t> scalar(static_cast<size_t>(width), 0xAA);
-      std::vector<uint8_t> wide(static_cast<size_t>(width), 0x55);
-      for (int32_t y = 0; y < grid.height(); ++y) {
-        lat::detail::compute_removal_row_scalar(grid, y, scalar.data());
-        lat::detail::compute_removal_row_wide(grid, y, wide.data());
-        ASSERT_EQ(wide, scalar)
-            << "width " << width << " trial " << trial << " row " << y;
-      }
-    }
-  }
-}
-
-TEST(SoaEquivalence, LocalChecksAgreeAcrossThePathSelector) {
-  // local_removal_check routes through the row cache sequentially and
-  // through the scalar lookup under a scratch view; both must answer
-  // identically for every occupied cell.
-  Rng rng(0x10CA1ULL);
-  std::vector<lat::Vec2> cells;
-  int probes = 0;
-  for (int trial = 0; trial < 80; ++trial) {
-    uint32_t next_id = 1;
-    const lat::Grid grid = random_grid(rng, cells, next_id);
-    for (const lat::Vec2 p : cells) {
-      const lat::LocalVerdict batched = lat::local_removal_check(grid, p);
-      lat::ConnectivityScratchView view;
-      lat::Grid::install_connectivity_view(&view);
-      const lat::LocalVerdict scalar = lat::local_removal_check(grid, p);
-      lat::Grid::install_connectivity_view(nullptr);
-      ASSERT_EQ(batched, scalar) << "trial " << trial << " at " << p;
-      ++probes;
-    }
-  }
-  EXPECT_GT(probes, 1000);
-}
-
-// -- end-to-end: corpus + fresh seeds through both oracle paths -------------
-
-std::vector<std::string> corpus_files() {
-  std::vector<std::string> files;
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(SMARTBLOCKS_CORPUS_DIR)) {
-    if (entry.path().extension() != ".json") continue;
-    files.push_back(entry.path().string());
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
-TEST(SoaEquivalence, CorpusReplaysAgreeAcrossOraclePaths) {
-  // Backend A (classic) serves probes from the batched row cache; backends
-  // B/C serve their parallel-window probes per-candidate. run_case compares
-  // their move traces and final occupancy byte-for-byte, so each replay is
-  // a batched-vs-scalar trace equality check. (Under the SB_CONN_BATCH=0
-  // ctest registration all backends run scalar and the same comparison
-  // pins the scalar path against itself across engines.)
-  for (const std::string& path : corpus_files()) {
-    SCOPED_TRACE(path);
-    check::FuzzCase fuzz_case;
-    ASSERT_NO_THROW(fuzz_case = check::FuzzCase::load(path));
-    const check::DiffOutcome outcome = check::run_case(fuzz_case);
-    EXPECT_TRUE(outcome.ok()) << outcome.report();
-  }
-}
+// -- end-to-end: fresh seeds through the classic and sharded engines ---------
 
 TEST(SoaEquivalence, FreshFuzzSeedsAgreeAcrossOraclePaths) {
   // Fresh seeds (not the minimized corpus shapes), forced comparable so
-  // the harness holds move traces byte-identical between the batched
-  // classic run and the scalar-window sharded runs.
+  // the harness holds move traces byte-identical between the classic run,
+  // which probes the grid's own verdict hint, and the sharded runs, whose
+  // parallel windows probe through per-shard scratch views.
   check::GeneratorOptions options;
   options.always_comparable = true;
   for (uint64_t seed = 0x50A00; seed < 0x50A0C; ++seed) {

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 
+#include "lattice/world_view.hpp"
 #include "motion/apply.hpp"
 #include "motion/rule_xml.hpp"
 #include "motion/transform.hpp"
@@ -120,7 +121,7 @@ void BM_RuleApplicableOnGrid(benchmark::State& state) {
   grid.place(lat::BlockId{1}, {1, 1});
   grid.place(lat::BlockId{2}, {1, 0});
   grid.place(lat::BlockId{3}, {2, 0});
-  const motion::GridView view{&grid};
+  const lat::WorldView view(grid);
   const motion::RuleLibrary lib = motion::RuleLibrary::standard();
   const motion::MotionRule* rule = lib.find("slide_ES");
   for (auto _ : state) {
@@ -140,7 +141,7 @@ void BM_EnumerateApplications(benchmark::State& state) {
       grid.place(lat::BlockId{id++}, {x + 2, y + 2});
     }
   }
-  const motion::GridView view{&grid};
+  const lat::WorldView view(grid);
   const motion::RuleLibrary lib = motion::RuleLibrary::standard();
   for (auto _ : state) {
     benchmark::DoNotOptimize(

@@ -10,6 +10,14 @@ namespace sb::check {
 
 namespace {
 
+using util::get_bool;
+using util::get_field;
+using util::get_int;
+using util::get_size;
+using util::get_string;
+using util::get_u64;
+using util::JsonValue;
+
 constexpr const char* kFormatTag = "sb-fuzz-case-v1";
 
 core::ElectionTie tie_from_label(const std::string& label) {
@@ -26,15 +34,6 @@ std::string_view tie_label(core::ElectionTie tie) {
     case core::ElectionTie::kRandom: return "random";
   }
   return "?";
-}
-
-const util::JsonValue& require(const util::JsonValue& json,
-                               std::string_view key) {
-  const util::JsonValue* value = json.find(key);
-  if (value == nullptr) {
-    throw std::runtime_error(fmt("fuzz case missing field '{}'", key));
-  }
-  return *value;
 }
 
 }  // namespace
@@ -102,42 +101,50 @@ util::JsonValue FuzzCase::to_json() const {
   return json;
 }
 
-FuzzCase FuzzCase::from_json(const util::JsonValue& json) {
-  const std::string& format = require(json, "format").as_string();
+FuzzCase FuzzCase::from_json(const JsonValue& json) {
+  const std::string& format = get_string(json, "format");
   if (format != kFormatTag) {
     throw std::runtime_error(fmt("unsupported fuzz case format '{}'", format));
   }
   FuzzCase fuzz_case;
-  fuzz_case.seed = util::parse_u64(require(json, "seed").as_string());
-  fuzz_case.name = require(json, "name").as_string();
-  fuzz_case.scenario =
-      lat::parse_scenario(require(json, "scenario").as_string());
+  fuzz_case.seed = get_u64(json, "seed");
+  fuzz_case.name = get_string(json, "name");
+  fuzz_case.scenario = lat::parse_scenario(get_string(json, "scenario"));
   // The session asserts a valid scenario; a bad file is an error here.
   const std::vector<std::string> issues = lat::validate(fuzz_case.scenario);
   if (!issues.empty()) {
     throw std::runtime_error(fmt("fuzz case '{}' has an invalid scenario: {}",
                                  fuzz_case.name, issues.front()));
   }
-  const util::JsonValue& latency = require(json, "latency");
-  fuzz_case.latency_kind = require(latency, "kind").as_string();
-  fuzz_case.latency_lo =
-      static_cast<sim::Ticks>(require(latency, "lo").as_number());
-  fuzz_case.latency_hi =
-      static_cast<sim::Ticks>(require(latency, "hi").as_number());
-  fuzz_case.election_tie =
-      tie_from_label(require(json, "election_tie").as_string());
+  // The engine asserts on the same bounds (msg::LatencyModel, the sharded
+  // simulator's lookahead); refuse them here instead.
+  const JsonValue& latency =
+      get_field(json, "latency", JsonValue::Kind::kObject);
+  fuzz_case.latency_kind = get_string(latency, "kind");
+  if (fuzz_case.latency_kind != "fixed" &&
+      fuzz_case.latency_kind != "uniform") {
+    throw std::runtime_error(fmt("unknown latency kind '{}' (fixed | uniform)",
+                                 fuzz_case.latency_kind));
+  }
+  fuzz_case.latency_lo = get_int(latency, "lo", 1, util::kMaxExactJsonInt);
+  fuzz_case.latency_hi = get_int(latency, "hi", 1, util::kMaxExactJsonInt);
+  if (fuzz_case.latency_lo > fuzz_case.latency_hi) {
+    throw std::runtime_error(fmt("latency lo {} exceeds hi {}",
+                                 fuzz_case.latency_lo, fuzz_case.latency_hi));
+  }
+  fuzz_case.election_tie = tie_from_label(get_string(json, "election_tie"));
   fuzz_case.motion_duration =
-      static_cast<sim::Ticks>(require(json, "motion_duration").as_number());
-  fuzz_case.ack_timeout =
-      static_cast<sim::Ticks>(require(json, "ack_timeout").as_number());
+      get_int(json, "motion_duration", 1, util::kMaxExactJsonInt);
+  fuzz_case.ack_timeout = get_size(json, "ack_timeout");
   fuzz_case.max_iterations =
-      static_cast<uint32_t>(require(json, "max_iterations").as_number());
-  fuzz_case.max_events = util::parse_u64(require(json, "max_events").as_string());
-  fuzz_case.comparable = require(json, "comparable").as_bool();
-  for (const util::JsonValue& entry : require(json, "churn").as_array()) {
+      static_cast<uint32_t>(get_int(json, "max_iterations", 0, UINT32_MAX));
+  fuzz_case.max_events = get_u64(json, "max_events");
+  fuzz_case.comparable = get_bool(json, "comparable");
+  for (const JsonValue& entry :
+       get_field(json, "churn", JsonValue::Kind::kArray).as_array()) {
     ChurnOp op;
-    op.at = static_cast<sim::SimTime>(require(entry, "at").as_number());
-    const std::string& kind = require(entry, "op").as_string();
+    op.at = get_size(entry, "at");
+    const std::string& kind = get_string(entry, "op");
     if (kind == "kill") {
       op.kind = ChurnOp::Kind::kKill;
     } else if (kind == "join") {
@@ -145,7 +152,7 @@ FuzzCase FuzzCase::from_json(const util::JsonValue& json) {
     } else {
       throw std::runtime_error(fmt("unknown churn op '{}'", kind));
     }
-    op.ordinal = util::parse_u64(require(entry, "ordinal").as_string());
+    op.ordinal = get_u64(entry, "ordinal");
     fuzz_case.churn.push_back(op);
   }
   return fuzz_case;

@@ -2,7 +2,6 @@
 
 #include <unordered_set>
 
-#include "core/block_code.hpp"
 #include "lattice/world_view.hpp"
 #include "util/fmt.hpp"
 
@@ -169,38 +168,15 @@ void InvariantOracle::check_columns(sim::Simulator& sim) {
       }
     }
   }
-  // State tags and epochs vs the module table: registration stamps kAlive,
-  // kill_module stamps kDead, nothing else writes the tag column; the epoch
-  // column mirrors each program's own counter.
+  // State tags vs the module table: registration stamps kAlive,
+  // kill_module stamps kDead, nothing else writes the tag column.
   sim.for_each_module([&](sim::Module& module) {
     if (view.tag(module.id()) == lat::ModuleTag::kUnregistered) {
       record(sim, fmt("block {} has a registered module but its state tag "
                       "says unregistered",
                       module.id().value));
     }
-    if (const auto* code = dynamic_cast<core::SmartBlockCode*>(&module)) {
-      if (view.epoch(module.id()) != code->epoch()) {
-        record(sim, fmt("epoch column says {} for block {} but its program "
-                        "is at epoch {}",
-                        view.epoch(module.id()), module.id().value,
-                        code->epoch()));
-      }
-    }
   });
-  // Pending-move column vs the in-flight registry (bit-for-bit mirror).
-  if (view.pending_move_count() != sim.inflight_motion_count()) {
-    record(sim, fmt("pending-move column has {} bits set but {} motions are "
-                    "in flight",
-                    view.pending_move_count(), sim.inflight_motion_count()));
-  }
-  for (const lat::BlockId id : view.block_ids()) {
-    if (view.move_pending(id) != sim.motion_inflight(id)) {
-      record(sim, fmt("pending-move bit for block {} says {} but the "
-                      "in-flight registry says {}",
-                      id.value, view.move_pending(id),
-                      sim.motion_inflight(id)));
-    }
-  }
 }
 
 }  // namespace sb::check

@@ -22,10 +22,8 @@
 //                every block has a registered module (deaths keep the block
 //                on the surface as an inert obstacle);
 //   columns      the SoA columns (lat::WorldState) agree with their sources
-//                of truth: the occupancy image with the cell array, the
-//                state-tag column with module registration, the pending-move
-//                column with the simulator's in-flight registry, and the
-//                epoch column with each block program's own epoch;
+//                of truth: the occupancy image with the cell array, and the
+//                state-tag column with module registration;
 //   epochs       the elected-move epoch sequence is non-decreasing.
 //
 // Violations are collected as human-readable strings (capped) rather than

@@ -30,21 +30,13 @@ void SmartBlockCode::on_start() {
   if (is_root_) {
     SB_ASSERT(position() == config_->input,
               "the Root must sit on the input cell");
-    set_epoch(1);
+    epoch_ = 1;
     start_election();
   }
 }
 
-void SmartBlockCode::set_epoch(Epoch epoch) {
-  epoch_ = epoch;
-  // Mirror into the world's epoch column so observers (oracle, viz) read
-  // per-block progress without reaching into block programs. Each block
-  // writes only its own slot, so parallel shard windows never collide.
-  sim().world().grid().mutable_state().set_epoch(id(), epoch);
-}
-
 void SmartBlockCode::reset_for_epoch(Epoch epoch) {
-  set_epoch(epoch);
+  epoch_ = epoch;
   phase_ = Phase::kIdle;
   father_side_.reset();
   pending_acks_ = 0;
@@ -289,7 +281,7 @@ void SmartBlockCode::root_conclude_election() {
         epoch_ < config_->max_iterations) {
       log_debug("election {}: no eligible block; retrying ({}/{})", epoch_,
                 empty_elections_, config_->tabu_horizon + 1);
-      set_epoch(epoch_ + 1);
+      ++epoch_;
       start_election();
       return;
     }
@@ -433,7 +425,7 @@ void SmartBlockCode::root_maybe_advance() {
     sim().halt();
     return;
   }
-  set_epoch(epoch_ + 1);
+  ++epoch_;
   start_election();
 }
 
@@ -482,7 +474,7 @@ void SmartBlockCode::on_timer(uint64_t tag) {
     // The elected block (or the routing path to it) died: restart.
     ++shared_->metrics.election_restarts;
     log_warn("root: election {} stalled; restarting", epoch_);
-    set_epoch(epoch_ + 1);
+    ++epoch_;
     start_election();
   }
 }

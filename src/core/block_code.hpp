@@ -92,12 +92,6 @@ class SmartBlockCode final : public sim::Module {
   [[nodiscard]] bool is_root() const { return is_root_; }
   [[nodiscard]] Epoch epoch() const { return epoch_; }
 
-  /// The block's current dBO decision (test/diagnostic accessor; the value
-  /// is only meaningful while an election is in flight).
-  [[nodiscard]] const MoveDecision& last_decision() const {
-    return decision_;
-  }
-
   // -- sim::Module hooks ----------------------------------------------------
   void on_start() override;
   void on_message(lat::Direction from_side, const msg::Message& m) override;
@@ -136,9 +130,6 @@ class SmartBlockCode final : public sim::Module {
   void become_elected();
   void root_maybe_advance();
   void reset_for_epoch(Epoch epoch);
-  /// The only writer of epoch_: keeps the world's epoch column (the
-  /// observers' read path) in lock-step with the program's counter.
-  void set_epoch(Epoch epoch);
 
   [[nodiscard]] ActivateMsg make_activate() const;
 

@@ -45,10 +45,6 @@ struct DistanceParams {
   /// free-motion baseline of [14]).
   bool freeze_aligned = true;
   PathShape path_shape = PathShape::kAlignedWithOutput;
-
-  [[nodiscard]] lat::Rect io_rect() const {
-    return lat::bounding_rect(input, output);
-  }
 };
 
 /// True when `pos` belongs to the path cells Eq (8) freezes (the input

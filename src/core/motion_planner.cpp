@@ -161,7 +161,6 @@ MoveDecision MotionPlanner::evaluate(const sim::World& world, lat::Vec2 pos,
       }
     }
   }
-  ++cache_misses_;
 
   // Track whether this evaluation depended on anything beyond the block's
   // sensed window: a global connectivity flood, a single-line rejection, or

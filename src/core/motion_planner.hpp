@@ -120,9 +120,8 @@ class MotionPlanner {
   [[nodiscard]] std::vector<motion::RuleApplication> legal_moves(
       const sim::World& world, lat::Vec2 pos) const;
 
-  /// Evaluation-cache hits/misses since construction (diagnostics).
+  /// Evaluation-cache hits since construction (diagnostics).
   [[nodiscard]] uint64_t cache_hits() const { return cache_hits_; }
-  [[nodiscard]] uint64_t cache_misses() const { return cache_misses_; }
 
  private:
   struct CacheEntry {
@@ -152,7 +151,6 @@ class MotionPlanner {
   mutable uint64_t cache_grid_version_ = 0;
   mutable uint32_t cache_stamp_ = 1;
   mutable uint64_t cache_hits_ = 0;
-  mutable uint64_t cache_misses_ = 0;
   /// Candidates rejected by the single-line rule; evaluations that saw such
   /// a rejection depend on global row/column totals and are not cached.
   mutable uint64_t single_line_rejections_ = 0;

@@ -20,25 +20,14 @@ namespace sb::dist {
 
 namespace {
 
+using util::get_field;
+using util::get_int;
+using util::get_size;
+using util::get_string;
 using util::JsonValue;
 
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
-}
-
-const JsonValue& require(const JsonValue& json, std::string_view key,
-                         JsonValue::Kind kind) {
-  const JsonValue* value = json.find(key);
-  if (value == nullptr || value->kind() != kind) {
-    throw std::runtime_error("journal record missing or mistyped field '" +
-                             std::string(key) + "'");
-  }
-  return *value;
-}
-
-size_t get_size(const JsonValue& json, std::string_view key) {
-  return static_cast<size_t>(
-      require(json, key, JsonValue::Kind::kNumber).as_number());
 }
 
 JsonValue job_to_json(const JournalJob& job) {
@@ -54,9 +43,9 @@ JsonValue job_to_json(const JournalJob& job) {
 
 JournalJob job_from_json(const JsonValue& json) {
   JournalJob job;
-  job.job = static_cast<uint64_t>(get_size(json, "job"));
+  job.job = get_size(json, "job");
   job.options = runner::options_from_json(
-      require(json, "options", JsonValue::Kind::kObject));
+      get_field(json, "options", JsonValue::Kind::kObject));
   job.spec_count = get_size(json, "spec_count");
   job.unit_size = get_size(json, "unit_size");
   job.min_cores = get_size(json, "min_cores");
@@ -68,7 +57,7 @@ JournalJob job_from_json(const JsonValue& json) {
 
 JournalBatch batch_from_json(const JsonValue& json) {
   JournalBatch batch;
-  batch.job = static_cast<uint64_t>(get_size(json, "job"));
+  batch.job = get_size(json, "job");
   batch.unit.id = get_size(json, "id");
   batch.unit.begin = get_size(json, "begin");
   batch.unit.end = get_size(json, "end");
@@ -76,7 +65,7 @@ JournalBatch batch_from_json(const JsonValue& json) {
     throw std::runtime_error("journal batch record has end < begin");
   }
   for (const JsonValue& row :
-       require(json, "rows", JsonValue::Kind::kArray).as_array()) {
+       get_field(json, "rows", JsonValue::Kind::kArray).as_array()) {
     batch.rows.push_back(runner::row_from_json(row));
   }
   if (batch.rows.size() != batch.unit.size()) {
@@ -224,27 +213,23 @@ JournalContents read_journal(const std::string& path) {
         // A record is only committed once its newline hit the disk.
         throw std::runtime_error("unterminated record");
       }
-      const std::string& record =
-          require(json, "record", JsonValue::Kind::kString).as_string();
+      const std::string& record = get_string(json, "record");
       if (record == "header") {
-        const std::string& format =
-            require(json, "format", JsonValue::Kind::kString).as_string();
+        const std::string& format = get_string(json, "format");
         if (format != kJournalFormat) {
           throw std::runtime_error(fmt("unsupported journal format '{}'",
                                        format));
         }
-        contents.header.bind_address =
-            require(json, "bind", JsonValue::Kind::kString).as_string();
+        contents.header.bind_address = get_string(json, "bind");
         contents.header.port =
-            static_cast<uint16_t>(get_size(json, "port"));
+            static_cast<uint16_t>(get_int(json, "port", 0, UINT16_MAX));
         have_header = true;
       } else if (record == "job") {
         contents.jobs.push_back(job_from_json(json));
       } else if (record == "batch") {
         contents.batches.push_back(batch_from_json(json));
       } else if (record == "cancel") {
-        contents.cancelled_jobs.push_back(
-            static_cast<uint64_t>(get_size(json, "job")));
+        contents.cancelled_jobs.push_back(get_size(json, "job"));
       } else {
         throw std::runtime_error(fmt("unknown record kind '{}'", record));
       }

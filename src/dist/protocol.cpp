@@ -11,22 +11,11 @@ namespace sb::dist {
 
 namespace {
 
+using util::get_field;
+using util::get_int;
+using util::get_size;
+using util::get_string;
 using util::JsonValue;
-
-const JsonValue& require(const JsonValue& json, std::string_view key,
-                         JsonValue::Kind kind) {
-  const JsonValue* value = json.find(key);
-  if (value == nullptr || value->kind() != kind) {
-    throw std::runtime_error("dist message missing or mistyped field '" +
-                             std::string(key) + "'");
-  }
-  return *value;
-}
-
-size_t get_size(const JsonValue& json, std::string_view key) {
-  return static_cast<size_t>(
-      require(json, key, JsonValue::Kind::kNumber).as_number());
-}
 
 WorkUnit unit_from_json(const JsonValue& json) {
   WorkUnit unit;
@@ -304,21 +293,19 @@ Message decode(const std::string& payload) {
   if (!json.is_object()) {
     throw std::runtime_error("dist message is not a JSON object");
   }
-  const std::string& type =
-      require(json, "type", JsonValue::Kind::kString).as_string();
+  const std::string& type = get_string(json, "type");
   Message m;
   if (type == "hello") {
     m.type = MsgType::kHello;
-    m.version = static_cast<int>(get_size(json, "version"));
+    m.version = static_cast<int>(get_int(json, "version", 0, INT32_MAX));
     if (m.version != kProtocolVersion) {
       throw std::runtime_error(
           fmt("dist protocol version mismatch: peer speaks {}, this "
               "process speaks {}",
               m.version, kProtocolVersion));
     }
-    m.worker_pid = static_cast<uint64_t>(get_size(json, "pid"));
-    const std::string& role =
-        require(json, "role", JsonValue::Kind::kString).as_string();
+    m.worker_pid = get_size(json, "pid");
+    const std::string& role = get_string(json, "role");
     if (role == "worker") {
       m.role = Role::kWorker;
     } else if (role == "client") {
@@ -327,30 +314,30 @@ Message decode(const std::string& payload) {
       throw std::runtime_error("unknown dist hello role '" + role + "'");
     }
     m.cores = std::max<size_t>(1, get_size(json, "cores"));
-    m.memory_mb = static_cast<uint64_t>(get_size(json, "memory_mb"));
+    m.memory_mb = get_size(json, "memory_mb");
   } else if (type == "welcome") {
     m.type = MsgType::kWelcome;
   } else if (type == "job") {
     m.type = MsgType::kJob;
-    m.job = static_cast<uint64_t>(get_size(json, "job"));
+    m.job = get_size(json, "job");
     m.options = runner::options_from_json(
-        require(json, "options", JsonValue::Kind::kObject));
+        get_field(json, "options", JsonValue::Kind::kObject));
     m.spec_count = get_size(json, "spec_count");
   } else if (type == "job_request") {
     m.type = MsgType::kJobRequest;
-    m.job = static_cast<uint64_t>(get_size(json, "job"));
+    m.job = get_size(json, "job");
   } else if (type == "pull") {
     m.type = MsgType::kPull;
   } else if (type == "unit") {
     m.type = MsgType::kUnit;
-    m.job = static_cast<uint64_t>(get_size(json, "job"));
-    m.unit = unit_from_json(require(json, "unit", JsonValue::Kind::kObject));
+    m.job = get_size(json, "job");
+    m.unit = unit_from_json(get_field(json, "unit", JsonValue::Kind::kObject));
   } else if (type == "result") {
     m.type = MsgType::kResult;
-    m.job = static_cast<uint64_t>(get_size(json, "job"));
-    m.unit = unit_from_json(require(json, "unit", JsonValue::Kind::kObject));
+    m.job = get_size(json, "job");
+    m.unit = unit_from_json(get_field(json, "unit", JsonValue::Kind::kObject));
     for (const JsonValue& row :
-         require(json, "rows", JsonValue::Kind::kArray).as_array()) {
+         get_field(json, "rows", JsonValue::Kind::kArray).as_array()) {
       m.rows.push_back(runner::row_from_json(row));
     }
   } else if (type == "heartbeat") {
@@ -360,39 +347,37 @@ Message decode(const std::string& payload) {
   } else if (type == "submit") {
     m.type = MsgType::kSubmit;
     m.options = runner::options_from_json(
-        require(json, "options", JsonValue::Kind::kObject));
+        get_field(json, "options", JsonValue::Kind::kObject));
     m.unit_size = std::max<size_t>(1, get_size(json, "unit_size"));
     m.min_cores = get_size(json, "min_cores");
   } else if (type == "submitted") {
     m.type = MsgType::kSubmitted;
-    m.job = static_cast<uint64_t>(get_size(json, "job"));
+    m.job = get_size(json, "job");
     m.spec_count = get_size(json, "spec_count");
   } else if (type == "status") {
     m.type = MsgType::kStatus;
-    m.job = static_cast<uint64_t>(get_size(json, "job"));
+    m.job = get_size(json, "job");
   } else if (type == "job_status") {
     m.type = MsgType::kJobStatus;
-    m.job = static_cast<uint64_t>(get_size(json, "job"));
-    m.state = state_from_string(
-        require(json, "state", JsonValue::Kind::kString).as_string());
+    m.job = get_size(json, "job");
+    m.state = state_from_string(get_string(json, "state"));
     m.merged = get_size(json, "merged");
     m.total = get_size(json, "total");
   } else if (type == "fetch") {
     m.type = MsgType::kFetch;
-    m.job = static_cast<uint64_t>(get_size(json, "job"));
+    m.job = get_size(json, "job");
   } else if (type == "job_done") {
     m.type = MsgType::kJobDone;
-    m.job = static_cast<uint64_t>(get_size(json, "job"));
-    m.state = state_from_string(
-        require(json, "state", JsonValue::Kind::kString).as_string());
+    m.job = get_size(json, "job");
+    m.state = state_from_string(get_string(json, "state"));
   } else if (type == "cancel") {
     m.type = MsgType::kCancel;
-    m.job = static_cast<uint64_t>(get_size(json, "job"));
+    m.job = get_size(json, "job");
   } else if (type == "metrics") {
     m.type = MsgType::kMetrics;
   } else if (type == "metrics_report") {
     m.type = MsgType::kMetricsReport;
-    m.metrics = require(json, "metrics", JsonValue::Kind::kObject);
+    m.metrics = get_field(json, "metrics", JsonValue::Kind::kObject);
   } else {
     throw std::runtime_error("unknown dist message type '" + type + "'");
   }

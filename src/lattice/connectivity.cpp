@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "lattice/world_view.hpp"
 #include "util/assert.hpp"
 
 namespace sb::lat {
@@ -50,7 +51,7 @@ bool occupied_overlay(const Grid& grid, Vec2 q, const Vec2* vacated,
   for (size_t i = 0; i < vacated_count; ++i) {
     if (vacated[i] == q) return false;
   }
-  return grid.occupied(q);
+  return WorldView(grid).occupied(q);
 }
 
 /// Flood from `start` (must be occupied under the overlay) using the
@@ -202,7 +203,7 @@ LocalVerdict local_move_check(const Grid& grid, Vec2 from, Vec2 to) {
   bool attaches = false;
   for (Direction d : all_directions()) {
     const Vec2 q = to + delta(d);
-    if (q != from && grid.occupied(q)) {
+    if (q != from && WorldView(grid).occupied(q)) {
       attaches = true;
       break;
     }
@@ -288,7 +289,7 @@ NetMoveEffect net_move_effect(const std::pair<Vec2, Vec2>* moves,
 bool connected_after_moves(const Grid& grid, const std::pair<Vec2, Vec2>* moves,
                            size_t move_count) {
   for (size_t i = 0; i < move_count; ++i) {
-    SB_EXPECTS(grid.occupied(moves[i].first),
+    SB_EXPECTS(WorldView(grid).occupied(moves[i].first),
                "hypothetical move from empty cell ", moves[i].first);
     SB_EXPECTS(grid.in_bounds(moves[i].second),
                "hypothetical move to off-surface cell ", moves[i].second);

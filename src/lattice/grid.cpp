@@ -7,8 +7,6 @@
 
 namespace sb::lat {
 
-thread_local ConnectivityScratchView* Grid::tls_conn_view = nullptr;
-
 Grid::Grid(int32_t width, int32_t height)
     : width_(width), height_(height), state_(width, height) {
   SB_EXPECTS(width > 0 && height > 0, "grid dimensions must be positive, got ",
@@ -16,25 +14,6 @@ Grid::Grid(int32_t width, int32_t height)
   cells_.assign(cell_count(), kInvalidBlock);
   row_counts_.assign(static_cast<size_t>(height_), 0);
   col_counts_.assign(static_cast<size_t>(width_), 0);
-}
-
-std::vector<BlockId> Grid::block_ids() const {
-  std::vector<BlockId> ids;
-  ids.reserve(block_count_);
-  for (uint32_t v = 0; v < state_.id_capacity(); ++v) {
-    if (state_.has_position(BlockId{v})) ids.push_back(BlockId{v});
-  }
-  return ids;
-}
-
-std::vector<std::pair<BlockId, Vec2>> Grid::blocks() const {
-  std::vector<std::pair<BlockId, Vec2>> out;
-  out.reserve(block_count_);
-  for (uint32_t v = 0; v < state_.id_capacity(); ++v) {
-    const BlockId id{v};
-    if (state_.has_position(id)) out.emplace_back(id, state_.position(id));
-  }
-  return out;
 }
 
 Vec2 Grid::first_block_position() const {
@@ -57,11 +36,16 @@ void Grid::place(BlockId id, Vec2 p) {
   SB_EXPECTS(in_bounds(p), "place ", id, " out of bounds at ", p);
   SB_EXPECTS(!cells_[index(p)].valid(), "cell ", p, " already holds ",
              cells_[index(p)]);
-  SB_EXPECTS(!contains(id), "block ", id, " is already on the surface");
+  SB_EXPECTS(!state_.has_position(id), "block ", id,
+             " is already on the surface");
   // Hint update before mutating: attaching to an occupied neighbor keeps a
   // connected configuration connected; landing detached decides the hint
-  // outright (or, from a disconnected state, may bridge components).
-  const bool attaches = occupied_neighbor_count(p) > 0;
+  // outright (or, from a disconnected state, may bridge components). The
+  // padded occupancy image reads 0 beyond the surface edge.
+  bool attaches = false;
+  for (Direction d : all_directions()) {
+    attaches = attaches || state_.occupied(p + delta(d));
+  }
   cells_[index(p)] = id;
   state_.set_occupied(p, true);
   state_.set_position(id, p);
@@ -169,22 +153,6 @@ void Grid::move_simultaneously(
     journal_touch(to);
   }
   conn_ = next;
-}
-
-std::array<BlockId, 4> Grid::neighbors_of(Vec2 p) const {
-  std::array<BlockId, 4> out{};
-  for (Direction d : all_directions()) {
-    out[static_cast<size_t>(d)] = at(p + delta(d));
-  }
-  return out;
-}
-
-int Grid::occupied_neighbor_count(Vec2 p) const {
-  int count = 0;
-  for (Direction d : all_directions()) {
-    if (occupied(p + delta(d))) ++count;
-  }
-  return count;
 }
 
 }  // namespace sb::lat

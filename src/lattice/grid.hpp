@@ -1,11 +1,15 @@
 #pragma once
 // Occupancy grid for the modular surface (paper §III, Fig. 2).
 //
-// The grid tracks which block (if any) occupies each cell, plus the inverse
-// map from block id to position. All mutations keep the two maps consistent.
-// The inverse map is a dense array indexed by id so that the simulator's
-// per-event lookups (position_of, contains) are O(1); ids are expected to be
-// small and near-contiguous, as the scenario generators produce them.
+// The grid owns the surface's storage — the cell array (which block, if
+// any, sits on each cell) and the lat::WorldState columns (positions by id,
+// the padded occupancy bytes, the liveness tags) — and is the only writer
+// of it: place/remove/move keep every store in lock-step. Reads go through
+// lat::WorldView (lattice/world_view.hpp), which is a friend and serves
+// occupancy, ids and positions straight from this storage. The id ->
+// position columns are dense arrays indexed by id, so per-event lookups are
+// O(1); ids are expected to be small and near-contiguous, as the scenario
+// generators produce them.
 //
 // Beyond raw occupancy the grid maintains O(1)-updatable derived state that
 // the motion-validation hot path consumes (see lattice/connectivity.hpp):
@@ -85,19 +89,6 @@ class Grid {
     return p.x >= 0 && p.x < width_ && p.y >= 0 && p.y < height_;
   }
 
-  /// True when the (in-bounds) cell holds a block. Out-of-bounds cells are
-  /// reported as unoccupied: physically there is nothing beyond the surface.
-  // deprecated: use WorldView::occupied outside lattice/ and sim/
-  [[nodiscard]] bool occupied(Vec2 p) const {
-    return in_bounds(p) && cells_[index(p)].valid();
-  }
-
-  /// Block at a cell; kInvalidBlock when empty or out of bounds.
-  // deprecated: use WorldView::at outside lattice/ and sim/
-  [[nodiscard]] BlockId at(Vec2 p) const {
-    return in_bounds(p) ? cells_[index(p)] : kInvalidBlock;
-  }
-
   /// Row-major index of an in-bounds cell; the flood scratch buffers in
   /// lattice/connectivity.cpp address cells by this index.
   [[nodiscard]] size_t cell_index(Vec2 p) const {
@@ -110,21 +101,9 @@ class Grid {
     return cells_[cell].valid();
   }
 
-  // deprecated: use WorldView::contains outside lattice/ and sim/
-  [[nodiscard]] bool contains(BlockId id) const {
-    return state_.has_position(id);
-  }
-
-  /// Position of a block; the block must be on the surface. O(1).
-  // deprecated: use WorldView::position_of outside lattice/ and sim/
-  [[nodiscard]] Vec2 position_of(BlockId id) const {
-    SB_EXPECTS(contains(id), "block ", id, " is not on the surface");
-    return state_.position(id);
-  }
-
   /// The SoA column store backing this grid (positions, occupancy bytes,
-  /// module tags/epochs/pending-move bits). Read it through lat::WorldView;
-  /// the mutable overload exists for the simulator's column writers only.
+  /// liveness tags). Read it through lat::WorldView; the mutable overload
+  /// exists for the simulator's tag writer only.
   [[nodiscard]] const WorldState& state() const { return state_; }
   [[nodiscard]] WorldState& mutable_state() { return state_; }
 
@@ -138,19 +117,9 @@ class Grid {
     return col_counts_[static_cast<size_t>(x)];
   }
 
-  /// Blocks in deterministic (id) order.
-  // deprecated: use WorldView::block_ids outside lattice/ and sim/
-  [[nodiscard]] std::vector<BlockId> block_ids() const;
-
-  /// Snapshot of (id, position) pairs in id order. Built on demand — O(max
-  /// id); fine for setup, rendering, and connectivity scans, not for
-  /// per-event paths (use position_of).
-  // deprecated: use WorldView::blocks outside lattice/ and sim/
-  [[nodiscard]] std::vector<std::pair<BlockId, Vec2>> blocks() const;
-
-  /// Position of the lowest-id block, without building the blocks()
-  /// snapshot (flood-fill seeds on the connectivity hot path). The grid
-  /// must be non-empty.
+  /// Position of the lowest-id block, without building the
+  /// WorldView::blocks() snapshot (flood-fill seeds on the connectivity hot
+  /// path). The grid must be non-empty.
   [[nodiscard]] Vec2 first_block_position() const;
 
   /// Largest accepted id value: the id->position index is dense, so ids
@@ -173,15 +142,6 @@ class Grid {
   /// all sources every destination must be empty — this correctly validates
   /// handover chains where one block's source is another's destination.
   void move_simultaneously(const std::vector<std::pair<Vec2, Vec2>>& moves);
-
-  /// Ids of the 4-neighbors of `p`, in N,E,S,W order; absent sides yield
-  /// kInvalidBlock.
-  // deprecated: use WorldView::neighbors outside lattice/ and sim/
-  [[nodiscard]] std::array<BlockId, 4> neighbors_of(Vec2 p) const;
-
-  /// Number of occupied 4-neighbors (the "support" count).
-  // deprecated: use WorldView::occupied_neighbor_count outside lattice/ and sim/
-  [[nodiscard]] int occupied_neighbor_count(Vec2 p) const;
 
   // -- mutation journal -----------------------------------------------------
 
@@ -252,6 +212,8 @@ class Grid {
   }
 
  private:
+  friend class WorldView;
+
   /// Journal capacity: a carrying rule moves two blocks (four cells); eight
   /// covers every rule in the library with headroom.
   static constexpr size_t kJournalCapacity = 8;
@@ -279,9 +241,9 @@ class Grid {
   int32_t width_;
   int32_t height_;
   std::vector<BlockId> cells_;
-  /// SoA columns: positions by id, occupancy bytes, and module
-  /// tag/epoch/pending columns. Occupancy and positions are kept in
-  /// lock-step with cells_ by the mutations below.
+  /// SoA columns: positions by id, occupancy bytes, and liveness tags.
+  /// Occupancy and positions are kept in lock-step with cells_ by the
+  /// mutations below.
   WorldState state_;
   size_t block_count_ = 0;
   /// Blocks per row / column, kept in lock-step with cells_.
@@ -300,8 +262,11 @@ class Grid {
   mutable ConnectivityStats conn_stats_;
 
   /// Per-thread override for the verdict cache and counters; see
-  /// ConnectivityScratchView.
-  static thread_local ConnectivityScratchView* tls_conn_view;
+  /// ConnectivityScratchView. Declared constinit in-class: with an
+  /// out-of-class definition, GCC 12 -O2 UBSan builds flag the first read
+  /// on a thread as a null-pointer load.
+  static constinit inline thread_local ConnectivityScratchView* tls_conn_view =
+      nullptr;
 };
 
 }  // namespace sb::lat

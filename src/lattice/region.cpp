@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "lattice/world_view.hpp"
 #include "util/assert.hpp"
 
 namespace sb::lat {
@@ -38,7 +39,8 @@ std::optional<std::vector<Vec2>> occupied_shortest_path(const Grid& grid,
                                                         Vec2 output) {
   SB_EXPECTS(grid.in_bounds(input) && grid.in_bounds(output),
              "I/O must be on the surface");
-  if (!grid.occupied(input) || !grid.occupied(output)) return std::nullopt;
+  const WorldView view(grid);
+  if (!view.occupied(input) || !view.occupied(output)) return std::nullopt;
   if (input == output) return std::vector<Vec2>{input};
   const std::vector<Direction> dirs = oriented_directions(input, output);
   // BFS over occupied cells following only oriented links; every reached
@@ -52,7 +54,7 @@ std::optional<std::vector<Vec2>> occupied_shortest_path(const Grid& grid,
     for (Vec2 p : frontier) {
       for (Direction d : dirs) {
         const Vec2 q = p + delta(d);
-        if (!grid.occupied(q) || parent.count(q)) continue;
+        if (!view.occupied(q) || parent.count(q)) continue;
         parent[q] = p;
         if (q == output) {
           std::vector<Vec2> path;

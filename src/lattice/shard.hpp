@@ -62,11 +62,6 @@ class ShardMap {
                                  stripe_width_);
   }
 
-  /// Named alias of the uniform column-stripe constructor.
-  [[nodiscard]] static ShardMap columns(int32_t grid_width, size_t requested) {
-    return ShardMap(grid_width, requested);
-  }
-
   /// Equal-height horizontal stripes (same rounding rules as columns).
   [[nodiscard]] static ShardMap rows(int32_t grid_width, int32_t grid_height,
                                      size_t requested) {

@@ -17,14 +17,6 @@ void WorldState::ensure_id(BlockId id) {
   x_.resize(n, kUnplacedCoord);
   y_.resize(n, kUnplacedCoord);
   tag_.resize(n, static_cast<uint8_t>(ModuleTag::kUnregistered));
-  epoch_.resize(n, 0);
-  pending_.resize(n, 0);
-}
-
-size_t WorldState::pending_move_count() const {
-  size_t count = 0;
-  for (const uint8_t bit : pending_) count += bit;
-  return count;
 }
 
 }  // namespace sb::lat

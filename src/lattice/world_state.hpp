@@ -1,18 +1,16 @@
 #pragma once
-// Struct-of-arrays storage for the hot per-module world state.
+// Struct-of-arrays storage for the hot per-block world state: dense
+// id-indexed columns (position x/y, liveness tag) plus a byte-per-cell
+// occupancy image of the grid, so that scans touch cache-linear memory and
+// the 8-neighborhood mask oracle reads a cell's ring from three padded rows
+// with no bounds branches (lattice/connectivity.cpp).
 //
-// The simulator historically kept this state scattered: positions in an
-// AoS Vec2 array inside Grid, liveness as a bool on each sim::Module,
-// epochs private to each block program, and pending motions only in the
-// simulator's in-flight registry. WorldState gathers the hot columns into
-// dense id-indexed arrays (position x/y, state tag, epoch, pending-move)
-// plus a byte-per-cell occupancy image of the grid, so that scans touch
-// cache-linear memory and the 8-neighborhood mask oracle reads a cell's
-// ring from three padded rows with no bounds branches
-// (lattice/connectivity.cpp).
+// Each fact lives here once: a block program's epoch stays in the program
+// (core::SmartBlockCode::epoch) and in-flight motions stay in the
+// simulator's registry (sim::Simulator::motion_inflight).
 //
 // WorldState is owned by Grid and mutated only through Grid's mutations and
-// the simulator's column writers; everything else reads it through the
+// the simulator's tag writer; everything else reads it through the
 // lat::WorldView facade (lattice/world_view.hpp).
 
 #include <cstdint>
@@ -80,7 +78,7 @@ class WorldState {
     y_[id.value] = kUnplacedCoord;
   }
 
-  // -- module columns (written by the simulator via Grid) --------------------
+  // -- liveness tag column (written by the simulator via Grid) ---------------
 
   [[nodiscard]] ModuleTag tag(BlockId id) const {
     return id.valid() && id.value < tag_.size()
@@ -91,25 +89,6 @@ class WorldState {
     ensure_id(id);
     tag_[id.value] = static_cast<uint8_t>(tag);
   }
-
-  [[nodiscard]] uint32_t epoch(BlockId id) const {
-    return id.valid() && id.value < epoch_.size() ? epoch_[id.value] : 0;
-  }
-  void set_epoch(BlockId id, uint32_t epoch) {
-    ensure_id(id);
-    epoch_[id.value] = epoch;
-  }
-
-  [[nodiscard]] bool move_pending(BlockId id) const {
-    return id.valid() && id.value < pending_.size() &&
-           pending_[id.value] != 0;
-  }
-  void set_move_pending(BlockId id, bool pending) {
-    ensure_id(id);
-    pending_[id.value] = pending ? 1 : 0;
-  }
-  /// Number of set pending-move bits (oracle cross-check; O(max id)).
-  [[nodiscard]] size_t pending_move_count() const;
 
  private:
   [[nodiscard]] size_t pad_index(int32_t x, int32_t y) const {
@@ -126,10 +105,8 @@ class WorldState {
   /// Position columns, indexed by id; kUnplacedCoord = off the surface.
   std::vector<int32_t> x_;
   std::vector<int32_t> y_;
-  /// Module columns, indexed by id, grown in lock-step with x_/y_.
+  /// Liveness tags, indexed by id, grown in lock-step with x_/y_.
   std::vector<uint8_t> tag_;
-  std::vector<uint32_t> epoch_;
-  std::vector<uint8_t> pending_;
 };
 
 }  // namespace sb::lat

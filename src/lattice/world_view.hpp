@@ -1,18 +1,14 @@
 #pragma once
-// WorldView: the one read surface over the world's state.
+// WorldView: the one read API over the world's state.
 //
-// Everything above the lattice layer (core/, motion/, check/, viz/) reads
-// the surface through this facade instead of poking Grid and Module
-// internals directly: occupancy and block positions come from the SoA
-// columns in lat::WorldState, the module lifecycle columns (state tag,
-// epoch, pending-move) are exposed read-only, and the Remark-1 physics
-// queries (connectivity, single-line) are forwarded to the two-tier oracle
-// in lattice/connectivity. The facade is a non-owning pointer-sized value:
+// Reads go through WorldView; mutations go through Grid (place, remove,
+// move_simultaneously) and the simulator's tag writer. The facade reads
+// Grid's storage directly (it is a friend): per-cell occupancy and block
+// ids from the cell array, whole occupancy rows from the padded byte image,
+// positions and liveness tags from the lat::WorldState columns; the
+// Remark-1 physics queries (connectivity, single-line) go to the two-tier
+// oracle in lattice/connectivity. It is a non-owning pointer-sized value:
 // copy it freely, but never outlive the Grid it views.
-//
-// Mutations stay on Grid (place/remove/move_simultaneously) and on the
-// simulator's column writers — WorldView deliberately has no mutating
-// member, which is what makes the read surface auditable.
 
 #include <array>
 #include <utility>
@@ -33,40 +29,57 @@ class WorldView {
   [[nodiscard]] size_t cell_count() const { return grid_->cell_count(); }
   [[nodiscard]] bool in_bounds(Vec2 p) const { return grid_->in_bounds(p); }
 
-  // -- occupancy (served from the SoA byte image) ----------------------------
+  // -- occupancy -------------------------------------------------------------
 
-  [[nodiscard]] bool occupied(Vec2 p) const {
-    return grid_->in_bounds(p) && grid_->state().occupied(p);
+  /// Block at a cell; kInvalidBlock when empty or out of bounds.
+  [[nodiscard]] BlockId at(Vec2 p) const {
+    return in_bounds(p) ? grid_->cells_[grid_->index(p)] : kInvalidBlock;
   }
-  [[nodiscard]] BlockId at(Vec2 p) const { return grid_->at(p); }
+  /// True when the cell holds a block. Out-of-bounds cells read as empty:
+  /// physically there is nothing beyond the surface. Served from the cell
+  /// array, so tests can check the occupancy image against it.
+  [[nodiscard]] bool occupied(Vec2 p) const { return at(p).valid(); }
 
   /// Occupancy bytes of row `y` starting at x = 0 (one ring of padding on
   /// every side reads 0), for readers that scan rows wholesale, such as the
   /// invariant oracle's column check. Valid for y in [-1, height()].
   [[nodiscard]] const uint8_t* occupancy_row(int32_t y) const {
-    return grid_->state().occupancy_row(y);
+    return grid_->state_.occupancy_row(y);
   }
 
+  /// Number of occupied 4-neighbors (the "support" count).
   [[nodiscard]] int occupied_neighbor_count(Vec2 p) const {
-    return grid_->occupied_neighbor_count(p);
+    int count = 0;
+    for (Direction d : all_directions()) count += occupied(p + delta(d));
+    return count;
   }
+  /// Ids of the 4-neighbors of `p`, in N,E,S,W order; absent sides yield
+  /// kInvalidBlock.
   [[nodiscard]] std::array<BlockId, 4> neighbors_of(Vec2 p) const {
-    return grid_->neighbors_of(p);
+    std::array<BlockId, 4> out{};
+    for (Direction d : all_directions()) {
+      out[static_cast<size_t>(d)] = at(p + delta(d));
+    }
+    return out;
   }
 
   // -- block id <-> position -------------------------------------------------
 
-  [[nodiscard]] bool contains(BlockId id) const { return grid_->contains(id); }
+  [[nodiscard]] bool contains(BlockId id) const {
+    return grid_->state_.has_position(id);
+  }
+  /// Position of a block; the block must be on the surface. O(1).
   [[nodiscard]] Vec2 position_of(BlockId id) const {
-    return grid_->position_of(id);
+    SB_EXPECTS(contains(id), "block ", id, " is not on the surface");
+    return grid_->state_.position(id);
   }
   [[nodiscard]] size_t block_count() const { return grid_->block_count(); }
-  [[nodiscard]] std::vector<BlockId> block_ids() const {
-    return grid_->block_ids();
-  }
-  [[nodiscard]] std::vector<std::pair<BlockId, Vec2>> blocks() const {
-    return grid_->blocks();
-  }
+  /// Blocks in deterministic (id) order.
+  [[nodiscard]] std::vector<BlockId> block_ids() const;
+  /// Snapshot of (id, position) pairs in id order. Built on demand — O(max
+  /// id); fine for setup, rendering, and connectivity scans, not for
+  /// per-event paths (use position_of).
+  [[nodiscard]] std::vector<std::pair<BlockId, Vec2>> blocks() const;
   [[nodiscard]] size_t blocks_in_row(int32_t y) const {
     return grid_->blocks_in_row(y);
   }
@@ -74,28 +87,15 @@ class WorldView {
     return grid_->blocks_in_column(x);
   }
 
-  // -- module columns (written by the simulator, read by everyone) -----------
+  // -- liveness (the tag column, written by the simulator) -------------------
 
   [[nodiscard]] ModuleTag tag(BlockId id) const {
-    return grid_->state().tag(id);
+    return grid_->state_.tag(id);
   }
   /// True when a live module program drives the block (kDead blocks remain
   /// on the surface as inert obstacles).
   [[nodiscard]] bool alive(BlockId id) const {
     return tag(id) == ModuleTag::kAlive;
-  }
-  /// The block's Algorithm-1 iteration counter (paper: IT), mirrored from
-  /// its program; 0 for blocks without a program.
-  [[nodiscard]] uint32_t epoch(BlockId id) const {
-    return grid_->state().epoch(id);
-  }
-  /// True while the block has a motion in flight (request accepted, landing
-  /// not yet applied).
-  [[nodiscard]] bool move_pending(BlockId id) const {
-    return grid_->state().move_pending(id);
-  }
-  [[nodiscard]] size_t pending_move_count() const {
-    return grid_->state().pending_move_count();
   }
 
   // -- mutation journal ------------------------------------------------------
@@ -123,7 +123,6 @@ class WorldView {
       const std::pair<Vec2, Vec2>* moves, size_t move_count) const;
   [[nodiscard]] bool connected_after_moves(
       const std::vector<std::pair<Vec2, Vec2>>& moves) const;
-  [[nodiscard]] bool single_line() const;
   [[nodiscard]] bool single_line_after_moves(
       const std::pair<Vec2, Vec2>* moves, size_t move_count) const;
   [[nodiscard]] bool single_line_after_moves(
@@ -140,11 +139,6 @@ class WorldView {
   [[nodiscard]] const ConnectivityStats& connectivity_stats() const {
     return grid_->connectivity_stats();
   }
-
-  /// The underlying grid, for the few call sites that must hand it to a
-  /// mutating API (hot_join placement, trace replay). Reads should use the
-  /// facade members above.
-  [[nodiscard]] const Grid& grid() const { return *grid_; }
 
  private:
   const Grid* grid_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "lattice/world_view.hpp"
 #include "util/assert.hpp"
 #include "util/fmt.hpp"
 
@@ -104,8 +105,9 @@ std::vector<std::pair<lat::Vec2, lat::Vec2>>& move_scratch() {
 
 bool physically_valid(const lat::Grid& grid, const RuleApplication& app) {
   SB_EXPECTS(app.rule != nullptr);
-  const GridView view{&grid};
-  if (!rule_applicable(*app.rule, view, app.anchor)) return false;
+  if (!rule_applicable(*app.rule, lat::WorldView(grid), app.anchor)) {
+    return false;
+  }
   // Per-candidate scratch: probes run at election rates, so the move list
   // reuses one thread-local buffer and the two Remark-1 checks are O(1)
   // (single-line via row/column counts, connectivity via the local rule,

@@ -3,8 +3,8 @@
 // surface-bounds constraint.
 //
 // The checks are templated over an occupancy view so the same code serves
-// both the global Grid (physics) and a block's bounded sensing window
-// (algorithm). A View must provide:
+// both the real surface (lat::WorldView, for physics) and a block's bounded
+// sensing window (lat::Neighborhood, for the algorithm). A View provides:
 //   bool occupied(lat::Vec2) const;   // out-of-surface cells report empty
 //   bool in_bounds(lat::Vec2) const;  // true for real surface cells
 
@@ -51,15 +51,5 @@ template <typename View>
   if (!placement_in_bounds(rule, view, anchor)) return false;
   return validate_placement(rule, view, anchor).all_valid();
 }
-
-/// Adapts a lat::Grid to the View concept.
-struct GridView {
-  const lat::Grid* grid;
-
-  [[nodiscard]] bool occupied(lat::Vec2 p) const { return grid->occupied(p); }
-  [[nodiscard]] bool in_bounds(lat::Vec2 p) const {
-    return grid->in_bounds(p);
-  }
-};
 
 }  // namespace sb::motion

@@ -64,13 +64,7 @@ SweepCliOptions parse_sweep_flags(const CliParser& cli, size_t min_seeds) {
   for (const std::string& path : cli.positionals()) {
     options.scenarios.push_back(path);
   }
-  for (const std::string& name : options.scenarios) {
-    if (name.empty()) {
-      throw std::runtime_error("empty scenario name in --scenario list");
-    }
-  }
-  options.seed_count =
-      parse_count(cli, "seeds", static_cast<int64_t>(min_seeds));
+  options.seed_count = parse_count(cli, "seeds", 0);
   try {
     options.master_seed = util::parse_u64(cli.get_string("master-seed"));
   } catch (const std::exception&) {
@@ -80,16 +74,34 @@ SweepCliOptions parse_sweep_flags(const CliParser& cli, size_t min_seeds) {
   }
   options.threads = parse_count(cli, "threads", 0);
   options.latency = cli.get_string("latency");
+  options.max_events = parse_count(cli, "max-events", 0);
+  options.shards = parse_count(cli, "shards", 0);
+  options.shard_threads = parse_count(cli, "shard-threads", 0);
+  options.shard_map = cli.get_string("shard-map");
+  validate_sweep_options(options, min_seeds);
+  return options;
+}
+
+void validate_sweep_options(SweepCliOptions& options, size_t min_seeds) {
+  for (const std::string& name : options.scenarios) {
+    if (name.empty()) {
+      throw std::runtime_error("empty scenario name in --scenario list");
+    }
+  }
+  if (options.seed_count < min_seeds) {
+    throw std::runtime_error(fmt("--seeds must be >= {}, got {}", min_seeds,
+                                 options.seed_count));
+  }
   if (options.latency != "fixed" && options.latency != "uniform" &&
       options.latency != "exponential") {
     throw std::runtime_error(fmt(
         "unknown --latency '{}' (fixed | uniform | exponential)",
         options.latency));
   }
-  options.max_events = parse_count(cli, "max-events", 0);
-  options.shards = parse_count(cli, "shards", 1);
-  options.shard_threads = parse_count(cli, "shard-threads", 0);
-  options.shard_map = cli.get_string("shard-map");
+  if (options.shards < 1) {
+    throw std::runtime_error(
+        fmt("--shards must be >= 1, got {}", options.shards));
+  }
   if (options.shard_map != "columns" && options.shard_map != "rows" &&
       options.shard_map != "tiles" && options.shard_map != "adaptive") {
     throw std::runtime_error(fmt(
@@ -108,15 +120,14 @@ SweepCliOptions parse_sweep_flags(const CliParser& cli, size_t min_seeds) {
         options.shard_threads, options.shards, options.shards);
     options.shard_threads = options.shards;
   }
-  return options;
 }
 
 core::SessionConfig make_session_config(const SweepCliOptions& options) {
   core::SessionConfig config;
   if (options.max_events > 0) config.max_events = options.max_events;
   config.sim.shards = options.shards;
-  // Written onto the config directly (not via SweepRunner's
-  // Options::shard_threads, whose 0 means "leave the spec's value") so that
+  // Written onto the config directly (not via execute_run's shard_threads
+  // override, whose 0 means "leave the spec's value") so that
   // --shard-threads 0 really selects hardware concurrency.
   config.sim.shard_threads = options.shard_threads;
   if (options.shard_map == "rows") {

@@ -48,13 +48,21 @@ struct SweepCliOptions {
 void add_sweep_flags(CliParser& cli, const SweepCliOptions& defaults);
 
 /// Reads back the flags registered by add_sweep_flags and validates them:
-/// --seeds >= min_seeds, --shards >= 1, non-negative counts, a known
-/// --latency, and a parseable --master-seed. Throws std::runtime_error with
-/// a usage-style message on any violation (front ends report it and exit
-/// nonzero). Positional arguments are appended to `scenarios` as .surf
-/// paths. min_seeds 0 admits large_scale's "--seeds 0 = single-run mode".
+/// non-negative counts and a parseable --master-seed here, the rest through
+/// validate_sweep_options. Throws std::runtime_error with a usage-style
+/// message on any violation (front ends report it and exit nonzero).
+/// Positional arguments are appended to `scenarios` as .surf paths.
+/// min_seeds 0 admits large_scale's "--seeds 0 = single-run mode".
 [[nodiscard]] SweepCliOptions parse_sweep_flags(const CliParser& cli,
                                                 size_t min_seeds = 1);
+
+/// The option checks shared by every way a sweep description arrives (the
+/// command line and options_from_json, i.e. client submit frames and
+/// journal job records): non-empty scenario names, seed_count >= min_seeds,
+/// shards >= 1, and a known latency and shard map. Throws
+/// std::runtime_error naming the option. Clamps shard_threads to shards
+/// with a warning (extra threads could never run).
+void validate_sweep_options(SweepCliOptions& options, size_t min_seeds = 1);
 
 /// Session config implied by the options (latency model, event budget,
 /// shard layout). Throws on an unknown latency label.

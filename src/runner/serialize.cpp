@@ -5,43 +5,14 @@
 
 namespace sb::runner {
 
-namespace {
-
+using util::get_bool;
+using util::get_field;
+using util::get_int;
+using util::get_number;
+using util::get_size;
+using util::get_string;
+using util::get_u64;
 using util::JsonValue;
-
-// Field accessors that throw on absence or kind mismatch (the JsonValue
-// accessors abort, which would let a malformed frame kill the coordinator).
-const JsonValue& require(const JsonValue& json, std::string_view key,
-                         JsonValue::Kind kind) {
-  const JsonValue* value = json.find(key);
-  if (value == nullptr || value->kind() != kind) {
-    throw std::runtime_error("wire message missing or mistyped field '" +
-                             std::string(key) + "'");
-  }
-  return *value;
-}
-
-const std::string& get_string(const JsonValue& json, std::string_view key) {
-  return require(json, key, JsonValue::Kind::kString).as_string();
-}
-
-bool get_bool(const JsonValue& json, std::string_view key) {
-  return require(json, key, JsonValue::Kind::kBool).as_bool();
-}
-
-uint64_t get_u64(const JsonValue& json, std::string_view key) {
-  return util::parse_u64(get_string(json, key));
-}
-
-double get_number(const JsonValue& json, std::string_view key) {
-  return require(json, key, JsonValue::Kind::kNumber).as_number();
-}
-
-size_t get_size(const JsonValue& json, std::string_view key) {
-  return static_cast<size_t>(get_number(json, key));
-}
-
-}  // namespace
 
 JsonValue row_to_json(const RunRow& row) {
   JsonValue out = JsonValue::object();
@@ -92,14 +63,15 @@ RunRow row_from_json(const JsonValue& json) {
   row.hops = get_u64(json, "hops");
   row.elementary_moves = get_u64(json, "elementary_moves");
   row.messages_sent = get_u64(json, "messages_sent");
-  row.iterations = static_cast<uint32_t>(get_number(json, "iterations"));
+  row.iterations =
+      static_cast<uint32_t>(get_int(json, "iterations", 0, UINT32_MAX));
   row.sim_ticks = get_u64(json, "sim_ticks");
   row.block_count = get_size(json, "block_count");
   row.shards = get_size(json, "shards");
   row.conn_fast_hits = get_u64(json, "conn_fast_hits");
   row.conn_slow_floods = get_u64(json, "conn_slow_floods");
   for (const JsonValue& events :
-       require(json, "shard_events", JsonValue::Kind::kArray).as_array()) {
+       get_field(json, "shard_events", JsonValue::Kind::kArray).as_array()) {
     if (events.kind() != JsonValue::Kind::kString) {
       throw std::runtime_error("wire shard_events entries must be strings");
     }
@@ -117,12 +89,10 @@ RunRow row_from_json(const JsonValue& json) {
   if (json.find("barrier_wait_fraction") != nullptr) {
     row.barrier_wait_fraction = get_number(json, "barrier_wait_fraction");
   }
-  const int reason = static_cast<int>(get_number(json, "stop_reason"));
-  if (reason < static_cast<int>(sim::StopReason::kQueueEmpty) ||
-      reason > static_cast<int>(sim::StopReason::kHalted)) {
-    throw std::runtime_error("wire RunRow has invalid stop_reason");
-  }
-  row.stop_reason = static_cast<sim::StopReason>(reason);
+  row.stop_reason = static_cast<sim::StopReason>(
+      get_int(json, "stop_reason",
+              static_cast<int64_t>(sim::StopReason::kQueueEmpty),
+              static_cast<int64_t>(sim::StopReason::kHalted)));
   return row;
 }
 
@@ -149,7 +119,7 @@ JsonValue options_to_json(const SweepCliOptions& options) {
 SweepCliOptions options_from_json(const JsonValue& json) {
   SweepCliOptions options;
   for (const JsonValue& name :
-       require(json, "scenarios", JsonValue::Kind::kArray).as_array()) {
+       get_field(json, "scenarios", JsonValue::Kind::kArray).as_array()) {
     if (name.kind() != JsonValue::Kind::kString) {
       throw std::runtime_error("wire scenario list entries must be strings");
     }
@@ -163,6 +133,7 @@ SweepCliOptions options_from_json(const JsonValue& json) {
   options.shard_threads = get_size(json, "shard_threads");
   options.shard_map = get_string(json, "shard_map");
   options.threads = get_size(json, "threads");
+  validate_sweep_options(options);
   return options;
 }
 

@@ -18,15 +18,16 @@ namespace sb::runner {
 /// distinct from the BENCH_sim.json row schema, which is a report format).
 [[nodiscard]] util::JsonValue row_to_json(const RunRow& row);
 
-/// Inverse of row_to_json. Throws std::runtime_error on missing fields or
-/// kind mismatches.
+/// Inverse of row_to_json. Throws std::runtime_error naming the field on a
+/// missing, mistyped or out-of-range field.
 [[nodiscard]] RunRow row_from_json(const util::JsonValue& json);
 
 /// Grid-description encoding: two processes that exchange this reconstruct
 /// identical RunSpec lists via make_sweep_grid + expand.
 [[nodiscard]] util::JsonValue options_to_json(const SweepCliOptions& options);
 
-/// Inverse of options_to_json. Throws std::runtime_error on malformed input.
+/// Inverse of options_to_json. Throws std::runtime_error on malformed input
+/// and on options parse_sweep_flags would refuse (validate_sweep_options).
 [[nodiscard]] SweepCliOptions options_from_json(const util::JsonValue& json);
 
 }  // namespace sb::runner

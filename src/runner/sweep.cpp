@@ -125,8 +125,7 @@ SweepResult SweepRunner::run(const std::vector<RunSpec>& specs) const {
     for (;;) {
       const size_t index = next.fetch_add(1);
       if (index >= specs.size()) return;
-      result.runs[index] = execute_run(specs[index], options_.capture_traces,
-                                       options_.shard_threads);
+      result.runs[index] = execute_run(specs[index], options_.capture_traces);
       const size_t done = finished.fetch_add(1) + 1;
       if (options_.on_progress) options_.on_progress(done, specs.size());
     }

@@ -72,8 +72,8 @@ struct SweepResult {
 
 /// Executes one spec wholly on the calling thread — the single-run kernel
 /// shared by the thread-pool runner and the distributed workers (dist/).
-/// `shard_threads` != 0 overrides config.sim.shard_threads (see
-/// SweepRunner::Options); the row is independent of both knobs.
+/// `shard_threads` != 0 overrides config.sim.shard_threads (dist::Worker
+/// passes its own); the row is independent of both knobs.
 [[nodiscard]] SweepRun execute_run(const RunSpec& spec,
                                    bool capture_trace = false,
                                    size_t shard_threads = 0);
@@ -83,12 +83,6 @@ class SweepRunner {
   struct Options {
     /// Worker threads; 0 = hardware concurrency.
     size_t threads = 0;
-    /// Intra-world shard threads forced onto every run's SimConfig
-    /// (SimConfig::shard_threads); 0 = leave each spec's own value. Only
-    /// runs whose config enables sharding (sim.shards > 1) are affected.
-    /// Note the multiplication: a sweep on T threads with S shard threads
-    /// can occupy T x S cores.
-    size_t shard_threads = 0;
     /// Recorded in the report; also used by run_grid for seed forking.
     uint64_t master_seed = 0x5eedULL;
     /// Record per-run move traces (costs memory; used by determinism tests

@@ -28,11 +28,11 @@ Simulator& Module::sim() const {
 }
 
 lat::Vec2 Module::position() const {
-  return sim().world().grid().position_of(id_);
+  return sim().world().view().position_of(id_);
 }
 
 bool Module::alive() const {
-  return sim().world().grid().state().tag(id_) == lat::ModuleTag::kAlive;
+  return sim().world().view().alive(id_);
 }
 
 void Module::send(lat::Direction side, msg::MessagePtr message) {
@@ -65,8 +65,6 @@ lat::Neighborhood Module::sense() const {
 // Simulator
 // ---------------------------------------------------------------------------
 
-thread_local ShardState* Simulator::tls_exec_ = nullptr;
-
 Simulator::Simulator(World world, SimConfig config)
     : world_(std::move(world)),
       config_(config),
@@ -78,21 +76,22 @@ Rng& Simulator::active_rng(const Module& sender) {
   if (!sharded_) return rng_;
   ShardState* ctx = tls_exec_;
   if (ctx != nullptr) return ctx->rng;
-  return shards_[shard_for(world_.grid().position_of(sender.id()))]->rng;
+  return shards_[shard_for(world_.view().position_of(sender.id()))]->rng;
 }
 
 Module& Simulator::add_module(std::unique_ptr<Module> module) {
   SB_EXPECTS(module != nullptr);
   const lat::BlockId id = module->id();
-  SB_EXPECTS(world_.grid().contains(id), "block ", id,
+  const lat::WorldView view = world_.view();
+  SB_EXPECTS(view.contains(id), "block ", id,
              " must be placed on the grid before registering its module");
   SB_EXPECTS(find_module(id) == nullptr, "module for ", id,
              " is already registered");
   module->host_ = this;
   // Initialize the neighbor table from the physical contacts.
-  const lat::Vec2 pos = world_.grid().position_of(id);
+  const lat::Vec2 pos = view.position_of(id);
   for (lat::Direction d : lat::all_directions()) {
-    module->neighbors_.set_neighbor(d, world_.grid().at(pos + delta(d)));
+    module->neighbors_.set_neighbor(d, view.at(pos + delta(d)));
   }
   if (id.value >= modules_.size()) {
     modules_.resize(static_cast<size_t>(id.value) + 1);
@@ -146,7 +145,7 @@ void Simulator::schedule_record(EventRecord record) {
       return;
     case EventKind::kStart:
     case EventKind::kTimer: {
-      const size_t dest = shard_for(world_.grid().position_of(record.a));
+      const size_t dest = shard_for(world_.view().position_of(record.a));
       // Starts are scheduled between windows; timers only ever target the
       // module that set them, which executes on its own shard.
       SB_ASSERT(ctx == nullptr || dest == ctx->index,
@@ -155,15 +154,15 @@ void Simulator::schedule_record(EventRecord record) {
       return;
     }
     case EventKind::kDelivery: {
-      const lat::Grid& grid = world_.grid();
+      const lat::WorldView view = world_.view();
       size_t dest;
-      if (grid.contains(record.b)) {
-        dest = shard_for(grid.position_of(record.b));
+      if (view.contains(record.b)) {
+        dest = shard_for(view.position_of(record.b));
       } else if (ctx != nullptr) {
         dest = ctx->index;  // receiver left the surface; deliver() drops it
       } else {
-        dest = grid.contains(record.a)
-                   ? shard_for(grid.position_of(record.a))
+        dest = view.contains(record.a)
+                   ? shard_for(view.position_of(record.a))
                    : 0;
       }
       if (ctx != nullptr && dest != ctx->index) {
@@ -280,13 +279,13 @@ void Simulator::deliver(lat::BlockId sender, lat::BlockId receiver,
   }
   // The physical contact must still exist: both blocks on the surface and
   // laterally adjacent (messages in flight are lost when a block departs).
-  const lat::Grid& grid = world_.grid();
-  if (!grid.contains(sender) || !grid.contains(receiver)) {
+  const lat::WorldView view = world_.view();
+  if (!view.contains(sender) || !view.contains(receiver)) {
     ++stats.messages_dropped;
     return;
   }
-  const lat::Vec2 sender_pos = grid.position_of(sender);
-  const lat::Vec2 receiver_pos = grid.position_of(receiver);
+  const lat::Vec2 sender_pos = view.position_of(sender);
+  const lat::Vec2 receiver_pos = view.position_of(receiver);
   const auto from_side = lat::direction_from(receiver_pos, sender_pos);
   if (!from_side) {
     ++stats.messages_dropped;
@@ -302,8 +301,7 @@ void Simulator::timer_for(Module& module, Ticks delay, uint64_t tag) {
 
 void Simulator::start_motion_for(Module& subject,
                                  const motion::RuleApplication& app) {
-  SB_EXPECTS(app.subject_from() ==
-                 world_.grid().position_of(subject.id()),
+  SB_EXPECTS(app.subject_from() == world_.view().position_of(subject.id()),
              "block ", subject.id(), " is not the subject of ",
              app.describe());
   if (!world_.can_apply(app)) {
@@ -321,12 +319,8 @@ void Simulator::start_motion_for(Module& subject,
   const SimTime lands = now() + config_.motion_duration;
   // Sequential contexts register the flight here; requests made inside a
   // shard window buffer through pending_global and register at the barrier
-  // flush, so the registry — and the pending-move column that mirrors it —
-  // is never touched concurrently.
-  if (tls_exec_ == nullptr) {
-    inflight_motions_.emplace_back(subject.id(), app);
-    world_.grid().mutable_state().set_move_pending(subject.id(), true);
-  }
+  // flush, so the registry is never touched concurrently.
+  if (tls_exec_ == nullptr) inflight_motions_.emplace_back(subject.id(), app);
   schedule_record(EventRecord::motion_complete(lands, subject.id(), app));
 }
 
@@ -355,7 +349,6 @@ void Simulator::complete_motion(lat::BlockId subject,
       break;
     }
   }
-  world_.grid().mutable_state().set_move_pending(subject, false);
   // Physics may have changed since the request was validated; re-check.
   // External stimuli are required to respect cell_in_motion(), so this can
   // only fire on an engine bug, not on legal churn.
@@ -375,7 +368,7 @@ void Simulator::complete_motion(lat::BlockId subject,
       if (shard_from == shard_to) continue;
       // After a simultaneous batch, the block that left `from` is the one
       // now at `to`.
-      rehome_block_events(world_.grid().at(to), shard_from, shard_to);
+      rehome_block_events(world_.view().at(to), shard_from, shard_to);
     }
   }
 
@@ -393,20 +386,21 @@ void Simulator::complete_motion(lat::BlockId subject,
 void Simulator::refresh_neighbors_around(const std::vector<lat::Vec2>& cells) {
   // Collect every block adjacent to a touched cell (or on one), then diff
   // its stored neighbor table against the grid.
+  const lat::WorldView view = world_.view();
   std::set<lat::BlockId> affected;
   for (const lat::Vec2 cell : cells) {
-    if (world_.grid().occupied(cell)) affected.insert(world_.grid().at(cell));
+    if (view.occupied(cell)) affected.insert(view.at(cell));
     for (lat::Direction d : lat::all_directions()) {
       const lat::Vec2 q = cell + delta(d);
-      if (world_.grid().occupied(q)) affected.insert(world_.grid().at(q));
+      if (view.occupied(q)) affected.insert(view.at(q));
     }
   }
   for (const lat::BlockId id : affected) {
     Module* module = find_module(id);
     if (module == nullptr) continue;
-    const lat::Vec2 pos = world_.grid().position_of(id);
+    const lat::Vec2 pos = view.position_of(id);
     for (lat::Direction d : lat::all_directions()) {
-      const lat::BlockId current = world_.grid().at(pos + delta(d));
+      const lat::BlockId current = view.at(pos + delta(d));
       if (module->neighbors_.neighbor(d) != current) {
         module->neighbors_.set_neighbor(d, current);
         if (module->alive()) module->on_neighbor_change(d, current);

@@ -102,8 +102,6 @@ class Simulator {
   [[nodiscard]] size_t shard_for(lat::Vec2 pos) const {
     return sharded_ ? shard_map_.shard_of(pos) : 0;
   }
-  /// The partition geometry in effect (identity map in classic mode).
-  [[nodiscard]] const lat::ShardMap& shard_map() const { return shard_map_; }
   /// Cumulative events processed per shard (empty in classic mode).
   [[nodiscard]] std::vector<uint64_t> shard_event_counts() const;
 
@@ -181,9 +179,8 @@ class Simulator {
   /// barriers in sharded mode).
   [[nodiscard]] bool cell_in_motion(lat::Vec2 pos) const;
 
-  /// Motions requested but not yet landed. The world's pending-move column
-  /// mirrors this registry bit-for-bit (the oracle cross-checks the two).
-  /// Sequential contexts only, like cell_in_motion().
+  /// Motions requested but not yet landed. Sequential contexts only, like
+  /// cell_in_motion().
   [[nodiscard]] size_t inflight_motion_count() const {
     return inflight_motions_.size();
   }
@@ -204,9 +201,6 @@ class Simulator {
   /// Schedules a user-defined event (tests, benches, fault injection). The
   /// built-in behaviours go through allocation-free EventRecords instead.
   void schedule(SimTime when, std::unique_ptr<Event> event);
-  void schedule_in(Ticks delay, std::unique_ptr<Event> event) {
-    schedule(now_ + delay, std::move(event));
-  }
 
   /// Queues on_start() for every registered module at the current time.
   void start_all_modules();
@@ -233,7 +227,6 @@ class Simulator {
     }
   }
   [[nodiscard]] bool halted() const { return halted_; }
-  void clear_halt() { halted_ = false; }
 
   [[nodiscard]] size_t pending_events() const {
     size_t pending = queue_.size();
@@ -356,7 +349,9 @@ class Simulator {
   int64_t flush_count_ = 0;
   /// The shard whose window the current thread is draining (null outside
   /// parallel phases); routes now()/halt()/scheduling to shard state.
-  static thread_local ShardState* tls_exec_;
+  /// Declared constinit in-class: with an out-of-class definition, GCC 12
+  /// -O2 UBSan builds flag the first write on a thread as a null store.
+  static constinit inline thread_local ShardState* tls_exec_ = nullptr;
 };
 
 }  // namespace sb::sim

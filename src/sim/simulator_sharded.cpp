@@ -178,11 +178,9 @@ void Simulator::sharded_fold() {
     }
     for (auto& record : shard->pending_global) {
       // Motions requested inside the window become visible here: register
-      // the flight (and its pending-move column bit) so sequential churn
-      // can respect cell_in_motion().
+      // the flight so sequential churn can respect cell_in_motion().
       if (record.kind == EventKind::kMotionComplete) {
         inflight_motions_.emplace_back(record.a, record.app());
-        world_.grid().mutable_state().set_move_pending(record.a, true);
       }
       queue_.push(std::move(record));
     }

@@ -13,14 +13,13 @@ lat::Neighborhood World::sense(lat::Vec2 center, int32_t radius) const {
   lat::Neighborhood window(center, radius, grid_.width(), grid_.height());
   // Row-filled from the SoA occupancy bytes: one packed bit row per window
   // row, no per-cell bounds branches (off-surface cells stay 0).
-  const lat::WorldState& state = grid_.state();
   const int32_t x0 = center.x - radius;
   const int32_t x_lo = std::max(x0, 0);
   const int32_t x_hi = std::min(center.x + radius, grid_.width() - 1);
   const int32_t y_lo = std::max(center.y - radius, 0);
   const int32_t y_hi = std::min(center.y + radius, grid_.height() - 1);
   for (int32_t y = y_lo; y <= y_hi; ++y) {
-    const uint8_t* row = state.occupancy_row(y);
+    const uint8_t* row = view().occupancy_row(y);
     uint32_t bits = 0;
     for (int32_t x = x_lo; x <= x_hi; ++x) {
       bits |= static_cast<uint32_t>(row[x]) << (x - x0);

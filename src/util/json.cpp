@@ -359,7 +359,85 @@ std::string hex_u64(uint64_t value) {
 }
 
 uint64_t parse_u64(const std::string& text) {
-  return std::stoull(text, nullptr, 0);
+  // std::stoull alone would take "-1" (wrapping to 2^64-1) or " 7", and
+  // ignore trailing junk; demand a whole unsigned literal.
+  size_t used = 0;
+  uint64_t value = 0;
+  if (!text.empty() && std::isxdigit(static_cast<unsigned char>(text[0]))) {
+    try {
+      value = std::stoull(text, &used, 0);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+  }
+  if (used == 0 || used != text.size()) {
+    throw std::runtime_error(
+        fmt("expected a decimal or 0x hex 64-bit integer, got '{}'", text));
+  }
+  return value;
+}
+
+namespace {
+
+/// Indexed by JsonValue::Kind, for the readers' error messages.
+constexpr std::string_view kKindNames[] = {"null",     "a bool",   "a number",
+                                           "a string", "an array", "an object"};
+
+}  // namespace
+
+const JsonValue& get_field(const JsonValue& object, std::string_view key,
+                           JsonValue::Kind kind) {
+  const JsonValue* value = object.find(key);
+  if (value == nullptr) {
+    throw std::runtime_error(fmt("missing field '{}'", key));
+  }
+  if (value->kind() != kind) {
+    throw std::runtime_error(
+        fmt("field '{}' must be {}, got {}", key,
+            kKindNames[static_cast<size_t>(kind)],
+            kKindNames[static_cast<size_t>(value->kind())]));
+  }
+  return *value;
+}
+
+const std::string& get_string(const JsonValue& object, std::string_view key) {
+  return get_field(object, key, JsonValue::Kind::kString).as_string();
+}
+
+bool get_bool(const JsonValue& object, std::string_view key) {
+  return get_field(object, key, JsonValue::Kind::kBool).as_bool();
+}
+
+double get_number(const JsonValue& object, std::string_view key) {
+  return get_field(object, key, JsonValue::Kind::kNumber).as_number();
+}
+
+int64_t get_int(const JsonValue& object, std::string_view key, int64_t min,
+                int64_t max) {
+  SB_EXPECTS(-kMaxExactJsonInt <= min && min <= max &&
+             max <= kMaxExactJsonInt);
+  const double value = get_number(object, key);
+  if (!(value >= static_cast<double>(min) &&
+        value <= static_cast<double>(max)) ||
+      value != std::floor(value)) {
+    throw std::runtime_error(
+        fmt("field '{}' must be a whole number in [{}, {}], got {}", key, min,
+            max, value));
+  }
+  return static_cast<int64_t>(value);
+}
+
+size_t get_size(const JsonValue& object, std::string_view key) {
+  return static_cast<size_t>(get_int(object, key, 0, kMaxExactJsonInt));
+}
+
+uint64_t get_u64(const JsonValue& object, std::string_view key) {
+  const std::string& text = get_string(object, key);
+  try {
+    return parse_u64(text);
+  } catch (const std::runtime_error& error) {
+    throw std::runtime_error(fmt("field '{}': {}", key, error.what()));
+  }
 }
 
 }  // namespace sb::util

@@ -99,7 +99,35 @@ class JsonValue {
 /// they survive the double-typed number representation losslessly).
 [[nodiscard]] std::string hex_u64(uint64_t value);
 
-/// Parses hex_u64 output (plain decimal also accepted).
+/// Parses hex_u64 output (plain decimal also accepted). Throws
+/// std::runtime_error unless the whole text is one unsigned 64-bit literal.
 [[nodiscard]] uint64_t parse_u64(const std::string& text);
+
+// -- checked field readers --------------------------------------------------
+//
+// For JSON this process did not write (wire frames, journal records,
+// fuzz-case files). Each reads one member of `object` and throws
+// std::runtime_error naming the field when it is absent, of another kind,
+// or — for integers — not a whole number inside the stated range. The
+// JsonValue accessors abort on a kind mismatch instead, which would let one
+// malformed input take the process down.
+
+/// Largest integer a JSON number (a double) holds exactly: 2^53.
+inline constexpr int64_t kMaxExactJsonInt = int64_t{1} << 53;
+
+[[nodiscard]] const JsonValue& get_field(const JsonValue& object,
+                                         std::string_view key,
+                                         JsonValue::Kind kind);
+[[nodiscard]] const std::string& get_string(const JsonValue& object,
+                                            std::string_view key);
+[[nodiscard]] bool get_bool(const JsonValue& object, std::string_view key);
+[[nodiscard]] double get_number(const JsonValue& object, std::string_view key);
+/// A whole number in [min, max]; both bounds within ±kMaxExactJsonInt.
+[[nodiscard]] int64_t get_int(const JsonValue& object, std::string_view key,
+                              int64_t min, int64_t max);
+/// A whole number in [0, kMaxExactJsonInt].
+[[nodiscard]] size_t get_size(const JsonValue& object, std::string_view key);
+/// A 64-bit value stored as a hex_u64 (or decimal) string.
+[[nodiscard]] uint64_t get_u64(const JsonValue& object, std::string_view key);
 
 }  // namespace sb::util

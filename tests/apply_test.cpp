@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "lattice/neighborhood.hpp"
+#include "lattice/world_view.hpp"
 #include "motion/apply.hpp"
 #include "motion/validate.hpp"
 
@@ -13,6 +14,7 @@ namespace {
 using lat::BlockId;
 using lat::Grid;
 using lat::Vec2;
+using lat::WorldView;
 
 Grid make_grid(std::initializer_list<Vec2> cells, int32_t w = 8,
                int32_t h = 8) {
@@ -34,7 +36,7 @@ const RuleLibrary& lib() {
 TEST(Applicability, EastSlideOnSupportedRow) {
   // Mover at (1,1), supports at (1,0) and (2,0): the Fig. 3 situation.
   const Grid grid = make_grid({{1, 1}, {1, 0}, {2, 0}});
-  const GridView view{&grid};
+  const WorldView view(grid);
   const MotionRule* rule = lib().find("slide_ES");
   ASSERT_NE(rule, nullptr);
   EXPECT_TRUE(rule_applicable(*rule, view, {1, 1}));
@@ -42,13 +44,13 @@ TEST(Applicability, EastSlideOnSupportedRow) {
 
 TEST(Applicability, EastSlideFailsWithoutDestinationSupport) {
   const Grid grid = make_grid({{1, 1}, {1, 0}});
-  const GridView view{&grid};
+  const WorldView view(grid);
   EXPECT_FALSE(rule_applicable(*lib().find("slide_ES"), view, {1, 1}));
 }
 
 TEST(Applicability, EastSlideFailsWithBlockedClearance) {
   const Grid grid = make_grid({{1, 1}, {1, 0}, {2, 0}, {2, 2}});
-  const GridView view{&grid};
+  const WorldView view(grid);
   EXPECT_FALSE(rule_applicable(*lib().find("slide_ES"), view, {1, 1}));
 }
 
@@ -56,7 +58,7 @@ TEST(Applicability, OutOfBoundsSupportInvalidatesPlacement) {
   // Mover on the bottom row: slide_ES would need supports below the
   // surface -> invalid placement.
   const Grid grid = make_grid({{1, 0}, {2, 0}});
-  const GridView view{&grid};
+  const WorldView view(grid);
   EXPECT_FALSE(placement_in_bounds(*lib().find("slide_ES"), view, {1, 0}));
   EXPECT_FALSE(rule_applicable(*lib().find("slide_ES"), view, {1, 0}));
 }
@@ -68,18 +70,19 @@ TEST(Applicability, OutOfBoundsClearanceIsFine) {
   grid.place(BlockId{1}, {1, 2});
   grid.place(BlockId{2}, {1, 1});
   grid.place(BlockId{3}, {2, 1});
-  const GridView view{&grid};
+  const WorldView view(grid);
   EXPECT_TRUE(rule_applicable(*lib().find("slide_ES"), view, {1, 2}));
 }
 
 TEST(Applicability, WorksOnSensedNeighborhood) {
   const Grid grid = make_grid({{3, 3}, {3, 2}, {4, 2}});
+  const WorldView view(grid);
   // Build the sensing window a block at (3,3) would have.
   lat::Neighborhood window({3, 3}, 2, grid.width(), grid.height());
   for (int32_t dy = -2; dy <= 2; ++dy) {
     for (int32_t dx = -2; dx <= 2; ++dx) {
       const Vec2 p = Vec2{3 + dx, 3 + dy};
-      if (grid.in_bounds(p)) window.set_occupied(p, grid.occupied(p));
+      if (grid.in_bounds(p)) window.set_occupied(p, view.occupied(p));
     }
   }
   EXPECT_TRUE(rule_applicable(*lib().find("slide_ES"), window, {3, 3}));
@@ -92,7 +95,7 @@ TEST(Applicability, WorksOnSensedNeighborhood) {
 TEST(Enumerate, FindsSlideAndNothingElseForIsolatedRow) {
   // Three-block row on y=0 with the mover on top at (1,1):
   const Grid grid = make_grid({{1, 1}, {0, 0}, {1, 0}, {2, 0}});
-  const GridView view{&grid};
+  const WorldView view(grid);
   const auto apps = enumerate_applications(lib(), view, {1, 1});
   // slide_ES (east over supports) and slide_WS (west over supports).
   std::set<std::string> names;
@@ -108,7 +111,7 @@ TEST(Enumerate, FindsCarryWithMoverAsSubjectOrPusher) {
   // The Fig. 6 east-carrying setup: pusher (0,1), mover (1,1), support
   // (1,0); destination (2,1) free.
   const Grid grid = make_grid({{0, 1}, {1, 1}, {1, 0}});
-  const GridView view{&grid};
+  const WorldView view(grid);
 
   const auto center_apps = enumerate_applications(lib(), view, {1, 1});
   const auto pusher_apps = enumerate_applications(lib(), view, {0, 1});
@@ -130,7 +133,7 @@ TEST(Enumerate, EmptyForIsolatedDomino) {
   // so a lone domino is physically immobile (why Assumption 1 excludes
   // single-line patterns).
   const Grid grid = make_grid({{1, 1}, {2, 1}}, 6, 6);
-  const GridView view{&grid};
+  const WorldView view(grid);
   EXPECT_TRUE(enumerate_applications(lib(), view, {1, 1}).empty());
   EXPECT_TRUE(enumerate_applications(lib(), view, {2, 1}).empty());
 }
@@ -139,7 +142,7 @@ TEST(Enumerate, SquareUnrollsViaCarry) {
   // A 2x2 square is NOT immobile: a carry can roll one column down along
   // the other (the "square unrolling" motion).
   const Grid grid = make_grid({{1, 1}, {2, 1}, {1, 2}, {2, 2}}, 4, 4);
-  const GridView view{&grid};
+  const WorldView view(grid);
   const auto apps = enumerate_applications(lib(), view, {1, 1});
   EXPECT_FALSE(apps.empty());
   for (const auto& app : apps) {
@@ -149,7 +152,7 @@ TEST(Enumerate, SquareUnrollsViaCarry) {
 
 TEST(Enumerate, DeterministicOrder) {
   const Grid grid = make_grid({{1, 1}, {1, 0}, {2, 0}});
-  const GridView view{&grid};
+  const WorldView view(grid);
   const auto a = enumerate_applications(lib(), view, {1, 1});
   const auto b = enumerate_applications(lib(), view, {1, 1});
   ASSERT_EQ(a.size(), b.size());
@@ -174,11 +177,11 @@ TEST(Physics, RejectsDisconnectingMove) {
 
   const Grid free_grid = make_grid({{1, 1}, {1, 0}, {2, 0}});
   RuleApplication app{rule, {1, 1}, 0};
-  ASSERT_TRUE(rule_applicable(*rule, GridView{&free_grid}, {1, 1}));
+  ASSERT_TRUE(rule_applicable(*rule, WorldView(free_grid), {1, 1}));
   EXPECT_TRUE(physically_valid(free_grid, app));
 
   const Grid pendant_grid = make_grid({{1, 1}, {1, 0}, {2, 0}, {0, 1}});
-  ASSERT_TRUE(rule_applicable(*rule, GridView{&pendant_grid}, {1, 1}));
+  ASSERT_TRUE(rule_applicable(*rule, WorldView(pendant_grid), {1, 1}));
   EXPECT_FALSE(physically_valid(pendant_grid, app));  // would strand (0,1)
 }
 
@@ -190,7 +193,7 @@ TEST(Physics, RejectsSingleLineResult) {
   const MotionRule* rule = lib().find("slide_NW");
   ASSERT_NE(rule, nullptr);
   RuleApplication app{rule, {2, 1}, 0};
-  if (rule_applicable(*rule, GridView{&grid}, {2, 1})) {
+  if (rule_applicable(*rule, WorldView(grid), {2, 1})) {
     EXPECT_TRUE(physically_valid(grid, app));  // result is not a line
   }
   // Construct an actual line-forming move: blocks (1,0),(1,1),(2,1):
@@ -209,10 +212,11 @@ TEST(Physics, ApplyExecutesAllMoves) {
   RuleApplication app{rule, {1, 1}, 0};
   ASSERT_TRUE(physically_valid(grid, app));
   apply_to_grid(grid, app);
-  EXPECT_EQ(grid.at({2, 1}), BlockId{2});  // carried block landed east
-  EXPECT_EQ(grid.at({1, 1}), BlockId{1});  // pusher took its cell
-  EXPECT_FALSE(grid.occupied({0, 1}));
-  EXPECT_EQ(grid.at({1, 0}), BlockId{3});  // support did not move
+  const WorldView view(grid);
+  EXPECT_EQ(view.at({2, 1}), BlockId{2});  // carried block landed east
+  EXPECT_EQ(view.at({1, 1}), BlockId{1});  // pusher took its cell
+  EXPECT_FALSE(view.occupied({0, 1}));
+  EXPECT_EQ(view.at({1, 0}), BlockId{3});  // support did not move
 }
 
 TEST(Physics, DescribeMentionsRuleAndCells) {

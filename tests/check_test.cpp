@@ -118,6 +118,41 @@ TEST(FuzzCaseFile, MalformedInputThrows) {
   oversized.scenario.width = 100000;
   oversized.scenario.height = 100000;
   expect_invalid(oversized, "surface 100000x100000 has 10000000000 cells");
+
+  // Mistyped fields and values the engine asserts on are one error naming
+  // the field, never an abort.
+  const auto expect_refused = [](const util::JsonValue& json,
+                                 const std::string& named) {
+    try {
+      (void)FuzzCase::from_json(json);
+      ADD_FAILURE() << "accepted " << json.dump();
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(named), std::string::npos)
+          << error.what();
+    }
+  };
+  const auto with = [](const char* field, util::JsonValue value) {
+    util::JsonValue json = generate_case(1).to_json();
+    json[field] = std::move(value);
+    return json;
+  };
+  expect_refused(with("seed", util::JsonValue(5)), "'seed'");
+  expect_refused(with("max_iterations", util::JsonValue("many")),
+                 "'max_iterations'");
+  expect_refused(with("max_iterations", util::JsonValue(1.5)),
+                 "'max_iterations'");
+  expect_refused(with("motion_duration", util::JsonValue(0)),
+                 "'motion_duration'");
+  expect_refused(with("churn", util::JsonValue("none")), "'churn'");
+  util::JsonValue latency = util::JsonValue::object();
+  latency["kind"] = "uniform";
+  latency["lo"] = 0;
+  latency["hi"] = 3;
+  expect_refused(with("latency", latency), "'lo'");
+  latency["lo"] = 5;
+  expect_refused(with("latency", latency), "latency lo 5 exceeds hi 3");
+  latency["kind"] = "gaussian";
+  expect_refused(with("latency", latency), "gaussian");
 }
 
 // ---------------------------------------------------------------------------

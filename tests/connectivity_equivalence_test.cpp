@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "lattice/connectivity.hpp"
+#include "lattice/world_view.hpp"
 #include "motion/apply.hpp"
 #include "util/fmt.hpp"
 #include "util/rng.hpp"
@@ -34,10 +35,11 @@ using MoveList = std::vector<std::pair<Vec2, Vec2>>;
 size_t reference_flood(const Grid& grid, Vec2 start,
                        const std::unordered_set<Vec2, Vec2Hash>& vacated,
                        const std::unordered_set<Vec2, Vec2Hash>& filled) {
+  const WorldView view(grid);
   const auto occupied = [&](Vec2 p) {
     if (filled.count(p)) return true;
     if (vacated.count(p)) return false;
-    return grid.occupied(p);
+    return view.occupied(p);
   };
   if (!occupied(start)) return 0;
   std::unordered_set<Vec2, Vec2Hash> seen{start};
@@ -73,7 +75,7 @@ bool reference_connected_after(const Grid& grid, const MoveList& moves) {
   if (grid.block_count() <= 1) return true;
   Vec2 start{-1, -1};
   bool found = false;
-  for (const auto& [id, pos] : grid.blocks()) {
+  for (const auto& [id, pos] : WorldView(grid).blocks()) {
     Vec2 p = pos;
     for (const auto& [from, to] : moves) {
       if (from == pos) {
@@ -96,7 +98,7 @@ bool reference_single_line_after(const Grid& grid, const MoveList& moves) {
   bool same_y = true;
   bool first = true;
   Vec2 reference;
-  for (const auto& [id, pos] : grid.blocks()) {
+  for (const auto& [id, pos] : WorldView(grid).blocks()) {
     Vec2 p = pos;
     for (const auto& [from, to] : moves) {
       if (from == pos) {
@@ -121,6 +123,7 @@ Grid random_grid(Rng& rng, std::vector<Vec2>& occupied_cells) {
   const auto w = static_cast<int32_t>(rng.next_in(4, 12));
   const auto h = static_cast<int32_t>(rng.next_in(4, 12));
   Grid grid(w, h);
+  const WorldView view(grid);
   occupied_cells.clear();
   // Half the grids grow as connected blobs (the sim's regime, where the
   // local rule and the hint cache do the work); the rest are uniform
@@ -137,7 +140,7 @@ Grid random_grid(Rng& rng, std::vector<Vec2>& occupied_cells) {
          grid.block_count() < target && attempts < 400; ++attempts) {
       const Vec2 base = occupied_cells[rng.pick_index(occupied_cells)];
       const Vec2 q = base + delta(static_cast<Direction>(rng.next_in(0, 3)));
-      if (grid.in_bounds(q) && !grid.occupied(q)) {
+      if (grid.in_bounds(q) && !view.occupied(q)) {
         grid.place(BlockId{id++}, q);
         occupied_cells.push_back(q);
       }
@@ -160,13 +163,14 @@ Grid random_grid(Rng& rng, std::vector<Vec2>& occupied_cells) {
 /// disconnecting), handover chains, or carrying-style double moves.
 MoveList random_batch(const Grid& grid, const std::vector<Vec2>& cells,
                       Rng& rng) {
+  const WorldView view(grid);
   MoveList moves;
   if (cells.empty()) return moves;
   const auto empty_cell = [&](Rng& r) {
     for (int i = 0; i < 64; ++i) {
       const Vec2 q{static_cast<int32_t>(r.next_in(0, grid.width() - 1)),
                    static_cast<int32_t>(r.next_in(0, grid.height() - 1))};
-      if (!grid.occupied(q)) return q;
+      if (!view.occupied(q)) return q;
     }
     return Vec2{-1, -1};
   };
@@ -177,7 +181,7 @@ MoveList random_batch(const Grid& grid, const std::vector<Vec2>& cells,
     if (shape == 0) {
       const Vec2 q =
           from + delta(static_cast<Direction>(rng.next_in(0, 3)));
-      if (grid.in_bounds(q) && !grid.occupied(q)) to = q;
+      if (grid.in_bounds(q) && !view.occupied(q)) to = q;
     } else {
       to = empty_cell(rng);
     }
@@ -185,9 +189,9 @@ MoveList random_batch(const Grid& grid, const std::vector<Vec2>& cells,
   } else if (shape == 2) {  // handover chain A->B, B->C
     const Vec2 a = cells[rng.pick_index(cells)];
     const Vec2 b = a + delta(static_cast<Direction>(rng.next_in(0, 3)));
-    if (grid.occupied(b)) {
+    if (view.occupied(b)) {
       const Vec2 c = b + delta(static_cast<Direction>(rng.next_in(0, 3)));
-      if (grid.in_bounds(c) && !grid.occupied(c) && c != a) {
+      if (grid.in_bounds(c) && !view.occupied(c) && c != a) {
         moves.push_back({a, b});
         moves.push_back({b, c});
       }
@@ -240,7 +244,7 @@ TEST(ConnectivityEquivalence, LocalRuleIsSoundOnConnectedGrids) {
     if (!reference_is_connected(grid) || grid.block_count() < 2) continue;
     const Vec2 from = cells[rng.pick_index(cells)];
     const Vec2 to = from + delta(static_cast<Direction>(rng.next_in(0, 3)));
-    if (!grid.in_bounds(to) || grid.occupied(to)) continue;
+    if (!grid.in_bounds(to) || WorldView(grid).occupied(to)) continue;
     const MoveList moves{{from, to}};
     switch (local_move_check(grid, from, to)) {
       case LocalVerdict::kPreservesConnectivity:
@@ -267,13 +271,14 @@ TEST(ConnectivityEquivalence, HintCacheSurvivesMutations) {
   std::vector<Vec2> cells;
   for (int trial = 0; trial < 120; ++trial) {
     Grid grid = random_grid(rng, cells);
+    const WorldView view(grid);
     uint32_t next_id = 1000;
     for (int step = 0; step < 30; ++step) {
       const int action = static_cast<int>(rng.next_in(0, 2));
       if (action == 0 || cells.empty()) {  // place
         const Vec2 q{static_cast<int32_t>(rng.next_in(0, grid.width() - 1)),
                      static_cast<int32_t>(rng.next_in(0, grid.height() - 1))};
-        if (!grid.occupied(q)) {
+        if (!view.occupied(q)) {
           grid.place(BlockId{next_id++}, q);
           cells.push_back(q);
         }
@@ -287,7 +292,7 @@ TEST(ConnectivityEquivalence, HintCacheSurvivesMutations) {
         const Vec2 from = cells[index];
         const Vec2 to =
             from + delta(static_cast<Direction>(rng.next_in(0, 3)));
-        if (grid.in_bounds(to) && !grid.occupied(to)) {
+        if (grid.in_bounds(to) && !view.occupied(to)) {
           grid.move(from, to);
           cells[index] = to;
         }
@@ -308,13 +313,14 @@ TEST(ConnectivityEquivalence, HintCacheSurvivesMutations) {
 /// safe iff at least one orthogonal neighbor is occupied and all of them
 /// carry the same run label.
 bool reference_removal_safe(const Grid& grid, Vec2 p) {
+  const WorldView view(grid);
   // Ring in cyclic order; even indices are the orthogonal neighbors.
   constexpr std::array<Vec2, 8> kRing = {
       Vec2{0, 1},  Vec2{1, 1},   Vec2{1, 0},  Vec2{1, -1},
       Vec2{0, -1}, Vec2{-1, -1}, Vec2{-1, 0}, Vec2{-1, 1},
   };
   bool occupied[8];
-  for (int i = 0; i < 8; ++i) occupied[i] = grid.occupied(p + kRing[i]);
+  for (int i = 0; i < 8; ++i) occupied[i] = view.occupied(p + kRing[i]);
   int label[8];
   int labels = 0;
   for (int i = 0; i < 8; ++i) {
@@ -343,6 +349,7 @@ bool reference_removal_safe(const Grid& grid, Vec2 p) {
 /// Every cell of the grid, occupied or empty, through each public face of
 /// the mask rule; returns the number of safe verdicts seen.
 size_t expect_mask_matches_reference(const Grid& grid, const char* where) {
+  const WorldView view(grid);
   std::vector<Vec2> all_cells;
   for (int32_t y = 0; y < grid.height(); ++y) {
     for (int32_t x = 0; x < grid.width(); ++x) all_cells.push_back({x, y});
@@ -371,14 +378,14 @@ size_t expect_mask_matches_reference(const Grid& grid, const char* where) {
           << where << " at " << p;
       // A move from an occupied cell to an empty 4-neighbor adds the
       // attachment test on top of the same mask.
-      if (!grid.occupied(p)) continue;
+      if (!view.occupied(p)) continue;
       for (Direction d : all_directions()) {
         const Vec2 to = p + delta(d);
-        if (!grid.in_bounds(to) || grid.occupied(to)) continue;
+        if (!grid.in_bounds(to) || view.occupied(to)) continue;
         bool attaches = false;
         for (Direction e : all_directions()) {
           const Vec2 q = to + delta(e);
-          attaches |= q != p && grid.occupied(q);
+          attaches |= q != p && view.occupied(q);
         }
         LocalVerdict want = LocalVerdict::kDisconnects;
         if (attaches) {
@@ -435,7 +442,7 @@ TEST(ConnectivityEquivalence, MaskRuleMatchesReferenceOnEveryCell) {
         const size_t index = rng.pick_index(cells);
         const Vec2 to{static_cast<int32_t>(rng.next_in(0, w - 1)),
                       static_cast<int32_t>(rng.next_in(0, h - 1))};
-        if (grid.occupied(to)) continue;
+        if (WorldView(grid).occupied(to)) continue;
         grid.move(cells[index], to);
         cells[index] = to;
         const std::string after = fmt("{} step {}", where, step);

@@ -114,6 +114,32 @@ TEST(WireSerialization, MissingFieldsThrow) {
   util::JsonValue bad = runner::row_to_json(sample_row(2));
   bad["seed"] = util::JsonValue(5);
   EXPECT_THROW(runner::row_from_json(bad), std::runtime_error);
+
+  // Options that parse_sweep_flags refuses are refused off the wire too
+  // (client submit frames and journal job records decode through here),
+  // with one error naming the field.
+  const auto expect_refused = [](const char* field, util::JsonValue value,
+                                 const std::string& named) {
+    runner::SweepCliOptions options;
+    options.scenarios = {"tower16"};
+    util::JsonValue json = runner::options_to_json(options);
+    json[field] = std::move(value);
+    try {
+      (void)runner::options_from_json(json);
+      ADD_FAILURE() << "accepted " << field << " = " << json[field].dump();
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(named), std::string::npos)
+          << error.what();
+    }
+  };
+  expect_refused("shard_map", util::JsonValue("diagonal"), "shard-map");
+  expect_refused("seed_count", util::JsonValue(2.5), "'seed_count'");
+  expect_refused("seed_count", util::JsonValue(1e300), "'seed_count'");
+  expect_refused("seed_count", util::JsonValue(-1), "'seed_count'");
+  expect_refused("seed_count", util::JsonValue(0), "seeds");
+  expect_refused("shards", util::JsonValue(0), "shards");
+  expect_refused("latency", util::JsonValue("gaussian"), "latency");
+  expect_refused("master_seed", util::JsonValue("0x12zz"), "'master_seed'");
 }
 
 // ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ using lat::Vec2;
 /// Number of lateral contacts (edges) in the scenario's initial layout.
 size_t contact_edges(const lat::Scenario& scenario) {
   const lat::Grid grid = scenario.to_grid();
+  const lat::WorldView view(grid);
   size_t twice_edges = 0;
-  for (const auto& [id, pos] : grid.blocks()) {
-    twice_edges += static_cast<size_t>(grid.occupied_neighbor_count(pos));
+  for (const auto& [id, pos] : view.blocks()) {
+    twice_edges += static_cast<size_t>(view.occupied_neighbor_count(pos));
   }
   return twice_edges / 2;
 }
@@ -85,7 +86,7 @@ TEST(Election, FirstElectedIsGlobalArgmin) {
                               planner_config);
   int32_t best = kInfiniteDistance;
   BlockId expected;
-  for (const auto& [id, pos] : session.simulator().world().grid().blocks()) {
+  for (const auto& [id, pos] : session.simulator().world().view().blocks()) {
     if (pos == scenario.input) continue;  // the Root
     const MoveDecision d = planner.evaluate(session.simulator().world(), pos,
                                             nullptr, 0, nullptr, nullptr);

@@ -138,12 +138,12 @@ TEST(Fault, RestartCounterVisibleInResult) {
 /// First free in-bounds cell (row-major) attachable to the structure and
 /// distinct from the output — where a hot-joining block can land right now.
 Vec2 join_site(ReconfigurationSession& session) {
-  const lat::Grid& grid = session.simulator().world().grid();
-  for (int32_t y = 0; y < grid.height(); ++y) {
-    for (int32_t x = 0; x < grid.width(); ++x) {
+  const lat::WorldView view = session.simulator().world().view();
+  for (int32_t y = 0; y < view.height(); ++y) {
+    for (int32_t x = 0; x < view.width(); ++x) {
       const Vec2 pos{x, y};
-      if (grid.occupied(pos) || pos == session.scenario().output) continue;
-      if (grid.occupied_neighbor_count(pos) == 0) continue;
+      if (view.occupied(pos) || pos == session.scenario().output) continue;
+      if (view.occupied_neighbor_count(pos) == 0) continue;
       if (session.simulator().cell_in_motion(pos)) continue;
       return pos;
     }

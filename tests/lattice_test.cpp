@@ -5,6 +5,7 @@
 #include "lattice/direction.hpp"
 #include "lattice/grid.hpp"
 #include "lattice/vec2.hpp"
+#include "lattice/world_view.hpp"
 
 namespace sb::lat {
 namespace {
@@ -94,72 +95,79 @@ TEST(Direction, DirectionFromUnitStep) {
 
 TEST(Grid, StartsEmpty) {
   const Grid grid(4, 3);
+  const WorldView view(grid);
   EXPECT_EQ(grid.width(), 4);
   EXPECT_EQ(grid.height(), 3);
   EXPECT_EQ(grid.cell_count(), 12u);
   EXPECT_EQ(grid.block_count(), 0u);
-  EXPECT_FALSE(grid.occupied({0, 0}));
+  EXPECT_FALSE(view.occupied({0, 0}));
 }
 
 TEST(Grid, BoundsChecks) {
   const Grid grid(4, 3);
+  const WorldView view(grid);
   EXPECT_TRUE(grid.in_bounds({0, 0}));
   EXPECT_TRUE(grid.in_bounds({3, 2}));
   EXPECT_FALSE(grid.in_bounds({4, 0}));
   EXPECT_FALSE(grid.in_bounds({0, 3}));
   EXPECT_FALSE(grid.in_bounds({-1, 0}));
   // Out-of-bounds queries report empty, not a crash.
-  EXPECT_FALSE(grid.occupied({-1, -1}));
-  EXPECT_EQ(grid.at({99, 99}), kInvalidBlock);
+  EXPECT_FALSE(view.occupied({-1, -1}));
+  EXPECT_EQ(view.at({99, 99}), kInvalidBlock);
 }
 
 TEST(Grid, PlaceAndQuery) {
   Grid grid(4, 4);
+  const WorldView view(grid);
   grid.place(BlockId{7}, {1, 2});
-  EXPECT_TRUE(grid.occupied({1, 2}));
-  EXPECT_EQ(grid.at({1, 2}), BlockId{7});
-  EXPECT_EQ(grid.position_of(BlockId{7}), Vec2(1, 2));
-  EXPECT_TRUE(grid.contains(BlockId{7}));
-  EXPECT_FALSE(grid.contains(BlockId{8}));
+  EXPECT_TRUE(view.occupied({1, 2}));
+  EXPECT_EQ(view.at({1, 2}), BlockId{7});
+  EXPECT_EQ(view.position_of(BlockId{7}), Vec2(1, 2));
+  EXPECT_TRUE(view.contains(BlockId{7}));
+  EXPECT_FALSE(view.contains(BlockId{8}));
   EXPECT_EQ(grid.block_count(), 1u);
 }
 
 TEST(Grid, RemoveReturnsId) {
   Grid grid(4, 4);
+  const WorldView view(grid);
   grid.place(BlockId{3}, {0, 0});
   EXPECT_EQ(grid.remove({0, 0}), BlockId{3});
-  EXPECT_FALSE(grid.occupied({0, 0}));
+  EXPECT_FALSE(view.occupied({0, 0}));
   EXPECT_EQ(grid.block_count(), 0u);
 }
 
 TEST(Grid, MoveUpdatesBothMaps) {
   Grid grid(4, 4);
+  const WorldView view(grid);
   grid.place(BlockId{1}, {0, 0});
   grid.move({0, 0}, {1, 0});
-  EXPECT_FALSE(grid.occupied({0, 0}));
-  EXPECT_EQ(grid.at({1, 0}), BlockId{1});
-  EXPECT_EQ(grid.position_of(BlockId{1}), Vec2(1, 0));
+  EXPECT_FALSE(view.occupied({0, 0}));
+  EXPECT_EQ(view.at({1, 0}), BlockId{1});
+  EXPECT_EQ(view.position_of(BlockId{1}), Vec2(1, 0));
 }
 
 TEST(Grid, SimultaneousHandoverChain) {
   // A -> B while B -> C: the carrying rule's signature move pattern.
   Grid grid(5, 1);
+  const WorldView view(grid);
   grid.place(BlockId{1}, {0, 0});
   grid.place(BlockId{2}, {1, 0});
   grid.move_simultaneously({{{1, 0}, {2, 0}}, {{0, 0}, {1, 0}}});
-  EXPECT_EQ(grid.at({1, 0}), BlockId{1});
-  EXPECT_EQ(grid.at({2, 0}), BlockId{2});
-  EXPECT_FALSE(grid.occupied({0, 0}));
+  EXPECT_EQ(view.at({1, 0}), BlockId{1});
+  EXPECT_EQ(view.at({2, 0}), BlockId{2});
+  EXPECT_FALSE(view.occupied({0, 0}));
 }
 
 TEST(Grid, SimultaneousSwapOrderIndependent) {
   // The same handover expressed in the opposite declaration order.
   Grid grid(5, 1);
+  const WorldView view(grid);
   grid.place(BlockId{1}, {0, 0});
   grid.place(BlockId{2}, {1, 0});
   grid.move_simultaneously({{{0, 0}, {1, 0}}, {{1, 0}, {2, 0}}});
-  EXPECT_EQ(grid.at({1, 0}), BlockId{1});
-  EXPECT_EQ(grid.at({2, 0}), BlockId{2});
+  EXPECT_EQ(view.at({1, 0}), BlockId{1});
+  EXPECT_EQ(view.at({2, 0}), BlockId{2});
 }
 
 TEST(GridDeath, CollisionAborts) {
@@ -185,24 +193,26 @@ TEST(GridDeath, DuplicateIdAborts) {
 
 TEST(Grid, NeighborsOf) {
   Grid grid(3, 3);
+  const WorldView view(grid);
   grid.place(BlockId{1}, {1, 1});
   grid.place(BlockId{2}, {1, 2});  // north
   grid.place(BlockId{3}, {2, 1});  // east
-  const auto neighbors = grid.neighbors_of({1, 1});
+  const auto neighbors = view.neighbors_of({1, 1});
   EXPECT_EQ(neighbors[static_cast<size_t>(Direction::kNorth)], BlockId{2});
   EXPECT_EQ(neighbors[static_cast<size_t>(Direction::kEast)], BlockId{3});
   EXPECT_EQ(neighbors[static_cast<size_t>(Direction::kSouth)],
             kInvalidBlock);
   EXPECT_EQ(neighbors[static_cast<size_t>(Direction::kWest)], kInvalidBlock);
-  EXPECT_EQ(grid.occupied_neighbor_count({1, 1}), 2);
+  EXPECT_EQ(view.occupied_neighbor_count({1, 1}), 2);
 }
 
 TEST(Grid, BlockIdsSorted) {
   Grid grid(3, 3);
+  const WorldView view(grid);
   grid.place(BlockId{5}, {0, 0});
   grid.place(BlockId{1}, {1, 0});
   grid.place(BlockId{3}, {2, 0});
-  const auto ids = grid.block_ids();
+  const auto ids = view.block_ids();
   ASSERT_EQ(ids.size(), 3u);
   EXPECT_EQ(ids[0], BlockId{1});
   EXPECT_EQ(ids[1], BlockId{3});

@@ -124,12 +124,12 @@ TEST(LPath, CanonicalFreezingPinsLegOne) {
   // vacate them, whatever the rule set offers.
   const lat::Scenario scenario = lat::make_lpath_scenario(5, 7, 4);
   ReconfigurationSession session(scenario, lpath_config());
-  const lat::Grid& grid = session.simulator().world().grid();
+  const lat::WorldView view = session.simulator().world().view();
   bool leg_always_full = true;
   session.set_move_listener(
       [&](Epoch, lat::BlockId, const motion::RuleApplication&) {
         for (int32_t x = 1; x <= 5; ++x) {
-          leg_always_full &= grid.occupied({x, 1});
+          leg_always_full &= view.occupied({x, 1});
         }
       });
   ASSERT_TRUE(session.run().complete);

@@ -6,6 +6,7 @@
 
 #include "core/reconfig.hpp"
 #include "lattice/scenario.hpp"
+#include "lattice/world_view.hpp"
 #include "motion/apply.hpp"
 #include "motion/transform.hpp"
 #include "util/rng.hpp"
@@ -16,12 +17,13 @@ namespace {
 using lat::BlockId;
 using lat::Grid;
 using lat::Vec2;
+using lat::WorldView;
 
 /// Rotates a square grid 90 degrees clockwise: (x, y) -> (y, S-1-x).
 Grid rotate_grid_cw(const Grid& grid) {
   SB_EXPECTS(grid.width() == grid.height());
   Grid out(grid.width(), grid.height());
-  for (const auto& [id, pos] : grid.blocks()) {
+  for (const auto& [id, pos] : WorldView(grid).blocks()) {
     out.place(id, {pos.y, grid.width() - 1 - pos.x});
   }
   return out;
@@ -43,7 +45,7 @@ TEST(Metamorphic, RotationCommutesWithApplicability) {
     for (int b = 0; b < blocks; ++b) {
       const Vec2 p{static_cast<int32_t>(rng.next_below(size)),
                    static_cast<int32_t>(rng.next_below(size))};
-      if (!grid.occupied(p)) grid.place(BlockId{id++}, p);
+      if (!WorldView(grid).occupied(p)) grid.place(BlockId{id++}, p);
     }
     const Grid rotated = rotate_grid_cw(grid);
 
@@ -53,9 +55,9 @@ TEST(Metamorphic, RotationCommutesWithApplicability) {
         const Vec2 anchor{static_cast<int32_t>(rng.next_below(size)),
                           static_cast<int32_t>(rng.next_below(size))};
         const bool original =
-            rule_applicable(rule, GridView{&grid}, anchor);
+            rule_applicable(rule, WorldView(grid), anchor);
         const bool mapped = rule_applicable(
-            rotated_rule, GridView{&rotated}, rotate_point_cw(anchor, size));
+            rotated_rule, WorldView(rotated), rotate_point_cw(anchor, size));
         EXPECT_EQ(original, mapped)
             << rule.name() << " at " << anchor << " trial " << trial;
         applicable_seen += original ? 1 : 0;
@@ -72,7 +74,7 @@ TEST(Metamorphic, MirrorCommutesWithApplicability) {
   const int32_t size = 9;
   const auto mirror_grid = [&](const Grid& grid) {
     Grid out(grid.width(), grid.height());
-    for (const auto& [id, pos] : grid.blocks()) {
+    for (const auto& [id, pos] : WorldView(grid).blocks()) {
       out.place(id, {pos.x, grid.height() - 1 - pos.y});
     }
     return out;
@@ -85,7 +87,7 @@ TEST(Metamorphic, MirrorCommutesWithApplicability) {
     for (int b = 0; b < blocks; ++b) {
       const Vec2 p{static_cast<int32_t>(rng.next_below(size)),
                    static_cast<int32_t>(rng.next_below(size))};
-      if (!grid.occupied(p)) grid.place(BlockId{id++}, p);
+      if (!WorldView(grid).occupied(p)) grid.place(BlockId{id++}, p);
     }
     const Grid mirrored = mirror_grid(grid);
     for (const MotionRule& rule : lib.rules()) {
@@ -94,9 +96,9 @@ TEST(Metamorphic, MirrorCommutesWithApplicability) {
         const Vec2 anchor{static_cast<int32_t>(rng.next_below(size)),
                           static_cast<int32_t>(rng.next_below(size))};
         const bool original =
-            rule_applicable(rule, GridView{&grid}, anchor);
+            rule_applicable(rule, WorldView(grid), anchor);
         const bool mapped = rule_applicable(
-            mirrored_rule, GridView{&mirrored},
+            mirrored_rule, WorldView(mirrored),
             Vec2{anchor.x, size - 1 - anchor.y});
         EXPECT_EQ(original, mapped)
             << rule.name() << " at " << anchor << " trial " << trial;

@@ -57,10 +57,9 @@ TEST(Reconfig, Fig10OneSpareBlockOffPath) {
   ReconfigurationSession session(lat::make_fig10_scenario(), quiet_config());
   const auto result = session.run();
   ASSERT_TRUE(result.complete);
-  const lat::Grid& grid = session.simulator().world().grid();
   std::set<Vec2> path_cells(result.path->begin(), result.path->end());
   int off_path = 0;
-  for (const auto& [id, pos] : grid.blocks()) {
+  for (const auto& [id, pos] : session.simulator().world().view().blocks()) {
     if (!path_cells.count(pos)) ++off_path;
   }
   EXPECT_EQ(off_path, 1);
@@ -71,7 +70,7 @@ TEST(Reconfig, Fig10RootNeverMoves) {
   const BlockId root = session.scenario().root_id();
   const auto result = session.run();
   ASSERT_TRUE(result.complete);
-  EXPECT_EQ(session.simulator().world().grid().position_of(root),
+  EXPECT_EQ(session.simulator().world().view().position_of(root),
             session.scenario().input);
 }
 
@@ -112,7 +111,7 @@ TEST(Reconfig, PathPrefixNeverVacated) {
   // Lemma 1(b): positions on the shortest path, once occupied, remain
   // occupied (ids may change).
   ReconfigurationSession session(lat::make_fig10_scenario(), quiet_config());
-  const lat::Grid& grid = session.simulator().world().grid();
+  const lat::WorldView view = session.simulator().world().view();
   const Vec2 output = session.scenario().output;
   const Vec2 input = session.scenario().input;
   std::set<Vec2> seen_occupied;
@@ -120,7 +119,7 @@ TEST(Reconfig, PathPrefixNeverVacated) {
                                 const motion::RuleApplication&) {
     for (int32_t y = input.y; y <= output.y; ++y) {
       const Vec2 cell{output.x, y};
-      if (grid.occupied(cell)) {
+      if (view.occupied(cell)) {
         seen_occupied.insert(cell);
       } else {
         EXPECT_FALSE(seen_occupied.count(cell))

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "lattice/connectivity.hpp"
+#include "lattice/world_view.hpp"
 #include "motion/apply.hpp"
 #include "motion/rule_xml.hpp"
 #include "util/rng.hpp"
@@ -17,9 +18,11 @@ namespace {
 using lat::BlockId;
 using lat::Grid;
 using lat::Vec2;
+using lat::WorldView;
 
 Grid random_grid(Rng& rng, int32_t w, int32_t h, int blocks) {
   Grid grid(w, h);
+  const WorldView view(grid);
   uint32_t id = 1;
   int placed = 0;
   int guard = 0;
@@ -28,7 +31,7 @@ Grid random_grid(Rng& rng, int32_t w, int32_t h, int blocks) {
                      static_cast<uint64_t>(w))),
                  static_cast<int32_t>(rng.next_below(
                      static_cast<uint64_t>(h)))};
-    if (!grid.occupied(p)) {
+    if (!view.occupied(p)) {
       grid.place(BlockId{id++}, p);
       ++placed;
     }
@@ -41,20 +44,21 @@ Grid random_grid(Rng& rng, int32_t w, int32_t h, int blocks) {
 // ---------------------------------------------------------------------------
 
 int naive_component_count(const Grid& grid) {
+  const WorldView view(grid);
   std::map<Vec2, Vec2> parent;
-  for (const auto& [id, pos] : grid.blocks()) parent[pos] = pos;
+  for (const auto& [id, pos] : view.blocks()) parent[pos] = pos;
   const std::function<Vec2(Vec2)> find = [&](Vec2 v) {
     while (parent.at(v) != v) v = parent.at(v);
     return v;
   };
-  for (const auto& [id, pos] : grid.blocks()) {
+  for (const auto& [id, pos] : view.blocks()) {
     for (lat::Direction d : lat::all_directions()) {
       const Vec2 q = pos + delta(d);
-      if (grid.occupied(q)) parent[find(pos)] = find(q);
+      if (view.occupied(q)) parent[find(pos)] = find(q);
     }
   }
   std::set<Vec2> roots;
-  for (const auto& [id, pos] : grid.blocks()) roots.insert(find(pos));
+  for (const auto& [id, pos] : view.blocks()) roots.insert(find(pos));
   return static_cast<int>(roots.size());
 }
 
@@ -76,14 +80,15 @@ TEST(ReferenceModel, ConnectedAfterMovesMatchesApplyThenCheck) {
   int checked = 0;
   for (int trial = 0; trial < 400; ++trial) {
     Grid grid = random_grid(rng, 7, 7, static_cast<int>(rng.next_in(2, 14)));
+    const WorldView view(grid);
     // Pick a random block and a random empty destination adjacent to it.
-    const auto ids = grid.block_ids();
+    const auto ids = view.block_ids();
     const BlockId mover = ids[rng.pick_index(ids)];
-    const Vec2 from = grid.position_of(mover);
+    const Vec2 from = view.position_of(mover);
     const lat::Direction d =
         lat::all_directions()[rng.next_below(4)];
     const Vec2 to = from + delta(d);
-    if (!grid.in_bounds(to) || grid.occupied(to)) continue;
+    if (!grid.in_bounds(to) || view.occupied(to)) continue;
     ++checked;
     const bool predicted = lat::connected_after_moves(grid, {{from, to}});
     grid.move(from, to);
@@ -101,7 +106,7 @@ TEST(ReferenceModel, ConnectedAfterMovesMatchesApplyThenCheck) {
 /// two north clearances, everything motion-relevant in bounds.
 bool naive_slide_es_applicable(const Grid& grid, Vec2 mover) {
   const Vec2 dst = mover + Vec2{1, 0};
-  const auto occupied = [&](Vec2 p) { return grid.occupied(p); };
+  const auto occupied = [&](Vec2 p) { return WorldView(grid).occupied(p); };
   if (!grid.in_bounds(mover) || !grid.in_bounds(dst)) return false;
   if (!grid.in_bounds(mover + Vec2{0, -1}) ||
       !grid.in_bounds(dst + Vec2{0, -1})) {
@@ -121,9 +126,9 @@ TEST(ReferenceModel, SlideApplicabilityMatchesNaivePredicate) {
   for (int trial = 0; trial < 300; ++trial) {
     const Grid grid =
         random_grid(rng, 6, 6, static_cast<int>(rng.next_in(3, 16)));
-    for (const auto& [id, pos] : grid.blocks()) {
-      const bool fast =
-          motion::rule_applicable(*rule, motion::GridView{&grid}, pos);
+    const WorldView view(grid);
+    for (const auto& [id, pos] : view.blocks()) {
+      const bool fast = motion::rule_applicable(*rule, view, pos);
       const bool naive = naive_slide_es_applicable(grid, pos);
       EXPECT_EQ(fast, naive) << "trial " << trial << " at " << pos;
       ++agreements;
@@ -172,17 +177,18 @@ TEST(ReferenceModel, SimultaneousMovesMatchTwoPhaseModel) {
   int checked = 0;
   for (int trial = 0; trial < 300; ++trial) {
     Grid grid = random_grid(rng, 6, 6, static_cast<int>(rng.next_in(2, 10)));
+    const WorldView view(grid);
     // Build a random chain of 1-3 moves shifting distinct blocks east;
     // model: lift all, then land all (collisions make it invalid).
     std::vector<std::pair<Vec2, Vec2>> moves;
-    for (const auto& [id, pos] : grid.blocks()) {
+    for (const auto& [id, pos] : view.blocks()) {
       if (moves.size() >= 3) break;
       moves.emplace_back(pos, pos + Vec2{1, 0});
     }
     if (moves.empty()) continue;
     // Naive model.
     std::map<Vec2, BlockId> cells;
-    for (const auto& [id, pos] : grid.blocks()) cells[pos] = id;
+    for (const auto& [id, pos] : view.blocks()) cells[pos] = id;
     bool valid = true;
     std::map<Vec2, BlockId> lifted;
     for (const auto& [from, to] : moves) {
@@ -199,7 +205,7 @@ TEST(ReferenceModel, SimultaneousMovesMatchTwoPhaseModel) {
     grid.move_simultaneously(moves);
     ++checked;
     for (const auto& [pos, id] : cells) {
-      EXPECT_EQ(grid.at(pos), id) << "trial " << trial;
+      EXPECT_EQ(view.at(pos), id) << "trial " << trial;
     }
     EXPECT_EQ(grid.block_count(), cells.size());
   }

@@ -6,6 +6,7 @@
 
 #include "lattice/region.hpp"
 #include "lattice/scenario.hpp"
+#include "lattice/world_view.hpp"
 
 namespace sb::lat {
 namespace {
@@ -220,7 +221,7 @@ TEST(Scenario, ToGridPlacesAllBlocks) {
   const Scenario s = make_fig10_scenario();
   const Grid grid = s.to_grid();
   EXPECT_EQ(grid.block_count(), 12u);
-  EXPECT_TRUE(grid.occupied(s.input));
+  EXPECT_TRUE(WorldView(grid).occupied(s.input));
 }
 
 // ---------------------------------------------------------------------------
@@ -523,8 +524,9 @@ TEST(ScenarioGen, RectangleScenario) {
   const Scenario s =
       make_rectangle_scenario(10, 10, {1, 1}, 3, 4, {1, 1}, {8, 8});
   EXPECT_EQ(s.block_count(), 12u);
-  EXPECT_TRUE(s.to_grid().occupied({3, 4}));
-  EXPECT_FALSE(s.to_grid().occupied({4, 5}));
+  const Grid grid = s.to_grid();
+  EXPECT_TRUE(WorldView(grid).occupied({3, 4}));
+  EXPECT_FALSE(WorldView(grid).occupied({4, 5}));
 }
 
 // ---------------------------------------------------------------------------

@@ -604,7 +604,7 @@ TEST(Simulator, MotionCompletesAndNotifies) {
   sim.start_motion_for(mover, app);
   sim.run();
 
-  EXPECT_EQ(sim.world().grid().at({2, 1}), BlockId{1});
+  EXPECT_EQ(sim.world().view().at({2, 1}), BlockId{1});
   EXPECT_EQ(mover.motions, 1);
   EXPECT_EQ(sim.now(), 7u);
   EXPECT_EQ(sim.stats().motions_completed, 1u);
@@ -631,7 +631,7 @@ TEST(Simulator, InvalidMotionIsRejectedNotStarted) {
   sim.start_motion_for(mover, app);
   EXPECT_EQ(sim.stats().motions_started, 0u);
   EXPECT_EQ(sim.stats().motions_rejected, 1u);
-  EXPECT_TRUE(sim.world().grid().occupied({1, 1}));  // did not move
+  EXPECT_TRUE(sim.world().view().occupied({1, 1}));  // did not move
 }
 
 TEST(Simulator, KilledModuleReceivesNothing) {

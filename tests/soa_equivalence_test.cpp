@@ -1,11 +1,12 @@
-// SoA <-> AoS equivalence suite for the WorldState column store.
+// Equivalence suite for the WorldState columns that shadow Grid's cell
+// array.
 //
 // Two layers of evidence, from micro to end-to-end:
 //
 //   1. Column mirroring: random mutation sequences (place / remove / move /
-//      simultaneous handover chains) through Grid must keep the SoA columns
-//      (occupancy byte image, position columns) byte-consistent with the
-//      AoS cell array they shadow, as observed through lat::WorldView.
+//      simultaneous handover chains) through Grid must keep the occupancy
+//      byte image and the position columns consistent with the cell array,
+//      as read through lat::WorldView (the only read path to either).
 //
 //   2. Traces: a batch of fresh fuzz seeds runs through the full
 //      differential harness, which compares the classic and sharded
@@ -38,6 +39,7 @@ lat::Grid random_grid(Rng& rng, std::vector<lat::Vec2>& occupied_cells,
   const auto w = static_cast<int32_t>(rng.next_in(4, 14));
   const auto h = static_cast<int32_t>(rng.next_in(4, 14));
   lat::Grid grid(w, h);
+  const lat::WorldView view(grid);
   occupied_cells.clear();
   if (rng.next_bool()) {
     const lat::Vec2 seed{static_cast<int32_t>(rng.next_in(0, w - 1)),
@@ -51,7 +53,7 @@ lat::Grid random_grid(Rng& rng, std::vector<lat::Vec2>& occupied_cells,
       const lat::Vec2 base = occupied_cells[rng.pick_index(occupied_cells)];
       const lat::Vec2 q =
           base + delta(static_cast<lat::Direction>(rng.next_in(0, 3)));
-      if (grid.in_bounds(q) && !grid.occupied(q)) {
+      if (grid.in_bounds(q) && !view.occupied(q)) {
         grid.place(lat::BlockId{next_id++}, q);
         occupied_cells.push_back(q);
       }
@@ -74,10 +76,9 @@ lat::Grid random_grid(Rng& rng, std::vector<lat::Vec2>& occupied_cells,
 /// and the position columns against the cells via WorldView round-trips.
 void expect_columns_mirror_cells(const lat::Grid& grid) {
   const lat::WorldView view(grid);
-  const lat::WorldState& state = grid.state();
   // Occupancy image vs cell array, cell by cell.
   for (int32_t y = 0; y < grid.height(); ++y) {
-    const uint8_t* row = state.occupancy_row(y);
+    const uint8_t* row = view.occupancy_row(y);
     for (int32_t x = 0; x < grid.width(); ++x) {
       const bool cell_says = view.at({x, y}).valid();
       ASSERT_EQ(row[x] != 0, cell_says)
@@ -89,7 +90,7 @@ void expect_columns_mirror_cells(const lat::Grid& grid) {
     ASSERT_EQ(row[grid.width()], 0) << "right padding dirty in row " << y;
   }
   for (const int32_t y : {-1, grid.height()}) {
-    const uint8_t* row = state.occupancy_row(y);
+    const uint8_t* row = view.occupancy_row(y);
     for (int32_t x = -1; x <= grid.width(); ++x) {
       ASSERT_EQ(row[x], 0) << "padding row " << y << " dirty at x=" << x;
     }
@@ -118,6 +119,7 @@ TEST(SoaEquivalence, ColumnsMirrorTheCellArrayUnderRandomMutations) {
   for (int trial = 0; trial < 60; ++trial) {
     uint32_t next_id = 1;
     lat::Grid grid = random_grid(rng, cells, next_id);
+    const lat::WorldView view(grid);
     expect_columns_mirror_cells(grid);
     for (int step = 0; step < 40; ++step) {
       const int action = static_cast<int>(rng.next_in(0, 3));
@@ -125,7 +127,7 @@ TEST(SoaEquivalence, ColumnsMirrorTheCellArrayUnderRandomMutations) {
         const lat::Vec2 q{
             static_cast<int32_t>(rng.next_in(0, grid.width() - 1)),
             static_cast<int32_t>(rng.next_in(0, grid.height() - 1))};
-        if (!grid.occupied(q)) {
+        if (!view.occupied(q)) {
           grid.place(lat::BlockId{next_id++}, q);
           cells.push_back(q);
         }
@@ -139,7 +141,7 @@ TEST(SoaEquivalence, ColumnsMirrorTheCellArrayUnderRandomMutations) {
         const lat::Vec2 from = cells[index];
         const lat::Vec2 to =
             from + delta(static_cast<lat::Direction>(rng.next_in(0, 3)));
-        if (grid.in_bounds(to) && !grid.occupied(to)) {
+        if (grid.in_bounds(to) && !view.occupied(to)) {
           grid.move(from, to);
           cells[index] = to;
         }
@@ -150,7 +152,7 @@ TEST(SoaEquivalence, ColumnsMirrorTheCellArrayUnderRandomMutations) {
             a + delta(static_cast<lat::Direction>(rng.next_in(0, 3)));
         const lat::Vec2 c =
             b + delta(static_cast<lat::Direction>(rng.next_in(0, 3)));
-        if (grid.occupied(b) && grid.in_bounds(c) && !grid.occupied(c) &&
+        if (view.occupied(b) && grid.in_bounds(c) && !view.occupied(c) &&
             c != a) {
           grid.move_simultaneously({{a, b}, {b, c}});
           const auto b_at = std::find(cells.begin(), cells.end(), b);

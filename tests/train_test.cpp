@@ -7,6 +7,7 @@
 
 #include "core/reconfig.hpp"
 #include "lattice/scenario.hpp"
+#include "lattice/world_view.hpp"
 #include "motion/apply.hpp"
 #include "motion/rule_library.hpp"
 
@@ -16,6 +17,7 @@ namespace {
 using lat::BlockId;
 using lat::Grid;
 using lat::Vec2;
+using lat::WorldView;
 
 TEST(TrainRule, Train3HasExpectedMatrix) {
   const MotionRule train = RuleLibrary::make_train_rule(3);
@@ -50,7 +52,7 @@ TEST(TrainRule, Train2EqualsCarry) {
   grid.place(BlockId{1}, {2, 3});
   grid.place(BlockId{2}, {3, 3});
   grid.place(BlockId{3}, {3, 2});
-  const GridView view{&grid};
+  const WorldView view(grid);
   EXPECT_EQ(rule_applicable(train, view, {3, 3}),
             rule_applicable(*carry, view, {3, 3}));
 }
@@ -76,7 +78,7 @@ TEST(TrainRule, AppliesOnColumnWithLateralSupport) {
     grid.place(BlockId{static_cast<uint32_t>(10 + y)}, {1, y});
   }
   const RuleLibrary lib = RuleLibrary::standard_with_trains(4);
-  const GridView view{&grid};
+  const WorldView view(grid);
   const auto apps = enumerate_applications(lib, view, {2, 3});
   bool found_train3 = false;
   for (const auto& app : apps) {
@@ -85,10 +87,11 @@ TEST(TrainRule, AppliesOnColumnWithLateralSupport) {
       ASSERT_TRUE(physically_valid(grid, app));
       Grid copy = grid;
       apply_to_grid(copy, app);
-      EXPECT_EQ(copy.at({2, 4}), BlockId{3});
-      EXPECT_EQ(copy.at({2, 3}), BlockId{2});
-      EXPECT_EQ(copy.at({2, 2}), BlockId{1});
-      EXPECT_FALSE(copy.occupied({2, 1}));
+      const WorldView after(copy);
+      EXPECT_EQ(after.at({2, 4}), BlockId{3});
+      EXPECT_EQ(after.at({2, 3}), BlockId{2});
+      EXPECT_EQ(after.at({2, 2}), BlockId{1});
+      EXPECT_FALSE(after.occupied({2, 1}));
     }
   }
   EXPECT_TRUE(found_train3);
@@ -107,7 +110,7 @@ TEST(TrainRule, BlockedByOppositeSideObstacle) {
   const RuleLibrary lib = RuleLibrary::standard_with_trains(4);
   const MotionRule* rule = lib.find("train3_NW");
   ASSERT_NE(rule, nullptr);
-  const GridView view{&grid};
+  const WorldView view(grid);
   // Anchor such that the lead (2,3) is the subject of move 0.
   const lat::Vec2 anchor =
       Vec2{2, 3} - world_offset(rule->size(), rule->moves()[0].from);

@@ -247,7 +247,7 @@ BackendRun run_backend(const FuzzCase& fuzz_case, std::string name,
                 [&run](core::Epoch epoch, lat::BlockId mover,
                        const motion::RuleApplication& app) {
                   run.move_trace.push_back(
-                      fmt("{} {} {}", epoch, mover, app.describe()));
+                      core::move_trace_line(epoch, mover, app));
                 });
 
   uint32_t max_id = 0;

@@ -166,6 +166,11 @@ SessionResult ReconfigurationSession::run() {
   return result;
 }
 
+std::string move_trace_line(Epoch epoch, lat::BlockId mover,
+                            const motion::RuleApplication& app) {
+  return fmt("{} {} {}", epoch, mover, app.describe());
+}
+
 SessionResult ReconfigurationSession::run_scenario(
     const lat::Scenario& scenario, SessionConfig config) {
   ReconfigurationSession session(scenario, config);

@@ -111,6 +111,12 @@ struct SessionResult {
   [[nodiscard]] std::string summary() const;
 };
 
+/// One move-trace line, "<epoch> <mover> <application>", as move listeners
+/// record it. The differential harness compares these lines across
+/// backends, so every recorder formats them here.
+[[nodiscard]] std::string move_trace_line(Epoch epoch, lat::BlockId mover,
+                                          const motion::RuleApplication& app);
+
 class ReconfigurationSession {
  public:
   /// Validates the scenario (aborts on violations of the paper's

@@ -56,8 +56,9 @@ namespace sb::dist {
 
 /// Bumped on any incompatible message or semantics change; hello carries it
 /// and the coordinator refuses mismatched peers. 2 = job-queue service
-/// (job-tagged units, roles, client verbs).
-inline constexpr int kProtocolVersion = 2;
+/// (job-tagged units, roles, client verbs); 3 = sharded runs stripe at
+/// equal block count, so a sharded unit's rows differ from a v2 worker's.
+inline constexpr int kProtocolVersion = 3;
 
 enum class MsgType {
   kHello,

@@ -49,13 +49,11 @@ void add_sweep_flags(CliParser& cli, const SweepCliOptions& defaults) {
               "event budget per run (0 = default; giant blob/rect runs "
               "need a cap — completion is O(N^2) hops)");
   cli.add_int("shards", static_cast<int64_t>(defaults.shards),
-              "shards per world (1 = classic event loop)");
+              "shards per world: column stripes cut at equal block count, "
+              "at most one per column (1 = classic event loop)");
   cli.add_int("shard-threads", static_cast<int64_t>(defaults.shard_threads),
               "threads draining shard windows per world (0 = hardware "
               "concurrency; multiplies with --threads)");
-  cli.add_string("shard-map", defaults.shard_map,
-                 "shard partition geometry: columns | rows | tiles | "
-                 "adaptive (columns re-striped by a pilot run's load)");
 }
 
 SweepCliOptions parse_sweep_flags(const CliParser& cli, size_t min_seeds) {
@@ -77,7 +75,6 @@ SweepCliOptions parse_sweep_flags(const CliParser& cli, size_t min_seeds) {
   options.max_events = parse_count(cli, "max-events", 0);
   options.shards = parse_count(cli, "shards", 0);
   options.shard_threads = parse_count(cli, "shard-threads", 0);
-  options.shard_map = cli.get_string("shard-map");
   validate_sweep_options(options, min_seeds);
   return options;
 }
@@ -102,12 +99,6 @@ void validate_sweep_options(SweepCliOptions& options, size_t min_seeds) {
     throw std::runtime_error(
         fmt("--shards must be >= 1, got {}", options.shards));
   }
-  if (options.shard_map != "columns" && options.shard_map != "rows" &&
-      options.shard_map != "tiles" && options.shard_map != "adaptive") {
-    throw std::runtime_error(fmt(
-        "unknown --shard-map '{}' (columns | rows | tiles | adaptive)",
-        options.shard_map));
-  }
   // The engine caps worker threads at the shard count, so extra threads
   // would silently idle; clamp here and say so. 0 is the
   // hardware-concurrency sentinel and is never clamped (the cap still
@@ -130,13 +121,6 @@ core::SessionConfig make_session_config(const SweepCliOptions& options) {
   // override, whose 0 means "leave the spec's value") so that
   // --shard-threads 0 really selects hardware concurrency.
   config.sim.shard_threads = options.shard_threads;
-  if (options.shard_map == "rows") {
-    config.sim.shard_map = lat::ShardMapKind::kRows;
-  } else if (options.shard_map == "tiles") {
-    config.sim.shard_map = lat::ShardMapKind::kTiles;
-  } else if (options.shard_map == "adaptive") {
-    config.sim.shard_autobalance = true;
-  }
   if (options.latency == "uniform") {
     config.sim.latency = msg::LatencyModel::uniform(1, 8);
   } else if (options.latency == "exponential") {
@@ -150,12 +134,7 @@ core::SessionConfig make_session_config(const SweepCliOptions& options) {
 }
 
 std::string ruleset_label(const SweepCliOptions& options) {
-  std::string label =
-      options.latency == "fixed" ? "standard" : options.latency;
-  // Non-default shard maps change the execution schedule (a different but
-  // equally valid trace), so they are a config variant, not the same rows.
-  if (options.shard_map != "columns") label += "-" + options.shard_map;
-  return label;
+  return options.latency == "fixed" ? "standard" : options.latency;
 }
 
 SweepGrid make_sweep_grid(const SweepCliOptions& options) {

@@ -34,10 +34,6 @@ struct SweepCliOptions {
   uint64_t max_events = 0;
   size_t shards = 1;
   size_t shard_threads = 1;
-  /// Partition geometry label: columns | rows | tiles | adaptive.
-  /// "adaptive" is columns plus a load-measuring pilot run whose per-shard
-  /// event counts re-stripe the boundaries (SimConfig::shard_autobalance).
-  std::string shard_map = "columns";
   /// Local worker threads (0 = hardware concurrency). Not part of the grid
   /// identity, but recorded in the report header by both backends.
   size_t threads = 0;
@@ -59,7 +55,7 @@ void add_sweep_flags(CliParser& cli, const SweepCliOptions& defaults);
 /// The option checks shared by every way a sweep description arrives (the
 /// command line and options_from_json, i.e. client submit frames and
 /// journal job records): non-empty scenario names, seed_count >= min_seeds,
-/// shards >= 1, and a known latency and shard map. Throws
+/// shards >= 1, and a known latency. Throws
 /// std::runtime_error naming the option. Clamps shard_threads to shards
 /// with a warning (extra threads could never run).
 void validate_sweep_options(SweepCliOptions& options, size_t min_seeds = 1);

@@ -38,7 +38,7 @@ struct RunRow {
   uint64_t conn_fast_hits = 0;
   uint64_t conn_slow_floods = 0;
   /// Cumulative events per shard (empty in classic mode): the raw material
-  /// for diagnosing pathological shard maps and for adaptive re-striping.
+  /// for diagnosing pathological shard maps.
   std::vector<uint64_t> shard_events;
   /// Shard-engine round-phase breakdown in seconds of summed worker time
   /// (all-zero when shards == 1). Wall-clock-derived, so scrub_timing()

@@ -109,7 +109,6 @@ JsonValue options_to_json(const SweepCliOptions& options) {
   out["max_events"] = JsonValue(util::hex_u64(options.max_events));
   out["shards"] = JsonValue(options.shards);
   out["shard_threads"] = JsonValue(options.shard_threads);
-  out["shard_map"] = JsonValue(options.shard_map);
   // Not grid identity, but the report header records it — a resumed
   // coordinator rebuilding a report from the journal must reproduce it.
   out["threads"] = JsonValue(options.threads);
@@ -131,7 +130,6 @@ SweepCliOptions options_from_json(const JsonValue& json) {
   options.max_events = get_u64(json, "max_events");
   options.shards = get_size(json, "shards");
   options.shard_threads = get_size(json, "shard_threads");
-  options.shard_map = get_string(json, "shard_map");
   options.threads = get_size(json, "threads");
   validate_sweep_options(options);
   return options;

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "util/assert.hpp"
-#include "util/fmt.hpp"
 #include "util/rng.hpp"
 
 namespace sb::runner {
@@ -61,44 +60,18 @@ size_t SweepRunner::effective_threads(size_t jobs) const {
   return std::max<size_t>(1, std::min(threads, jobs));
 }
 
-namespace {
-
-/// Event budget of the adaptive-map measurement pilot: enough windows to
-/// see where the load lives, far too few to matter next to a real run.
-constexpr uint64_t kAutobalancePilotEvents = 50'000;
-
-/// Measures the per-shard load distribution with a short capped run on the
-/// uniform column map and returns its per-shard event counts (the load
-/// hints for ShardMap::restriped). Deterministic: same seed, same pilot.
-std::vector<uint64_t> measure_shard_load(const RunSpec& spec,
-                                         core::SessionConfig config) {
-  config.sim.shard_autobalance = false;
-  config.sim.shard_load_hints.clear();
-  config.max_events = std::min(config.max_events, kAutobalancePilotEvents);
-  core::ReconfigurationSession pilot(spec.scenario, config);
-  return pilot.run().shard_events;
-}
-
-}  // namespace
-
 SweepRun execute_run(const RunSpec& spec, bool capture_trace,
                      size_t shard_threads) {
   core::SessionConfig config = spec.config;
   config.sim.seed = spec.seed;
   if (shard_threads != 0) config.sim.shard_threads = shard_threads;
-  if (config.sim.shard_autobalance && config.sim.shards > 1 &&
-      config.sim.shard_map == lat::ShardMapKind::kColumns &&
-      config.sim.shard_load_hints.empty()) {
-    config.sim.shard_load_hints = measure_shard_load(spec, config);
-  }
 
   core::ReconfigurationSession session(spec.scenario, config);
   SweepRun out;
   if (capture_trace) {
     session.set_move_listener([&out](core::Epoch epoch, lat::BlockId block,
                                      const motion::RuleApplication& app) {
-      out.move_trace.push_back(
-          fmt("{} {} {}", epoch, block, app.describe()));
+      out.move_trace.push_back(core::move_trace_line(epoch, block, app));
     });
   }
   out.session = session.run();

@@ -76,17 +76,8 @@ PhaseBreakdown ShardEngine::phase_totals() const {
   return total;
 }
 
-obs::Registry ShardEngine::merged_metrics() const {
-  obs::Registry merged;
-  for (const WorkerObs& obs : worker_obs_) merged.merge(obs.metrics);
-  return merged;
-}
-
 void ShardEngine::reset_observability() {
-  for (WorkerObs& obs : worker_obs_) {
-    obs.phases = PhaseBreakdown{};
-    obs.metrics.clear();
-  }
+  for (WorkerObs& obs : worker_obs_) obs.phases = PhaseBreakdown{};
 }
 
 void ShardEngine::round_loop(size_t worker) {
@@ -99,11 +90,6 @@ void ShardEngine::round_loop(size_t worker) {
   if (tracing) {
     tracer.set_thread_name("shard-worker-" + std::to_string(worker));
   }
-  obs::Histogram& h_wait = wobs.metrics.hist("sim.phase.barrier_wait_ns");
-  obs::Histogram& h_fold = wobs.metrics.hist("sim.phase.fold_ns");
-  obs::Histogram& h_integrate = wobs.metrics.hist("sim.phase.integrate_ns");
-  obs::Histogram& h_decide = wobs.metrics.hist("sim.phase.decide_ns");
-  obs::Histogram& h_drain = wobs.metrics.hist("sim.phase.drain_ns");
   for (;;) {
     if (tracing) tracer.begin("window", "sim");
     // Fold the previous window (a no-op on the bootstrap round), then let
@@ -122,8 +108,6 @@ void ShardEngine::round_loop(size_t worker) {
     const uint64_t fold_exit = mono_ns();
     wobs.phases.fold_ns += serial_ns;
     wobs.phases.barrier_wait_ns += (fold_exit - fold_enter) - serial_ns;
-    h_wait.record((fold_exit - fold_enter) - serial_ns);
-    if (serial_ns != 0) h_fold.record(serial_ns);
 
     if (tracing) tracer.begin("integrate", "sim");
     for (size_t s = worker; s < shards_; s += threads_) {
@@ -137,7 +121,6 @@ void ShardEngine::round_loop(size_t worker) {
     if (tracing) tracer.end("integrate", "sim");
     const uint64_t integrate_exit = mono_ns();
     wobs.phases.integrate_ns += integrate_exit - fold_exit;
-    h_integrate.record(integrate_exit - fold_exit);
 
     // Decide serially: apply due sequential events, pick the next horizon
     // or stop. The barrier's release edge publishes window_end_/stop_.
@@ -154,8 +137,6 @@ void ShardEngine::round_loop(size_t worker) {
     const uint64_t decide_exit = mono_ns();
     wobs.phases.decide_ns += serial_ns;
     wobs.phases.barrier_wait_ns += (decide_exit - integrate_exit) - serial_ns;
-    h_wait.record((decide_exit - integrate_exit) - serial_ns);
-    if (serial_ns != 0) h_decide.record(serial_ns);
 
     if (stop_) {
       if (tracing) tracer.end("window", "sim");
@@ -174,7 +155,6 @@ void ShardEngine::round_loop(size_t worker) {
     const uint64_t drain_exit = mono_ns();
     wobs.phases.drain_ns += drain_exit - decide_exit;
     wobs.phases.windows += 1;
-    h_drain.record(drain_exit - decide_exit);
     if (tracing) tracer.end("window", "sim");
   }
 }

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "lattice/grid.hpp"
-#include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 #include "util/rng.hpp"
@@ -80,10 +79,9 @@ struct ShardState {
   /// index; consumed only while this shard drains, so draw order is
   /// deterministic.
   Rng rng{0};
-  /// Local clock while draining a window (monotone across windows).
+  /// Local clock while draining a window (monotone across windows): the
+  /// time of the last event this shard processed.
   SimTime now = 0;
-  /// Time of the last event this shard processed.
-  SimTime last_time = 0;
   /// Events processed in the current window; reset at the fold rendezvous.
   uint64_t window_events = 0;
   /// Cumulative events processed by this shard (reported per-shard).
@@ -213,11 +211,8 @@ class ShardEngine {
   /// Phase totals summed over workers since the last reset. Only valid
   /// while the workers are parked (i.e. outside run()).
   [[nodiscard]] PhaseBreakdown phase_totals() const;
-  /// Per-worker metric registries (per-phase duration histograms) merged
-  /// into one snapshot. Only valid while the workers are parked.
-  [[nodiscard]] obs::Registry merged_metrics() const;
-  /// Zeroes phase totals and per-worker registries (after the simulator
-  /// folds them into its own accumulators).
+  /// Zeroes the phase totals (after the simulator folds them into its own
+  /// accumulator).
   void reset_observability();
 
  private:
@@ -226,7 +221,6 @@ class ShardEngine {
   /// workers are parked.
   struct alignas(64) WorkerObs {
     PhaseBreakdown phases;
-    obs::Registry metrics;
   };
 
   void worker_main(size_t worker);

@@ -38,28 +38,15 @@ struct SimConfig {
   bool detailed_stats = true;
   /// Shards the world is partitioned into. 1 keeps the classic single
   /// event loop byte-for-byte; > 1 switches to the windowed sharded
-  /// schedule (per-shard queues, RNG streams, and counters; clamped to the
-  /// surface extent). See docs/ARCHITECTURE.md.
+  /// schedule (per-shard queues, RNG streams, and counters) over column
+  /// stripes cut at equal block count, clamped to the surface width. See
+  /// docs/ARCHITECTURE.md.
   size_t shards = 1;
   /// Worker threads draining shard windows in parallel (only used when
   /// shards > 1). 0 = hardware concurrency; always capped at the shard
   /// count. Event traces are byte-identical for every value — thread count
   /// affects wall-clock only.
   size_t shard_threads = 1;
-  /// Partition geometry (lattice/shard.hpp): column stripes (default),
-  /// row stripes, or 2-D tiles. The trace contract is per-map: different
-  /// maps give different (all valid) executions.
-  lat::ShardMapKind shard_map = lat::ShardMapKind::kColumns;
-  /// Per-shard event counts from a previous run on the uniform column map
-  /// with the same `shards`. Non-empty (and matching that map's shard
-  /// count) re-stripes column boundaries adaptively so hot regions split
-  /// finer; ignored for row/tile maps. See ShardMap::restriped.
-  std::vector<uint64_t> shard_load_hints;
-  /// Runner-level directive (runner::execute_run): when set and
-  /// shard_load_hints is empty, run a short measurement pilot first and
-  /// feed its per-shard event counts back as load hints for the real run.
-  /// The simulator itself ignores this flag.
-  bool shard_autobalance = false;
 };
 
 struct RunLimits {
@@ -121,9 +108,6 @@ class Simulator {
   [[nodiscard]] const PhaseBreakdown& phase_breakdown() const {
     return phases_;
   }
-  /// Merged shard-worker metrics registry (per-phase latency histograms),
-  /// accumulated like phase_breakdown(). Empty in classic mode.
-  [[nodiscard]] const obs::Registry& metrics() const { return metrics_; }
 
   // -- modules --------------------------------------------------------------
 
@@ -179,11 +163,6 @@ class Simulator {
   /// barriers in sharded mode).
   [[nodiscard]] bool cell_in_motion(lat::Vec2 pos) const;
 
-  /// Motions requested but not yet landed. Sequential contexts only, like
-  /// cell_in_motion().
-  [[nodiscard]] size_t inflight_motion_count() const {
-    return inflight_motions_.size();
-  }
   /// True when `id` has a registered in-flight motion.
   [[nodiscard]] bool motion_inflight(lat::BlockId id) const;
 
@@ -326,10 +305,9 @@ class Simulator {
   RunLimits run_limits_{};
   uint64_t run_processed_ = 0;
   StopReason run_reason_ = StopReason::kQueueEmpty;
-  /// Observability accumulators, folded in from the engine after each
-  /// sharded run() while the workers are parked.
+  /// Phase-time accumulator, folded in from the engine after each sharded
+  /// run() while the workers are parked.
   PhaseBreakdown phases_;
-  obs::Registry metrics_;
   /// True between a window drain and the fold that consumes it; the
   /// bootstrap fold of a run() (no window drained yet) must not advance
   /// the fault-flush counter.

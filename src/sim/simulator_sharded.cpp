@@ -7,10 +7,9 @@
 
 // The channel-driven sharded schedule (SimConfig::shards > 1).
 //
-// The surface is split by a ShardMap (column stripes by default; row
-// stripes, 2-D tiles, and load-adaptive columns are selectable); each shard
-// owns the events of the blocks inside its region. A resident ShardEngine
-// worker set cycles rounds of
+// The surface is split by a ShardMap into column stripes cut at equal block
+// count; each shard owns the events of the blocks inside its stripe. A
+// resident ShardEngine worker set cycles rounds of
 //
 //   fold -> integrate -> decide -> drain
 //
@@ -57,31 +56,16 @@ namespace {
 /// RNG fork streams for shards live far above the block-id fork space used
 /// by module programs (ids are < 2^26), so the streams never collide.
 constexpr uint64_t kShardRngStreamBase = uint64_t{1} << 32;
-
-lat::ShardMap make_shard_map(const lat::Grid& grid, const SimConfig& config) {
-  switch (config.shard_map) {
-    case lat::ShardMapKind::kRows:
-      return lat::ShardMap::rows(grid.width(), grid.height(), config.shards);
-    case lat::ShardMapKind::kTiles:
-      return lat::ShardMap::tiles(grid.width(), grid.height(), config.shards);
-    case lat::ShardMapKind::kColumns: break;
-  }
-  lat::ShardMap uniform(grid.width(), config.shards);
-  // Load hints from a previous run re-stripe the column boundaries; stale
-  // hints (wrong shard count for this surface) are ignored rather than
-  // trusted.
-  if (!config.shard_load_hints.empty() &&
-      config.shard_load_hints.size() == uniform.count()) {
-    return lat::ShardMap::restriped(uniform, config.shard_load_hints,
-                                    uniform.count());
-  }
-  return uniform;
-}
 }  // namespace
 
 void Simulator::init_shards() {
-  shard_map_ = make_shard_map(world_.grid(), config_);
-  if (shard_map_.count() <= 1) return;  // one-cell extent: stay classic
+  const lat::WorldView view = world_.view();
+  std::vector<uint64_t> column_blocks(static_cast<size_t>(view.width()));
+  for (int32_t x = 0; x < view.width(); ++x) {
+    column_blocks[static_cast<size_t>(x)] = view.blocks_in_column(x);
+  }
+  shard_map_ = lat::ShardMap(column_blocks, config_.shards);
+  if (shard_map_.count() <= 1) return;  // one-column surface: stay classic
   sharded_ = true;
   // The lookahead is the guaranteed delay of *any* cross-window effect: a
   // message needs at least the minimum link latency, and a motion —
@@ -149,9 +133,8 @@ StopReason Simulator::run_sharded(RunLimits limits) {
   };
   engine_->run(hooks);
   merge_shard_stats();
-  // Fold the engine's observability state while its workers are parked.
+  // Fold the engine's phase times while its workers are parked.
   phases_.merge(engine_->phase_totals());
-  metrics_.merge(engine_->merged_metrics());
   engine_->reset_observability();
   return run_reason_;
 }
@@ -171,7 +154,7 @@ void Simulator::sharded_fold() {
   for (const auto& shard : shards_) {
     run_processed_ += shard->window_events;
     shard->window_events = 0;
-    if (shard->last_time > now_) now_ = shard->last_time;
+    if (shard->now > now_) now_ = shard->now;
     if (shard->halt_requested) {
       shard->halt_requested = false;
       halted_ = true;
@@ -288,7 +271,6 @@ void Simulator::drain_shard_window(ShardState& shard, SimTime window_end) {
     EventRecord record = queue.pop();
     SB_ASSERT(record.time >= shard.now, "shard time ran backwards");
     shard.now = record.time;
-    shard.last_time = record.time;
     ++shard.window_events;
     ++shard.total_events;
     ++shard.stats.events_processed;

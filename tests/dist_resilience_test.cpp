@@ -255,6 +255,23 @@ TEST(Journal, MissingFileOrHeaderThrows) {
     out << R"({"record": "cancel", "job": 0})" << "\n";
   }
   EXPECT_THROW(read_journal(path), std::runtime_error);
+  // A journal written before sharded runs striped at equal block count
+  // holds rows this build would not reproduce: refuse it, do not resume.
+  const std::string old_format = tmp.make("v1.journal");
+  {
+    std::ofstream out(old_format);
+    out << R"({"record": "header", "format": "sb-dist-journal-v1", )"
+        << R"("bind": "127.0.0.1", "port": 0})" << "\n";
+    out << R"({"record": "cancel", "job": 0})" << "\n";
+  }
+  try {
+    (void)read_journal(old_format);
+    ADD_FAILURE() << "a sb-dist-journal-v1 journal was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("sb-dist-journal-v1"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -132,7 +132,6 @@ TEST(WireSerialization, MissingFieldsThrow) {
           << error.what();
     }
   };
-  expect_refused("shard_map", util::JsonValue("diagonal"), "shard-map");
   expect_refused("seed_count", util::JsonValue(2.5), "'seed_count'");
   expect_refused("seed_count", util::JsonValue(1e300), "'seed_count'");
   expect_refused("seed_count", util::JsonValue(-1), "'seed_count'");
@@ -225,6 +224,17 @@ TEST(Protocol, RejectsGarbageAndVersionSkew) {
   EXPECT_THROW(decode("{\"type\":\"warp\"}"), std::runtime_error);
   EXPECT_THROW(decode("{\"type\":\"hello\",\"version\":999,\"pid\":1}"),
                std::runtime_error);
+  // A v2 peer stripes sharded runs differently; its rows must not merge.
+  Message v2_hello = Message::hello(1, Role::kWorker, 4, 1024);
+  v2_hello.version = 2;
+  try {
+    (void)decode(encode(v2_hello));
+    ADD_FAILURE() << "a version 2 hello was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("version mismatch"),
+              std::string::npos)
+        << error.what();
+  }
   EXPECT_THROW(decode("{\"type\":\"unit\",\"job\":0,\"unit\":{\"id\":0,"
                       "\"begin\":5,\"end\":2}}"),
                std::runtime_error);

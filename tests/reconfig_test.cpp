@@ -261,6 +261,9 @@ TEST_P(TowerTest, CompletesWithExactlyOneSpare) {
   ASSERT_TRUE(result.path.has_value());
   // N blocks, N-1 path cells (Lemma 1's bound is tight).
   EXPECT_EQ(static_cast<int32_t>(result.block_count), result.path_cells + 1);
+  // The extremal tower's exact cost: N^2/4 - 2 hops.
+  const uint64_t n = result.block_count;
+  EXPECT_EQ(result.hops, n * n / 4 - 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TowerTest,

@@ -1,14 +1,15 @@
-// Tests for the sharded world: ShardMap geometry (columns, rows, tiles,
-// adaptive re-striping), the channel-driven sharded schedule
-// (sim/simulator_sharded.cpp), cross-shard messaging, event re-homing on
-// shard migration, and the determinism contract — event and move traces
-// byte-identical across shard-thread counts (the sharded counterpart of
-// runner_test's sweep determinism).
+// Tests for the sharded world: the ShardMap's equal-load column cut, the
+// channel-driven sharded schedule (sim/simulator_sharded.cpp), cross-shard
+// messaging, event re-homing on shard migration, and the determinism
+// contract — event and move traces byte-identical across shard-thread
+// counts (the sharded counterpart of runner_test's sweep determinism).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
@@ -21,7 +22,7 @@
 #include "lattice/scenario.hpp"
 #include "lattice/shard.hpp"
 #include "sim/shard.hpp"
-#include "util/fmt.hpp"
+#include "util/rng.hpp"
 
 namespace sb {
 namespace {
@@ -30,132 +31,80 @@ namespace {
 // ShardMap geometry
 // ---------------------------------------------------------------------------
 
-TEST(ShardMap, SplitsWidthIntoStripes) {
-  const lat::ShardMap map(8, 4);
+/// Owning shard of every column of a map over `width` columns.
+std::vector<size_t> owners(const lat::ShardMap& map, int32_t width) {
+  std::vector<size_t> out;
+  for (int32_t x = 0; x < width; ++x) out.push_back(map.shard_of({x, 0}));
+  return out;
+}
+
+TEST(ShardMap, EqualLoadsGiveEqualStripes) {
+  const lat::ShardMap map(std::vector<uint64_t>(8, 5), 4);
   EXPECT_EQ(map.count(), 4u);
-  EXPECT_EQ(map.stripe_width(), 2);
-  EXPECT_EQ(map.shard_of({0, 5}), 0u);
-  EXPECT_EQ(map.shard_of({1, 0}), 0u);
-  EXPECT_EQ(map.shard_of({2, 0}), 1u);
-  EXPECT_EQ(map.shard_of({7, 3}), 3u);
-  EXPECT_EQ(map.first_column(2), 4);
+  EXPECT_EQ(owners(map, 8), (std::vector<size_t>{0, 0, 1, 1, 2, 2, 3, 3}));
+  // A row never changes the owner: stripes span the surface's height.
+  EXPECT_EQ(map.shard_of({3, 0}), map.shard_of({3, 1000}));
+  // A surface with no blocks weighs every column equally.
+  const lat::ShardMap empty(std::vector<uint64_t>(8, 0), 4);
+  EXPECT_EQ(owners(empty, 8), owners(map, 8));
+  // Ten columns over four shards: the stripes differ by at most a column.
+  EXPECT_EQ(owners(lat::ShardMap(std::vector<uint64_t>(10, 1), 4), 10),
+            (std::vector<size_t>{0, 0, 0, 1, 1, 2, 2, 2, 3, 3}));
 }
 
-TEST(ShardMap, RoundsStripeWidthUp) {
-  // 10 columns over 4 shards: stripes of 3 columns; the last holds one.
-  const lat::ShardMap map(10, 4);
-  EXPECT_EQ(map.count(), 4u);
-  EXPECT_EQ(map.stripe_width(), 3);
-  EXPECT_EQ(map.shard_of({8, 0}), 2u);
-  EXPECT_EQ(map.shard_of({9, 0}), 3u);
-}
-
-TEST(ShardMap, NeverCreatesEmptyTrailingStripes) {
-  // Width 10 over 8 requested shards: ceil-rounded stripes of 2 columns
-  // cover the surface with 5 stripes; the count must say 5, not 8.
-  const lat::ShardMap map(10, 8);
-  EXPECT_EQ(map.stripe_width(), 2);
-  EXPECT_EQ(map.count(), 5u);
-  EXPECT_EQ(map.shard_of({9, 0}), map.count() - 1);
-  // Every shard owns at least one column.
-  for (size_t shard = 0; shard < map.count(); ++shard) {
-    EXPECT_LT(map.first_column(shard), 10);
-  }
-}
-
-TEST(ShardMap, ClampsCountToWidth) {
-  const lat::ShardMap map(3, 16);
-  EXPECT_EQ(map.count(), 3u);
-  EXPECT_EQ(map.stripe_width(), 1);
-  EXPECT_EQ(map.shard_of({2, 0}), 2u);
-}
-
-TEST(ShardMap, SingleShardOwnsEverything) {
-  const lat::ShardMap map(64, 1);
-  EXPECT_EQ(map.count(), 1u);
-  EXPECT_EQ(map.shard_of({0, 0}), 0u);
-  EXPECT_EQ(map.shard_of({63, 9}), 0u);
-}
-
-TEST(ShardMap, RowStripesSplitHeight) {
-  const lat::ShardMap map = lat::ShardMap::rows(8, 12, 4);
-  EXPECT_EQ(map.kind(), lat::ShardMapKind::kRows);
-  EXPECT_EQ(map.count(), 4u);
-  EXPECT_EQ(map.stripe_height(), 3);
-  EXPECT_EQ(map.shard_of({0, 0}), 0u);
-  EXPECT_EQ(map.shard_of({7, 2}), 0u);
-  EXPECT_EQ(map.shard_of({3, 3}), 1u);
-  EXPECT_EQ(map.shard_of({0, 11}), 3u);
-}
-
-TEST(ShardMap, TileMapCoversTheSurfaceInQuadrants) {
-  const lat::ShardMap map = lat::ShardMap::tiles(16, 16, 4);
-  EXPECT_EQ(map.kind(), lat::ShardMapKind::kTiles);
-  EXPECT_EQ(map.count(), 4u);
-  EXPECT_EQ(map.shard_of({0, 0}), 0u);
-  EXPECT_EQ(map.shard_of({15, 0}), 1u);
-  EXPECT_EQ(map.shard_of({0, 15}), 2u);
-  EXPECT_EQ(map.shard_of({15, 15}), 3u);
-}
-
-TEST(ShardMap, TileMapNeverCreatesEmptyTiles) {
-  // A short surface clamps the tile rows: every shard index must own at
-  // least one cell, and every cell must map into range.
-  const lat::ShardMap map = lat::ShardMap::tiles(10, 3, 8);
-  std::vector<int> owned(map.count(), 0);
-  for (int32_t y = 0; y < 3; ++y) {
-    for (int32_t x = 0; x < 10; ++x) {
-      const size_t shard = map.shard_of({x, y});
-      ASSERT_LT(shard, map.count());
-      ++owned[shard];
-    }
-  }
-  for (size_t shard = 0; shard < map.count(); ++shard) {
-    EXPECT_GT(owned[shard], 0) << "tile " << shard << " owns no cells";
-  }
-}
-
-TEST(ShardMap, AdaptiveColumnsSplitTheHotRegionFiner) {
+TEST(ShardMap, HotRegionSplitsFiner) {
   // All load in the first four columns: the boundaries crowd there and the
   // cold tail collapses into one wide stripe.
   std::vector<uint64_t> load(16, 0);
   for (size_t c = 0; c < 4; ++c) load[c] = 100;
-  const lat::ShardMap map = lat::ShardMap::adaptive_columns(16, load, 4);
+  const lat::ShardMap map(load, 4);
   EXPECT_EQ(map.count(), 4u);
-  EXPECT_EQ(map.stripe_width(), 0);  // explicit boundaries
-  EXPECT_EQ(map.shard_of_column(0), 0u);
-  EXPECT_EQ(map.shard_of_column(1), 1u);
-  EXPECT_EQ(map.shard_of_column(2), 2u);
-  EXPECT_EQ(map.shard_of_column(3), 3u);
-  EXPECT_EQ(map.shard_of_column(15), 3u);
-  EXPECT_NE(map.describe().find("adaptive"), std::string::npos);
+  std::vector<size_t> expected(16, 3);
+  for (size_t c = 0; c < 3; ++c) expected[c] = c;
+  EXPECT_EQ(owners(map, 16), expected);
 }
 
-TEST(ShardMap, AdaptiveWithZeroLoadFallsBackToUniform) {
-  const std::vector<uint64_t> load(8, 0);
-  const lat::ShardMap map = lat::ShardMap::adaptive_columns(8, load, 4);
-  EXPECT_EQ(map.count(), 4u);
-  EXPECT_EQ(map.stripe_width(), 2);
+TEST(ShardMap, ClampsCountToWidth) {
+  const lat::ShardMap map(std::vector<uint64_t>{7, 0, 1}, 16);
+  EXPECT_EQ(map.count(), 3u);
+  EXPECT_EQ(owners(map, 3), (std::vector<size_t>{0, 1, 2}));
+  // Below the width nothing is dropped: ten columns give all eight shards.
+  EXPECT_EQ(lat::ShardMap(std::vector<uint64_t>(10, 1), 8).count(), 8u);
+  EXPECT_EQ(lat::ShardMap(std::vector<uint64_t>(4, 1), 0).count(), 1u);
 }
 
-TEST(ShardMap, RestripedSpreadsAPreviousRunsLoad) {
-  // Shard 0 of a uniform 4-stripe map did 100x the work: the re-striped
-  // map gives its columns three of the four stripes.
-  const lat::ShardMap uniform(16, 4);
-  const std::vector<uint64_t> shard_events = {1000, 10, 10, 10};
-  const lat::ShardMap map = lat::ShardMap::restriped(uniform, shard_events, 4);
-  EXPECT_EQ(map.count(), 4u);
-  EXPECT_EQ(map.first_column(0), 0);
-  EXPECT_LE(map.first_column(3), 4);  // stripes 0-2 all inside old shard 0
-  // Every column still maps to exactly one in-range shard, monotonically.
-  size_t prev = 0;
-  for (int32_t x = 0; x < 16; ++x) {
-    const size_t shard = map.shard_of_column(x);
-    ASSERT_LT(shard, map.count());
-    ASSERT_GE(shard, prev);
-    prev = shard;
+TEST(ShardMap, SingleShardOwnsEverything) {
+  const lat::ShardMap map(std::vector<uint64_t>(64, 3), 1);
+  EXPECT_EQ(map.count(), 1u);
+  EXPECT_EQ(owners(map, 64), std::vector<size_t>(64, 0));
+}
+
+TEST(ShardMap, EveryColumnMapsToAnInRangeShardInOrder) {
+  // Lopsided, sparse and spiky loads at every count up to the width: the
+  // owners step 0, 1, ..., count - 1 from west to east, so every shard owns
+  // at least one column.
+  Rng rng(17);
+  for (int32_t width : {1, 2, 5, 16, 61}) {
+    const auto columns = static_cast<size_t>(width);
+    for (int trial = 0; trial < 8; ++trial) {
+      std::vector<uint64_t> load(columns);
+      for (uint64_t& l : load) {
+        l = rng.next_below(4) == 0 ? 0 : rng.next_below(1000) + 1;
+      }
+      if (trial == 0) load.back() = 1'000'000;
+      for (size_t requested = 1; requested <= columns + 1; ++requested) {
+        const lat::ShardMap map(load, requested);
+        ASSERT_EQ(map.count(), std::min(requested, columns));
+        const std::vector<size_t> owner = owners(map, width);
+        ASSERT_EQ(owner.front(), 0u);
+        ASSERT_EQ(owner.back(), map.count() - 1);
+        for (size_t x = 1; x < columns; ++x) {
+          ASSERT_GE(owner[x], owner[x - 1]) << "at column " << x;
+          ASSERT_LE(owner[x] - owner[x - 1], 1u) << "at column " << x;
+        }
+      }
+    }
   }
-  EXPECT_EQ(prev, map.count() - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -181,7 +130,7 @@ SessionRun run_session(const lat::Scenario& scenario,
   check::InvariantOracle oracle;
   oracle.attach(session, [&run](core::Epoch epoch, lat::BlockId block,
                                 const motion::RuleApplication& app) {
-    run.move_trace.push_back(fmt("{} {} {}", epoch, block, app.describe()));
+    run.move_trace.push_back(core::move_trace_line(epoch, block, app));
   });
   session.simulator().enable_event_trace();
   run.result = session.run();
@@ -362,6 +311,46 @@ TEST(ShardedSession, FixedLatencyMetricsMatchClassic) {
   EXPECT_EQ(sharded.result.messages_sent, classic.result.messages_sent);
 }
 
+// Lemma 1's extremal tower of N blocks takes exactly N^2/4 - 2 hops. The
+// sharded engine, on its equal-block stripes and under jittery latency,
+// must land that count too.
+TEST(ShardedSession, TowerTakesLemma1sExactHopCount) {
+  const lat::Scenario scenario = lat::make_tower_scenario(8);
+  const SessionRun run = run_session(scenario, jittery_config(), 4, 2);
+
+  ASSERT_TRUE(run.result.complete);
+  EXPECT_TRUE(oracle_clean(run));
+  EXPECT_EQ(run.result.shards, 4u);
+  const uint64_t n = run.result.block_count;
+  EXPECT_EQ(run.result.hops, n * n / 4 - 2);
+}
+
+// The simulator cuts its stripes from the grid's per-column block counts:
+// on a blob that fills only part of its surface, each of the four shards
+// starts with a quarter of the blocks, give or take less than one column
+// at each cut.
+TEST(ShardedSession, StripesHoldEqualBlockCounts) {
+  core::SessionConfig config;
+  config.sim.shards = 4;
+  core::ReconfigurationSession session(lat::resolve_scenario("blob1000"),
+                                       config);
+  const sim::Simulator& sim = session.simulator();
+  ASSERT_EQ(sim.shard_count(), 4u);
+  const lat::WorldView view = sim.world().view();
+  size_t widest_column = 0;
+  for (int32_t x = 0; x < view.width(); ++x) {
+    widest_column = std::max(widest_column, view.blocks_in_column(x));
+  }
+  std::vector<size_t> blocks(4, 0);
+  for (const auto& [id, pos] : view.blocks()) ++blocks[sim.shard_for(pos)];
+  const double share = static_cast<double>(view.block_count()) / 4.0;
+  for (size_t shard = 0; shard < 4; ++shard) {
+    EXPECT_LT(std::abs(static_cast<double>(blocks[shard]) - share),
+              static_cast<double>(widest_column))
+        << "shard " << shard << " holds " << blocks[shard] << " blocks";
+  }
+}
+
 // Re-running the same sharded configuration reproduces byte-identically
 // (fresh simulator, same seed).
 TEST(ShardedDeterminism, RerunReproducesByteIdentically) {
@@ -370,68 +359,6 @@ TEST(ShardedDeterminism, RerunReproducesByteIdentically) {
   const SessionRun second = run_session(scenario, jittery_config(), 2, 2);
   EXPECT_EQ(first.event_trace, second.event_trace);
   EXPECT_EQ(first.move_trace, second.move_trace);
-}
-
-// ---------------------------------------------------------------------------
-// Shard-map kinds drive whole sessions
-// ---------------------------------------------------------------------------
-
-// Row stripes and tiles are full peers of the column map: sessions finish,
-// the oracle stays clean, outcome metrics match the classic engine, and the
-// thread-count determinism contract holds per map.
-TEST(ShardedSession, RowMapMatchesClassicOutcome) {
-  core::SessionConfig config;
-  config.sim.shard_map = lat::ShardMapKind::kRows;
-  const lat::Scenario scenario = lat::make_tower_scenario(8);
-  const SessionRun classic = run_session(scenario, {}, 1, 1);
-  const SessionRun serial = run_session(scenario, config, 3, 1);
-  const SessionRun parallel = run_session(scenario, config, 3, 4);
-
-  ASSERT_TRUE(serial.result.complete);
-  EXPECT_TRUE(oracle_clean(serial));
-  EXPECT_TRUE(oracle_clean(parallel));
-  EXPECT_EQ(serial.event_trace, parallel.event_trace);
-  EXPECT_EQ(serial.move_trace, parallel.move_trace);
-  EXPECT_EQ(serial.result.hops, classic.result.hops);
-  EXPECT_EQ(serial.result.elementary_moves, classic.result.elementary_moves);
-}
-
-TEST(ShardedSession, TileMapMatchesClassicOutcome) {
-  core::SessionConfig config;
-  config.sim.shard_map = lat::ShardMapKind::kTiles;
-  const lat::Scenario scenario = lat::make_tower_scenario(8);
-  const SessionRun classic = run_session(scenario, {}, 1, 1);
-  const SessionRun serial = run_session(scenario, config, 4, 1);
-  const SessionRun parallel = run_session(scenario, config, 4, 4);
-
-  ASSERT_TRUE(serial.result.complete);
-  EXPECT_TRUE(oracle_clean(serial));
-  EXPECT_TRUE(oracle_clean(parallel));
-  EXPECT_EQ(serial.event_trace, parallel.event_trace);
-  EXPECT_EQ(serial.move_trace, parallel.move_trace);
-  EXPECT_EQ(serial.result.hops, classic.result.hops);
-}
-
-// Feeding a run's per-shard event counts back as load hints re-stripes the
-// columns; the adapted map is still a deterministic, oracle-clean engine.
-TEST(ShardedSession, AdaptiveHintsKeepDeterminism) {
-  const lat::Scenario scenario = lat::make_tower_scenario(8);
-  const SessionRun pilot = run_session(scenario, {}, 3, 1);
-  ASSERT_TRUE(pilot.result.complete);
-  ASSERT_EQ(pilot.result.shard_events.size(), 3u);
-
-  core::SessionConfig config;
-  config.sim.shard_load_hints = pilot.result.shard_events;
-  const lat::Scenario rerun = lat::make_tower_scenario(8);
-  const SessionRun serial = run_session(rerun, config, 3, 1);
-  const SessionRun parallel = run_session(rerun, config, 3, 4);
-
-  ASSERT_TRUE(serial.result.complete);
-  EXPECT_TRUE(oracle_clean(serial));
-  EXPECT_TRUE(oracle_clean(parallel));
-  EXPECT_EQ(serial.event_trace, parallel.event_trace);
-  EXPECT_EQ(serial.move_trace, parallel.move_trace);
-  EXPECT_EQ(serial.result.hops, pilot.result.hops);
 }
 
 // ---------------------------------------------------------------------------

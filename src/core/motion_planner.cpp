@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "lattice/connectivity.hpp"
+#include "lattice/ring.hpp"
 #include "util/assert.hpp"
 
 namespace sb::core {
@@ -95,15 +96,30 @@ std::optional<motion::RuleApplication> MotionPlanner::pick(
   SB_UNREACHABLE();
 }
 
+MotionPlanner::CacheEntry* MotionPlanner::cached(lat::BlockId id) const {
+  if (!id.valid() || id.value >= slot_.size()) return nullptr;
+  const uint32_t slot = slot_[id.value];
+  return slot == kNoEntry ? nullptr : &entries_[slot];
+}
+
+void MotionPlanner::store(lat::BlockId id, lat::Vec2 pos,
+                          const MoveDecision& decision) const {
+  if (id.value >= slot_.size()) slot_.resize(id.value + 1, kNoEntry);
+  uint32_t& slot = slot_[id.value];
+  if (slot == kNoEntry) {
+    slot = static_cast<uint32_t>(entries_.size());
+    entries_.emplace_back();
+  }
+  entries_[slot] = CacheEntry{cache_stamp_, pos, decision};
+}
+
 void MotionPlanner::invalidate_around(lat::WorldView view,
                                       lat::Vec2 cell) const {
   const int32_t radius = dependence_radius_;
   for (int32_t dy = -radius; dy <= radius; ++dy) {
     for (int32_t dx = -radius; dx <= radius; ++dx) {
-      const lat::Vec2 q{cell.x + dx, cell.y + dy};
-      const lat::BlockId id = view.at(q);
-      if (id.valid() && id.value < cache_.size()) {
-        cache_[id.value].stamp = 0;
+      if (CacheEntry* entry = cached(view.at({cell.x + dx, cell.y + dy}))) {
+        entry->stamp = 0;
       }
     }
   }
@@ -136,29 +152,40 @@ MoveDecision MotionPlanner::evaluate(const sim::World& world, lat::Vec2 pos,
 
   const lat::WorldView view = world.view();
   const bool cache_enabled = config_.tie != MoveTie::kRandom;
+  // The cache follows every grid change before the ring test, so its
+  // invalidations are the same whichever blocks the test turns away.
+  if (cache_enabled) sync_cache(view);
+
+  // No rule accepts the block's ring: no move, Eq (9).
+  SB_EXPECTS(view.in_bounds(pos), "evaluation off the surface at ", pos);
+  if (!rules_->may_move(lat::ring_mask(view.occupancy_row(pos.y + 1),
+                                       view.occupancy_row(pos.y),
+                                       view.occupancy_row(pos.y - 1),
+                                       pos.x))) {
+    return MoveDecision{};
+  }
+
   lat::BlockId id;
   if (cache_enabled) {
-    sync_cache(view);
     id = view.at(pos);
-    if (id.valid() && id.value < cache_.size()) {
-      CacheEntry& entry = cache_[id.value];
-      if (entry.stamp == cache_stamp_ && entry.pos == pos) {
-        // The single-line test reads global row/column totals, which a far
-        // move can shift; re-check the cached move's verdict (O(1)) before
-        // trusting the entry. (Entries whose computation *rejected* a
-        // candidate on the single-line rule were never cached.)
-        bool fresh = true;
-        if (entry.decision.move.has_value()) {
-          auto& moves = move_scratch();
-          entry.decision.move->world_moves_into(moves);
-          fresh = !view.single_line_after_moves(moves.data(), moves.size());
-        }
-        if (fresh) {
-          ++cache_hits_;
-          return entry.decision;
-        }
-        entry.stamp = 0;
+    CacheEntry* entry = cached(id);
+    if (entry != nullptr && entry->stamp == cache_stamp_ &&
+        entry->pos == pos) {
+      // The single-line test reads global row/column totals, which a far
+      // move can shift; re-check the cached move's verdict (O(1)) before
+      // trusting the entry. (Entries whose computation *rejected* a
+      // candidate on the single-line rule were never cached.)
+      bool fresh = true;
+      if (entry->decision.move.has_value()) {
+        auto& moves = move_scratch();
+        entry->decision.move->world_moves_into(moves);
+        fresh = !view.single_line_after_moves(moves.data(), moves.size());
       }
+      if (fresh) {
+        ++cache_hits_;
+        return entry->decision;
+      }
+      entry->stamp = 0;
     }
   }
 
@@ -173,10 +200,7 @@ MoveDecision MotionPlanner::evaluate(const sim::World& world, lat::Vec2 pos,
   MoveDecision decision;
   const int32_t base = base_distance(pos, config_.distance);
   if (base == kInfiniteDistance) {  // Eq (8): frozen
-    if (cache_enabled && id.valid()) {
-      if (id.value >= cache_.size()) cache_.resize(id.value + 1);
-      cache_[id.value] = CacheEntry{cache_stamp_, pos, decision};
-    }
+    if (cache_enabled && id.valid()) store(id, pos, decision);
     return decision;
   }
 
@@ -235,8 +259,7 @@ MoveDecision MotionPlanner::evaluate(const sim::World& world, lat::Vec2 pos,
   if (cache_enabled && id.valid() && !tabu_dependent &&
       view.connectivity_stats().slow_path_floods == floods_before &&
       single_line_rejections_ == line_rejections_before) {
-    if (id.value >= cache_.size()) cache_.resize(id.value + 1);
-    cache_[id.value] = CacheEntry{cache_stamp_, pos, decision};
+    store(id, pos, decision);
   }
   return decision;
 }

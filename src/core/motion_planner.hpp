@@ -21,6 +21,7 @@
 //   outer lane. Termination is then enforced by the session's iteration
 //   cap, sized per Remark 4 (O(N^2) hops).
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -99,16 +100,22 @@ class MotionPlanner {
   /// (optional) counts the evaluation (Remark 2); `rng` is consulted only
   /// for MoveTie::kRandom.
   ///
-  /// Evaluations are memoized: a block's decision is a pure function of its
-  /// sensed window (plus the globally maintained connectivity invariant),
-  /// and one epoch changes the grid by a single rule application, so the
-  /// planner re-computes only for blocks whose window overlaps the cells
-  /// the last move touched. Decisions that consulted the tabu list or
-  /// needed a global connectivity flood are never cached (they depend on
-  /// more than the window), and MoveTie::kRandom disables the cache
-  /// entirely so repeated evaluations keep re-rolling. The Remark-2 counter
-  /// still advances on every call — the distributed algorithm logically
-  /// computes dBO each activation; the cache only removes redundant work.
+  /// A block whose 8-cell ring no rule accepts (RuleLibrary::may_move) has
+  /// no move, so it gets Eq (9)'s ineligible decision at once, with no
+  /// sensed window, rule search or memo entry; on a compact blob that is
+  /// almost every block.
+  ///
+  /// Other evaluations are memoized: a block's decision is a pure function
+  /// of its sensed window (plus the globally maintained connectivity
+  /// invariant), and one epoch changes the grid by a single rule
+  /// application, so the planner re-computes only for blocks whose window
+  /// overlaps the cells the last move touched. Decisions that consulted
+  /// the tabu list or needed a global connectivity flood are never cached
+  /// (they depend on more than the window), and MoveTie::kRandom disables
+  /// the cache entirely so repeated evaluations keep re-rolling. The
+  /// Remark-2 counter still advances on every call — the distributed
+  /// algorithm logically computes dBO each activation; the ring test and
+  /// the cache only remove redundant work.
   [[nodiscard]] MoveDecision evaluate(const sim::World& world, lat::Vec2 pos,
                                       const TabuList* tabu, uint32_t epoch,
                                       ReconfigMetrics* metrics,
@@ -120,7 +127,8 @@ class MotionPlanner {
   [[nodiscard]] std::vector<motion::RuleApplication> legal_moves(
       const sim::World& world, lat::Vec2 pos) const;
 
-  /// Evaluation-cache hits since construction (diagnostics).
+  /// Evaluation-cache hits since construction (diagnostics). Blocks the
+  /// ring test rejects never reach the cache.
   [[nodiscard]] uint64_t cache_hits() const { return cache_hits_; }
 
  private:
@@ -129,6 +137,13 @@ class MotionPlanner {
     lat::Vec2 pos;       ///< position the decision was computed for
     MoveDecision decision;
   };
+  static constexpr uint32_t kNoEntry = UINT32_MAX;
+
+  /// Block `id`'s cache entry, live or stale; nullptr when it has none.
+  [[nodiscard]] CacheEntry* cached(lat::BlockId id) const;
+  /// Stores a live entry for block `id`, adding one on its first store.
+  void store(lat::BlockId id, lat::Vec2 pos,
+             const MoveDecision& decision) const;
 
   [[nodiscard]] std::optional<motion::RuleApplication> pick(
       std::vector<motion::RuleApplication>& candidates, Rng* rng) const;
@@ -145,9 +160,13 @@ class MotionPlanner {
   /// window (sensing radius) plus one ring for the local connectivity rule.
   int32_t dependence_radius_ = 0;
 
-  // Decision cache, indexed by block id (mutable: evaluate() is logically
-  // const). One planner serves one session on one thread.
-  mutable std::vector<CacheEntry> cache_;
+  // Decision cache (mutable: evaluate() is logically const). One planner
+  // serves one session on one thread. `slot_` maps a block id to its index
+  // in `entries_` (kNoEntry when it has none); entries are appended only
+  // when a block's decision is first stored, so the cache grows with the
+  // blocks that can move, not with the largest id.
+  mutable std::vector<uint32_t> slot_;
+  mutable std::vector<CacheEntry> entries_;
   mutable uint64_t cache_grid_version_ = 0;
   mutable uint32_t cache_stamp_ = 1;
   mutable uint64_t cache_hits_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "lattice/ring.hpp"
 #include "lattice/world_view.hpp"
 #include "util/assert.hpp"
 
@@ -97,10 +98,10 @@ size_t flood_fill(const Grid& grid, FloodScratch& scratch, Vec2 start,
 // ---------------------------------------------------------------------------
 // 8-neighborhood mask rule
 //
-// The ring cells around a center, in cyclic order: N, NE, E, SE, S, SW, W,
-// NW (bit i of a ring mask is ring cell i). Consecutive ring cells are
-// 4-adjacent to each other, so a cyclically contiguous run of occupied ring
-// cells is itself 4-connected without passing through the center.
+// Ring masks follow lattice/ring.hpp (bit i is ring cell i, in cyclic order
+// N, NE, E, SE, S, SW, W, NW). Consecutive ring cells are 4-adjacent to
+// each other, so a cyclically contiguous run of occupied ring cells is
+// itself 4-connected without passing through the center.
 // ---------------------------------------------------------------------------
 
 /// Ring indices of the 4-adjacent (orthogonal) neighbors: N, E, S, W.
@@ -137,21 +138,12 @@ constexpr std::array<bool, 256> make_removal_table() {
 constexpr std::array<bool, 256> kRemovalSafe = make_removal_table();
 
 /// Tier 1 of the oracle. Every mask verdict (probes, frontier batches, row
-/// sweeps) comes from here: the ring mask of cell `x` is assembled from
-/// three padded occupancy rows (`up` is row y + 1, `mid` row y, `dn` row
-/// y - 1) and looked up in kRemovalSafe. The padding ring reads 0, so edge
-/// and corner cells need no bounds branches.
+/// sweeps) comes from here: the ring mask of cell `x` is read from three
+/// padded occupancy rows (`up` is row y + 1, `mid` row y, `dn` row y - 1)
+/// by lat::ring_mask and looked up in kRemovalSafe.
 bool removal_safe(const uint8_t* up, const uint8_t* mid, const uint8_t* dn,
                   int32_t x) {
-  const uint32_t mask = (static_cast<uint32_t>(up[x]) << 0) |       // N
-                        (static_cast<uint32_t>(up[x + 1]) << 1) |   // NE
-                        (static_cast<uint32_t>(mid[x + 1]) << 2) |  // E
-                        (static_cast<uint32_t>(dn[x + 1]) << 3) |   // SE
-                        (static_cast<uint32_t>(dn[x]) << 4) |       // S
-                        (static_cast<uint32_t>(dn[x - 1]) << 5) |   // SW
-                        (static_cast<uint32_t>(mid[x - 1]) << 6) |  // W
-                        (static_cast<uint32_t>(up[x - 1]) << 7);    // NW
-  return kRemovalSafe[mask];
+  return kRemovalSafe[ring_mask(up, mid, dn, x)];
 }
 
 /// removal_safe for one cell of the grid, which must be on the surface.

@@ -114,11 +114,11 @@ enum class LocalVerdict : uint8_t {
 // -- the mask rule over many cells -------------------------------------------
 //
 // local_removal_check, local_move_check and the functions below share
-// one routine (lattice/connectivity.cpp): it assembles a cell's 8-bit ring
+// one routine (lattice/connectivity.cpp): it reads a cell's 8-bit ring
 // mask from the three padded occupancy rows of lat::WorldState around it
-// and looks it up in the 256-entry table. Nothing is cached and nothing
-// depends on the calling thread, so every caller gets the same verdict for
-// the same occupancy.
+// (lat::ring_mask, lattice/ring.hpp) and looks it up in the 256-entry
+// table. Nothing is cached and nothing depends on the calling thread, so
+// every caller gets the same verdict for the same occupancy.
 
 /// Evaluates the removal mask for an arbitrary frontier of on-surface
 /// cells, one verdict byte per cell: 1 = vacating the cell provably

@@ -1,6 +1,7 @@
 #include "motion/rule_library.hpp"
 
 #include "lattice/direction.hpp"
+#include "lattice/ring.hpp"
 #include "motion/transform.hpp"
 #include "util/assert.hpp"
 #include "util/fmt.hpp"
@@ -78,6 +79,32 @@ void add_family(RuleLibrary& lib, const MotionRule& canonical,
   }
 }
 
+/// Marks in `table` every ring occupancy under which `rule` could make the
+/// block at the ring's centre the subject of a move: for each move, the
+/// ring cells the matrix covers around the move's source cell are fixed by
+/// their codes, and cells off the matrix may be anything.
+void mark_mover_rings(const MotionRule& rule, std::array<bool, 256>& table) {
+  const CodeMatrix& matrix = rule.matrix();
+  for (const ElementaryMove& move : rule.moves()) {
+    const lat::Vec2 source = world_offset(rule.size(), move.from);
+    uint32_t need_occupied = 0;
+    uint32_t need_empty = 0;
+    for (size_t i = 0; i < lat::kRing.size(); ++i) {
+      const MatrixCoord mc = matrix_coord(rule.size(), source + lat::kRing[i]);
+      if (!matrix.contains(mc)) continue;
+      if (requires_block(matrix.at(mc))) need_occupied |= 1u << i;
+      if (requires_empty(matrix.at(mc))) need_empty |= 1u << i;
+    }
+    // Every submask of the unconstrained cells, on top of the required
+    // blocks.
+    const uint32_t free = 0xFFu & ~(need_occupied | need_empty);
+    for (uint32_t extra = free;; extra = (extra - 1) & free) {
+      table[need_occupied | extra] = true;
+      if (extra == 0) break;
+    }
+  }
+}
+
 }  // namespace
 
 RuleLibrary RuleLibrary::standard() {
@@ -145,12 +172,18 @@ void RuleLibrary::add(MotionRule rule) {
              by_key_.count(key) ? rules_[by_key_.at(key)].name() : "", "'");
   by_name_[rule.name()] = rules_.size();
   by_key_[key] = rules_.size();
+  mark_mover_rings(rule, may_move_);
   rules_.push_back(std::move(rule));
 }
 
 const MotionRule* RuleLibrary::find(std::string_view name) const {
   const auto it = by_name_.find(name);
   return it == by_name_.end() ? nullptr : &rules_[it->second];
+}
+
+const MotionRule* RuleLibrary::find_behaviour(const MotionRule& rule) const {
+  const auto it = by_key_.find(rule.canonical_key());
+  return it == by_key_.end() ? nullptr : &rules_[it->second];
 }
 
 int32_t RuleLibrary::max_rule_size() const {

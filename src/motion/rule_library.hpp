@@ -6,6 +6,7 @@
 // (§IV: rules are derived via symmetry and rotation), deduplicated:
 // 8 sliding rules (4 directions x 2 support sides) and 8 carrying rules.
 
+#include <array>
 #include <map>
 #include <string>
 #include <string_view>
@@ -41,7 +42,8 @@ class RuleLibrary {
   [[nodiscard]] static MotionRule make_train_rule(int32_t length);
 
   /// Adds a rule. Rejects (aborts) rules with semantic issues, duplicate
-  /// names, or behaviour identical to an existing rule.
+  /// names, or behaviour identical to an existing rule; outside input is
+  /// checked before it gets here (motion/rule_xml.cpp).
   void add(MotionRule rule);
 
   [[nodiscard]] const std::vector<MotionRule>& rules() const { return rules_; }
@@ -51,6 +53,10 @@ class RuleLibrary {
   /// Lookup by name; nullptr when absent.
   [[nodiscard]] const MotionRule* find(std::string_view name) const;
 
+  /// The rule already in the library that behaves like `rule` (equal
+  /// canonical_key, whatever the names); nullptr when none does.
+  [[nodiscard]] const MotionRule* find_behaviour(const MotionRule& rule) const;
+
   /// Largest matrix size among the rules (0 for an empty library).
   [[nodiscard]] int32_t max_rule_size() const;
 
@@ -59,8 +65,20 @@ class RuleLibrary {
   /// window, cells up to (size - 1) away can matter.
   [[nodiscard]] int32_t sensing_radius() const;
 
+  /// False when no placement of any rule can make a block whose 8-cell ring
+  /// has occupancy `ring` (lat::ring_mask; off-surface cells read empty)
+  /// the subject of a move. A necessary condition only, read from the
+  /// rules' own codes: each ring cell a rule's matrix covers around the
+  /// moving block's source cell must hold a block (codes 1/4/5) or be
+  /// empty (0/3). Boxed-in blocks (ring 0xFF) are "no" for every library
+  /// whose movers all need an empty ring cell, as the standard and train
+  /// libraries' do.
+  [[nodiscard]] bool may_move(uint8_t ring) const { return may_move_[ring]; }
+
  private:
   std::vector<MotionRule> rules_;
+  /// may_move() by ring mask, widened by add() as each rule arrives.
+  std::array<bool, 256> may_move_{};
   std::map<std::string, size_t, std::less<>> by_name_;
   std::map<std::string, size_t> by_key_;
 };

@@ -1,5 +1,9 @@
 #include "motion/rule_xml.hpp"
 
+#include <cstdint>
+#include <optional>
+
+#include "lattice/neighborhood.hpp"
 #include "util/fmt.hpp"
 #include "util/string_util.hpp"
 
@@ -11,15 +15,25 @@ namespace {
   throw std::runtime_error(fmt("capability XML: {}", message));
 }
 
+/// Parses an integer that fits int32; nullopt for anything else, so that
+/// no value is silently wrapped.
+std::optional<int32_t> parse_int32(const std::string& text) {
+  const auto value = parse_int(text);
+  if (!value || *value < INT32_MIN || *value > INT32_MAX) return std::nullopt;
+  return static_cast<int32_t>(*value);
+}
+
 /// Parses an "x,y" pair as used by the size/from/to attributes.
 std::pair<int32_t, int32_t> parse_pair(const std::string& text,
                                        const std::string& what) {
   const std::vector<std::string> parts = split(text, ',');
   if (parts.size() != 2) fail(fmt("{} must be 'x,y', got '{}'", what, text));
-  const auto x = parse_int(parts[0]);
-  const auto y = parse_int(parts[1]);
-  if (!x || !y) fail(fmt("{} must be 'x,y', got '{}'", what, text));
-  return {static_cast<int32_t>(*x), static_cast<int32_t>(*y)};
+  const auto x = parse_int32(parts[0]);
+  const auto y = parse_int32(parts[1]);
+  if (!x || !y) {
+    fail(fmt("{} must be 'x,y' with 32-bit integers, got '{}'", what, text));
+  }
+  return {*x, *y};
 }
 
 MatrixCoord parse_coord(const std::string& text, int32_t size,
@@ -35,6 +49,13 @@ MotionRule parse_capability(const xml::Element& element) {
   const std::string name = element.require_attribute("name");
   const auto [sx, sy] = parse_pair(element.require_attribute("size"), "size");
   if (sx != sy) fail(fmt("capability '{}' must be square", name));
+  // Blocks sense size - 1 cells around themselves (sensing_radius), and a
+  // sensed window stops at lat::Neighborhood::kMaxRadius.
+  if (sx > lat::Neighborhood::kMaxRadius + 1) {
+    fail(fmt("capability '{}' is {}x{}: its sensing radius {} exceeds the "
+             "maximum of {}",
+             name, sx, sx, sx - 1, lat::Neighborhood::kMaxRadius));
+  }
 
   const xml::Element* states = element.first_child("states");
   if (states == nullptr) fail(fmt("capability '{}' lacks <states>", name));
@@ -55,9 +76,9 @@ MotionRule parse_capability(const xml::Element& element) {
   std::vector<ElementaryMove> moves;
   for (const xml::Element* motion : motions->children_named("motion")) {
     ElementaryMove move;
-    const auto time = parse_int(motion->require_attribute("time"));
+    const auto time = parse_int32(motion->require_attribute("time"));
     if (!time) fail(fmt("capability '{}': bad motion time", name));
-    move.time = static_cast<int32_t>(*time);
+    move.time = *time;
     move.from = parse_coord(motion->require_attribute("from"), matrix.size(),
                             "from");
     move.to =
@@ -81,7 +102,22 @@ RuleLibrary load_capabilities(const xml::Element& root) {
   }
   RuleLibrary library;
   for (const xml::Element* child : root.children_named("capability")) {
-    library.add(parse_capability(*child));
+    MotionRule rule = parse_capability(*child);
+    // RuleLibrary::add aborts on duplicates, which only code can cause;
+    // from a file they are input errors.
+    const size_t number = library.size() + 1;
+    const auto number_of = [&](const MotionRule* earlier) {
+      return static_cast<size_t>(earlier - library.rules().data()) + 1;
+    };
+    if (const MotionRule* earlier = library.find(rule.name())) {
+      fail(fmt("capabilities #{} and #{} are both named '{}'",
+               number_of(earlier), number, rule.name()));
+    }
+    if (const MotionRule* earlier = library.find_behaviour(rule)) {
+      fail(fmt("capability '{}' (#{}) repeats the behaviour of '{}' (#{})",
+               rule.name(), number, earlier->name(), number_of(earlier)));
+    }
+    library.add(std::move(rule));
   }
   return library;
 }

@@ -25,8 +25,11 @@
 namespace sb::motion {
 
 /// Parses a <capabilities> element into a rule library. Throws
-/// std::runtime_error on vocabulary violations (and propagates
-/// xml::ParseError from the underlying parser when given text).
+/// std::runtime_error on vocabulary violations, numbers outside int32,
+/// matrices wider than a block can sense (lat::Neighborhood::kMaxRadius),
+/// and a name or behaviour that an earlier capability already has (and
+/// propagates xml::ParseError from the underlying parser when given text);
+/// it never aborts on file content.
 [[nodiscard]] RuleLibrary load_capabilities(const xml::Element& root);
 
 /// Parses capability XML text.

@@ -3,10 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "lattice/neighborhood.hpp"
+#include "lattice/ring.hpp"
+#include "lattice/scenario.hpp"
 #include "lattice/world_view.hpp"
 #include "motion/apply.hpp"
+#include "motion/rule_xml.hpp"
 #include "motion/validate.hpp"
+#include "sim/world.hpp"
+#include "util/rng.hpp"
 
 namespace sb::motion {
 namespace {
@@ -160,6 +169,167 @@ TEST(Enumerate, DeterministicOrder) {
     EXPECT_EQ(a[i].rule, b[i].rule);
     EXPECT_EQ(a[i].anchor, b[i].anchor);
     EXPECT_EQ(a[i].subject_move, b[i].subject_move);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The may-move ring table (RuleLibrary::may_move)
+//
+// The planner returns "no move" for a block whose ring the table rejects
+// without enumerating anything, so a rejected ring must never have an
+// application: checked on random sensing windows for every rejected ring
+// and on every block of each scenario family, through both enumerations.
+// ---------------------------------------------------------------------------
+
+std::vector<std::pair<std::string, RuleLibrary>> table_libraries() {
+  std::vector<std::pair<std::string, RuleLibrary>> out;
+  out.emplace_back("standard", RuleLibrary::standard());
+  for (int32_t n = 3; n <= 6; ++n) {
+    out.emplace_back("trains" + std::to_string(n),
+                     RuleLibrary::standard_with_trains(n));
+  }
+  out.emplace_back("standard_capabilities.xml",
+                   load_capabilities_file(std::string(SMARTBLOCKS_DATA_DIR) +
+                                          "/rules/standard_capabilities.xml"));
+  return out;
+}
+
+uint8_t ring_of(const WorldView& view, Vec2 p) {
+  return lat::ring_mask(view.occupancy_row(p.y + 1), view.occupancy_row(p.y),
+                        view.occupancy_row(p.y - 1), p.x);
+}
+
+/// Both enumerations find nothing for the block at `mover`.
+void expect_no_applications(const RuleLibrary& library,
+                            const lat::Neighborhood& window, Vec2 mover,
+                            const std::string& context) {
+  EXPECT_TRUE(enumerate_applications(library, window, mover).empty())
+      << context;
+  EXPECT_TRUE(
+      enumerate_applications<lat::Neighborhood>(library, window, mover)
+          .empty())
+      << context;
+}
+
+TEST(MayMove, BoxedInBlocksCannotMove) {
+  for (const auto& [name, library] : table_libraries()) {
+    EXPECT_FALSE(library.may_move(0xFF)) << name;
+  }
+  // The empty library accepts no ring at all.
+  for (uint32_t ring = 0; ring < 256; ++ring) {
+    EXPECT_FALSE(RuleLibrary().may_move(static_cast<uint8_t>(ring)));
+  }
+}
+
+TEST(MayMove, RejectedRingsHaveNoApplicationInRandomWindows) {
+  constexpr int kWindowsPerRing = 6;
+  Rng rng(17);
+  for (const auto& [name, library] : table_libraries()) {
+    const int32_t radius = library.sensing_radius();
+    // A surface barely wider than the window, so that most windows hang
+    // over an edge; the ring itself stays on the surface.
+    const int32_t side = 2 * radius + 1;
+    size_t rejected_rings = 0;
+    for (uint32_t ring = 0; ring < 256; ++ring) {
+      if (library.may_move(static_cast<uint8_t>(ring))) continue;
+      ++rejected_rings;
+      for (int trial = 0; trial < kWindowsPerRing; ++trial) {
+        const Vec2 center{static_cast<int32_t>(rng.next_in(1, side - 2)),
+                          static_cast<int32_t>(rng.next_in(1, side - 2))};
+        lat::Neighborhood window(center, radius, side, side);
+        for (int32_t dy = -radius; dy <= radius; ++dy) {
+          for (int32_t dx = -radius; dx <= radius; ++dx) {
+            const Vec2 p = center + Vec2{dx, dy};
+            if (window.in_bounds(p)) window.set_occupied(p, rng.next_bool());
+          }
+        }
+        window.set_occupied(center, true);
+        for (size_t i = 0; i < lat::kRing.size(); ++i) {
+          window.set_occupied(center + lat::kRing[i], ((ring >> i) & 1) != 0);
+        }
+        expect_no_applications(
+            library, window, center,
+            name + " ring " + std::to_string(ring) + " trial " +
+                std::to_string(trial));
+      }
+    }
+    EXPECT_GT(rejected_rings, 0u) << name;
+  }
+}
+
+TEST(MayMove, RejectedBlocksOfScenarioFamiliesHaveNoApplication) {
+  const std::vector<lat::Scenario> scenarios = {
+      lat::make_tower_scenario(32),
+      lat::make_fig10_scenario(),
+      lat::make_giant_blob_scenario(1000, 7),
+      lat::make_giant_blob_scenario(64, 3),
+      lat::make_giant_rect_scenario(1024),
+      lat::make_giant_rect_scenario(64),
+  };
+  for (const auto& [name, library] : table_libraries()) {
+    size_t rejected = 0;
+    for (const lat::Scenario& scenario : scenarios) {
+      sim::World world(scenario.width, scenario.height, library);
+      for (const auto& [id, pos] : scenario.blocks) {
+        world.grid().place(id, pos);
+      }
+      const WorldView view = world.view();
+      for (const auto& [id, pos] : scenario.blocks) {
+        if (library.may_move(ring_of(view, pos))) continue;
+        ++rejected;
+        expect_no_applications(library, world.sense(pos), pos,
+                               name + " " + scenario.name + " block " +
+                                   std::to_string(id.value));
+      }
+    }
+    // Compact blobs and rectangles are mostly boxed-in blocks.
+    EXPECT_GT(rejected, 1000u) << name;
+  }
+}
+
+TEST(MayMove, DerivedFromTheRulesNotFixed) {
+  // Four blocks cycling round a 2x2 square in one application: every cell
+  // is a handover (code 5), so no mover needs an empty ring cell and the
+  // table must accept the full ring.
+  RuleLibrary library;
+  library.add(MotionRule("cycle",
+                         CodeMatrix::from_rows({{5, 5, 2},    //
+                                                {5, 5, 2},    //
+                                                {2, 2, 2}}),  //
+                         {{0, {0, 0}, {0, 1}},
+                          {0, {0, 1}, {1, 1}},
+                          {0, {1, 1}, {1, 0}},
+                          {0, {1, 0}, {0, 0}}}));
+  EXPECT_TRUE(library.may_move(0xFF));
+  // A boxed-in block of a 3x3 square keeps its full enumeration: it takes
+  // a different place of the cycle in each of its four quadrants.
+  Grid grid(5, 5);
+  uint32_t id = 1;
+  for (int32_t y = 1; y <= 3; ++y) {
+    for (int32_t x = 1; x <= 3; ++x) grid.place(BlockId{id++}, {x, y});
+  }
+  const WorldView view(grid);
+  EXPECT_EQ(ring_of(view, {2, 2}), 0xFF);
+  EXPECT_EQ(enumerate_applications(library, view, {2, 2}).size(), 4u);
+
+  // slide_ES fixes five ring cells (N, NE, E empty; SE, S occupied) and
+  // leaves SW, W and NW free: eight rings.
+  RuleLibrary slide;
+  slide.add(*lib().find("slide_ES"));
+  size_t slide_rings = 0;
+  for (uint32_t ring = 0; ring < 256; ++ring) {
+    slide_rings += slide.may_move(static_cast<uint8_t>(ring));
+  }
+  EXPECT_EQ(slide_rings, 8u);
+  EXPECT_TRUE(slide.may_move(0b0001'1000));
+  // A library's table is the union of its rules' tables.
+  RuleLibrary both = library;
+  both.add(*lib().find("slide_ES"));
+  for (uint32_t r = 0; r < 256; ++r) {
+    const auto ring = static_cast<uint8_t>(r);
+    EXPECT_EQ(both.may_move(ring),
+              library.may_move(ring) || slide.may_move(ring))
+        << r;
   }
 }
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "core/motion_planner.hpp"
 #include "core/tabu.hpp"
 
@@ -250,6 +253,104 @@ TEST(Planner, RandomTieIsSeedStable) {
   ASSERT_TRUE(a.eligible());
   ASSERT_TRUE(b.eligible());
   EXPECT_EQ(a.move->subject_to(), b.move->subject_to());
+}
+
+/// A world holding the 3x3 square on x, y in [2, 4]; its centre (3,3) has
+/// all eight neighbours.
+sim::World square_world(motion::RuleLibrary rules) {
+  sim::World world(8, 12, std::move(rules));
+  uint32_t id = 1;
+  for (int32_t y = 2; y <= 4; ++y) {
+    for (int32_t x = 2; x <= 4; ++x) world.grid().place(BlockId{id++}, {x, y});
+  }
+  return world;
+}
+
+TEST(Planner, BoxedInBlockIsIneligibleWithoutTheMemo) {
+  // No standard rule can move a boxed-in block, and the ring test says so
+  // before the memo.
+  const sim::World world = square_world(motion::RuleLibrary::standard());
+  const MotionPlanner planner = make_planner(world);
+  ReconfigMetrics metrics;
+  for (uint64_t call = 1; call <= 3; ++call) {
+    const MoveDecision decision =
+        planner.evaluate(world, {3, 3}, nullptr, 0, &metrics, nullptr);
+    EXPECT_FALSE(decision.eligible());
+    EXPECT_EQ(decision.distance, kInfiniteDistance);
+    EXPECT_EQ(metrics.distance_computations, call);
+    EXPECT_EQ(planner.cache_hits(), 0u);
+  }
+  EXPECT_TRUE(planner.legal_moves(world, {3, 3}).empty());
+}
+
+TEST(Planner, BoxedInBlockIsSearchedWhenARuleNeedsNoEmptyCell) {
+  // Four blocks cycling round a 2x2 square: all handovers, so the ring
+  // table accepts the full ring and the boxed-in centre gets the full
+  // search (and a memo entry).
+  motion::RuleLibrary cycle;
+  cycle.add(motion::MotionRule(
+      "cycle",
+      motion::CodeMatrix::from_rows({{5, 5, 2}, {5, 5, 2}, {2, 2, 2}}),
+      {{0, {0, 0}, {0, 1}},
+       {0, {0, 1}, {1, 1}},
+       {0, {1, 1}, {1, 0}},
+       {0, {1, 0}, {0, 0}}}));
+  const sim::World world = square_world(std::move(cycle));
+  PlannerConfig config;
+  config.distance = fig10_params();
+  config.allow_repositioning = false;  // tier-2 decisions are not memoized
+  const MotionPlanner planner(&world.rules(), config);
+  EXPECT_EQ(planner.legal_moves(world, {3, 3}).size(), 4u);
+  (void)planner.evaluate(world, {3, 3}, nullptr, 0, nullptr, nullptr);
+  (void)planner.evaluate(world, {3, 3}, nullptr, 0, nullptr, nullptr);
+  EXPECT_EQ(planner.cache_hits(), 1u);
+}
+
+TEST(Planner, MemoServesHighIdsAndForgetsNearbyMoves) {
+  // The lane climber of Tier1ClimberOnLane under a large id, on a floor
+  // row whose east end B at (5,1) can slide west to (4,1): two cells from
+  // the climber, inside its dependence radius but outside its ring.
+  sim::World world(8, 12, motion::RuleLibrary::standard());
+  world.grid().place(BlockId{99'999}, {2, 2});
+  uint32_t id = 1;
+  for (const Vec2 cell : {Vec2{1, 0}, Vec2{2, 0}, Vec2{3, 0}, Vec2{4, 0},
+                          Vec2{5, 0}, Vec2{1, 1}, Vec2{1, 2}, Vec2{1, 3},
+                          Vec2{2, 1}, Vec2{5, 1}}) {
+    world.grid().place(BlockId{id++}, cell);
+  }
+  PlannerConfig config;
+  config.distance = fig10_params();
+  config.allow_repositioning = false;  // tier-2 decisions are not memoized
+  const MotionPlanner planner(&world.rules(), config);
+  // Settle the grid's cached connectivity verdict first, as a running
+  // session has: an evaluation that needed a flood is not memoized.
+  ASSERT_TRUE(world.view().connected());
+
+  const MoveDecision first =
+      planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr);
+  ASSERT_TRUE(first.eligible());
+  EXPECT_EQ(planner.cache_hits(), 0u);
+  const MoveDecision second =
+      planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr);
+  EXPECT_EQ(planner.cache_hits(), 1u);
+  EXPECT_EQ(second.distance, first.distance);
+  EXPECT_EQ(second.move->subject_to(), first.move->subject_to());
+
+  const auto b_moves = planner.legal_moves(world, {5, 1});
+  const auto slide_west =
+      std::find_if(b_moves.begin(), b_moves.end(), [](const auto& app) {
+        return app.subject_to() == Vec2(4, 1);
+      });
+  ASSERT_NE(slide_west, b_moves.end());
+  world.apply(*slide_west);
+  // The climber still passes the ring test, so the memo is consulted, and
+  // its entry was dropped: recomputed, then served again.
+  EXPECT_TRUE(
+      planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr)
+          .eligible());
+  EXPECT_EQ(planner.cache_hits(), 1u);
+  (void)planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr);
+  EXPECT_EQ(planner.cache_hits(), 2u);
 }
 
 TEST(Planner, LegalMovesMatchPhysics) {

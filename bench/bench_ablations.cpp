@@ -159,13 +159,13 @@ void ablate_tabu() {
   bench::print_header("A6: tabu capacity for tier-2 detours (wide blob)");
   std::printf("%-10s %10s %8s %14s\n", "capacity", "complete", "hops",
               "tier-2 hops");
-  for (const size_t capacity : {0u, 2u, 8u, 32u}) {
+  for (const uint32_t capacity : {0u, 2u, 8u, 32u}) {
     core::SessionConfig config;
     config.tabu_capacity = capacity;
     config.max_iterations = 4000;
     const auto result =
         core::ReconfigurationSession::run_scenario(wide_blob(), config);
-    std::printf("%-10zu %10s %8llu %14llu\n", capacity,
+    std::printf("%-10u %10s %8llu %14llu\n", capacity,
                 result.complete ? "yes" : "NO",
                 static_cast<unsigned long long>(result.hops),
                 static_cast<unsigned long long>(result.repositioning_hops));

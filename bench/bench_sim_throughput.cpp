@@ -106,7 +106,6 @@ FloodMeasurement run_flood(size_t module_count, uint64_t target_events) {
   sim::World world(width, std::max<int32_t>(height, 1),
                    motion::RuleLibrary::standard());
   sim::SimConfig config;
-  config.detailed_stats = false;  // measure the core, not the counters
   uint32_t id = 1;
   for (size_t i = 0; i < module_count; ++i) {
     const lat::Vec2 pos{static_cast<int32_t>(i % 1024),

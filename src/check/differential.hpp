@@ -12,9 +12,10 @@
 //            thread count must never be observable (the engine's hardest
 //            determinism contract).
 //   A vs B   move traces plus schedule-independent outcome digest — only
-//            for `comparable` cases (fixed latency + kLowestId ties; see
-//            FuzzCase::comparable) that did not hit the event budget
-//            (budgets land at window granularity in sharded mode).
+//            for `comparable` cases (kLowestId ties, no timeouts, fixed
+//            latency or no churn; see FuzzCase::comparable) that did not
+//            hit the event budget (budgets land at window granularity in
+//            sharded mode).
 //   dist     optional (DiffOptions::run_dist): the same scenario swept
 //            through an in-process coordinator/worker fleet; the merged
 //            report must byte-match the local thread-pool backend's.

@@ -62,13 +62,16 @@ struct FuzzCase {
   std::vector<ChurnOp> churn;
 
   /// True when the case's knobs make the classic (shards=1) and sharded
-  /// executions logically comparable: fixed latency (per-shard RNG streams
-  /// draw independently, so jitter diverges by construction), an
-  /// arrival-order-independent tie policy (kLowestId), and ack_timeout == 0
-  /// (timeout timers race same-tick message deliveries, whose relative
-  /// order is a queue-insertion artifact that legitimately differs between
-  /// the global and per-shard queues). Engine-only cases still check
-  /// thread-count determinism and all invariants.
+  /// executions logically comparable: an arrival-order-independent tie
+  /// policy (kLowestId), ack_timeout == 0 (timeout timers race same-tick
+  /// message deliveries, whose relative order is a queue-insertion artifact
+  /// that legitimately differs between the global and per-shard queues),
+  /// and fixed latency unless the case has no churn. Under those knobs each
+  /// election's winner is the global (distance, id) minimum, so the move
+  /// trace does not depend on link jitter, which per-shard RNG streams draw
+  /// differently; a churn op lands at a fixed tick, and jitter would move
+  /// it against the elections. Engine-only cases still check thread-count
+  /// determinism and all invariants.
   bool comparable = true;
 
   /// Session config implied by the knobs (shards/threads left at 1; the

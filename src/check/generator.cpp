@@ -227,9 +227,20 @@ FuzzCase generate_case(uint64_t seed, const GeneratorOptions& options) {
   fuzz_case.comparable =
       options.always_comparable || (!any_kill && rng.next_bool(0.7));
   if (fuzz_case.comparable) {
-    fuzz_case.latency_kind = "fixed";
-    fuzz_case.latency_lo = static_cast<sim::Ticks>(rng.next_in(1, 8));
-    fuzz_case.latency_hi = fuzz_case.latency_lo;
+    // Lowest-id ties elect the global (distance, id) minimum whatever the
+    // link delays, so a churn-free case may jitter; a join lands at a fixed
+    // tick, and jitter would move it against the elections (see
+    // FuzzCase::comparable).
+    if (fuzz_case.churn.empty() && rng.next_bool(0.5)) {
+      fuzz_case.latency_kind = "uniform";
+      fuzz_case.latency_lo = static_cast<sim::Ticks>(rng.next_in(1, 4));
+      fuzz_case.latency_hi =
+          fuzz_case.latency_lo + static_cast<sim::Ticks>(rng.next_in(1, 8));
+    } else {
+      fuzz_case.latency_kind = "fixed";
+      fuzz_case.latency_lo = static_cast<sim::Ticks>(rng.next_in(1, 8));
+      fuzz_case.latency_hi = fuzz_case.latency_lo;
+    }
     fuzz_case.election_tie = core::ElectionTie::kLowestId;
   } else if (rng.next_bool(0.5)) {
     fuzz_case.latency_kind = "uniform";

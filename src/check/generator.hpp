@@ -23,9 +23,10 @@ namespace sb::check {
 struct GeneratorOptions {
   /// Probability that a case carries a churn plan (kills / hot-joins).
   double churn_rate = 0.35;
-  /// Force comparable knobs (fixed latency + kLowestId) on every case;
-  /// engine-only knobs (random latency, arrival-order ties) are still
-  /// exercised for determinism + invariants when false.
+  /// Force comparable knobs (kLowestId ties, no timeouts, join-only churn
+  /// under fixed latency) on every case; engine-only knobs (arrival-order
+  /// ties, kills, jitter beside churn) are still exercised for determinism
+  /// + invariants when false.
   bool always_comparable = false;
 };
 

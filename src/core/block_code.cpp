@@ -8,23 +8,23 @@
 namespace sb::core {
 
 SmartBlockCode::SmartBlockCode(lat::BlockId id, bool is_root,
-                               const PlannerSet* planners,
+                               const MotionPlanner* planner,
                                const AlgorithmConfig* config,
                                SessionShared* shared)
     : sim::Module(id),
       is_root_(is_root),
-      planners_(planners),
+      planner_(planner),
       config_(config),
       shared_(shared),
       tabu_(config->tabu_capacity, config->tabu_horizon) {
-  SB_EXPECTS(planners_ != nullptr && shared_ != nullptr);
+  SB_EXPECTS(planner_ != nullptr && shared_ != nullptr);
 }
 
 void SmartBlockCode::on_start() {
   // Derive the per-block RNG from the simulation seed so runs stay
   // reproducible; only the kRandom tie policies consume it.
   if (config_->election_tie == ElectionTie::kRandom ||
-      planners_->for_shard(0).config().tie == MoveTie::kRandom) {
+      planner_->config().tie == MoveTie::kRandom) {
     tie_rng_ = std::make_unique<Rng>(sim().rng().fork(id().value));
   }
   if (is_root_) {
@@ -45,11 +45,6 @@ void SmartBlockCode::reset_for_epoch(Epoch epoch) {
   best_dist_ = kInfiniteDistance;
   best_id_ = lat::kInvalidBlock;
   best_via_.reset();
-  decision_ = MoveDecision{};
-  got_elected_ack_ = false;
-  got_move_done_ = false;
-  move_reached_output_ = false;
-  move_done_mover_ = lat::kInvalidBlock;
   advanced_this_epoch_ = false;
 }
 
@@ -187,18 +182,13 @@ void SmartBlockCode::handle_activate(lat::Direction from_side,
 
   // Evaluate dBO (Eqs 8-10). The Root never evaluates (it anchors I), but a
   // non-root block always does - this is the "distance computation" counted
-  // by Remark 2.
-  // Evaluate on the planner owned by this block's current shard: evaluate()
-  // mutates the memo cache, and shard workers run handlers concurrently.
-  const lat::Vec2 pos = position();
-  const MotionPlanner& planner =
-      planners_->for_shard(sim().shard_for(pos));
-  decision_ = planner.evaluate(sim().world(), pos, &tabu_, epoch_,
-                               &shared_->metrics, tie_rng_.get());
+  // by Remark 2. The decision lands in the block's own memo.
+  (void)planner_->evaluate(sim().world(), position(), &tabu_, epoch_,
+                           &shared_->metrics, tie_rng_.get(), &memo_);
   // Fold the incoming record and our own distance into the local minimum.
   merge_report(m.shortest_distance, m.id_shortest, std::nullopt);
-  if (decision_.eligible()) {
-    merge_report(decision_.distance, id(), std::nullopt);
+  if (memo_.decision.eligible()) {
+    merge_report(memo_.decision.distance, id(), std::nullopt);
   }
 
   pending_acks_ = broadcast_activates(from_side);
@@ -318,7 +308,6 @@ void SmartBlockCode::handle_select(const SelectMsg& m) {
     return;
   }
   // Route the selection down the subtree that reported the winner.
-  ++shared_->metrics.select_forwards;
   if (!best_via_.has_value() || best_id_ != m.target) {
     // Possible only when a fault broke the aggregation invariant.
     SB_ASSERT(config_->ack_timeout > 0,
@@ -331,10 +320,11 @@ void SmartBlockCode::handle_select(const SelectMsg& m) {
 }
 
 void SmartBlockCode::become_elected() {
-  SB_ASSERT(decision_.eligible(),
+  const MoveDecision& decision = memo_.decision;
+  SB_ASSERT(decision.eligible(),
             "elected block ", id(), " has no planned move");
   log_debug("block {} elected in epoch {}; moving {}", id().value, epoch_,
-            decision_.move->describe());
+            decision.move->describe());
 
   // Paper §V.C: the elected block acknowledges to the Root (routed up the
   // father chain), then performs its hop.
@@ -344,16 +334,13 @@ void SmartBlockCode::become_elected() {
   if (father_side_.has_value()) {
     send(*father_side_, std::make_unique<ElectedAckMsg>(ack));
   }
-  start_motion(*decision_.move);
+  start_motion(*decision.move);
 }
 
 void SmartBlockCode::handle_elected_ack(const ElectedAckMsg& m) {
-  if (m.epoch != epoch_) return;
-  if (is_root_) {
-    got_elected_ack_ = true;
-    root_maybe_advance();
-    return;
-  }
+  // The Root only advances on MoveDone, so the ElectedAck ends its trip
+  // there with no effect: a rare in-flight loss cannot deadlock the system.
+  if (m.epoch != epoch_ || is_root_) return;
   if (father_side_.has_value()) {
     send(*father_side_, std::make_unique<ElectedAckMsg>(m));
   }
@@ -361,14 +348,15 @@ void SmartBlockCode::handle_elected_ack(const ElectedAckMsg& m) {
 
 void SmartBlockCode::on_motion_complete() {
   // The hop of this epoch's elected block has landed.
+  const MoveDecision& decision = memo_.decision;
   ++shared_->metrics.hops;
-  if (decision_.repositioning) ++shared_->metrics.repositioning_hops;
-  if (decision_.move.has_value()) {
-    tabu_.push(decision_.move->subject_from(), epoch_);
+  if (decision.repositioning) ++shared_->metrics.repositioning_hops;
+  if (decision.move.has_value()) {
+    tabu_.push(decision.move->subject_from(), epoch_);
   }
   const bool reached = position() == config_->output;
-  if (shared_->move_listener && decision_.move.has_value()) {
-    shared_->move_listener(epoch_, id(), *decision_.move);
+  if (shared_->move_listener && decision.move.has_value()) {
+    shared_->move_listener(epoch_, id(), *decision.move);
   }
 
   MoveDoneMsg done;
@@ -402,25 +390,15 @@ void SmartBlockCode::handle_move_done(lat::Direction from_side,
 
   if (!is_root_) return;
   if (m.epoch != epoch_) return;  // a restart already superseded this epoch
-  got_move_done_ = true;
-  move_reached_output_ = m.reached_output;
-  move_done_mover_ = m.mover;
-  root_maybe_advance();
+  root_advance(m.reached_output);
 }
 
-void SmartBlockCode::root_maybe_advance() {
-  if (!got_move_done_ || advanced_this_epoch_) return;
+void SmartBlockCode::root_advance(bool reached_output) {
+  if (advanced_this_epoch_) return;
   advanced_this_epoch_ = true;
-  if (!got_elected_ack_) {
-    // The ElectedAck is bookkeeping (the paper uses it to mark the election
-    // terminated); progress keys off MoveDone so a rare in-flight loss
-    // cannot deadlock the system.
-    ++shared_->metrics.elected_acks_missing;
-  }
-  if (move_reached_output_) {
+  if (reached_output) {
     shared_->metrics.complete = true;
     shared_->metrics.final_epoch = epoch_;
-    shared_->metrics.final_block = move_done_mover_;
     log_info("path complete after {} elections", epoch_);
     sim().halt();
     return;

@@ -66,7 +66,7 @@ struct AlgorithmConfig {
   /// (O(N^2) hops suffice under the paper's assumptions).
   uint32_t max_iterations = UINT32_MAX;
   /// Capacity of the per-block tabu list guarding tier-2 detours.
-  size_t tabu_capacity = 8;
+  uint32_t tabu_capacity = 8;
   /// Epochs after which tabu entries expire. An election that finds no
   /// eligible block is retried until tabu_horizon + 1 consecutive empties
   /// accumulate - only then is the system genuinely wedged (every detour
@@ -86,7 +86,7 @@ struct SessionShared {
 class SmartBlockCode final : public sim::Module {
  public:
   /// `config` and `shared` are the session's and must outlive the block.
-  SmartBlockCode(lat::BlockId id, bool is_root, const PlannerSet* planners,
+  SmartBlockCode(lat::BlockId id, bool is_root, const MotionPlanner* planner,
                  const AlgorithmConfig* config, SessionShared* shared);
 
   [[nodiscard]] bool is_root() const { return is_root_; }
@@ -128,16 +128,15 @@ class SmartBlockCode final : public sim::Module {
   void finish_aggregation();
   void root_conclude_election();
   void become_elected();
-  void root_maybe_advance();
+  /// Root only: ends the epoch once its hop has landed (MoveDone).
+  void root_advance(bool reached_output);
   void reset_for_epoch(Epoch epoch);
 
   [[nodiscard]] ActivateMsg make_activate() const;
 
   // -- immutable configuration ----------------------------------------------
   bool is_root_;
-  /// Per-shard planner memos; the block evaluates on its current shard's
-  /// planner so parallel windows never share a cache.
-  const PlannerSet* planners_;
+  const MotionPlanner* planner_;
   const AlgorithmConfig* config_;
   SessionShared* shared_;
   /// Created by on_start only for ElectionTie::kRandom / MoveTie::kRandom.
@@ -161,13 +160,10 @@ class SmartBlockCode final : public sim::Module {
   int32_t best_dist_ = kInfiniteDistance;
   lat::BlockId best_id_;
   std::optional<lat::Direction> best_via_;  // son subtree holding the best
-  MoveDecision decision_;
+  /// This epoch's decision, kept across epochs as the planner's memo.
+  PlannerMemo memo_;
 
   // -- root orchestration -----------------------------------------------------
-  bool got_elected_ack_ = false;
-  bool got_move_done_ = false;
-  bool move_reached_output_ = false;
-  lat::BlockId move_done_mover_;
   bool advanced_this_epoch_ = false;
 
   // -- flood deduplication ----------------------------------------------------
@@ -177,9 +173,11 @@ class SmartBlockCode final : public sim::Module {
   uint32_t empty_elections_ = 0;
 };
 
-// One program per block: the election flood touches every block's program,
-// so its size is a per-block cost of large worlds.
-static_assert(sizeof(SmartBlockCode) <= 256,
-              "SmartBlockCode grew past 256 bytes");
+// One program per block, and the election flood touches every one, so its
+// size is a per-block cost of large worlds. At 256 bytes a program no longer
+// fits a 256-byte malloc chunk (the chunk header takes it to 272), so every
+// block of a 10^5-block world would pay 16 more bytes.
+static_assert(sizeof(SmartBlockCode) <= 240,
+              "SmartBlockCode grew past 240 bytes");
 
 }  // namespace sb::core

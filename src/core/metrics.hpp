@@ -8,8 +8,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "lattice/block_id.hpp"
-
 namespace sb::core {
 
 /// Counter bumped from message handlers. Under the sharded simulator those
@@ -48,11 +46,6 @@ struct ReconfigMetrics {
   uint64_t repositioning_hops = 0;
   /// dBO evaluations (Remark 2's metric): one per block activation.
   ParallelCounter distance_computations;
-  /// Select messages forwarded along the father/son path.
-  ParallelCounter select_forwards;
-  /// ElectedAck messages that were lost to a broken contact (the Root
-  /// advances on MoveDone, so losses are harmless; see DESIGN.md).
-  uint64_t elected_acks_missing = 0;
   /// Election restarts triggered by the fault-tolerance extension.
   uint64_t election_restarts = 0;
 
@@ -62,8 +55,6 @@ struct ReconfigMetrics {
 
   /// Epoch (iteration counter IT) at termination.
   uint32_t final_epoch = 0;
-  /// The block that performed the final hop onto O.
-  lat::BlockId final_block{};
 };
 
 }  // namespace sb::core

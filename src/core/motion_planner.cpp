@@ -1,6 +1,7 @@
 #include "core/motion_planner.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 
 #include "lattice/connectivity.hpp"
 #include "lattice/ring.hpp"
@@ -53,6 +54,12 @@ bool leaves_path_gap(const motion::RuleApplication& app,
 
 std::vector<motion::RuleApplication> MotionPlanner::legal_moves(
     const sim::World& world, lat::Vec2 pos) const {
+  bool single_line_rejected = false;
+  return legal_moves(world, pos, single_line_rejected);
+}
+
+std::vector<motion::RuleApplication> MotionPlanner::legal_moves(
+    const sim::World& world, lat::Vec2 pos, bool& single_line_rejected) const {
   const lat::WorldView view = world.view();
   SB_EXPECTS(view.occupied(pos), "no block at ", pos);
   // Rule matching runs on the block's sensed window (local knowledge). The
@@ -67,7 +74,7 @@ std::vector<motion::RuleApplication> MotionPlanner::legal_moves(
     auto& moves = move_scratch();
     app.world_moves_into(moves);
     if (view.single_line_after_moves(moves.data(), moves.size())) {
-      ++single_line_rejections_;
+      single_line_rejected = true;
       return true;
     }
     return !view.connected_after_moves(moves.data(), moves.size());
@@ -96,118 +103,85 @@ std::optional<motion::RuleApplication> MotionPlanner::pick(
   SB_UNREACHABLE();
 }
 
-MotionPlanner::CacheEntry* MotionPlanner::cached(lat::BlockId id) const {
-  if (!id.valid() || id.value >= slot_.size()) return nullptr;
-  const uint32_t slot = slot_[id.value];
-  return slot == kNoEntry ? nullptr : &entries_[slot];
-}
-
-void MotionPlanner::store(lat::BlockId id, lat::Vec2 pos,
-                          const MoveDecision& decision) const {
-  if (id.value >= slot_.size()) slot_.resize(id.value + 1, kNoEntry);
-  uint32_t& slot = slot_[id.value];
-  if (slot == kNoEntry) {
-    slot = static_cast<uint32_t>(entries_.size());
-    entries_.emplace_back();
-  }
-  entries_[slot] = CacheEntry{cache_stamp_, pos, decision};
-}
-
-void MotionPlanner::invalidate_around(lat::WorldView view,
-                                      lat::Vec2 cell) const {
-  const int32_t radius = dependence_radius_;
-  for (int32_t dy = -radius; dy <= radius; ++dy) {
-    for (int32_t dx = -radius; dx <= radius; ++dx) {
-      if (CacheEntry* entry = cached(view.at({cell.x + dx, cell.y + dy}))) {
-        entry->stamp = 0;
+bool MotionPlanner::memo_holds(const PlannerMemo& memo, lat::WorldView view,
+                               lat::Vec2 pos) const {
+  if (!memo.window_only) return false;
+  const uint64_t version = view.version();
+  if (version != memo.version) {
+    // One elected hop per epoch is the common case: exactly one mutation,
+    // whose touched cells the grid journaled. The decision holds when none
+    // of them lies within the dependence radius; anything else (setup
+    // bursts, churn beside a move, a journal overflow) recomputes.
+    if (version != memo.version + 1 || view.last_change_version() != version ||
+        view.last_change_overflowed()) {
+      return false;
+    }
+    for (size_t i = 0; i < view.last_change_count(); ++i) {
+      const lat::Vec2 cell = view.last_change_cells()[i];
+      if (std::abs(cell.x - pos.x) <= dependence_radius_ &&
+          std::abs(cell.y - pos.y) <= dependence_radius_) {
+        return false;
       }
     }
   }
-}
-
-void MotionPlanner::sync_cache(lat::WorldView view) const {
-  const uint64_t version = view.version();
-  if (version == cache_grid_version_) return;
-  // One elected hop per epoch is the common case: exactly one mutation,
-  // whose touched cells the grid journaled. Anything else (setup bursts,
-  // external surgery) flushes wholesale.
-  const bool single_step = version == cache_grid_version_ + 1 &&
-                           view.last_change_version() == version &&
-                           !view.last_change_overflowed();
-  if (single_step) {
-    for (size_t i = 0; i < view.last_change_count(); ++i) {
-      invalidate_around(view, view.last_change_cells()[i]);
-    }
-  } else {
-    if (++cache_stamp_ == 0) cache_stamp_ = 1;
+  // The single-line test reads global row/column totals, which a far move
+  // can shift; re-check the memo's move (O(1)). (Decisions whose
+  // computation *rejected* a candidate on the single-line rule are never
+  // window-only.)
+  if (memo.decision.move.has_value()) {
+    auto& moves = move_scratch();
+    memo.decision.move->world_moves_into(moves);
+    if (view.single_line_after_moves(moves.data(), moves.size())) return false;
   }
-  cache_grid_version_ = version;
+  return true;
 }
 
 MoveDecision MotionPlanner::evaluate(const sim::World& world, lat::Vec2 pos,
                                      const TabuList* tabu, uint32_t epoch,
-                                     ReconfigMetrics* metrics,
-                                     Rng* rng) const {
+                                     ReconfigMetrics* metrics, Rng* rng,
+                                     PlannerMemo* memo) const {
   if (metrics != nullptr) ++metrics->distance_computations;
 
   const lat::WorldView view = world.view();
-  const bool cache_enabled = config_.tie != MoveTie::kRandom;
-  // The cache follows every grid change before the ring test, so its
-  // invalidations are the same whichever blocks the test turns away.
-  if (cache_enabled) sync_cache(view);
-
   // No rule accepts the block's ring: no move, Eq (9).
   SB_EXPECTS(view.in_bounds(pos), "evaluation off the surface at ", pos);
   if (!rules_->may_move(lat::ring_mask(view.occupancy_row(pos.y + 1),
                                        view.occupancy_row(pos.y),
                                        view.occupancy_row(pos.y - 1),
                                        pos.x))) {
+    if (memo != nullptr) *memo = PlannerMemo{};
     return MoveDecision{};
   }
 
-  lat::BlockId id;
-  if (cache_enabled) {
-    id = view.at(pos);
-    CacheEntry* entry = cached(id);
-    if (entry != nullptr && entry->stamp == cache_stamp_ &&
-        entry->pos == pos) {
-      // The single-line test reads global row/column totals, which a far
-      // move can shift; re-check the cached move's verdict (O(1)) before
-      // trusting the entry. (Entries whose computation *rejected* a
-      // candidate on the single-line rule were never cached.)
-      bool fresh = true;
-      if (entry->decision.move.has_value()) {
-        auto& moves = move_scratch();
-        entry->decision.move->world_moves_into(moves);
-        fresh = !view.single_line_after_moves(moves.data(), moves.size());
-      }
-      if (fresh) {
-        ++cache_hits_;
-        return entry->decision;
-      }
-      entry->stamp = 0;
-    }
+  if (memo != nullptr && memo_holds(*memo, view, pos)) {
+    ++cache_hits_;
+    memo->version = view.version();  // the next move is judged from here
+    return memo->decision;
   }
 
   // Track whether this evaluation depended on anything beyond the block's
   // sensed window: a global connectivity flood, a single-line rejection, or
-  // the (epoch-expiring) tabu list. Such decisions are not memoized.
+  // the (epoch-expiring) tabu list. Such decisions are not served again.
   const uint64_t floods_before =
       view.connectivity_stats().slow_path_floods;
-  const uint64_t line_rejections_before = single_line_rejections_;
+  bool single_line_rejected = false;
   bool tabu_dependent = false;
 
   MoveDecision decision;
   const int32_t base = base_distance(pos, config_.distance);
   if (base == kInfiniteDistance) {  // Eq (8): frozen
-    if (cache_enabled && id.valid()) store(id, pos, decision);
+    if (memo != nullptr) {
+      *memo = PlannerMemo{decision, view.version(),
+                          config_.tie != MoveTie::kRandom};
+    }
     return decision;
   }
 
   const lat::Vec2 output = config_.distance.output;
   const int32_t here = manhattan(pos, output);
 
-  std::vector<motion::RuleApplication> legal = legal_moves(world, pos);
+  std::vector<motion::RuleApplication> legal =
+      legal_moves(world, pos, single_line_rejected);
 
   // -- tier 1: hops towards O with positive net progress --------------------
   std::vector<motion::RuleApplication> improving;
@@ -256,21 +230,14 @@ MoveDecision MotionPlanner::evaluate(const sim::World& world, lat::Vec2 pos,
   }
   // (no move at all -> Eq (9): +inf)
 
-  if (cache_enabled && id.valid() && !tabu_dependent &&
-      view.connectivity_stats().slow_path_floods == floods_before &&
-      single_line_rejections_ == line_rejections_before) {
-    store(id, pos, decision);
+  if (memo != nullptr) {
+    *memo = PlannerMemo{
+        decision, view.version(),
+        config_.tie != MoveTie::kRandom && !tabu_dependent &&
+            !single_line_rejected &&
+            view.connectivity_stats().slow_path_floods == floods_before};
   }
   return decision;
-}
-
-PlannerSet::PlannerSet(const motion::RuleLibrary* rules, PlannerConfig config,
-                       size_t shard_count) {
-  if (shard_count < 1) shard_count = 1;
-  planners_.reserve(shard_count);
-  for (size_t i = 0; i < shard_count; ++i) {
-    planners_.push_back(std::make_unique<MotionPlanner>(rules, config));
-  }
 }
 
 }  // namespace sb::core

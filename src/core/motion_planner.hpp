@@ -22,7 +22,6 @@
 //   cap, sized per Remark 4 (O(N^2) hops).
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -33,7 +32,6 @@
 #include "motion/apply.hpp"
 #include "motion/rule_library.hpp"
 #include "sim/world.hpp"
-#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace sb::core {
@@ -89,6 +87,20 @@ struct MoveDecision {
   [[nodiscard]] bool eligible() const { return move.has_value(); }
 };
 
+/// A block's own memo of its last decision, held in the block's program
+/// (SmartBlockCode) and passed to MotionPlanner::evaluate by that block
+/// only, so no two threads ever share one.
+struct PlannerMemo {
+  MoveDecision decision;
+  /// Grid version (lat::WorldView::version) the decision is valid at.
+  uint64_t version = 0;
+  /// The decision depended only on the block's sensed window, so it may be
+  /// served again while no grid change comes near the block.
+  bool window_only = false;
+};
+
+/// Immutable after construction: one planner serves every block of a
+/// session on every shard thread.
 class MotionPlanner {
  public:
   MotionPlanner(const motion::RuleLibrary* rules, PlannerConfig config);
@@ -102,24 +114,26 @@ class MotionPlanner {
   ///
   /// A block whose 8-cell ring no rule accepts (RuleLibrary::may_move) has
   /// no move, so it gets Eq (9)'s ineligible decision at once, with no
-  /// sensed window, rule search or memo entry; on a compact blob that is
-  /// almost every block.
+  /// sensed window or rule search; on a compact blob that is almost every
+  /// block.
   ///
-  /// Other evaluations are memoized: a block's decision is a pure function
-  /// of its sensed window (plus the globally maintained connectivity
-  /// invariant), and one epoch changes the grid by a single rule
-  /// application, so the planner re-computes only for blocks whose window
-  /// overlaps the cells the last move touched. Decisions that consulted
-  /// the tabu list or needed a global connectivity flood are never cached
-  /// (they depend on more than the window), and MoveTie::kRandom disables
-  /// the cache entirely so repeated evaluations keep re-rolling. The
-  /// Remark-2 counter still advances on every call — the distributed
+  /// `memo` (optional) is the calling block's own memo; the evaluation's
+  /// decision is left in it. A block's decision is a pure function of its
+  /// sensed window (plus the globally maintained connectivity invariant),
+  /// and one epoch changes the grid by a single rule application, so the
+  /// memo's decision is served again when the grid is unchanged, or when
+  /// exactly one mutation happened and none of its journaled cells lies
+  /// within the dependence radius of `pos`. Decisions that consulted the
+  /// tabu list, a single-line rejection or a global connectivity flood are
+  /// never served again (they depend on more than the window), nor is any
+  /// decision under MoveTie::kRandom, so random tie-breaks keep re-rolling.
+  /// The Remark-2 counter still advances on every call: the distributed
   /// algorithm logically computes dBO each activation; the ring test and
-  /// the cache only remove redundant work.
+  /// the memo only remove redundant work.
   [[nodiscard]] MoveDecision evaluate(const sim::World& world, lat::Vec2 pos,
                                       const TabuList* tabu, uint32_t epoch,
-                                      ReconfigMetrics* metrics,
-                                      Rng* rng) const;
+                                      ReconfigMetrics* metrics, Rng* rng,
+                                      PlannerMemo* memo = nullptr) const;
 
   /// All physically valid applications whose subject is the block at `pos`,
   /// regardless of whether they improve the distance. Exposed for tests and
@@ -127,73 +141,30 @@ class MotionPlanner {
   [[nodiscard]] std::vector<motion::RuleApplication> legal_moves(
       const sim::World& world, lat::Vec2 pos) const;
 
-  /// Evaluation-cache hits since construction (diagnostics). Blocks the
-  /// ring test rejects never reach the cache.
+  /// Evaluations served from a memo since construction (diagnostics).
+  /// Blocks the ring test rejects never reach their memo.
   [[nodiscard]] uint64_t cache_hits() const { return cache_hits_; }
 
  private:
-  struct CacheEntry {
-    uint32_t stamp = 0;  ///< matches cache_stamp_ when live
-    lat::Vec2 pos;       ///< position the decision was computed for
-    MoveDecision decision;
-  };
-  static constexpr uint32_t kNoEntry = UINT32_MAX;
-
-  /// Block `id`'s cache entry, live or stale; nullptr when it has none.
-  [[nodiscard]] CacheEntry* cached(lat::BlockId id) const;
-  /// Stores a live entry for block `id`, adding one on its first store.
-  void store(lat::BlockId id, lat::Vec2 pos,
-             const MoveDecision& decision) const;
+  /// legal_moves, also reporting whether the single-line rule rejected a
+  /// candidate (such a rejection depends on global row/column totals).
+  [[nodiscard]] std::vector<motion::RuleApplication> legal_moves(
+      const sim::World& world, lat::Vec2 pos, bool& single_line_rejected) const;
 
   [[nodiscard]] std::optional<motion::RuleApplication> pick(
       std::vector<motion::RuleApplication>& candidates, Rng* rng) const;
 
-  /// Brings the cache up to date with the world: no-op when unchanged,
-  /// targeted invalidation around the last move's cells when exactly one
-  /// mutation happened, full flush otherwise.
-  void sync_cache(lat::WorldView view) const;
-  void invalidate_around(lat::WorldView view, lat::Vec2 cell) const;
+  /// True when `memo`'s decision still holds for the block at `pos`.
+  [[nodiscard]] bool memo_holds(const PlannerMemo& memo, lat::WorldView view,
+                                lat::Vec2 pos) const;
 
   const motion::RuleLibrary* rules_;
   PlannerConfig config_;
   /// Chebyshev radius of grid cells a decision may depend on: the sensed
   /// window (sensing radius) plus one ring for the local connectivity rule.
   int32_t dependence_radius_ = 0;
-
-  // Decision cache (mutable: evaluate() is logically const). One planner
-  // serves one session on one thread. `slot_` maps a block id to its index
-  // in `entries_` (kNoEntry when it has none); entries are appended only
-  // when a block's decision is first stored, so the cache grows with the
-  // blocks that can move, not with the largest id.
-  mutable std::vector<uint32_t> slot_;
-  mutable std::vector<CacheEntry> entries_;
-  mutable uint64_t cache_grid_version_ = 0;
-  mutable uint32_t cache_stamp_ = 1;
-  mutable uint64_t cache_hits_ = 0;
-  /// Candidates rejected by the single-line rule; evaluations that saw such
-  /// a rejection depend on global row/column totals and are not cached.
-  mutable uint64_t single_line_rejections_ = 0;
-};
-
-/// One MotionPlanner per simulator shard, all configured identically. A
-/// decision is a pure function of the block's sensed window, so every
-/// planner computes identical answers — the split exists because evaluate()
-/// mutates the memo cache, and under the sharded simulator evaluations run
-/// concurrently across shard workers. Each shard only ever touches its own
-/// planner (sim::Simulator::shard_for routes by block position); a classic
-/// single-loop session gets a set of size one.
-class PlannerSet {
- public:
-  PlannerSet(const motion::RuleLibrary* rules, PlannerConfig config,
-             size_t shard_count);
-
-  [[nodiscard]] const MotionPlanner& for_shard(size_t shard) const {
-    SB_EXPECTS(shard < planners_.size(), "no planner for shard ", shard);
-    return *planners_[shard];
-  }
-
- private:
-  std::vector<std::unique_ptr<MotionPlanner>> planners_;
+  /// Relaxed atomic: shard workers evaluate through one planner at once.
+  mutable ParallelCounter cache_hits_;
 };
 
 }  // namespace sb::core

@@ -59,9 +59,8 @@ ReconfigurationSession::ReconfigurationSession(const lat::Scenario& scenario,
   planner_config.distance.path_shape = config_.path_shape;
   planner_config.tie = config_.move_tie;
   planner_config.allow_repositioning = config_.allow_repositioning;
-  planners_ = std::make_unique<PlannerSet>(&simulator_->world().rules(),
-                                           planner_config,
-                                           simulator_->shard_count());
+  planner_ = std::make_unique<MotionPlanner>(&simulator_->world().rules(),
+                                             planner_config);
 
   algorithm_.input = scenario_.input;
   algorithm_.output = scenario_.output;
@@ -78,7 +77,7 @@ ReconfigurationSession::ReconfigurationSession(const lat::Scenario& scenario,
   for (const auto& [id, pos] : scenario_.blocks) {
     const bool is_root = pos == scenario_.input;
     simulator_->add_module(std::make_unique<SmartBlockCode>(
-        id, is_root, planners_.get(), &algorithm_, &shared_));
+        id, is_root, planner_.get(), &algorithm_, &shared_));
   }
 }
 
@@ -95,7 +94,7 @@ sim::Module& ReconfigurationSession::hot_join(lat::BlockId id, lat::Vec2 pos) {
   simulator_->notify_cells_changed({pos});
   sim::Module& module =
       simulator_->add_module(std::make_unique<SmartBlockCode>(
-          id, /*is_root=*/false, planners_.get(), &algorithm_, &shared_));
+          id, /*is_root=*/false, planner_.get(), &algorithm_, &shared_));
   simulator_->start_module(id);
   return module;
 }

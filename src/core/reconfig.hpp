@@ -43,7 +43,7 @@ struct SessionConfig {
   /// Tier-2 repositioning (see PlannerConfig::allow_repositioning).
   bool allow_repositioning = true;
   /// Per-block tabu capacity for tier-2 detours.
-  size_t tabu_capacity = 8;
+  uint32_t tabu_capacity = 8;
   /// Tabu expiry horizon in epochs; also bounds empty-election retries.
   uint32_t tabu_horizon = 64;
   /// Safety limits for the event loop.
@@ -168,8 +168,9 @@ class ReconfigurationSession {
   AlgorithmConfig algorithm_;
   SessionShared shared_;
   std::unique_ptr<sim::Simulator> simulator_;
-  /// One planner memo per simulator shard (size 1 in classic mode).
-  std::unique_ptr<PlannerSet> planners_;
+  /// The one immutable planner every block evaluates through, on any
+  /// shard thread; each block keeps its own memo.
+  std::unique_ptr<MotionPlanner> planner_;
   bool started_ = false;
 };
 

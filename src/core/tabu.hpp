@@ -21,7 +21,7 @@ class TabuList {
  public:
   /// `capacity` bounds the number of remembered cells; `horizon` is the
   /// age (in epochs) after which an entry stops blocking.
-  explicit TabuList(size_t capacity = 8, uint32_t horizon = 64)
+  explicit TabuList(uint32_t capacity = 8, uint32_t horizon = 64)
       : capacity_(capacity), horizon_(horizon) {}
 
   /// Records a cell vacated at `epoch`, evicting the oldest entry if full.
@@ -42,7 +42,7 @@ class TabuList {
   }
 
   [[nodiscard]] size_t size() const { return entries_.size(); }
-  [[nodiscard]] size_t capacity() const { return capacity_; }
+  [[nodiscard]] uint32_t capacity() const { return capacity_; }
   [[nodiscard]] uint32_t horizon() const { return horizon_; }
   void clear() { entries_.clear(); }
 
@@ -52,7 +52,7 @@ class TabuList {
     uint32_t epoch;
   };
 
-  size_t capacity_;
+  uint32_t capacity_;
   uint32_t horizon_;
   std::vector<Entry> entries_;
 };

@@ -19,8 +19,8 @@
 //     whose local neighborhood proves they preserve connectivity, so the
 //     scratch-buffer flood runs at most once per grid change;
 //   - a bounded journal of the cells touched by the latest mutation plus a
-//     monotonic version counter, which lets the MotionPlanner invalidate
-//     only the cached decisions near a move;
+//     monotonic version counter, which each block's planner memo
+//     (core::PlannerMemo) reads to tell whether the last move came near it;
 //   - fast-path / slow-path counters for the connectivity checks (reported
 //     through SessionResult and the BENCH_sim.json schema).
 

@@ -7,7 +7,7 @@
 //
 // Each fact lives here once: a block program's epoch stays in the program
 // (core::SmartBlockCode::epoch) and in-flight motions stay in the
-// simulator's registry (sim::Simulator::motion_inflight).
+// simulator's registry (sim::Simulator::cell_in_motion).
 //
 // WorldState is owned by Grid and mutated only through Grid's mutations and
 // the simulator's tag writer; everything else reads it through the

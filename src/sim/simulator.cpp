@@ -192,11 +192,6 @@ void Simulator::start_all_modules() {
   });
 }
 
-void Simulator::count_event(const EventRecord& record) {
-  ++stats_.events_processed;
-  if (config_.detailed_stats) ++stats_.events_by_kind[record.kind_name()];
-}
-
 void Simulator::dispatch(EventRecord& record) {
   switch (record.kind) {
     case EventKind::kStart: {
@@ -231,7 +226,7 @@ bool Simulator::step() {
   EventRecord record = queue_.pop();
   SB_ASSERT(record.time >= now_, "event time ran backwards");
   now_ = record.time;
-  count_event(record);
+  ++stats_.events_processed;
   if (trace_events_) record_trace(0, record);
   dispatch(record);
   return true;
@@ -256,7 +251,7 @@ void Simulator::send_from(Module& sender, lat::Direction side,
   SB_EXPECTS(message != nullptr);
   SimStats& stats = active_stats();
   ++stats.messages_sent;
-  if (config_.detailed_stats) ++stats.messages_by_kind[message->kind()];
+  ++stats.messages_by_kind[message->kind()];
 
   const lat::BlockId receiver = sender.neighbors_.neighbor(side);
   if (!receiver.valid()) {
@@ -322,13 +317,6 @@ void Simulator::start_motion_for(Module& subject,
   // flush, so the registry is never touched concurrently.
   if (tls_exec_ == nullptr) inflight_motions_.emplace_back(subject.id(), app);
   schedule_record(EventRecord::motion_complete(lands, subject.id(), app));
-}
-
-bool Simulator::motion_inflight(lat::BlockId id) const {
-  for (const auto& [subject, app] : inflight_motions_) {
-    if (subject == id) return true;
-  }
-  return false;
 }
 
 bool Simulator::cell_in_motion(lat::Vec2 pos) const {

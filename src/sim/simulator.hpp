@@ -34,8 +34,6 @@ struct SimConfig {
   msg::LatencyModel latency = msg::LatencyModel::fixed(1);
   /// Ticks a motion takes from request to landing.
   Ticks motion_duration = 10;
-  /// Disable per-kind counter maps in tight throughput benches.
-  bool detailed_stats = true;
   /// Shards the world is partitioned into. 1 keeps the classic single
   /// event loop byte-for-byte; > 1 switches to the windowed sharded
   /// schedule (per-shard queues, RNG streams, and counters) over column
@@ -163,9 +161,6 @@ class Simulator {
   /// barriers in sharded mode).
   [[nodiscard]] bool cell_in_motion(lat::Vec2 pos) const;
 
-  /// True when `id` has a registered in-flight motion.
-  [[nodiscard]] bool motion_inflight(lat::BlockId id) const;
-
   /// Observer invoked after every grid-affecting event (motion completion
   /// or external event), always from the sequential context — in sharded
   /// mode these events run between windows on the coordinating thread. The
@@ -230,8 +225,6 @@ class Simulator {
   /// Recomputes neighbor tables around the given cells and fires
   /// on_neighbor_change for every block whose contacts changed.
   void refresh_neighbors_around(const std::vector<lat::Vec2>& cells);
-
-  void count_event(const EventRecord& record);
 
   /// Counters the current context owns: the draining shard's during a
   /// window, the simulator's otherwise.

@@ -230,7 +230,7 @@ bool Simulator::sharded_decide(SimTime* window_end) {
       // same-tick module events observe the post-move surface.
       EventRecord record = queue_.pop();
       now_ = record.time;
-      count_event(record);
+      ++stats_.events_processed;
       if (trace_events_) record_trace(sequential_stream, record);
       ++run_processed_;
       dispatch(record);
@@ -265,7 +265,6 @@ void Simulator::drain_shard_window(ShardState& shard, SimTime window_end) {
   lat::Grid::install_connectivity_view(&shard.conn_view);
 
   EventQueue& queue = shard.queue;
-  const bool detailed = config_.detailed_stats;
   while (const EventRecord* head = queue.peek()) {
     if (head->time >= window_end) break;
     EventRecord record = queue.pop();
@@ -274,7 +273,6 @@ void Simulator::drain_shard_window(ShardState& shard, SimTime window_end) {
     ++shard.window_events;
     ++shard.total_events;
     ++shard.stats.events_processed;
-    if (detailed) ++shard.stats.events_by_kind[record.kind_name()];
     if (trace_events_) record_trace(shard.index, record);
     dispatch(record);
   }

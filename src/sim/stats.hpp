@@ -21,13 +21,12 @@ struct SimStats {
   /// the protocol level (Module::on_motion_rejected).
   uint64_t motions_rejected = 0;
   /// Per message kind (Activate, Ack, ...); keys are static string tags.
-  /// Flat sorted vectors: bumped once per event/message and copied per
-  /// sweep run, where a node-based map is measurable overhead.
+  /// A flat sorted vector: bumped once per message and copied per sweep
+  /// run, where a node-based map is measurable overhead.
   util::FlatCounts messages_by_kind;
-  util::FlatCounts events_by_kind;
 
   /// Adds every counter of `other` into this (scalar sums; the per-kind
-  /// maps merge key-wise). The sharded run folds per-shard stats into the
+  /// counts merge key-wise). The sharded run folds per-shard stats into the
   /// simulator totals with this.
   void accumulate(const SimStats& other) {
     events_processed += other.events_processed;
@@ -38,7 +37,6 @@ struct SimStats {
     motions_completed += other.motions_completed;
     motions_rejected += other.motions_rejected;
     messages_by_kind.merge(other.messages_by_kind);
-    events_by_kind.merge(other.events_by_kind);
   }
 };
 

@@ -28,6 +28,7 @@ namespace {
 
 TEST(Generator, EveryCaseIsValidAndDeterministic) {
   std::set<std::string> families;
+  size_t uniform_comparable = 0;
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     const FuzzCase a = generate_case(seed);
     EXPECT_TRUE(lat::validate(a.scenario).empty())
@@ -36,14 +37,17 @@ TEST(Generator, EveryCaseIsValidAndDeterministic) {
     EXPECT_EQ(a.to_json().dump(), b.to_json().dump()) << "seed " << seed;
     families.insert(a.scenario.name);
     if (!a.comparable) continue;
-    // The comparability contract: fixed latency, order-free ties, no
-    // timeout machinery.
-    EXPECT_EQ(a.latency_kind, "fixed");
+    // The comparability contract: order-free ties, no timeout machinery,
+    // and fixed latency whenever churn lands mid-run.
     EXPECT_EQ(a.election_tie, core::ElectionTie::kLowestId);
     EXPECT_EQ(a.ack_timeout, 0u);
+    if (!a.churn.empty()) EXPECT_EQ(a.latency_kind, "fixed");
+    uniform_comparable += a.latency_kind == "uniform" ? 1 : 0;
   }
-  // 40 seeds must exercise several of the five families.
+  // 40 seeds must exercise several of the five families, and jitter
+  // across engines.
   EXPECT_GE(families.size(), 3u) << "generator stuck on one family";
+  EXPECT_GE(uniform_comparable, 1u) << "no comparable case under jitter";
 }
 
 TEST(Generator, KillChurnIsNeverMarkedComparable) {

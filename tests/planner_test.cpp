@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "core/motion_planner.hpp"
 #include "core/tabu.hpp"
+#include "lattice/ring.hpp"
+#include "lattice/scenario.hpp"
 
 namespace sb::core {
 namespace {
@@ -211,12 +215,14 @@ TEST(Planner, Tier2OffersDetourWhenStuck) {
       make_world({{0, 4}, {1, 4}, {1, 3}, {1, 2}, {2, 2}});
   const MotionPlanner planner = make_planner(world);
   TabuList tabu;
+  PlannerMemo memo;
   const MoveDecision decision =
-      planner.evaluate(world, {0, 4}, &tabu, 0, nullptr, nullptr);
+      planner.evaluate(world, {0, 4}, &tabu, 0, nullptr, nullptr, &memo);
   ASSERT_TRUE(decision.eligible());
   EXPECT_TRUE(decision.repositioning);
   EXPECT_GE(decision.distance, kRepositionPenalty);
   EXPECT_EQ(decision.move->subject_to(), Vec2(0, 3));
+  EXPECT_FALSE(memo.window_only);  // bound to the tabu list and epoch
 }
 
 TEST(Planner, Tier2RespectsTabu) {
@@ -246,13 +252,15 @@ TEST(Planner, RandomTieIsSeedStable) {
   const MotionPlanner planner = make_planner(world, MoveTie::kRandom);
   Rng rng_a(9);
   Rng rng_b(9);
+  PlannerMemo memo;  // never served: random ties re-roll every time
   const MoveDecision a =
-      planner.evaluate(world, {2, 3}, nullptr, 0, nullptr, &rng_a);
+      planner.evaluate(world, {2, 3}, nullptr, 0, nullptr, &rng_a, &memo);
   const MoveDecision b =
-      planner.evaluate(world, {2, 3}, nullptr, 0, nullptr, &rng_b);
+      planner.evaluate(world, {2, 3}, nullptr, 0, nullptr, &rng_b, &memo);
   ASSERT_TRUE(a.eligible());
   ASSERT_TRUE(b.eligible());
   EXPECT_EQ(a.move->subject_to(), b.move->subject_to());
+  EXPECT_EQ(planner.cache_hits(), 0u);
 }
 
 /// A world holding the 3x3 square on x, y in [2, 4]; its centre (3,3) has
@@ -268,15 +276,17 @@ sim::World square_world(motion::RuleLibrary rules) {
 
 TEST(Planner, BoxedInBlockIsIneligibleWithoutTheMemo) {
   // No standard rule can move a boxed-in block, and the ring test says so
-  // before the memo.
+  // before the memo is consulted.
   const sim::World world = square_world(motion::RuleLibrary::standard());
   const MotionPlanner planner = make_planner(world);
   ReconfigMetrics metrics;
+  PlannerMemo memo;
   for (uint64_t call = 1; call <= 3; ++call) {
-    const MoveDecision decision =
-        planner.evaluate(world, {3, 3}, nullptr, 0, &metrics, nullptr);
+    const MoveDecision decision = planner.evaluate(
+        world, {3, 3}, nullptr, 0, &metrics, nullptr, &memo);
     EXPECT_FALSE(decision.eligible());
     EXPECT_EQ(decision.distance, kInfiniteDistance);
+    EXPECT_FALSE(memo.window_only);
     EXPECT_EQ(metrics.distance_computations, call);
     EXPECT_EQ(planner.cache_hits(), 0u);
   }
@@ -286,7 +296,7 @@ TEST(Planner, BoxedInBlockIsIneligibleWithoutTheMemo) {
 TEST(Planner, BoxedInBlockIsSearchedWhenARuleNeedsNoEmptyCell) {
   // Four blocks cycling round a 2x2 square: all handovers, so the ring
   // table accepts the full ring and the boxed-in centre gets the full
-  // search (and a memo entry).
+  // search, whose decision its memo then serves.
   motion::RuleLibrary cycle;
   cycle.add(motion::MotionRule(
       "cycle",
@@ -301,40 +311,61 @@ TEST(Planner, BoxedInBlockIsSearchedWhenARuleNeedsNoEmptyCell) {
   config.allow_repositioning = false;  // tier-2 decisions are not memoized
   const MotionPlanner planner(&world.rules(), config);
   EXPECT_EQ(planner.legal_moves(world, {3, 3}).size(), 4u);
-  (void)planner.evaluate(world, {3, 3}, nullptr, 0, nullptr, nullptr);
-  (void)planner.evaluate(world, {3, 3}, nullptr, 0, nullptr, nullptr);
+  PlannerMemo memo;
+  (void)planner.evaluate(world, {3, 3}, nullptr, 0, nullptr, nullptr, &memo);
+  EXPECT_TRUE(memo.window_only);
+  EXPECT_EQ(planner.cache_hits(), 0u);
+  (void)planner.evaluate(world, {3, 3}, nullptr, 0, nullptr, nullptr, &memo);
   EXPECT_EQ(planner.cache_hits(), 1u);
 }
 
-TEST(Planner, MemoServesHighIdsAndForgetsNearbyMoves) {
-  // The lane climber of Tier1ClimberOnLane under a large id, on a floor
-  // row whose east end B at (5,1) can slide west to (4,1): two cells from
-  // the climber, inside its dependence radius but outside its ring.
-  sim::World world(8, 12, motion::RuleLibrary::standard());
+/// The lane climber of Tier1ClimberOnLane under a large id at (2,2), on a
+/// floor row whose east end B at (5,1) can slide west to (4,1): two cells
+/// from the climber, inside its dependence radius but outside its ring.
+/// The floor runs on to x = 13, so (13,1) is far from the climber.
+sim::World climber_world() {
+  sim::World world(16, 12, motion::RuleLibrary::standard());
   world.grid().place(BlockId{99'999}, {2, 2});
   uint32_t id = 1;
-  for (const Vec2 cell : {Vec2{1, 0}, Vec2{2, 0}, Vec2{3, 0}, Vec2{4, 0},
-                          Vec2{5, 0}, Vec2{1, 1}, Vec2{1, 2}, Vec2{1, 3},
-                          Vec2{2, 1}, Vec2{5, 1}}) {
+  for (const Vec2 cell : {Vec2{1, 1}, Vec2{1, 2}, Vec2{1, 3}, Vec2{2, 1},
+                          Vec2{5, 1}, Vec2{13, 1}}) {
     world.grid().place(BlockId{id++}, cell);
   }
+  for (int32_t x = 1; x <= 13; ++x) world.grid().place(BlockId{id++}, {x, 0});
+  return world;
+}
+
+MotionPlanner climber_planner(const sim::World& world) {
   PlannerConfig config;
   config.distance = fig10_params();
   config.allow_repositioning = false;  // tier-2 decisions are not memoized
-  const MotionPlanner planner(&world.rules(), config);
-  // Settle the grid's cached connectivity verdict first, as a running
-  // session has: an evaluation that needed a flood is not memoized.
-  ASSERT_TRUE(world.view().connected());
+  return MotionPlanner(&world.rules(), config);
+}
+
+TEST(Planner, MemoServesHighIdsAndForgetsNearbyMoves) {
+  sim::World world = climber_world();
+  const MotionPlanner planner = climber_planner(world);
+  // A fresh grid has no connectivity verdict, so the first evaluation
+  // floods, and a decision that needed a flood is not memoized. The flood
+  // settles the verdict, as a running session has it.
+  PlannerMemo memo;
+  (void)planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr, &memo);
+  EXPECT_FALSE(memo.window_only);
 
   const MoveDecision first =
-      planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr);
+      planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr, &memo);
   ASSERT_TRUE(first.eligible());
   EXPECT_EQ(planner.cache_hits(), 0u);
   const MoveDecision second =
-      planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr);
+      planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr, &memo);
   EXPECT_EQ(planner.cache_hits(), 1u);
   EXPECT_EQ(second.distance, first.distance);
   EXPECT_EQ(second.move->subject_to(), first.move->subject_to());
+
+  // One move far away: still served.
+  world.grid().move({13, 1}, {12, 1});
+  (void)planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr, &memo);
+  EXPECT_EQ(planner.cache_hits(), 2u);
 
   const auto b_moves = planner.legal_moves(world, {5, 1});
   const auto slide_west =
@@ -344,13 +375,155 @@ TEST(Planner, MemoServesHighIdsAndForgetsNearbyMoves) {
   ASSERT_NE(slide_west, b_moves.end());
   world.apply(*slide_west);
   // The climber still passes the ring test, so the memo is consulted, and
-  // its entry was dropped: recomputed, then served again.
-  EXPECT_TRUE(
-      planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr)
-          .eligible());
-  EXPECT_EQ(planner.cache_hits(), 1u);
-  (void)planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr);
+  // the nearby move voids it: recomputed, then served again.
+  EXPECT_TRUE(planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr,
+                               &memo)
+                  .eligible());
   EXPECT_EQ(planner.cache_hits(), 2u);
+  (void)planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr, &memo);
+  EXPECT_EQ(planner.cache_hits(), 3u);
+}
+
+TEST(Planner, MemoIsNotServedAfterTwoMutationsOrARingRejection) {
+  sim::World world = climber_world();
+  const MotionPlanner planner = climber_planner(world);
+  ASSERT_TRUE(world.view().connected());
+  PlannerMemo memo;
+  const MoveDecision first =
+      planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr, &memo);
+  ASSERT_TRUE(first.eligible());
+  ASSERT_TRUE(memo.window_only);
+
+  // Two mutations, both far from the climber: the memo cannot tell what
+  // the first one touched, so the decision is recomputed.
+  world.grid().move({13, 1}, {12, 1});
+  world.grid().move({12, 1}, {13, 1});
+  ASSERT_TRUE(world.view().connected());
+  const MoveDecision recomputed =
+      planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr, &memo);
+  EXPECT_EQ(planner.cache_hits(), 0u);
+  EXPECT_EQ(recomputed.move->subject_to(), first.move->subject_to());
+  (void)planner.evaluate(world, {2, 2}, nullptr, 0, nullptr, nullptr, &memo);
+  EXPECT_EQ(planner.cache_hits(), 1u);
+
+  // A block landing east of the climber leaves three of its ring cells
+  // empty, but no standard rule moves a block from that ring: the ring test
+  // turns the climber away, and its memo keeps nothing to serve.
+  world.grid().place(BlockId{50'000}, {3, 2});
+  const lat::Vec2 climber{2, 2};
+  const auto ring = lat::ring_mask(world.view().occupancy_row(climber.y + 1),
+                                   world.view().occupancy_row(climber.y),
+                                   world.view().occupancy_row(climber.y - 1),
+                                   climber.x);
+  ASSERT_FALSE(world.rules().may_move(ring));
+  EXPECT_FALSE(planner.evaluate(world, climber, nullptr, 0, nullptr, nullptr,
+                                &memo)
+                   .eligible());
+  EXPECT_FALSE(memo.window_only);
+  EXPECT_FALSE(memo.decision.eligible());
+  EXPECT_EQ(planner.cache_hits(), 1u);
+}
+
+TEST(Planner, SingleLineRejectionIsNotServedFromTheMemo) {
+  // One rule: the block steps west while its west neighbour steps north.
+  // The climber at (2,7) beside the top of the column x = 1 has that move
+  // only, and it would leave every block in the column, so the single-line
+  // rule rejects it. A block landing far away breaks the line: the
+  // decision must change although no cell near the climber did.
+  motion::RuleLibrary lift;
+  lift.add(motion::MotionRule(
+      "lift_W",
+      motion::CodeMatrix::from_rows({{3, 2, 2}, {5, 4, 2}, {2, 2, 2}}),
+      {{0, {1, 0}, {0, 0}}, {0, {1, 1}, {1, 0}}}));
+  sim::World world(8, 12, std::move(lift));
+  uint32_t id = 1;
+  for (int32_t y = 0; y <= 7; ++y) world.grid().place(BlockId{id++}, {1, y});
+  world.grid().place(BlockId{id++}, {2, 7});
+  ASSERT_TRUE(world.view().connected());
+  const MotionPlanner planner = climber_planner(world);
+
+  PlannerMemo memo;
+  EXPECT_FALSE(planner.evaluate(world, {2, 7}, nullptr, 0, nullptr, nullptr,
+                                &memo)
+                   .eligible());
+  EXPECT_FALSE(memo.window_only);
+
+  world.grid().place(BlockId{id++}, {0, 0});
+  ASSERT_TRUE(world.view().connected());
+  const MoveDecision after =
+      planner.evaluate(world, {2, 7}, nullptr, 0, nullptr, nullptr, &memo);
+  ASSERT_TRUE(after.eligible());
+  EXPECT_EQ(after.move->subject_to(), Vec2(1, 7));
+  EXPECT_EQ(planner.cache_hits(), 0u);
+}
+
+/// Same rule application (or both none) and same reported distance.
+bool same_decision(const MoveDecision& a, const MoveDecision& b) {
+  if (a.distance != b.distance || a.repositioning != b.repositioning ||
+      a.move.has_value() != b.move.has_value()) {
+    return false;
+  }
+  return !a.move.has_value() ||
+         (a.move->rule == b.move->rule && a.move->anchor == b.move->anchor &&
+          a.move->subject_move == b.move->subject_move);
+}
+
+TEST(Planner, OneConstPlannerServesThreadsFromTheirOwnMemos) {
+  // Shard windows evaluate through one planner at once, each thread with
+  // its own blocks' memos and its own connectivity scratch view. Every
+  // thread here evaluates every block twice: the first pass must match a
+  // serial pass, and the second must be served from the thread's memos.
+  for (const char* name : {"tower64", "blob1000"}) {
+    SCOPED_TRACE(name);
+    const lat::Scenario scenario = lat::resolve_scenario(name);
+    sim::World world(scenario.width, scenario.height,
+                     motion::RuleLibrary::standard());
+    for (const auto& [id, pos] : scenario.blocks) world.grid().place(id, pos);
+    ASSERT_TRUE(world.view().connected());
+    PlannerConfig config;
+    config.distance.input = scenario.input;
+    config.distance.output = scenario.output;
+    const MotionPlanner planner(&world.rules(), config);
+    std::vector<Vec2> blocks;
+    for (const auto& [id, pos] : world.view().blocks()) {
+      if (pos != scenario.input) blocks.push_back(pos);
+    }
+
+    std::vector<PlannerMemo> serial(blocks.size());
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      (void)planner.evaluate(world, blocks[i], nullptr, 0, nullptr, nullptr,
+                             &serial[i]);
+    }
+    uint64_t reusable = 0;
+    for (const PlannerMemo& memo : serial) reusable += memo.window_only ? 1 : 0;
+    ASSERT_GT(reusable, 0u);
+
+    constexpr size_t kThreads = 4;
+    std::vector<size_t> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        lat::ConnectivityScratchView view;
+        view.version = world.grid().version();
+        view.hint = world.grid().own_connectivity_hint();
+        lat::Grid::install_connectivity_view(&view);
+        std::vector<PlannerMemo> memos(blocks.size());
+        for (int pass = 0; pass < 2; ++pass) {
+          for (size_t i = 0; i < blocks.size(); ++i) {
+            const MoveDecision decision = planner.evaluate(
+                world, blocks[i], nullptr, 0, nullptr, nullptr, &memos[i]);
+            if (!same_decision(decision, serial[i].decision)) ++mismatches[t];
+          }
+        }
+        lat::Grid::install_connectivity_view(nullptr);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+    }
+    EXPECT_EQ(planner.cache_hits(), kThreads * reusable);
+  }
 }
 
 TEST(Planner, LegalMovesMatchPhysics) {

@@ -5,35 +5,11 @@
 //   Remark 4 - number of block hops              O(N^2)
 // plus the elementary-move count of the Figs 10-11 example (55 moves).
 
-#include <atomic>
 #include <cstdint>
 
+#include "util/parallel_counter.hpp"
+
 namespace sb::core {
-
-/// Counter bumped from message handlers. Under the sharded simulator those
-/// run concurrently across shard workers, so the counters that *every*
-/// block touches are relaxed atomics (their final value is an
-/// order-independent sum; all other fields are written by a single block —
-/// the Root or the elected mover — or only between windows).
-struct ParallelCounter {
-  std::atomic<uint64_t> value{0};
-
-  ParallelCounter() = default;
-  ParallelCounter(const ParallelCounter& other)
-      : value(other.value.load(std::memory_order_relaxed)) {}
-  ParallelCounter& operator=(const ParallelCounter& other) {
-    value.store(other.value.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
-    return *this;
-  }
-
-  ParallelCounter& operator++() {
-    value.fetch_add(1, std::memory_order_relaxed);
-    return *this;
-  }
-  // NOLINTNEXTLINE(google-explicit-constructor): drop-in counter read.
-  operator uint64_t() const { return value.load(std::memory_order_relaxed); }
-};
 
 struct ReconfigMetrics {
   /// Elections initiated by the Root (one per Algorithm-1 iteration).
@@ -45,7 +21,7 @@ struct ReconfigMetrics {
   /// Subset of hops that were tier-2 repositioning detours.
   uint64_t repositioning_hops = 0;
   /// dBO evaluations (Remark 2's metric): one per block activation.
-  ParallelCounter distance_computations;
+  util::ParallelCounter distance_computations;
   /// Election restarts triggered by the fault-tolerance extension.
   uint64_t election_restarts = 0;
 

@@ -55,11 +55,13 @@ bool leaves_path_gap(const motion::RuleApplication& app,
 std::vector<motion::RuleApplication> MotionPlanner::legal_moves(
     const sim::World& world, lat::Vec2 pos) const {
   bool single_line_rejected = false;
-  return legal_moves(world, pos, single_line_rejected);
+  bool flooded = false;
+  return legal_moves(world, pos, single_line_rejected, flooded);
 }
 
 std::vector<motion::RuleApplication> MotionPlanner::legal_moves(
-    const sim::World& world, lat::Vec2 pos, bool& single_line_rejected) const {
+    const sim::World& world, lat::Vec2 pos, bool& single_line_rejected,
+    bool& flooded) const {
   const lat::WorldView view = world.view();
   SB_EXPECTS(view.occupied(pos), "no block at ", pos);
   // Rule matching runs on the block's sensed window (local knowledge). The
@@ -77,7 +79,7 @@ std::vector<motion::RuleApplication> MotionPlanner::legal_moves(
       single_line_rejected = true;
       return true;
     }
-    return !view.connected_after_moves(moves.data(), moves.size());
+    return !view.connected_after_moves(moves.data(), moves.size(), &flooded);
   });
   return candidates;
 }
@@ -162,8 +164,7 @@ MoveDecision MotionPlanner::evaluate(const sim::World& world, lat::Vec2 pos,
   // Track whether this evaluation depended on anything beyond the block's
   // sensed window: a global connectivity flood, a single-line rejection, or
   // the (epoch-expiring) tabu list. Such decisions are not served again.
-  const uint64_t floods_before =
-      view.connectivity_stats().slow_path_floods;
+  bool flooded = false;
   bool single_line_rejected = false;
   bool tabu_dependent = false;
 
@@ -181,7 +182,7 @@ MoveDecision MotionPlanner::evaluate(const sim::World& world, lat::Vec2 pos,
   const int32_t here = manhattan(pos, output);
 
   std::vector<motion::RuleApplication> legal =
-      legal_moves(world, pos, single_line_rejected);
+      legal_moves(world, pos, single_line_rejected, flooded);
 
   // -- tier 1: hops towards O with positive net progress --------------------
   std::vector<motion::RuleApplication> improving;
@@ -234,8 +235,7 @@ MoveDecision MotionPlanner::evaluate(const sim::World& world, lat::Vec2 pos,
     *memo = PlannerMemo{
         decision, view.version(),
         config_.tie != MoveTie::kRandom && !tabu_dependent &&
-            !single_line_rejected &&
-            view.connectivity_stats().slow_path_floods == floods_before};
+            !single_line_rejected && !flooded};
   }
   return decision;
 }

@@ -147,9 +147,11 @@ class MotionPlanner {
 
  private:
   /// legal_moves, also reporting whether the single-line rule rejected a
-  /// candidate (such a rejection depends on global row/column totals).
+  /// candidate (such a rejection depends on global row/column totals) and
+  /// whether a connectivity probe needed a flood.
   [[nodiscard]] std::vector<motion::RuleApplication> legal_moves(
-      const sim::World& world, lat::Vec2 pos, bool& single_line_rejected) const;
+      const sim::World& world, lat::Vec2 pos, bool& single_line_rejected,
+      bool& flooded) const;
 
   [[nodiscard]] std::optional<motion::RuleApplication> pick(
       std::vector<motion::RuleApplication>& candidates, Rng* rng) const;
@@ -164,7 +166,7 @@ class MotionPlanner {
   /// window (sensing radius) plus one ring for the local connectivity rule.
   int32_t dependence_radius_ = 0;
   /// Relaxed atomic: shard workers evaluate through one planner at once.
-  mutable ParallelCounter cache_hits_;
+  mutable util::ParallelCounter cache_hits_;
 };
 
 }  // namespace sb::core

@@ -91,10 +91,12 @@ sim::Module& ReconfigurationSession::hot_join(lat::BlockId id, lat::Vec2 pos) {
              " would collide with an in-flight motion");
   SB_EXPECTS(!view.contains(id), "hot_join id ", id, " already placed");
   simulator_->world().grid().place(id, pos);
-  simulator_->notify_cells_changed({pos});
+  // Register before the neighbors hear of the block: a message they send it
+  // must find its module, and so its shard.
   sim::Module& module =
       simulator_->add_module(std::make_unique<SmartBlockCode>(
           id, /*is_root=*/false, planner_.get(), &algorithm_, &shared_));
+  simulator_->notify_cells_changed({pos});
   simulator_->start_module(id);
   return module;
 }
@@ -138,7 +140,7 @@ SessionResult ReconfigurationSession::run() {
   result.messages_delivered = stats.messages_delivered;
   result.messages_dropped = stats.messages_dropped;
   result.messages_by_kind = stats.messages_by_kind;
-  const lat::ConnectivityStats& conn =
+  const lat::ConnectivityStats conn =
       simulator_->world().view().connectivity_stats();
   result.conn_fast_hits = conn.fast_path_hits;
   result.conn_slow_floods = conn.slow_path_floods;

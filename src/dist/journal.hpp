@@ -10,10 +10,10 @@
 // half-overlap rules make replay idempotent), and only unfinished units are
 // re-dispatched.
 //
-// Format ("sb-dist-journal-v2"): a line-oriented append-only file, one JSON
+// Format ("sb-dist-journal-v3"): a line-oriented append-only file, one JSON
 // record per '\n'-terminated line.
 //
-//   {"record":"header","format":"sb-dist-journal-v2","bind":...,"port":N}
+//   {"record":"header","format":"sb-dist-journal-v3","bind":...,"port":N}
 //   {"record":"job","job":J,"options":{...},"spec_count":N,"unit_size":U,
 //    "min_cores":C}
 //   {"record":"batch","job":J,"id":I,"begin":B,"end":E,"rows":[...]}
@@ -38,9 +38,10 @@
 namespace sb::dist {
 
 /// Bumped with kProtocolVersion whenever journaled rows stop matching what
-/// this build would compute (v2: sharded runs stripe at equal block count),
-/// so a resume never merges rows from two engines into one report.
-inline constexpr char kJournalFormat[] = "sb-dist-journal-v2";
+/// this build would compute (v2: sharded runs stripe at equal block count;
+/// v3: sharded blocks keep their registration shard), so a resume never
+/// merges rows from two engines into one report.
+inline constexpr char kJournalFormat[] = "sb-dist-journal-v3";
 
 /// Coordinator identity pinned by the journal: a resumed coordinator
 /// re-binds the same address so disconnected workers find it again.

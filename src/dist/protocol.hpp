@@ -57,8 +57,10 @@ namespace sb::dist {
 /// Bumped on any incompatible message or semantics change; hello carries it
 /// and the coordinator refuses mismatched peers. 2 = job-queue service
 /// (job-tagged units, roles, client verbs); 3 = sharded runs stripe at
-/// equal block count, so a sharded unit's rows differ from a v2 worker's.
-inline constexpr int kProtocolVersion = 3;
+/// equal block count, so a sharded unit's rows differ from a v2 worker's;
+/// 4 = a sharded block's events stay on the shard it registered on, so a
+/// sharded unit's rows differ from a v3 worker's.
+inline constexpr int kProtocolVersion = 4;
 
 enum class MsgType {
   kHello,

@@ -220,18 +220,16 @@ bool is_connected_impl(const Grid& grid, bool* flooded) {
   const bool connected =
       flood_fill(grid, scratch, grid.first_block_position(), nullptr, 0,
                  nullptr, 0) == grid.block_count();
-  grid.set_connectivity_hint(connected);
+  grid.set_connectivity_hint(connected ? ConnectivityHint::kConnected
+                                       : ConnectivityHint::kDisconnected);
   return connected;
 }
 
-/// One probe, one counter: a probe is "fast" iff it ran no flood.
-void count_probe(const Grid& grid, bool flooded) {
-  ConnectivityStats& stats = grid.mutable_connectivity_stats();
-  if (flooded) {
-    ++stats.slow_path_floods;
-  } else {
-    ++stats.fast_path_hits;
-  }
+/// One probe, one counter: a probe is "fast" iff it ran no flood. A caller
+/// that passes `flooded_out` also learns that a flood ran.
+void count_probe(const Grid& grid, bool flooded, bool* flooded_out = nullptr) {
+  grid.count_connectivity_probe(flooded);
+  if (flooded && flooded_out != nullptr) *flooded_out = true;
 }
 
 }  // namespace
@@ -279,7 +277,7 @@ NetMoveEffect net_move_effect(const std::pair<Vec2, Vec2>* moves,
 }
 
 bool connected_after_moves(const Grid& grid, const std::pair<Vec2, Vec2>* moves,
-                           size_t move_count) {
+                           size_t move_count, bool* flooded_out) {
   for (size_t i = 0; i < move_count; ++i) {
     SB_EXPECTS(WorldView(grid).occupied(moves[i].first),
                "hypothetical move from empty cell ", moves[i].first);
@@ -312,7 +310,7 @@ bool connected_after_moves(const Grid& grid, const std::pair<Vec2, Vec2>* moves,
   bool flooded = false;
   if (vacated_count == 0 && net.landed_count == 0) {
     const bool connected = is_connected_impl(grid, &flooded);
-    count_probe(grid, flooded);
+    count_probe(grid, flooded, flooded_out);
     return connected;
   }
 
@@ -320,10 +318,10 @@ bool connected_after_moves(const Grid& grid, const std::pair<Vec2, Vec2>* moves,
       is_connected_impl(grid, &flooded)) {
     switch (local_move_check(grid, net.vacated, net.landed)) {
       case LocalVerdict::kPreservesConnectivity:
-        count_probe(grid, flooded);
+        count_probe(grid, flooded, flooded_out);
         return true;
       case LocalVerdict::kDisconnects:
-        count_probe(grid, flooded);
+        count_probe(grid, flooded, flooded_out);
         return false;
       case LocalVerdict::kInconclusive:
         break;
@@ -344,7 +342,7 @@ bool connected_after_moves(const Grid& grid, const std::pair<Vec2, Vec2>* moves,
   for (size_t i = 0; i < move_count; ++i) filled[i] = moves[i].second;
   const Vec2 start = net.landed_count > 0 ? landed[0] : moves[0].second;
   FloodScratch& scratch = flood_scratch(grid.cell_count());
-  count_probe(grid, /*flooded=*/true);
+  count_probe(grid, /*flooded=*/true, flooded_out);
   return flood_fill(grid, scratch, start, vacated, vacated_count, filled,
                     move_count) == total;
 }

@@ -46,10 +46,13 @@ namespace sb::lat {
 
 /// True when the configuration would remain connected after atomically
 /// applying `moves` (pairs of from -> to). Does not mutate the grid.
-/// The pointer overload lets hot callers pass a reused scratch buffer.
+/// The pointer overload lets hot callers pass a reused scratch buffer, and
+/// sets `*flooded_out` when the answer needed a flood (it then depends on
+/// blocks arbitrarily far away); it leaves the flag alone otherwise.
 [[nodiscard]] bool connected_after_moves(const Grid& grid,
                                          const std::pair<Vec2, Vec2>* moves,
-                                         size_t move_count);
+                                         size_t move_count,
+                                         bool* flooded_out = nullptr);
 [[nodiscard]] bool connected_after_moves(
     const Grid& grid, const std::vector<std::pair<Vec2, Vec2>>& moves);
 

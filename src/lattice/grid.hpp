@@ -33,6 +33,7 @@
 #include "lattice/vec2.hpp"
 #include "lattice/world_state.hpp"
 #include "util/assert.hpp"
+#include "util/parallel_counter.hpp"
 
 namespace sb::lat {
 
@@ -40,8 +41,8 @@ namespace sb::lat {
 /// kUnknown means the next is_connected() call must flood.
 enum class ConnectivityHint : uint8_t { kUnknown, kConnected, kDisconnected };
 
-/// Counters for the two tiers of the connectivity oracle: probes answered
-/// by the O(1) local-neighborhood rule vs. full scratch-buffer floods.
+/// Snapshot of the two tiers of the connectivity oracle: probes answered by
+/// the O(1) local-neighborhood rule vs. full scratch-buffer floods.
 struct ConnectivityStats {
   uint64_t fast_path_hits = 0;
   uint64_t slow_path_floods = 0;
@@ -53,25 +54,6 @@ struct ConnectivityStats {
                       : static_cast<double>(fast_path_hits) /
                             static_cast<double>(total);
   }
-
-  ConnectivityStats& operator+=(const ConnectivityStats& other) {
-    fast_path_hits += other.fast_path_hits;
-    slow_path_floods += other.slow_path_floods;
-    return *this;
-  }
-};
-
-/// Thread-scoped stand-in for the grid's connectivity verdict cache and
-/// oracle counters, installed by the sharded simulator while shard workers
-/// probe one frozen grid concurrently (sim/simulator.hpp). While installed
-/// on a thread, is_connected() and friends read and write this view instead
-/// of the shared grid fields, so parallel probes never race; the simulator
-/// folds the counters back into the grid at barriers. `version` records the
-/// grid mutation the cached `hint` was computed against.
-struct ConnectivityScratchView {
-  ConnectivityStats stats;
-  ConnectivityHint hint = ConnectivityHint::kUnknown;
-  uint64_t version = UINT64_MAX;
 };
 
 class Grid {
@@ -166,44 +148,19 @@ class Grid {
 
   // -- connectivity cache (maintained with lattice/connectivity.cpp) --------
 
-  [[nodiscard]] ConnectivityHint connectivity_hint() const {
-    return tls_conn_view != nullptr ? tls_conn_view->hint : conn_;
-  }
-  /// Stores a flood verdict; called by is_connected() (hence const).
-  void set_connectivity_hint(bool connected) const {
-    const ConnectivityHint hint = connected ? ConnectivityHint::kConnected
-                                            : ConnectivityHint::kDisconnected;
-    if (tls_conn_view != nullptr) {
-      tls_conn_view->hint = hint;
-    } else {
-      conn_ = hint;
-    }
-  }
+  [[nodiscard]] ConnectivityHint connectivity_hint() const { return conn_; }
+  /// Stores a verdict; called by is_connected() (hence const). The sharded
+  /// simulator settles a kUnknown verdict before each window opens, so no
+  /// probe inside a window ever stores one.
+  void set_connectivity_hint(ConnectivityHint hint) const { conn_ = hint; }
 
-  [[nodiscard]] const ConnectivityStats& connectivity_stats() const {
-    return mutable_connectivity_stats();
+  [[nodiscard]] ConnectivityStats connectivity_stats() const {
+    return {conn_fast_hits_, conn_slow_floods_};
   }
-  /// Counter access for the connectivity oracle (bookkeeping only, so
-  /// mutable through a const grid).
-  [[nodiscard]] ConnectivityStats& mutable_connectivity_stats() const {
-    return tls_conn_view != nullptr ? tls_conn_view->stats : conn_stats_;
-  }
-
-  /// The grid's own accumulated oracle counters, bypassing any installed
-  /// scratch view (final reporting and barrier-side merging).
-  [[nodiscard]] ConnectivityStats& own_connectivity_stats() const {
-    return conn_stats_;
-  }
-  /// The grid's own verdict cache, bypassing any installed scratch view.
-  [[nodiscard]] ConnectivityHint own_connectivity_hint() const { return conn_; }
-  void set_own_connectivity_hint(ConnectivityHint hint) const { conn_ = hint; }
-
-  /// Installs (or clears, with nullptr) this thread's connectivity scratch
-  /// view. The sharded simulator brackets every parallel window with this;
-  /// nothing else should touch it. Applies to every grid probed on the
-  /// calling thread — shard workers only ever probe their world's grid.
-  static void install_connectivity_view(ConnectivityScratchView* view) {
-    tls_conn_view = view;
+  /// Counts one connectivity probe as a fast hit or a flood (bookkeeping
+  /// only, so callable through a const grid).
+  void count_connectivity_probe(bool flooded) const {
+    ++(flooded ? conn_slow_floods_ : conn_fast_hits_);
   }
 
   friend bool operator==(const Grid& a, const Grid& b) {
@@ -257,16 +214,11 @@ class Grid {
   bool last_change_overflow_ = false;
 
   /// Connectivity verdict cache + oracle counters; derived state only, so
-  /// excluded from operator== and mutable through const grids.
+  /// excluded from operator== and mutable through const grids. The counters
+  /// are relaxed atomics: shard windows probe one frozen grid concurrently.
   mutable ConnectivityHint conn_ = ConnectivityHint::kUnknown;
-  mutable ConnectivityStats conn_stats_;
-
-  /// Per-thread override for the verdict cache and counters; see
-  /// ConnectivityScratchView. Declared constinit in-class: with an
-  /// out-of-class definition, GCC 12 -O2 UBSan builds flag the first read
-  /// on a thread as a null-pointer load.
-  static constinit inline thread_local ConnectivityScratchView* tls_conn_view =
-      nullptr;
+  mutable util::ParallelCounter conn_fast_hits_;
+  mutable util::ParallelCounter conn_slow_floods_;
 };
 
 }  // namespace sb::lat

@@ -28,8 +28,9 @@ std::vector<std::pair<BlockId, Vec2>> WorldView::blocks() const {
 bool WorldView::connected() const { return is_connected(*grid_); }
 
 bool WorldView::connected_after_moves(const std::pair<Vec2, Vec2>* moves,
-                                      size_t move_count) const {
-  return lat::connected_after_moves(*grid_, moves, move_count);
+                                      size_t move_count,
+                                      bool* flooded_out) const {
+  return lat::connected_after_moves(*grid_, moves, move_count, flooded_out);
 }
 
 bool WorldView::connected_after_moves(

@@ -119,8 +119,10 @@ class WorldView {
   /// All blocks form one 4-connected component (cached; floods at most once
   /// per mutation).
   [[nodiscard]] bool connected() const;
-  [[nodiscard]] bool connected_after_moves(
-      const std::pair<Vec2, Vec2>* moves, size_t move_count) const;
+  /// `flooded_out` as in lat::connected_after_moves.
+  [[nodiscard]] bool connected_after_moves(const std::pair<Vec2, Vec2>* moves,
+                                           size_t move_count,
+                                           bool* flooded_out = nullptr) const;
   [[nodiscard]] bool connected_after_moves(
       const std::vector<std::pair<Vec2, Vec2>>& moves) const;
   [[nodiscard]] bool single_line_after_moves(
@@ -133,10 +135,10 @@ class WorldView {
   [[nodiscard]] bool connected_ground_truth() const;
   /// The grid's cached connectivity verdict (kUnknown when stale).
   [[nodiscard]] ConnectivityHint connectivity_hint() const {
-    return grid_->own_connectivity_hint();
+    return grid_->connectivity_hint();
   }
 
-  [[nodiscard]] const ConnectivityStats& connectivity_stats() const {
+  [[nodiscard]] ConnectivityStats connectivity_stats() const {
     return grid_->connectivity_stats();
   }
 

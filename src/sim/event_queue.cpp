@@ -9,46 +9,6 @@ namespace sb::sim {
 
 namespace {
 
-/// True when `record` is addressed to `target`: the subject of a start or
-/// timer, or the receiver of a delivery. Motion completions and external
-/// events never live in shard queues, so they are not matched.
-bool addressed_to(const EventRecord& record, lat::BlockId target) {
-  switch (record.kind) {
-    case EventKind::kStart:
-    case EventKind::kTimer: return record.a == target;
-    case EventKind::kDelivery: return record.b == target;
-    case EventKind::kMotionComplete:
-    case EventKind::kExternal: return false;
-  }
-  return false;
-}
-
-void sort_extracted(std::vector<EventRecord>& out, size_t first) {
-  std::sort(out.begin() + static_cast<ptrdiff_t>(first), out.end(),
-            [](const EventRecord& a, const EventRecord& b) {
-              return event_before(a, b);
-            });
-}
-
-/// Moves the records of `records` addressed to `target` to `out`, keeping
-/// the others' relative order; true when any moved.
-bool extract_matching(std::vector<EventRecord>& records, lat::BlockId target,
-                      std::vector<EventRecord>& out) {
-  size_t kept = 0;
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (addressed_to(records[i], target)) {
-      out.push_back(std::move(records[i]));
-    } else {
-      if (kept != i) records[kept] = std::move(records[i]);
-      ++kept;
-    }
-  }
-  if (kept == records.size()) return false;
-  records.erase(records.begin() + static_cast<ptrdiff_t>(kept),
-                records.end());
-  return true;
-}
-
 /// Heap order for std::push_heap/pop_heap: the earliest record on top.
 bool later(const EventRecord& a, const EventRecord& b) {
   return event_before(b, a);
@@ -169,31 +129,6 @@ void EventQueue::migrate_overflow() {
   }
 }
 
-void EventQueue::extract_for(lat::BlockId target,
-                             std::vector<EventRecord>& out) {
-  const size_t first = out.size();
-  for (uint64_t bits = occupied_; bits != 0; bits &= bits - 1) {
-    const auto slot = static_cast<size_t>(std::countr_zero(bits));
-    Bucket& bucket = ring_[slot];
-    Bucket kept;
-    while (bucket.head != nullptr) {
-      EventRecord record = take_front(bucket);
-      if (addressed_to(record, target)) {
-        out.push_back(std::move(record));
-      } else {
-        append(kept, std::move(record));
-      }
-    }
-    bucket = kept;
-    if (kept.head == nullptr) occupied_ &= ~slot_bit(slot);
-  }
-  if (extract_matching(overflow_, target, out)) {
-    std::make_heap(overflow_.begin(), overflow_.end(), later);
-  }
-  size_ -= out.size() - first;
-  sort_extracted(out, first);
-}
-
 // ---------------------------------------------------------------------------
 // BinaryHeapEventQueue (reference)
 // ---------------------------------------------------------------------------
@@ -249,15 +184,6 @@ EventRecord BinaryHeapEventQueue::pop() {
 
 const EventRecord* BinaryHeapEventQueue::peek() const {
   return heap_.empty() ? nullptr : &heap_.front();
-}
-
-void BinaryHeapEventQueue::extract_for(lat::BlockId target,
-                                       std::vector<EventRecord>& out) {
-  const size_t first = out.size();
-  if (!extract_matching(heap_, target, out)) return;
-  // Floyd heap construction over the survivors.
-  for (size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
-  sort_extracted(out, first);
 }
 
 }  // namespace sb::sim

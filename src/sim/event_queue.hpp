@@ -64,14 +64,6 @@ class EventQueue {
     return overflow_.empty() ? nullptr : &overflow_.front();
   }
 
-  /// Removes every pending event addressed to `target` (start/timer events
-  /// whose subject it is, deliveries whose receiver it is) and appends them
-  /// to `out` in (time, seq) order. The sharded simulator re-homes a
-  /// migrating block's events with this when a motion carries it across a
-  /// shard boundary; motions are rare, so the linear scan is off the hot
-  /// path.
-  void extract_for(lat::BlockId target, std::vector<EventRecord>& out);
-
   [[nodiscard]] size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
@@ -146,7 +138,6 @@ class BinaryHeapEventQueue {
   void push(EventRecord record);
   EventRecord pop();
   [[nodiscard]] const EventRecord* peek() const;
-  void extract_for(lat::BlockId target, std::vector<EventRecord>& out);
   [[nodiscard]] size_t size() const { return heap_.size(); }
   [[nodiscard]] bool empty() const { return heap_.empty(); }
 

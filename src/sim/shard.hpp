@@ -26,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "lattice/grid.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 #include "util/rng.hpp"
@@ -73,7 +72,9 @@ struct PhaseBreakdown {
 /// integrate phase of the next round.
 struct ShardState {
   size_t index = 0;
-  /// Pending events addressed to blocks inside this shard.
+  /// Pending events addressed to this shard's blocks: those whose modules
+  /// registered inside its stripe (Simulator::shard_of), wherever they are
+  /// now.
   EventQueue queue;
   /// Independent latency stream, forked from the master seed by shard
   /// index; consumed only while this shard drains, so draw order is
@@ -82,16 +83,15 @@ struct ShardState {
   /// Local clock while draining a window (monotone across windows): the
   /// time of the last event this shard processed.
   SimTime now = 0;
-  /// Events processed in the current window; reset at the fold rendezvous.
+  /// Events processed in the current window, the one count the drain
+  /// keeps; the fold rendezvous adds it to total_events and
+  /// stats.events_processed and resets it.
   uint64_t window_events = 0;
   /// Cumulative events processed by this shard (reported per-shard).
   uint64_t total_events = 0;
   /// Per-shard counters, folded into the simulator totals when run()
   /// returns.
   SimStats stats;
-  /// Per-shard connectivity verdict cache + oracle counters, installed as
-  /// the thread's scratch view while this shard drains.
-  lat::ConnectivityScratchView conn_view;
   /// Inbound message channel: one slot per producer shard. While shard
   /// `src` drains a window it appends cross-shard deliveries straight into
   /// `inbound[src]` of the destination — single producer per slot, no

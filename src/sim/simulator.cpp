@@ -76,7 +76,7 @@ Rng& Simulator::active_rng(const Module& sender) {
   if (!sharded_) return rng_;
   ShardState* ctx = tls_exec_;
   if (ctx != nullptr) return ctx->rng;
-  return shards_[shard_for(world_.view().position_of(sender.id()))]->rng;
+  return shards_[shard_of(sender.id())]->rng;
 }
 
 Module& Simulator::add_module(std::unique_ptr<Module> module) {
@@ -95,6 +95,12 @@ Module& Simulator::add_module(std::unique_ptr<Module> module) {
   }
   if (id.value >= modules_.size()) {
     modules_.resize(static_cast<size_t>(id.value) + 1);
+  }
+  if (sharded_) {
+    if (id.value >= block_shard_.size()) {
+      block_shard_.resize(static_cast<size_t>(id.value) + 1);
+    }
+    block_shard_[id.value] = static_cast<uint32_t>(shard_map_.shard_of(pos));
   }
   auto& slot = modules_[id.value];
   slot = std::move(module);
@@ -125,8 +131,8 @@ void Simulator::schedule_record(EventRecord record) {
     return;
   }
   // Sharded routing: grid-mutating / external events go to the sequential
-  // queue; module events go to the queue of the shard owning the
-  // target block. From inside a window, cross-shard deliveries go straight
+  // queue; module events go to the queue of the target block's shard
+  // (shard_of). From inside a window, cross-shard deliveries go straight
   // into the destination shard's inbound channel slot for this producer —
   // single-writer, so no thread ever touches another shard's queue or
   // contends on a lock; the destination integrates the slot after the next
@@ -145,7 +151,7 @@ void Simulator::schedule_record(EventRecord record) {
       return;
     case EventKind::kStart:
     case EventKind::kTimer: {
-      const size_t dest = shard_for(world_.view().position_of(record.a));
+      const size_t dest = shard_of(record.a);
       // Starts are scheduled between windows; timers only ever target the
       // module that set them, which executes on its own shard.
       SB_ASSERT(ctx == nullptr || dest == ctx->index,
@@ -154,17 +160,10 @@ void Simulator::schedule_record(EventRecord record) {
       return;
     }
     case EventKind::kDelivery: {
-      const lat::WorldView view = world_.view();
-      size_t dest;
-      if (view.contains(record.b)) {
-        dest = shard_for(view.position_of(record.b));
-      } else if (ctx != nullptr) {
-        dest = ctx->index;  // receiver left the surface; deliver() drops it
-      } else {
-        dest = view.contains(record.a)
-                   ? shard_for(view.position_of(record.a))
-                   : 0;
-      }
+      // A receiver without a module drops the message on delivery
+      // (deliver()), so it stays with the sending shard.
+      size_t dest = ctx != nullptr ? ctx->index : shard_of(record.a);
+      if (find_module(record.b) != nullptr) dest = shard_of(record.b);
       if (ctx != nullptr && dest != ctx->index) {
         obs::TraceWriter& tracer = obs::TraceWriter::instance();
         if (tracer.enabled()) {
@@ -346,19 +345,6 @@ void Simulator::complete_motion(lat::BlockId subject,
   const auto moves = app.world_moves();
   world_.apply(app);
   ++stats_.motions_completed;
-
-  // A move across a stripe boundary migrates block ownership: pending
-  // events addressed to the mover follow it to its new shard.
-  if (sharded_) {
-    for (const auto& [from, to] : moves) {
-      const size_t shard_from = shard_map_.shard_of(from);
-      const size_t shard_to = shard_map_.shard_of(to);
-      if (shard_from == shard_to) continue;
-      // After a simultaneous batch, the block that left `from` is the one
-      // now at `to`.
-      rehome_block_events(world_.view().at(to), shard_from, shard_to);
-    }
-  }
 
   std::vector<lat::Vec2> touched;
   for (const auto& [from, to] : moves) {

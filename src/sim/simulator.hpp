@@ -82,10 +82,13 @@ class Simulator {
   [[nodiscard]] size_t shard_count() const {
     return sharded_ ? shards_.size() : 1;
   }
-  /// Shard owning position `pos` (always 0 in classic mode). Modules use
-  /// this to select shard-scoped helpers (e.g. core's per-shard planners).
-  [[nodiscard]] size_t shard_for(lat::Vec2 pos) const {
-    return sharded_ ? shard_map_.shard_of(pos) : 0;
+  /// Shard that runs block `id`'s events (always 0 in classic mode): the
+  /// stripe the block stood in when its module registered, kept however
+  /// far the block moves. `id` must have a module.
+  [[nodiscard]] size_t shard_of(lat::BlockId id) const {
+    if (!sharded_) return 0;
+    SB_ASSERT(id.value < block_shard_.size(), "block ", id, " has no shard");
+    return block_shard_[id.value];
   }
   /// Cumulative events processed per shard (empty in classic mode).
   [[nodiscard]] std::vector<uint64_t> shard_event_counts() const;
@@ -240,24 +243,21 @@ class Simulator {
 
   void init_shards();
   StopReason run_sharded(RunLimits limits);
-  /// Serial rendezvous hook: folds the just-drained window's counters,
-  /// merges pending grid-mutating events into the sequential queue, and
-  /// publishes a shard flood verdict to the grid's own cache. Fixed shard
-  /// order; runs in the barrier's last-arriving worker.
+  /// Serial rendezvous hook: folds the just-drained window's counters and
+  /// merges pending grid-mutating events into the sequential queue. Fixed
+  /// shard order; runs in the barrier's last-arriving worker.
   void sharded_fold();
   /// Parallel rendezvous hook: drains one shard's inbound channel slots
   /// into its queue, in producer-shard order.
   void sharded_integrate(size_t index);
   /// Serial rendezvous hook: executes due sequential (grid-mutating /
-  /// external) events and picks the next window horizon. Returns false to
-  /// stop the round loop, recording the reason in run_reason_.
+  /// external) events, settles the grid's connectivity verdict, and picks
+  /// the next window horizon. Returns false to stop the round loop,
+  /// recording the reason in run_reason_.
   bool sharded_decide(SimTime* window_end);
   void drain_shard_window(ShardState& shard, SimTime window_end);
-  /// Moves a migrated block's pending events to its new home shard.
-  void rehome_block_events(lat::BlockId id, size_t from_shard,
-                           size_t to_shard);
-  /// Folds per-shard stats and oracle counters into the simulator totals
-  /// and the grid (called whenever run_sharded returns).
+  /// Folds per-shard stats into the simulator totals (called whenever
+  /// run_sharded returns).
   void merge_shard_stats();
   void record_trace(size_t stream, const EventRecord& record);
 
@@ -290,6 +290,9 @@ class Simulator {
   bool sharded_ = false;
   Ticks lookahead_ = 1;
   lat::ShardMap shard_map_;
+  /// Dense table indexed by id: the shard of each registered block, set
+  /// once by add_module from shard_map_ (hot-joined blocks included).
+  std::vector<uint32_t> block_shard_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::unique_ptr<ShardEngine> engine_;
   /// Per-run() loop state shared by the engine hooks: limits, events

@@ -2,13 +2,15 @@
 #include <cstdlib>
 #include <thread>
 
+#include "lattice/connectivity.hpp"
 #include "sim/simulator.hpp"
 #include "util/fmt.hpp"
 
 // The channel-driven sharded schedule (SimConfig::shards > 1).
 //
 // The surface is split by a ShardMap into column stripes cut at equal block
-// count; each shard owns the events of the blocks inside its stripe. A
+// count; each shard owns the blocks that stood in its stripe when their
+// modules registered, and runs their events wherever they move. A
 // resident ShardEngine worker set cycles rounds of
 //
 //   fold -> integrate -> decide -> drain
@@ -17,22 +19,23 @@
 //
 //   Drain (parallel) — every shard drains its queue up to a horizon
 //   `window_end`, in local (time, seq) order, on its owning worker. The
-//   grid is frozen (no event in a shard queue mutates it), so handlers may
-//   read it freely; writes stay inside the shard (its modules, queue, RNG,
-//   counters, connectivity scratch) — except cross-shard deliveries, which
-//   the producer pushes straight into the destination shard's inbound
-//   channel slot. One slot per (producer, consumer) pair makes every slot
-//   single-writer, so no locks are needed; the rendezvous barrier is the
-//   happens-before edge to the consumer. The horizon is bounded by the
-//   lookahead — the minimum link latency — so any message sent inside the
-//   window can only be delivered in a later one, and by the time of the
-//   next grid-mutating event. When LatencyModel::min_ticks > 1 the window
-//   spans that many ticks, amortizing one rendezvous over many events.
+//   grid is frozen (no event in a shard queue mutates it) and its
+//   connectivity verdict was settled before the window opened, so handlers
+//   only read it. Writes stay inside the shard (its modules, queue, RNG,
+//   counters) apart from relaxed-atomic counters and cross-shard
+//   deliveries, which the producer pushes straight into the destination
+//   shard's inbound channel slot. One slot per (producer, consumer) pair
+//   makes every slot single-writer, so no locks are needed; the rendezvous
+//   barrier is the happens-before edge to the consumer. The horizon is
+//   bounded by the lookahead — the minimum link latency — so any message
+//   sent inside the window can only be delivered in a later one, and by the
+//   time of the next grid-mutating event. When LatencyModel::min_ticks > 1
+//   the window spans that many ticks, amortizing one rendezvous over many
+//   events.
 //
 //   Fold (serial, in the barrier) — window counters fold into the run
-//   totals, pending grid-mutating events merge into the sequential queue,
-//   and shard flood verdicts publish to the grid cache, in fixed shard
-//   order.
+//   totals and pending grid-mutating events merge into the sequential
+//   queue, in fixed shard order.
 //
 //   Integrate (parallel) — each shard's owner routes its inbound channel
 //   slots into the shard queue, in producer-shard order.
@@ -40,15 +43,14 @@
 //   Decide (serial, in the barrier) — grid-mutating or external events due
 //   before the earliest shard event execute one by one on the deciding
 //   thread; their handlers see a quiescent world and may touch any shard.
-//   Then the next horizon is chosen, or the round loop stops.
+//   Then a connectivity verdict the last mutation left unknown is settled
+//   by one flood and the next horizon is chosen, or the round loop stops.
 //
 // Determinism: shard queues pop in (time, seq); seqs are assigned by
 // deterministic per-queue push order; channel slots integrate in fixed
 // producer order on the consumer's worker; each shard draws latencies from
 // its own RNG stream. Worker assignment never reorders anything, so event
-// traces are byte-identical for every shard_threads value — and identical
-// to the former coordinator/outbox engine's, which routed the same records
-// into the same queues in the same order.
+// traces are byte-identical for every shard_threads value.
 
 namespace sb::sim {
 
@@ -150,9 +152,10 @@ void Simulator::sharded_fold() {
   } else {
     drop_integration_ = false;
   }
-  const lat::Grid& grid = world_.grid();
   for (const auto& shard : shards_) {
     run_processed_ += shard->window_events;
+    shard->total_events += shard->window_events;
+    shard->stats.events_processed += shard->window_events;
     shard->window_events = 0;
     if (shard->now > now_) now_ = shard->now;
     if (shard->halt_requested) {
@@ -168,14 +171,6 @@ void Simulator::sharded_fold() {
       queue_.push(std::move(record));
     }
     shard->pending_global.clear();
-    // Publish a window flood's verdict: it was computed against the current
-    // (un-mutated) grid, so the grid cache and the other shards can reuse
-    // it. Every shard computes the same verdict for the same version.
-    if (grid.own_connectivity_hint() == lat::ConnectivityHint::kUnknown &&
-        shard->conn_view.version == grid.version() &&
-        shard->conn_view.hint != lat::ConnectivityHint::kUnknown) {
-      grid.set_own_connectivity_hint(shard->conn_view.hint);
-    }
   }
 }
 
@@ -237,6 +232,14 @@ bool Simulator::sharded_decide(SimTime* window_end) {
       continue;
     }
 
+    // Windows only read the grid: a verdict the last mutation left unknown
+    // is settled here, once, so no probe inside the window floods the
+    // current grid or stores a verdict.
+    const lat::Grid& grid = world_.grid();
+    if (grid.connectivity_hint() == lat::ConnectivityHint::kUnknown) {
+      (void)lat::is_connected(grid);
+    }
+
     // Parallel window [t_shard, window_end): bounded by the lookahead, the
     // next grid mutation, and the time limit.
     SimTime end = t_shard + lookahead_;
@@ -252,18 +255,11 @@ bool Simulator::sharded_decide(SimTime* window_end) {
 
 void Simulator::drain_shard_window(ShardState& shard, SimTime window_end) {
   SB_ASSERT(tls_exec_ == nullptr, "nested shard window drains");
-  tls_exec_ = &shard;
-  // The shard probes connectivity through its own scratch view while the
-  // grid is frozen; seed it from the grid's verdict for the current
-  // mutation generation so at most one flood runs per shard per grid
-  // change.
   const lat::Grid& grid = world_.grid();
-  if (shard.conn_view.version != grid.version()) {
-    shard.conn_view.version = grid.version();
-    shard.conn_view.hint = grid.own_connectivity_hint();
-  }
-  lat::Grid::install_connectivity_view(&shard.conn_view);
-
+  SB_ASSERT(grid.block_count() <= 1 ||
+                grid.connectivity_hint() != lat::ConnectivityHint::kUnknown,
+            "shard window opened on an unsettled connectivity verdict");
+  tls_exec_ = &shard;
   EventQueue& queue = shard.queue;
   while (const EventRecord* head = queue.peek()) {
     if (head->time >= window_end) break;
@@ -271,35 +267,16 @@ void Simulator::drain_shard_window(ShardState& shard, SimTime window_end) {
     SB_ASSERT(record.time >= shard.now, "shard time ran backwards");
     shard.now = record.time;
     ++shard.window_events;
-    ++shard.total_events;
-    ++shard.stats.events_processed;
     if (trace_events_) record_trace(shard.index, record);
     dispatch(record);
   }
-
-  lat::Grid::install_connectivity_view(nullptr);
   tls_exec_ = nullptr;
 }
 
-void Simulator::rehome_block_events(lat::BlockId id, size_t from_shard,
-                                    size_t to_shard) {
-  SB_ASSERT(id.valid());
-  std::vector<EventRecord> extracted;
-  shards_[from_shard]->queue.extract_for(id, extracted);
-  // Re-pushing in (time, seq) order assigns fresh destination seqs while
-  // preserving the events' relative order.
-  for (EventRecord& record : extracted) {
-    shards_[to_shard]->queue.push(std::move(record));
-  }
-}
-
 void Simulator::merge_shard_stats() {
-  lat::ConnectivityStats& conn = world_.grid().own_connectivity_stats();
   for (const auto& shard : shards_) {
     stats_.accumulate(shard->stats);
     shard->stats = SimStats{};
-    conn += shard->conn_view.stats;
-    shard->conn_view.stats = lat::ConnectivityStats{};
   }
 }
 

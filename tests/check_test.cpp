@@ -205,7 +205,7 @@ TEST(Oracle, DetectsStaleConnectivityCache) {
 
   // Plant a wrong cached verdict on a connected grid.
   const lat::Grid& grid = session.simulator().world().grid();
-  grid.set_own_connectivity_hint(lat::ConnectivityHint::kDisconnected);
+  grid.set_connectivity_hint(lat::ConnectivityHint::kDisconnected);
   oracle.check_now(session.simulator());
   ASSERT_FALSE(oracle.clean());
   EXPECT_NE(oracle.violations().front().find("cached connectivity"),

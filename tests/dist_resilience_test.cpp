@@ -256,21 +256,24 @@ TEST(Journal, MissingFileOrHeaderThrows) {
   }
   EXPECT_THROW(read_journal(path), std::runtime_error);
   // A journal written before sharded runs striped at equal block count
-  // holds rows this build would not reproduce: refuse it, do not resume.
-  const std::string old_format = tmp.make("v1.journal");
-  {
-    std::ofstream out(old_format);
-    out << R"({"record": "header", "format": "sb-dist-journal-v1", )"
-        << R"("bind": "127.0.0.1", "port": 0})" << "\n";
-    out << R"({"record": "cancel", "job": 0})" << "\n";
-  }
-  try {
-    (void)read_journal(old_format);
-    ADD_FAILURE() << "a sb-dist-journal-v1 journal was accepted";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("sb-dist-journal-v1"),
-              std::string::npos)
-        << error.what();
+  // (v1), or before a sharded block kept its registration shard (v2), holds
+  // rows this build would not reproduce: refuse it, do not resume.
+  for (const std::string format :
+       {"sb-dist-journal-v1", "sb-dist-journal-v2"}) {
+    const std::string old_format = tmp.make(format + ".journal");
+    {
+      std::ofstream out(old_format);
+      out << R"({"record": "header", "format": ")" << format << R"(", )"
+          << R"("bind": "127.0.0.1", "port": 0})" << "\n";
+      out << R"({"record": "cancel", "job": 0})" << "\n";
+    }
+    try {
+      (void)read_journal(old_format);
+      ADD_FAILURE() << "a " << format << " journal was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(format), std::string::npos)
+          << error.what();
+    }
   }
 }
 

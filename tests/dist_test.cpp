@@ -224,16 +224,19 @@ TEST(Protocol, RejectsGarbageAndVersionSkew) {
   EXPECT_THROW(decode("{\"type\":\"warp\"}"), std::runtime_error);
   EXPECT_THROW(decode("{\"type\":\"hello\",\"version\":999,\"pid\":1}"),
                std::runtime_error);
-  // A v2 peer stripes sharded runs differently; its rows must not merge.
-  Message v2_hello = Message::hello(1, Role::kWorker, 4, 1024);
-  v2_hello.version = 2;
-  try {
-    (void)decode(encode(v2_hello));
-    ADD_FAILURE() << "a version 2 hello was accepted";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("version mismatch"),
-              std::string::npos)
-        << error.what();
+  // A v2 peer stripes sharded runs differently and a v3 peer moves a
+  // block's events with it across stripes; their rows must not merge.
+  for (const int old_version : {2, 3}) {
+    Message old_hello = Message::hello(1, Role::kWorker, 4, 1024);
+    old_hello.version = old_version;
+    try {
+      (void)decode(encode(old_hello));
+      ADD_FAILURE() << "a version " << old_version << " hello was accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("version mismatch"),
+                std::string::npos)
+          << error.what();
+    }
   }
   EXPECT_THROW(decode("{\"type\":\"unit\",\"job\":0,\"unit\":{\"id\":0,"
                       "\"begin\":5,\"end\":2}}"),

@@ -83,7 +83,8 @@ TEST_P(GoldenTraceTest, EventTraceMatchesRecordedDigest) {
 // The uniform(1,8) cases mirror bench_e2e's latency; shards=4 at 1 and 4
 // threads must hash identically to each other as well as to the record.
 // The shards=4 digests depend on the shard map; they were recorded on
-// column stripes cut at equal block count.
+// column stripes cut at equal block count, with every block's events run
+// by the shard it registered on, wherever it moves.
 // The exponential(5) cases run the fault-mode protocol, whose ack timers
 // fire 1000 ticks out — far past the calendar queue's 64-tick ring — so
 // the overflow path and its migration back into the ring are pinned too.
@@ -94,25 +95,25 @@ INSTANTIATE_TEST_SUITE_P(
                    msg::LatencyModel::uniform(1, 8), 1, 1, 0, 38320,
                    0xa236bbd7c3e8a864ULL},
         GoldenCase{"tower32_shards4_threads1", "tower32",
-                   msg::LatencyModel::uniform(1, 8), 4, 1, 0, 38324,
-                   0x0c24f842de04c9f3ULL},
+                   msg::LatencyModel::uniform(1, 8), 4, 1, 0, 38326,
+                   0x892bc8a13826e63aULL},
         GoldenCase{"tower32_shards4_threads4", "tower32",
-                   msg::LatencyModel::uniform(1, 8), 4, 4, 0, 38324,
-                   0x0c24f842de04c9f3ULL},
+                   msg::LatencyModel::uniform(1, 8), 4, 4, 0, 38326,
+                   0x892bc8a13826e63aULL},
         GoldenCase{"fig10_classic", "fig10", msg::LatencyModel::uniform(1, 8),
                    1, 1, 0, 1781, 0xe2b7f25803451d88ULL},
         GoldenCase{"fig10_shards4_threads1", "fig10",
-                   msg::LatencyModel::uniform(1, 8), 4, 1, 0, 1780,
-                   0x9f8a04c292afd4b0ULL},
+                   msg::LatencyModel::uniform(1, 8), 4, 1, 0, 1769,
+                   0x6477509e78ffb05cULL},
         GoldenCase{"fig10_shards4_threads4", "fig10",
-                   msg::LatencyModel::uniform(1, 8), 4, 4, 0, 1780,
-                   0x9f8a04c292afd4b0ULL},
+                   msg::LatencyModel::uniform(1, 8), 4, 4, 0, 1769,
+                   0x6477509e78ffb05cULL},
         GoldenCase{"tower32_exp5_timeout_classic", "tower32",
                    msg::LatencyModel::exponential(5.0), 1, 1, 1000, 53573,
                    0xe984f9673f646d70ULL},
         GoldenCase{"tower32_exp5_timeout_shards4_threads4", "tower32",
-                   msg::LatencyModel::exponential(5.0), 4, 4, 1000, 53576,
-                   0xa41be9d5152e7a6dULL}),
+                   msg::LatencyModel::exponential(5.0), 4, 4, 1000, 53437,
+                   0x367d12971b665bf8ULL}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace

@@ -470,16 +470,21 @@ bool same_decision(const MoveDecision& a, const MoveDecision& b) {
 
 TEST(Planner, OneConstPlannerServesThreadsFromTheirOwnMemos) {
   // Shard windows evaluate through one planner at once, each thread with
-  // its own blocks' memos and its own connectivity scratch view. Every
-  // thread here evaluates every block twice: the first pass must match a
-  // serial pass, and the second must be served from the thread's memos.
+  // its own blocks' memos, over one grid whose connectivity verdict was
+  // settled before the window opened. Every thread here evaluates every
+  // block twice: the first pass must match a serial pass, and the second
+  // must be served from the thread's memos.
   for (const char* name : {"tower64", "blob1000"}) {
     SCOPED_TRACE(name);
     const lat::Scenario scenario = lat::resolve_scenario(name);
     sim::World world(scenario.width, scenario.height,
                      motion::RuleLibrary::standard());
     for (const auto& [id, pos] : scenario.blocks) world.grid().place(id, pos);
+    // Settle the verdict once, as the sharded simulator does before each
+    // window: the threads below then only read the grid.
     ASSERT_TRUE(world.view().connected());
+    ASSERT_NE(world.view().connectivity_hint(),
+              lat::ConnectivityHint::kUnknown);
     PlannerConfig config;
     config.distance.input = scenario.input;
     config.distance.output = scenario.output;
@@ -503,10 +508,6 @@ TEST(Planner, OneConstPlannerServesThreadsFromTheirOwnMemos) {
     std::vector<std::thread> threads;
     for (size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
-        lat::ConnectivityScratchView view;
-        view.version = world.grid().version();
-        view.hint = world.grid().own_connectivity_hint();
-        lat::Grid::install_connectivity_view(&view);
         std::vector<PlannerMemo> memos(blocks.size());
         for (int pass = 0; pass < 2; ++pass) {
           for (size_t i = 0; i < blocks.size(); ++i) {
@@ -515,7 +516,6 @@ TEST(Planner, OneConstPlannerServesThreadsFromTheirOwnMemos) {
             if (!same_decision(decision, serial[i].decision)) ++mismatches[t];
           }
         }
-        lat::Grid::install_connectivity_view(nullptr);
       });
     }
     for (std::thread& thread : threads) thread.join();

@@ -1,8 +1,9 @@
 // Tests for the sharded world: the ShardMap's equal-load column cut, the
 // channel-driven sharded schedule (sim/simulator_sharded.cpp), cross-shard
-// messaging, event re-homing on shard migration, and the determinism
-// contract — event and move traces byte-identical across shard-thread
-// counts (the sharded counterpart of runner_test's sweep determinism).
+// messaging, blocks keeping their registration shard as they move, and the
+// determinism contract — event and move traces byte-identical across
+// shard-thread counts (the sharded counterpart of runner_test's sweep
+// determinism).
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,11 +121,19 @@ struct SessionRun {
   /// Invariant-oracle verdict for the run (src/check/oracle.hpp): every
   /// e2e session below must finish with an empty list.
   std::vector<std::string> violations;
+  /// Simulator::shard_of for every block, indexed by id.
+  std::vector<size_t> home_shard;
+  /// Block positions and the grid's connectivity verdict after the run.
+  std::vector<std::pair<lat::BlockId, lat::Vec2>> final_blocks;
+  lat::ConnectivityHint final_hint = lat::ConnectivityHint::kUnknown;
 };
 
-SessionRun run_session(const lat::Scenario& scenario,
-                       core::SessionConfig config, size_t shards,
-                       size_t shard_threads) {
+/// Runs `scenario` to completion; `prepare`, when given, sees the
+/// simulator just before the run starts.
+SessionRun run_session(
+    const lat::Scenario& scenario, core::SessionConfig config, size_t shards,
+    size_t shard_threads,
+    const std::function<void(sim::Simulator&)>& prepare = nullptr) {
   config.sim.shards = shards;
   config.sim.shard_threads = shard_threads;
   core::ReconfigurationSession session(scenario, config);
@@ -132,11 +143,20 @@ SessionRun run_session(const lat::Scenario& scenario,
                                 const motion::RuleApplication& app) {
     run.move_trace.push_back(core::move_trace_line(epoch, block, app));
   });
-  session.simulator().enable_event_trace();
+  sim::Simulator& sim = session.simulator();
+  sim.enable_event_trace();
+  if (prepare) prepare(sim);
   run.result = session.run();
-  run.event_trace = session.simulator().event_trace();
-  oracle.check_now(session.simulator());
+  run.event_trace = sim.event_trace();
+  oracle.check_now(sim);
   run.violations = oracle.violations();
+  const lat::WorldView view = sim.world().view();
+  run.final_blocks = view.blocks();
+  for (const auto& [id, pos] : run.final_blocks) {
+    if (run.home_shard.size() <= id.value) run.home_shard.resize(id.value + 1);
+    run.home_shard[id.value] = sim.shard_of(id);
+  }
+  run.final_hint = view.connectivity_hint();
   return run;
 }
 
@@ -231,8 +251,9 @@ TEST(ShardedDeterminism, SingleShardReducesToClassicSchedule) {
   EXPECT_EQ(classic.event_trace, classic_threaded.event_trace);
 }
 
-// One-column-per-stripe sharding maximizes cross-shard traffic and makes
-// every horizontal hop a migration — the re-homing path gets no mercy.
+// One-column-per-stripe sharding maximizes cross-shard traffic, and every
+// horizontal hop carries a block out of the stripe it registered in while
+// its shard keeps running its events.
 TEST(ShardedSession, MaximallyShardedTowerCompletes) {
   const lat::Scenario scenario = lat::make_tower_scenario(8);
   const SessionRun classic = run_session(scenario, {}, 1, 1);
@@ -342,13 +363,106 @@ TEST(ShardedSession, StripesHoldEqualBlockCounts) {
     widest_column = std::max(widest_column, view.blocks_in_column(x));
   }
   std::vector<size_t> blocks(4, 0);
-  for (const auto& [id, pos] : view.blocks()) ++blocks[sim.shard_for(pos)];
+  for (const lat::BlockId id : view.block_ids()) ++blocks[sim.shard_of(id)];
   const double share = static_cast<double>(view.block_count()) / 4.0;
   for (size_t shard = 0; shard < 4; ++shard) {
     EXPECT_LT(std::abs(static_cast<double>(blocks[shard]) - share),
               static_cast<double>(widest_column))
         << "shard " << shard << " holds " << blocks[shard] << " blocks";
   }
+}
+
+/// Block an event-trace line is addressed to: the `a=` subject of a start
+/// or timer, the `b=` receiver of a delivery; none for sequential steps.
+std::optional<uint32_t> trace_target(const std::string& line) {
+  const auto field = [&line](const std::string& key) {
+    const size_t at = line.find(key);
+    EXPECT_NE(at, std::string::npos) << line;
+    return static_cast<uint32_t>(std::stoul(line.substr(at + key.size())));
+  };
+  if (line.find(" Start ") != std::string::npos ||
+      line.find(" Timer ") != std::string::npos) {
+    return field(" a=");
+  }
+  if (line.find(" Delivery ") != std::string::npos) return field(" b=");
+  return std::nullopt;
+}
+
+// A block keeps the shard its module registered on, however far it moves:
+// every event addressed to it sits in that shard's trace stream. Fault-mode
+// ack timers fire 1000 ticks out, so a block that hops across a stripe
+// still has timers pending in its shard's queue.
+TEST(ShardedSession, BlocksStayOnTheirRegistrationShard) {
+  core::SessionConfig config;
+  config.sim.latency = msg::LatencyModel::exponential(5.0);
+  config.ack_timeout = 1000;
+  const lat::Scenario scenario = lat::resolve_scenario("tower32");
+  const SessionRun serial = run_session(scenario, config, 4, 1);
+  const SessionRun parallel = run_session(scenario, config, 4, 4);
+
+  ASSERT_TRUE(serial.result.complete);
+  EXPECT_TRUE(oracle_clean(serial));
+  EXPECT_TRUE(oracle_clean(parallel));
+  EXPECT_EQ(serial.event_trace, parallel.event_trace);
+  EXPECT_EQ(serial.home_shard, parallel.home_shard);
+
+  // The cut the simulator made, rebuilt from the scenario's columns: each
+  // block registered in the stripe it started in, and some ended the run
+  // in another one.
+  std::vector<uint64_t> columns(static_cast<size_t>(scenario.width), 0);
+  for (const auto& [id, pos] : scenario.blocks) {
+    ++columns[static_cast<size_t>(pos.x)];
+  }
+  const lat::ShardMap cut(columns, 4);
+  for (const auto& [id, pos] : scenario.blocks) {
+    EXPECT_EQ(serial.home_shard[id.value], cut.shard_of(pos)) << id;
+  }
+  size_t crossed = 0;
+  for (const auto& [id, pos] : serial.final_blocks) {
+    if (cut.shard_of(pos) != serial.home_shard[id.value]) ++crossed;
+  }
+  EXPECT_GT(crossed, 0u);
+
+  // Streams 0-3 hold the events of their shard's blocks; stream 4, the
+  // sequential steps, holds none.
+  ASSERT_EQ(serial.event_trace.size(), 5u);
+  size_t addressed = 0;
+  for (size_t stream = 0; stream < serial.event_trace.size(); ++stream) {
+    for (const std::string& line : serial.event_trace[stream]) {
+      const std::optional<uint32_t> target = trace_target(line);
+      if (!target) {
+        EXPECT_EQ(stream, 4u) << line;
+        continue;
+      }
+      ASSERT_LT(*target, serial.home_shard.size()) << line;
+      ASSERT_EQ(stream, serial.home_shard[*target]) << line;
+      ++addressed;
+    }
+  }
+  EXPECT_GT(addressed, serial.result.events_processed / 2);
+}
+
+// Windows only read the grid, so a connectivity verdict the grid does not
+// know is settled before a window opens. Forgetting the verdict of a fresh
+// session makes the very first window need that.
+TEST(ShardedSession, UnknownVerdictIsSettledBeforeTheFirstWindow) {
+  const lat::Scenario scenario = lat::make_tower_scenario(8);
+  const auto forget_verdict = [](sim::Simulator& sim) {
+    sim.world().grid().set_connectivity_hint(lat::ConnectivityHint::kUnknown);
+  };
+  const SessionRun serial =
+      run_session(scenario, jittery_config(), 4, 1, forget_verdict);
+  const SessionRun parallel =
+      run_session(scenario, jittery_config(), 4, 4, forget_verdict);
+
+  ASSERT_TRUE(serial.result.complete);
+  ASSERT_TRUE(parallel.result.complete);
+  EXPECT_TRUE(oracle_clean(serial));
+  EXPECT_TRUE(oracle_clean(parallel));
+  EXPECT_EQ(serial.event_trace, parallel.event_trace);
+  EXPECT_EQ(serial.move_trace, parallel.move_trace);
+  EXPECT_NE(serial.final_hint, lat::ConnectivityHint::kUnknown);
+  EXPECT_NE(parallel.final_hint, lat::ConnectivityHint::kUnknown);
 }
 
 // Re-running the same sharded configuration reproduces byte-identically

@@ -117,62 +117,6 @@ TYPED_TEST(QueueTest, InterleavedPushPop) {
   EXPECT_EQ(queue.pop().time, 10u);
 }
 
-struct ExtractProbeMsg final : msg::Message {
-  [[nodiscard]] std::string_view kind() const override { return "Extract"; }
-  [[nodiscard]] msg::MessagePtr clone() const override {
-    return std::make_unique<ExtractProbeMsg>(*this);
-  }
-};
-
-TYPED_TEST(QueueTest, ExtractForPullsTargetedEventsInOrder) {
-  TypeParam queue;
-  const lat::BlockId mover{7};
-  const lat::BlockId other{9};
-  queue.push(EventRecord::timer(12, mover, 1));
-  queue.push(EventRecord::timer(5, other, 2));
-  queue.push(EventRecord::start(3, mover));
-  queue.push(EventRecord::delivery(
-      9, other, mover, std::make_unique<ExtractProbeMsg>(), 0));
-  queue.push(EventRecord::delivery(
-      6, mover, other, std::make_unique<ExtractProbeMsg>(),
-      0));  // mover is sender
-  // Beyond the calendar's ring, so extraction sweeps the overflow.
-  queue.push(EventRecord::timer(EventQueue::kRingSize + 40, mover, 3));
-
-  std::vector<EventRecord> extracted;
-  queue.extract_for(mover, extracted);
-  ASSERT_EQ(extracted.size(), 4u);
-  EXPECT_EQ(extracted[0].kind, EventKind::kStart);
-  EXPECT_EQ(extracted[1].time, 9u);  // delivery addressed *to* the mover
-  EXPECT_EQ(extracted[2].time, 12u);
-  EXPECT_EQ(extracted[3].time, EventQueue::kRingSize + 40);
-
-  // Survivors: other's timer, the delivery mover sent to other.
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.pop().time, 5u);
-  EXPECT_EQ(queue.pop().time, 6u);
-  EXPECT_TRUE(queue.empty());
-}
-
-TYPED_TEST(QueueTest, ExtractForEmptyingTheOverflowHeadKeepsOrder) {
-  // Extracting the only record of the earliest beyond-ring tick must leave
-  // the next overflow record reachable by peek() and pop().
-  TypeParam queue;
-  const SimTime far = EventQueue::kRingSize + 50;
-  queue.push(EventRecord::timer(far, lat::BlockId{7}, 1));
-  queue.push(EventRecord::timer(far + 3, lat::BlockId{9}, 2));
-
-  std::vector<EventRecord> extracted;
-  queue.extract_for(lat::BlockId{7}, extracted);
-  ASSERT_EQ(extracted.size(), 1u);
-  EXPECT_EQ(extracted[0].time, far);
-
-  ASSERT_NE(queue.peek(), nullptr);
-  EXPECT_EQ(queue.peek()->time, far + 3);
-  EXPECT_EQ(queue.pop().time, far + 3);
-  EXPECT_TRUE(queue.empty());
-}
-
 // ---------------------------------------------------------------------------
 // Calendar ring window
 //
@@ -260,6 +204,14 @@ TEST(CalendarRing, DeepBucketsChainAcrossChunks) {
   }
 }
 
+/// Payload of the deliveries the queue differential pushes.
+struct QueueProbeMsg final : msg::Message {
+  [[nodiscard]] std::string_view kind() const override { return "QueueProbe"; }
+  [[nodiscard]] msg::MessagePtr clone() const override {
+    return std::make_unique<QueueProbeMsg>(*this);
+  }
+};
+
 /// (time, seq, label) of a record; the label rides in `tag` (timers) or
 /// the payload-bytes field (deliveries).
 struct Popped {
@@ -277,9 +229,8 @@ TEST(CalendarRing, MatchesBinaryHeapOverSimulatorPatterns) {
   // A long randomized differential over the schedules the simulator
   // produces — 1-8 tick sends, 10-tick motion landings, same-tick work,
   // timers and latency tails past the ring, ticks straddling the ring's
-  // end, the odd push below the last popped tick — with extract_for
-  // re-homing interleaved. Both queues see the same operations, so seqs
-  // agree, and every pop, peek and extraction must agree on
+  // end, the odd push below the last popped tick. Both queues see the same
+  // operations, so seqs agree, and every pop and peek must agree on
   // (time, seq, label).
   BinaryHeapEventQueue heap;
   EventQueue calendar;
@@ -291,9 +242,9 @@ TEST(CalendarRing, MatchesBinaryHeapOverSimulatorPatterns) {
     if (rng.next_below(4) == 0) {
       const lat::BlockId sender{static_cast<uint32_t>(rng.next_below(8)) + 1};
       heap.push(EventRecord::delivery(
-          t, sender, target, std::make_unique<ExtractProbeMsg>(), label));
+          t, sender, target, std::make_unique<QueueProbeMsg>(), label));
       calendar.push(EventRecord::delivery(
-          t, sender, target, std::make_unique<ExtractProbeMsg>(), label));
+          t, sender, target, std::make_unique<QueueProbeMsg>(), label));
     } else {
       heap.push(EventRecord::timer(t, target, label));
       calendar.push(EventRecord::timer(t, target, label));
@@ -319,7 +270,6 @@ TEST(CalendarRing, MatchesBinaryHeapOverSimulatorPatterns) {
 
   constexpr int kSteps = 200'000;
   uint64_t pops = 0;
-  uint64_t extracted_total = 0;
   for (int step = 0; step < kSteps; ++step) {
     const uint64_t pushes = rng.next_below(4);
     for (uint64_t i = 0; i < pushes; ++i) push_both(next_time());
@@ -334,25 +284,6 @@ TEST(CalendarRing, MatchesBinaryHeapOverSimulatorPatterns) {
       now = a.time;
       ++pops;
     }
-    if (step % 97 == 0) {
-      const lat::BlockId target{static_cast<uint32_t>(rng.next_below(8)) + 1};
-      std::vector<EventRecord> from_heap;
-      std::vector<EventRecord> from_calendar;
-      heap.extract_for(target, from_heap);
-      calendar.extract_for(target, from_calendar);
-      ASSERT_EQ(from_heap.size(), from_calendar.size());
-      for (size_t i = 0; i < from_heap.size(); ++i) {
-        ASSERT_EQ(popped(from_heap[i]), popped(from_calendar[i]))
-            << "extract_for diverged at step " << step;
-      }
-      extracted_total += from_heap.size();
-      // Re-home into the same queue, as the shard engine does into the new
-      // owner's: fresh seqs, relative order kept.
-      for (EventRecord& record : from_heap) heap.push(std::move(record));
-      for (EventRecord& record : from_calendar) {
-        calendar.push(std::move(record));
-      }
-    }
     ASSERT_EQ(heap.size(), calendar.size());
   }
   while (!heap.empty()) {
@@ -363,7 +294,6 @@ TEST(CalendarRing, MatchesBinaryHeapOverSimulatorPatterns) {
   EXPECT_TRUE(calendar.empty());
   EXPECT_EQ(calendar.peek(), nullptr);
   EXPECT_GT(pops, 100'000u);
-  EXPECT_GT(extracted_total, 1'000u);
 }
 
 // ---------------------------------------------------------------------------

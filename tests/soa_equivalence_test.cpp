@@ -171,8 +171,8 @@ TEST(SoaEquivalence, ColumnsMirrorTheCellArrayUnderRandomMutations) {
 TEST(SoaEquivalence, FreshFuzzSeedsAgreeAcrossOraclePaths) {
   // Fresh seeds (not the minimized corpus shapes), forced comparable so
   // the harness holds move traces byte-identical between the classic run,
-  // which probes the grid's own verdict hint, and the sharded runs, whose
-  // parallel windows probe through per-shard scratch views.
+  // which settles the grid's verdict hint on its first probe, and the
+  // sharded runs, which settle it before each window opens.
   check::GeneratorOptions options;
   options.always_comparable = true;
   for (uint64_t seed = 0x50A00; seed < 0x50A0C; ++seed) {

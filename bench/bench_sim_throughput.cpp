@@ -38,15 +38,11 @@ namespace {
 
 using namespace sb;
 
-struct TokenMsg final : msg::Message {
+struct TokenMsg {
+  static constexpr uint8_t kTag = 1;
+  static constexpr std::string_view kName = "Token";
+  static constexpr uint8_t kWireBytes = sizeof(uint32_t);
   uint32_t remaining = 0;
-  [[nodiscard]] std::string_view kind() const override { return "Token"; }
-  [[nodiscard]] msg::MessagePtr clone() const override {
-    return std::make_unique<TokenMsg>(*this);
-  }
-  [[nodiscard]] size_t payload_bytes() const override {
-    return sizeof(remaining);
-  }
 };
 
 /// Forwards tokens along the row, decrementing a hop budget - a pure
@@ -56,16 +52,15 @@ class TokenModule final : public sim::Module {
   explicit TokenModule(lat::BlockId id) : Module(id) {}
   void on_message(lat::Direction from,
                   const msg::Message& message) override {
-    const auto& token = static_cast<const TokenMsg&>(message);
+    TokenMsg token = message.unpack<TokenMsg>();
     if (token.remaining == 0) return;
-    auto next = std::make_unique<TokenMsg>(token);
-    next->remaining -= 1;
+    token.remaining -= 1;
     // Bounce off the row ends.
     const lat::Direction forward = opposite(from);
     if (neighbor_table().neighbor(forward).valid()) {
-      send(forward, std::move(next));
+      send(forward, token);
     } else {
-      send(from, std::move(next));
+      send(from, token);
     }
   }
 };
@@ -78,9 +73,7 @@ class SeedEvent final : public sim::Event {
   void execute(sim::Simulator& sim) override {
     auto* module = sim.find_module(target_);
     if (module == nullptr) return;
-    auto token = std::make_unique<TokenMsg>();
-    token->remaining = hops_;
-    sim.send_from(*module, lat::Direction::kEast, std::move(token));
+    sim.send_from(*module, lat::Direction::kEast, TokenMsg{hops_});
   }
 
  private:

@@ -42,6 +42,7 @@ void InvariantOracle::check_now(sim::Simulator& sim) {
   check_connectivity(sim);
   check_conservation(sim);
   check_columns(sim);
+  check_contacts(sim);
 }
 
 void InvariantOracle::on_move(core::Epoch epoch, lat::BlockId mover) {
@@ -175,6 +176,24 @@ void InvariantOracle::check_columns(sim::Simulator& sim) {
       record(sim, fmt("block {} has a registered module but its state tag "
                       "says unregistered",
                       module.id().value));
+    }
+  });
+}
+
+void InvariantOracle::check_contacts(sim::Simulator& sim) {
+  const lat::WorldView view = sim.world().view();
+  sim.for_each_module([&](sim::Module& module) {
+    if (!view.contains(module.id())) return;  // conservation reports it
+    const lat::Vec2 pos = view.position_of(module.id());
+    for (const lat::Direction d : lat::all_directions()) {
+      const lat::BlockId listed = module.neighbor_table().neighbor(d);
+      const lat::BlockId actual = view.at(pos + delta(d));
+      if (listed != actual) {
+        record(sim, fmt("block {} at {} lists {} on its {} side but the grid "
+                        "holds {} there",
+                        module.id().value, pos, listed, to_string(d),
+                        actual));
+      }
     }
   });
 }

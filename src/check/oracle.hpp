@@ -24,6 +24,11 @@
 //   columns      the SoA columns (lat::WorldState) agree with their sources
 //                of truth: the occupancy image with the cell array, and the
 //                state-tag column with module registration;
+//   contacts     every registered module's neighbour table equals the
+//                grid's four neighbours of its block — the simulator
+//                delivers a message only if the receiver's table lists the
+//                sender, so a stale table would deliver across a broken
+//                contact or drop across a live one;
 //   epochs       the elected-move epoch sequence is non-decreasing.
 //
 // Violations are collected as human-readable strings (capped) rather than
@@ -90,6 +95,7 @@ class InvariantOracle {
   void check_connectivity(sim::Simulator& sim);
   void check_conservation(sim::Simulator& sim);
   void check_columns(sim::Simulator& sim);
+  void check_contacts(sim::Simulator& sim);
 
   OracleOptions options_;
   Rng rng_;

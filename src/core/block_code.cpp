@@ -1,7 +1,5 @@
 #include "core/block_code.hpp"
 
-#include <cassert>
-
 #include "util/assert.hpp"
 #include "util/log.hpp"
 
@@ -51,7 +49,6 @@ void SmartBlockCode::reset_for_epoch(Epoch epoch) {
 ActivateMsg SmartBlockCode::make_activate() const {
   ActivateMsg m;
   m.epoch = epoch_;
-  m.father = id();
   m.output = config_->output;
   m.shortest_distance = best_dist_;
   m.id_shortest = best_id_;
@@ -98,9 +95,7 @@ int SmartBlockCode::broadcast_activates(
     if (skip && *skip == d) continue;
     if (dead_sides_[static_cast<size_t>(d)]) continue;
     if (!neighbor_table().neighbor(d).valid()) continue;
-    auto m = std::make_unique<ActivateMsg>(activate);
-    m->son = neighbor_table().neighbor(d);
-    send(d, std::move(m));
+    send(d, activate);
     if (config_->ack_timeout > 0) {
       awaiting_contact_[static_cast<size_t>(d)] = true;
     }
@@ -115,38 +110,29 @@ int SmartBlockCode::broadcast_activates(
 
 void SmartBlockCode::on_message(lat::Direction from_side,
                                 const msg::Message& m) {
-  // One byte switch on the envelope tag: deliveries are the per-event hot
-  // path, and a dynamic_cast chain costs a vtable probe per candidate type
-  // per message. The debug-only asserts catch a tag that lies about the
-  // dynamic type (e.g. a foreign module family reusing core's tag values)
-  // at zero release cost.
-  switch (m.dispatch_tag) {
-    case AlgoMsg::to_tag(AlgoMsgKind::kActivate):
-      assert(dynamic_cast<const ActivateMsg*>(&m) != nullptr);
-      handle_activate(from_side, static_cast<const ActivateMsg&>(m));
+  // One byte switch on the envelope tag; unpack copies the body out of
+  // the delivery record.
+  switch (m.tag()) {
+    case ActivateMsg::kTag:
+      handle_activate(from_side, m.unpack<ActivateMsg>());
       return;
-    case AlgoMsg::to_tag(AlgoMsgKind::kAck):
-      assert(dynamic_cast<const AckMsg*>(&m) != nullptr);
-      handle_ack(from_side, static_cast<const AckMsg&>(m));
+    case AckMsg::kTag:
+      handle_ack(from_side, m.unpack<AckMsg>());
       return;
-    case AlgoMsg::to_tag(AlgoMsgKind::kMoveDone):
-      assert(dynamic_cast<const MoveDoneMsg*>(&m) != nullptr);
-      handle_move_done(from_side, static_cast<const MoveDoneMsg&>(m));
+    case MoveDoneMsg::kTag:
+      handle_move_done(from_side, m.unpack<MoveDoneMsg>());
       return;
-    case AlgoMsg::to_tag(AlgoMsgKind::kSelect):
-      assert(dynamic_cast<const SelectMsg*>(&m) != nullptr);
-      handle_select(static_cast<const SelectMsg&>(m));
+    case SelectMsg::kTag:
+      handle_select(m.unpack<SelectMsg>());
       return;
-    case AlgoMsg::to_tag(AlgoMsgKind::kElectedAck):
-      assert(dynamic_cast<const ElectedAckMsg*>(&m) != nullptr);
-      handle_elected_ack(static_cast<const ElectedAckMsg&>(m));
+    case ElectedAckMsg::kTag:
+      handle_elected_ack(m.unpack<ElectedAckMsg>());
       return;
-    case AlgoMsg::to_tag(AlgoMsgKind::kSonNotify):
-      assert(dynamic_cast<const SonNotifyMsg*>(&m) != nullptr);
-      handle_son_notify(from_side, static_cast<const SonNotifyMsg&>(m));
+    case SonNotifyMsg::kTag:
+      handle_son_notify(from_side, m.unpack<SonNotifyMsg>());
       return;
     default:
-      SB_UNREACHABLE("unknown message kind '", m.kind(), "'");
+      SB_UNREACHABLE("unknown message tag ", int{m.tag()});
   }
 }
 
@@ -160,10 +146,8 @@ void SmartBlockCode::handle_activate(lat::Direction from_side,
     // this block as a son. The report is neutral (+inf).
     AckMsg ack;
     ack.epoch = epoch_;
-    ack.son = id();
-    ack.father = m.father;
     ack.engaged = false;
-    send(from_side, std::make_unique<AckMsg>(ack));
+    send(from_side, ack);
     return;
   }
 
@@ -177,7 +161,7 @@ void SmartBlockCode::handle_activate(lat::Direction from_side,
     SonNotifyMsg notify;
     notify.epoch = epoch_;
     notify.son = id();
-    send(from_side, std::make_unique<SonNotifyMsg>(notify));
+    send(from_side, notify);
   }
 
   // Evaluate dBO (Eqs 8-10). The Root never evaluates (it anchors I), but a
@@ -247,12 +231,10 @@ void SmartBlockCode::finish_aggregation() {
   // Report the subtree minimum to the father and go inactive.
   AckMsg ack;
   ack.epoch = epoch_;
-  ack.son = id();
-  ack.father = neighbor_table().neighbor(*father_side_);
   ack.shortest_distance = best_dist_;
   ack.id_shortest = best_id_;
   ack.engaged = true;
-  send(*father_side_, std::make_unique<AckMsg>(ack));
+  send(*father_side_, ack);
   phase_ = Phase::kDone;
 }
 
@@ -292,7 +274,7 @@ void SmartBlockCode::root_conclude_election() {
     SelectMsg select;
     select.epoch = epoch_;
     select.target = best_id_;
-    send(*best_via_, std::make_unique<SelectMsg>(select));
+    send(*best_via_, select);
   } else {
     SB_UNREACHABLE("the Root cannot elect itself");
   }
@@ -316,7 +298,7 @@ void SmartBlockCode::handle_select(const SelectMsg& m) {
              id().value, m.target.value);
     return;
   }
-  send(*best_via_, std::make_unique<SelectMsg>(m));
+  send(*best_via_, m);
 }
 
 void SmartBlockCode::become_elected() {
@@ -332,7 +314,7 @@ void SmartBlockCode::become_elected() {
   ack.epoch = epoch_;
   ack.elected = id();
   if (father_side_.has_value()) {
-    send(*father_side_, std::make_unique<ElectedAckMsg>(ack));
+    send(*father_side_, ack);
   }
   start_motion(*decision.move);
 }
@@ -342,7 +324,7 @@ void SmartBlockCode::handle_elected_ack(const ElectedAckMsg& m) {
   // there with no effect: a rare in-flight loss cannot deadlock the system.
   if (m.epoch != epoch_ || is_root_) return;
   if (father_side_.has_value()) {
-    send(*father_side_, std::make_unique<ElectedAckMsg>(m));
+    send(*father_side_, m);
   }
 }
 

@@ -9,6 +9,14 @@
 //   MoveDone - flooded after the elected block's hop so the Root can start
 //              the next iteration (DESIGN.md, interpretation note 3); its
 //              reached_output flag doubles as the termination broadcast.
+//
+// Each message is a plain struct that travels by value in the envelope of
+// msg/message.hpp. Activate's Father/Son and Ack's Son/Father are always
+// the envelope's sender and receiver, so the structs do not repeat them;
+// kWireBytes still counts them, keeping the paper's message sizes.
+
+#include <string>
+#include <string_view>
 
 #include "core/distance.hpp"
 #include "lattice/block_id.hpp"
@@ -33,65 +41,45 @@ enum class AlgoMsgKind : uint8_t {
   kSonNotify,
 };
 
-/// Common base of the election vocabulary: stamps the envelope's
-/// dispatch_tag so the block program dispatches with one byte switch
-/// instead of a dynamic_cast chain per delivered message (deliveries are
-/// the per-event hot path).
-struct AlgoMsg : msg::Message {
-  explicit AlgoMsg(AlgoMsgKind kind) { dispatch_tag = to_tag(kind); }
+/// Envelope tag of an algorithm message kind (0 stays the empty envelope).
+[[nodiscard]] constexpr uint8_t algo_tag(AlgoMsgKind kind) {
+  return static_cast<uint8_t>(kind) + 1;
+}
 
-  /// dispatch_tag value for an algorithm message kind (0 stays "foreign").
-  [[nodiscard]] static constexpr uint8_t to_tag(AlgoMsgKind kind) {
-    return static_cast<uint8_t>(kind) + 1;
-  }
-};
+struct ActivateMsg {
+  static constexpr uint8_t kTag = algo_tag(AlgoMsgKind::kActivate);
+  static constexpr std::string_view kName = "Activate";
+  static constexpr uint8_t kWireBytes =
+      sizeof(Epoch) + 2 * sizeof(lat::BlockId) + sizeof(lat::Vec2) +
+      sizeof(int32_t) + sizeof(lat::BlockId);
 
-struct ActivateMsg final : AlgoMsg {
-  ActivateMsg() : AlgoMsg(AlgoMsgKind::kActivate) {}
   Epoch epoch = 0;
-  lat::BlockId father;       // sender
-  lat::BlockId son;          // intended receiver
   lat::Vec2 output;          // location of O
   int32_t shortest_distance = kInfiniteDistance;
   lat::BlockId id_shortest;  // block with the shortest recorded distance
 
-  [[nodiscard]] std::string_view kind() const override { return "Activate"; }
-  [[nodiscard]] msg::MessagePtr clone() const override {
-    return std::make_unique<ActivateMsg>(*this);
-  }
-  [[nodiscard]] size_t payload_bytes() const override {
-    return sizeof(epoch) + 2 * sizeof(lat::BlockId) + sizeof(lat::Vec2) +
-           sizeof(shortest_distance) + sizeof(lat::BlockId);
-  }
-  [[nodiscard]] std::string describe() const override {
-    return fmt("Activate[e={} father={} best={}@{}]", epoch, father,
-               shortest_distance == kInfiniteDistance
-                   ? -1
-                   : shortest_distance,
+  [[nodiscard]] std::string describe() const {
+    return fmt("Activate[e={} best={}@{}]", epoch,
+               shortest_distance == kInfiniteDistance ? -1
+                                                      : shortest_distance,
                id_shortest);
   }
 };
 
-struct AckMsg final : AlgoMsg {
-  AckMsg() : AlgoMsg(AlgoMsgKind::kAck) {}
+struct AckMsg {
+  static constexpr uint8_t kTag = algo_tag(AlgoMsgKind::kAck);
+  static constexpr std::string_view kName = "Ack";
+  static constexpr uint8_t kWireBytes =
+      sizeof(Epoch) + 2 * sizeof(lat::BlockId) + sizeof(int32_t) +
+      sizeof(lat::BlockId) + 1;
+
   Epoch epoch = 0;
-  lat::BlockId son;     // sender
-  lat::BlockId father;  // receiver
   int32_t shortest_distance = kInfiniteDistance;
   lat::BlockId id_shortest;
   /// True for a subtree report; false for the immediate ack a block sends
   /// when it receives an Activate while already engaged (the sender must
   /// not count it as a son).
   bool engaged = true;
-
-  [[nodiscard]] std::string_view kind() const override { return "Ack"; }
-  [[nodiscard]] msg::MessagePtr clone() const override {
-    return std::make_unique<AckMsg>(*this);
-  }
-  [[nodiscard]] size_t payload_bytes() const override {
-    return sizeof(epoch) + 2 * sizeof(lat::BlockId) +
-           sizeof(shortest_distance) + sizeof(lat::BlockId) + 1;
-  }
 };
 
 /// Fault-tolerance extension only: a block that adopts a father replies
@@ -99,65 +87,48 @@ struct AckMsg final : AlgoMsg {
 /// take unbounded time, but *some* reply - reject-Ack or SonNotify - must
 /// arrive within a couple of link latencies; silence identifies a dead
 /// neighbour).
-struct SonNotifyMsg final : AlgoMsg {
-  SonNotifyMsg() : AlgoMsg(AlgoMsgKind::kSonNotify) {}
+struct SonNotifyMsg {
+  static constexpr uint8_t kTag = algo_tag(AlgoMsgKind::kSonNotify);
+  static constexpr std::string_view kName = "SonNotify";
+  static constexpr uint8_t kWireBytes = sizeof(Epoch) + sizeof(lat::BlockId);
+
   Epoch epoch = 0;
   lat::BlockId son;
-
-  [[nodiscard]] std::string_view kind() const override { return "SonNotify"; }
-  [[nodiscard]] msg::MessagePtr clone() const override {
-    return std::make_unique<SonNotifyMsg>(*this);
-  }
-  [[nodiscard]] size_t payload_bytes() const override {
-    return sizeof(epoch) + sizeof(lat::BlockId);
-  }
 };
 
-struct SelectMsg final : AlgoMsg {
-  SelectMsg() : AlgoMsg(AlgoMsgKind::kSelect) {}
+struct SelectMsg {
+  static constexpr uint8_t kTag = algo_tag(AlgoMsgKind::kSelect);
+  static constexpr std::string_view kName = "Select";
+  static constexpr uint8_t kWireBytes = sizeof(Epoch) + sizeof(lat::BlockId);
+
   Epoch epoch = 0;
   lat::BlockId target;  // the elected block
-
-  [[nodiscard]] std::string_view kind() const override { return "Select"; }
-  [[nodiscard]] msg::MessagePtr clone() const override {
-    return std::make_unique<SelectMsg>(*this);
-  }
-  [[nodiscard]] size_t payload_bytes() const override {
-    return sizeof(epoch) + sizeof(lat::BlockId);
-  }
 };
 
-struct ElectedAckMsg final : AlgoMsg {
-  ElectedAckMsg() : AlgoMsg(AlgoMsgKind::kElectedAck) {}
+struct ElectedAckMsg {
+  static constexpr uint8_t kTag = algo_tag(AlgoMsgKind::kElectedAck);
+  static constexpr std::string_view kName = "ElectedAck";
+  static constexpr uint8_t kWireBytes = sizeof(Epoch) + sizeof(lat::BlockId);
+
   Epoch epoch = 0;
   lat::BlockId elected;
-
-  [[nodiscard]] std::string_view kind() const override {
-    return "ElectedAck";
-  }
-  [[nodiscard]] msg::MessagePtr clone() const override {
-    return std::make_unique<ElectedAckMsg>(*this);
-  }
-  [[nodiscard]] size_t payload_bytes() const override {
-    return sizeof(epoch) + sizeof(lat::BlockId);
-  }
 };
 
-struct MoveDoneMsg final : AlgoMsg {
-  MoveDoneMsg() : AlgoMsg(AlgoMsgKind::kMoveDone) {}
+struct MoveDoneMsg {
+  static constexpr uint8_t kTag = algo_tag(AlgoMsgKind::kMoveDone);
+  static constexpr std::string_view kName = "MoveDone";
+  static constexpr uint8_t kWireBytes =
+      sizeof(Epoch) + sizeof(lat::BlockId) + 1;
+
   Epoch epoch = 0;
   lat::BlockId mover;
   /// True when the hop landed on O: the path is complete and every block
   /// (including the Root) stops.
   bool reached_output = false;
-
-  [[nodiscard]] std::string_view kind() const override { return "MoveDone"; }
-  [[nodiscard]] msg::MessagePtr clone() const override {
-    return std::make_unique<MoveDoneMsg>(*this);
-  }
-  [[nodiscard]] size_t payload_bytes() const override {
-    return sizeof(epoch) + sizeof(lat::BlockId) + 1;
-  }
 };
+
+static_assert(msg::Body<ActivateMsg> && msg::Body<AckMsg> &&
+              msg::Body<SonNotifyMsg> && msg::Body<SelectMsg> &&
+              msg::Body<ElectedAckMsg> && msg::Body<MoveDoneMsg>);
 
 }  // namespace sb::core

@@ -21,17 +21,21 @@ class LatencyModel {
   /// Every message takes exactly `value` ticks.
   [[nodiscard]] static LatencyModel fixed(Ticks value);
 
-  /// Uniform in [lo, hi].
+  /// Uniform in [lo, hi]. Each draw equals Rng::next_in(lo, hi) on the same
+  /// generator state (for bounds an int64 holds; the model takes any
+  /// 64-bit bounds).
   [[nodiscard]] static LatencyModel uniform(Ticks lo, Ticks hi);
 
   /// Exponential with the given mean (rounded to ticks, min 1) — a heavy
   /// tail that exercises the asynchronous-election code paths.
   [[nodiscard]] static LatencyModel exponential(double mean);
 
-  /// Inline: sampled once per message send (the per-event hot path); the
-  /// fixed model must cost a branch, not a call.
+  /// Inline: sampled once per message send (the per-event hot path). The
+  /// fixed model costs a branch; a uniform span that is a power of two —
+  /// uniform(1,8), the benchmarks' model — one draw and a mask.
   [[nodiscard]] Ticks sample(Rng& rng) const {
-    if (kind_ == Kind::kFixed) return static_cast<Ticks>(a_);
+    if (kind_ == Kind::kFixed) return lo_;
+    if (kind_ == Kind::kUniformPow2) return lo_ + (rng.next() & mask_);
     return sample_slow(rng);
   }
 
@@ -40,25 +44,30 @@ class LatencyModel {
   /// a message sent inside a time window can only be delivered in a later
   /// window, so shards synchronize once per min_ticks() of simulated time.
   [[nodiscard]] Ticks min_ticks() const {
-    switch (kind_) {
-      case Kind::kFixed:
-      case Kind::kUniform: return static_cast<Ticks>(a_);
-      case Kind::kExponential: return 1;
-    }
-    return 1;
+    return kind_ == Kind::kExponential ? 1 : lo_;
   }
 
   [[nodiscard]] std::string describe() const;
 
  private:
-  enum class Kind { kFixed, kUniform, kExponential };
-  LatencyModel(Kind kind, double a, double b) : kind_(kind), a_(a), b_(b) {}
+  /// Uniform models split by span: a power of two reduces with a mask and
+  /// never rejects; any other span goes through Rng::next_below.
+  enum class Kind { kFixed, kUniformPow2, kUniform, kExponential };
+  LatencyModel() = default;
 
   [[nodiscard]] Ticks sample_slow(Rng& rng) const;
 
-  Kind kind_;
-  double a_;
-  double b_;
+  Kind kind_ = Kind::kFixed;
+  /// kFixed: the latency; uniform kinds: the lower bound.
+  Ticks lo_ = 1;
+  /// Uniform kinds: the upper bound.
+  Ticks hi_ = 1;
+  /// kUniformPow2: span - 1, the draw's mask.
+  uint64_t mask_ = 0;
+  /// kUniform: the span hi - lo + 1.
+  uint64_t span_ = 0;
+  /// kExponential: the mean.
+  double mean_ = 0.0;
 };
 
 }  // namespace sb::msg

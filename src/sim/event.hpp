@@ -6,14 +6,15 @@
 // The hot path stores events *by value*: an EventRecord is a small tagged
 // struct covering the four built-in behaviours (start, timer, message
 // delivery, motion completion), so scheduling a start, timer or delivery
-// costs no allocation beyond the pooled message itself. Custom behaviours
-// (tests, benches, fault injection) still subclass Event; those are
-// carried through the same queue behind a pointer.
+// allocates nothing — a delivery carries its message envelope inline.
+// Custom behaviours (tests, benches, fault injection) still subclass Event;
+// those are carried through the same queue behind a pointer.
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <new>
 #include <string_view>
-#include <utility>
 
 #include "lattice/block_id.hpp"
 #include "motion/apply.hpp"
@@ -58,44 +59,52 @@ enum class EventKind : uint8_t {
 /// meaningful depends on `kind`; the factory functions below are the only
 /// intended constructors.
 ///
-/// The record is 48 bytes: the fixed fields plus one owned pointer whose
-/// type `kind` fixes — the message of a delivery, the rule application of
-/// a motion completion (once per epoch, so it lives out of line), the
-/// user event of an external record; starts and timers own nothing.
+/// The record is 48 bytes: the fixed fields, then a 23-byte payload whose
+/// content `kind` fixes — a delivery's message envelope, a timer's tag, or
+/// one owned pointer: the rule application of a motion completion (once
+/// per epoch, so it lives out of line) or the user event of an external
+/// record. Only those two pointer kinds need work when a record is moved or
+/// destroyed.
 struct EventRecord {
   SimTime time = 0;
   /// Monotone insertion sequence; breaks timestamp ties deterministically
   /// (same seed -> identical execution order). Assigned by the queue.
   uint64_t seq = 0;
-  /// Timer tag; for deliveries, the payload size in bytes, which event-trace
-  /// lines print (Simulator::enable_event_trace).
-  uint64_t tag = 0;
   lat::BlockId a;  ///< start/timer target, delivery sender, motion subject
   lat::BlockId b;  ///< delivery receiver
-  /// Set once by the factory; it also types the owned payload, so it must
-  /// not change afterwards.
+
+ private:
+  static constexpr size_t kPayloadBytes = sizeof(msg::Message);
+  /// Typed by `kind` (see above). A pointer or timer tag sits at offset 0,
+  /// so the alignment keeps it a plain aligned word.
+  alignas(8) std::byte payload_[kPayloadBytes];
+
+ public:
+  /// Set once by the factory; it also types the payload, so it must not
+  /// change afterwards.
   EventKind kind = EventKind::kExternal;
 
-  EventRecord() = default;
+  EventRecord() : payload_{} {}
   ~EventRecord() { release(); }
+  // Initialises every field from `other` directly: default-initialising
+  // first would cost a dead store per field on every queue push and pop.
   EventRecord(EventRecord&& other) noexcept
       : time(other.time),
         seq(other.seq),
-        tag(other.tag),
         a(other.a),
         b(other.b),
-        kind(other.kind),
-        payload_(std::exchange(other.payload_, nullptr)) {}
+        kind(other.kind) {
+    take_payload(other);
+  }
   EventRecord& operator=(EventRecord&& other) noexcept {
     if (this != &other) {
       release();
       time = other.time;
       seq = other.seq;
-      tag = other.tag;
       a = other.a;
       b = other.b;
       kind = other.kind;
-      payload_ = std::exchange(other.payload_, nullptr);
+      take_payload(other);
     }
     return *this;
   }
@@ -116,21 +125,19 @@ struct EventRecord {
     r.time = t;
     r.kind = EventKind::kTimer;
     r.a = target;
-    r.tag = tag;
+    r.store_word(tag);
     return r;
   }
 
   [[nodiscard]] static EventRecord delivery(SimTime t, lat::BlockId sender,
                                             lat::BlockId receiver,
-                                            msg::MessagePtr m,
-                                            size_t payload_bytes) {
+                                            const msg::Message& m) {
     EventRecord r;
     r.time = t;
     r.kind = EventKind::kDelivery;
     r.a = sender;
     r.b = receiver;
-    r.tag = payload_bytes;
-    r.payload_ = m.release();
+    ::new (static_cast<void*>(r.payload_)) msg::Message(m);
     return r;
   }
 
@@ -140,7 +147,7 @@ struct EventRecord {
     r.time = t;
     r.kind = EventKind::kMotionComplete;
     r.a = subject;
-    r.payload_ = new motion::RuleApplication(app);
+    r.store_word(new motion::RuleApplication(app));
     return r;
   }
 
@@ -149,21 +156,29 @@ struct EventRecord {
     EventRecord r;
     r.time = t;
     r.kind = EventKind::kExternal;
-    r.payload_ = event.release();
+    r.store_word(event.release());
     return r;
   }
 
   /// Delivery payload.
   [[nodiscard]] const msg::Message& message() const {
-    return *static_cast<const msg::Message*>(payload_);
+    return *std::launder(reinterpret_cast<const msg::Message*>(payload_));
   }
   /// Motion-complete payload.
   [[nodiscard]] const motion::RuleApplication& app() const {
-    return *static_cast<const motion::RuleApplication*>(payload_);
+    return *load_word<const motion::RuleApplication*>();
   }
   /// External-event payload.
-  [[nodiscard]] Event& external() const {
-    return *static_cast<Event*>(payload_);
+  [[nodiscard]] Event& external() const { return *load_word<Event*>(); }
+
+  /// What event-trace lines print as `tag=`: a timer's tag, a delivery's
+  /// wire bytes (msg::Body::kWireBytes), 0 for the other kinds.
+  [[nodiscard]] uint64_t tag() const {
+    switch (kind) {
+      case EventKind::kTimer: return load_word<uint64_t>();
+      case EventKind::kDelivery: return message().wire_bytes();
+      default: return 0;
+    }
   }
 
   /// Stable tag for statistics; external events report their own kind().
@@ -179,27 +194,42 @@ struct EventRecord {
   }
 
  private:
-  void release() noexcept {
-    if (payload_ == nullptr) return;
-    switch (kind) {
-      case EventKind::kDelivery:
-        delete static_cast<msg::Message*>(payload_);
-        break;
-      case EventKind::kMotionComplete:
-        delete static_cast<motion::RuleApplication*>(payload_);
-        break;
-      case EventKind::kExternal: delete static_cast<Event*>(payload_); break;
-      case EventKind::kStart:
-      case EventKind::kTimer: break;
-    }
-    payload_ = nullptr;
+  /// True for the kinds whose payload is an owned pointer.
+  [[nodiscard]] bool owns_pointer() const {
+    return kind == EventKind::kMotionComplete || kind == EventKind::kExternal;
   }
 
-  /// Owned payload, typed by `kind` (see above); null when moved from.
-  void* payload_ = nullptr;
+  template <typename T>
+  void store_word(T value) {
+    static_assert(sizeof(T) == 8);
+    std::memcpy(payload_, &value, sizeof(T));
+  }
+  template <typename T>
+  [[nodiscard]] T load_word() const {
+    static_assert(sizeof(T) == 8);
+    T value;
+    std::memcpy(&value, payload_, sizeof(T));
+    return value;
+  }
+
+  /// Copies the payload; a moved-from owner keeps a null pointer.
+  void take_payload(EventRecord& other) noexcept {
+    std::memcpy(payload_, other.payload_, kPayloadBytes);
+    if (other.owns_pointer()) other.store_word<void*>(nullptr);
+  }
+
+  void release() noexcept {
+    if (!owns_pointer()) return;
+    if (kind == EventKind::kMotionComplete) {
+      delete load_word<motion::RuleApplication*>();
+    } else {
+      delete load_word<Event*>();
+    }
+    store_word<void*>(nullptr);
+  }
 };
 
-static_assert(sizeof(EventRecord) <= 48, "EventRecord grew past 48 bytes");
+static_assert(sizeof(EventRecord) == 48, "EventRecord must stay 48 bytes");
 
 /// Total order on events: by time, then insertion sequence.
 [[nodiscard]] inline bool event_before(const EventRecord& a,

@@ -163,7 +163,7 @@ void BinaryHeapEventQueue::sift_down(size_t i) {
   heap_[i] = std::move(moving);
 }
 
-void BinaryHeapEventQueue::push(EventRecord record) {
+void BinaryHeapEventQueue::push(EventRecord&& record) {
   record.seq = next_seq_++;
   heap_.push_back(std::move(record));
   sift_up(heap_.size() - 1);

@@ -38,7 +38,7 @@ class EventQueue {
 
   /// Takes ownership; assigns the tie-breaking sequence number. Any time is
   /// accepted, including one below the last popped event's.
-  void push(EventRecord record) {
+  void push(EventRecord&& record) {
     record.seq = next_seq_++;
     ++size_;
     const SimTime t = record.time;
@@ -135,7 +135,7 @@ class EventQueue {
 /// Array-backed binary min-heap of records: the reference queue.
 class BinaryHeapEventQueue {
  public:
-  void push(EventRecord record);
+  void push(EventRecord&& record);
   EventRecord pop();
   [[nodiscard]] const EventRecord* peek() const;
   [[nodiscard]] size_t size() const { return heap_.size(); }

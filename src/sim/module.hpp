@@ -6,6 +6,8 @@
 // sensing, and requesting motions. Subclasses implement the on_* hooks.
 
 #include <memory>
+#include <optional>
+#include <string_view>
 
 #include "lattice/block_id.hpp"
 #include "lattice/direction.hpp"
@@ -45,7 +47,7 @@ class Module {
   virtual void on_start() {}
 
   /// A message arrived on the given side (the side of *this* block facing
-  /// the sender).
+  /// the sender). Receivers switch on m.tag() and m.unpack<T>() the body.
   virtual void on_message(lat::Direction from_side, const msg::Message& m) = 0;
 
   /// A timer set with set_timer() fired.
@@ -76,12 +78,18 @@ class Module {
 
   /// Sends across the lateral contact on `side`; silently dropped (and
   /// counted in SimStats) when no neighbor is attached there.
-  void send(lat::Direction side, msg::MessagePtr message);
+  template <msg::Body M>
+  void send(lat::Direction side, M message) {
+    send_envelope(side, msg::Message::pack(message), M::kName);
+  }
 
-  /// Sends a clone of `message` to every attached neighbor, except the one
+  /// Sends a copy of `message` to every attached neighbor, except the one
   /// on `skip` if given.
-  void broadcast(const msg::Message& message,
-                 std::optional<lat::Direction> skip = std::nullopt);
+  template <msg::Body M>
+  void broadcast(M message,
+                 std::optional<lat::Direction> skip = std::nullopt) {
+    broadcast_envelope(msg::Message::pack(message), M::kName, skip);
+  }
 
   /// Schedules on_timer(tag) after `delay` ticks.
   void set_timer(Ticks delay, uint64_t tag);
@@ -95,6 +103,11 @@ class Module {
 
  private:
   friend class Simulator;
+
+  void send_envelope(lat::Direction side, const msg::Message& envelope,
+                     std::string_view kind);
+  void broadcast_envelope(const msg::Message& envelope, std::string_view kind,
+                          std::optional<lat::Direction> skip);
 
   lat::BlockId id_;
   Simulator* host_ = nullptr;

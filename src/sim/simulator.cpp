@@ -35,16 +35,18 @@ bool Module::alive() const {
   return sim().world().view().alive(id_);
 }
 
-void Module::send(lat::Direction side, msg::MessagePtr message) {
-  sim().send_from(*this, side, std::move(message));
+void Module::send_envelope(lat::Direction side, const msg::Message& envelope,
+                           std::string_view kind) {
+  sim().send_envelope(*this, side, envelope, kind);
 }
 
-void Module::broadcast(const msg::Message& message,
-                       std::optional<lat::Direction> skip) {
+void Module::broadcast_envelope(const msg::Message& envelope,
+                                std::string_view kind,
+                                std::optional<lat::Direction> skip) {
   for (lat::Direction d : lat::all_directions()) {
     if (skip && *skip == d) continue;
     if (neighbors_.neighbor(d).valid()) {
-      sim().send_from(*this, d, message.clone());
+      sim().send_envelope(*this, d, envelope, kind);
     }
   }
 }
@@ -123,7 +125,7 @@ void Simulator::start_module(lat::BlockId id) {
   schedule_record(EventRecord::start(now_, id));
 }
 
-void Simulator::schedule_record(EventRecord record) {
+void Simulator::schedule_record(EventRecord&& record) {
   if (!sharded_) {
     SB_EXPECTS(record.time >= now_, "cannot schedule into the past (t=",
                record.time, " < now=", now_, ")");
@@ -200,11 +202,11 @@ void Simulator::dispatch(EventRecord& record) {
     }
     case EventKind::kTimer: {
       Module* module = find_module(record.a);
-      if (module != nullptr && module->alive()) module->on_timer(record.tag);
+      if (module != nullptr && module->alive()) module->on_timer(record.tag());
       return;
     }
     case EventKind::kDelivery:
-      deliver(record.a, record.b, record.message());
+      deliver(record);
       return;
     case EventKind::kMotionComplete:
       complete_motion(record.a, record.app());
@@ -245,12 +247,12 @@ StopReason Simulator::run(RunLimits limits) {
   return StopReason::kHalted;
 }
 
-void Simulator::send_from(Module& sender, lat::Direction side,
-                          msg::MessagePtr message) {
-  SB_EXPECTS(message != nullptr);
+void Simulator::send_envelope(Module& sender, lat::Direction side,
+                              const msg::Message& envelope,
+                              std::string_view kind) {
   SimStats& stats = active_stats();
   ++stats.messages_sent;
-  ++stats.messages_by_kind[message->kind()];
+  ++stats.messages_by_kind[kind];
 
   const lat::BlockId receiver = sender.neighbors_.neighbor(side);
   if (!receiver.valid()) {
@@ -258,35 +260,28 @@ void Simulator::send_from(Module& sender, lat::Direction side,
     return;
   }
   const Ticks latency = config_.latency.sample(active_rng(sender));
-  const size_t bytes = message->payload_bytes();
-  schedule_record(EventRecord::delivery(now() + latency, sender.id(), receiver,
-                                        std::move(message), bytes));
+  schedule_record(
+      EventRecord::delivery(now() + latency, sender.id(), receiver, envelope));
 }
 
-void Simulator::deliver(lat::BlockId sender, lat::BlockId receiver,
-                        const msg::Message& message) {
+void Simulator::deliver(const EventRecord& record) {
   SimStats& stats = active_stats();
-  Module* target = find_module(receiver);
+  Module* target = find_module(record.b);
   if (target == nullptr || !target->alive()) {
     ++stats.messages_dropped;
     return;
   }
-  // The physical contact must still exist: both blocks on the surface and
-  // laterally adjacent (messages in flight are lost when a block departs).
-  const lat::WorldView view = world_.view();
-  if (!view.contains(sender) || !view.contains(receiver)) {
-    ++stats.messages_dropped;
-    return;
-  }
-  const lat::Vec2 sender_pos = view.position_of(sender);
-  const lat::Vec2 receiver_pos = view.position_of(receiver);
-  const auto from_side = lat::direction_from(receiver_pos, sender_pos);
+  // The physical contact must still exist (messages in flight are lost when
+  // a block departs). refresh_neighbors_around keeps every neighbour table
+  // equal to the grid's contacts after each mutation, so the receiver's
+  // table answers without reading either block's position.
+  const auto from_side = target->neighbors_.side_of(record.a);
   if (!from_side) {
     ++stats.messages_dropped;
     return;
   }
   ++stats.messages_delivered;
-  target->on_message(*from_side, message);
+  target->on_message(*from_side, record.message());
 }
 
 void Simulator::timer_for(Module& module, Ticks delay, uint64_t tag) {

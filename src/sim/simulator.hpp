@@ -41,9 +41,9 @@ struct SimConfig {
   /// docs/ARCHITECTURE.md.
   size_t shards = 1;
   /// Worker threads draining shard windows in parallel (only used when
-  /// shards > 1). 0 = hardware concurrency; always capped at the shard
-  /// count. Event traces are byte-identical for every value — thread count
-  /// affects wall-clock only.
+  /// shards > 1). 0 = hardware concurrency; always capped at the number of
+  /// stripes that hold blocks at construction. Event traces are
+  /// byte-identical for every value — thread count affects wall-clock only.
   size_t shard_threads = 1;
 };
 
@@ -81,6 +81,12 @@ class Simulator {
   /// to the surface width.
   [[nodiscard]] size_t shard_count() const {
     return sharded_ ? shards_.size() : 1;
+  }
+  /// Worker threads draining shard windows: 1 in classic mode, else
+  /// config().shard_threads capped at the stripes that held blocks when
+  /// the simulator was built.
+  [[nodiscard]] size_t shard_thread_count() const {
+    return engine_ != nullptr ? engine_->threads() : 1;
   }
   /// Shard that runs block `id`'s events (always 0 in classic mode): the
   /// stripe the block stood in when its module registered, kept however
@@ -213,16 +219,23 @@ class Simulator {
 
   // -- services used by Module ----------------------------------------------
 
-  void send_from(Module& sender, lat::Direction side, msg::MessagePtr message);
+  /// Sends `message` across `sender`'s contact on `side`, as
+  /// Module::send does (tests and benches inject traffic through it).
+  template <msg::Body M>
+  void send_from(Module& sender, lat::Direction side, M message) {
+    send_envelope(sender, side, msg::Message::pack(message), M::kName);
+  }
+  /// The untyped half of send_from: `kind` keys the per-kind counts.
+  void send_envelope(Module& sender, lat::Direction side,
+                     const msg::Message& envelope, std::string_view kind);
   void timer_for(Module& module, Ticks delay, uint64_t tag);
   void start_motion_for(Module& subject, const motion::RuleApplication& app);
 
  private:
-  void schedule_record(EventRecord record);
+  void schedule_record(EventRecord&& record);
   void dispatch(EventRecord& record);
 
-  void deliver(lat::BlockId sender, lat::BlockId receiver,
-               const msg::Message& message);
+  void deliver(const EventRecord& record);
   void complete_motion(lat::BlockId subject,
                        const motion::RuleApplication& app);
   /// Recomputes neighbor tables around the given cells and fires

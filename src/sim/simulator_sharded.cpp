@@ -88,11 +88,27 @@ void Simulator::init_shards() {
     shard->inbound.resize(shard_map_.count());
     shards_.push_back(std::move(shard));
   }
+  // A worker per stripe that holds blocks: a stripe with none has no event
+  // to drain, and its worker would only wait at every rendezvous. Workers
+  // still drain stripes by stride, so a block hot-joined into an empty
+  // stripe runs on whichever worker owns it. A connected start
+  // configuration fills an interval of columns and stripes are column
+  // intervals, so the busy stripes are consecutive and the stride gives
+  // each its own worker; a disconnected one may pair two busy stripes on a
+  // worker, which costs time but never changes a trace.
+  std::vector<bool> stripe_has_blocks(shard_map_.count(), false);
+  for (int32_t x = 0; x < view.width(); ++x) {
+    if (column_blocks[static_cast<size_t>(x)] > 0) {
+      stripe_has_blocks[shard_map_.shard_of({x, 0})] = true;
+    }
+  }
+  const auto busy_stripes = static_cast<size_t>(
+      std::count(stripe_has_blocks.begin(), stripe_has_blocks.end(), true));
   size_t threads = config_.shard_threads;
   if (threads == 0) {
     threads = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
-  threads = std::min(threads, shards_.size());
+  threads = std::min(threads, std::max<size_t>(busy_stripes, 1));
   engine_ = std::make_unique<ShardEngine>(threads, shards_.size());
 
   // Deliberate-bug injection for the fuzzer self-test (simulator.hpp).
@@ -116,7 +132,7 @@ void Simulator::enable_event_trace() {
 void Simulator::record_trace(size_t stream, const EventRecord& record) {
   trace_streams_[stream].push_back(
       fmt("t={} seq={} {} a={} b={} tag={}", record.time, record.seq,
-          record.kind_name(), record.a.value, record.b.value, record.tag));
+          record.kind_name(), record.a.value, record.b.value, record.tag()));
 }
 
 StopReason Simulator::run_sharded(RunLimits limits) {

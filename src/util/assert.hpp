@@ -20,8 +20,12 @@ namespace sb {
 
 namespace detail {
 
+/// Built only when a check fails. Kept out of line: inlined, it gives every
+/// function that checks something an ostringstream stack frame, set up on
+/// every call.
 template <typename... Parts>
-std::string concat_message(const Parts&... parts) {
+[[gnu::cold, gnu::noinline]] std::string concat_message(
+    const Parts&... parts) {
   std::ostringstream os;
   ((os << parts), ...);
   return os.str();

@@ -1,17 +1,18 @@
 #pragma once
 // Thread-local small-object pool.
 //
-// The simulator allocates and frees messages at event rates (millions per
-// second); the general-purpose heap is the dominant cost at that rate. This
-// pool serves fixed size classes from per-thread free lists carved out of
-// 64 KiB slabs: an allocation after warm-up is a pointer pop, a free is a
-// pointer push, and no lock is ever taken.
+// The pool serves fixed size classes from per-thread free lists carved out
+// of 64 KiB slabs: an allocation after warm-up is a pointer pop, a free is
+// a pointer push, and no lock is ever taken. The library itself allocates
+// nothing from it — messages travel by value inside their event records
+// (msg/message.hpp). It stays only for bench_e2e's alloc/free replay and
+// msg.pool_* counters (which read 0 on a run); once the benchmark drops
+// them, the pool can go.
 //
-// Ownership rules (all satisfied by the library itself):
+// Ownership rules:
 //   - a node may be freed on any *live* thread (frees push onto the freeing
 //     thread's list; slabs are never returned to the OS, so the memory stays
-//     valid), but the intended pattern is thread-affine alloc/free — each
-//     simulated world runs wholly on one thread (see runner/).
+//     valid), but the intended pattern is thread-affine alloc/free.
 //   - slabs live in a process-wide registry instead of ever being freed, so
 //     leak checkers see them as reachable and late frees can never dangle.
 //   - an exiting thread parks its free lists and partial slab; a thread that
@@ -20,9 +21,9 @@
 //     slabs instead of growing without bound.
 //
 // Under AddressSanitizer the pool is compiled out (plain new/delete) so ASan
-// retains byte-precise use-after-free detection on message payloads; under
+// keeps byte-precise use-after-free detection on pooled nodes; under
 // ThreadSanitizer likewise, so recycled nodes cannot mask cross-thread
-// races on message memory.
+// races.
 
 #include <cstddef>
 #include <cstdint>

@@ -388,6 +388,50 @@ std::optional<uint32_t> trace_target(const std::string& line) {
   return std::nullopt;
 }
 
+// A stripe that holds no block has no event to drain, so it gets no worker
+// of its own: tower16 stands in columns 1-2 of five, and the equal-block
+// cut at four shards leaves stripes 2 and 3 empty. Workers still drain
+// stripes by stride, so a block hot-joined into an empty stripe runs.
+TEST(ShardedSession, WorkersOnlyForStripesThatHoldBlocks) {
+  core::SessionConfig config = jittery_config();
+  config.sim.shards = 4;
+  config.sim.shard_threads = 4;
+  core::ReconfigurationSession blob(lat::resolve_scenario("blob1000"),
+                                    config);
+  EXPECT_EQ(blob.simulator().shard_thread_count(), 4u);
+  config.sim.shard_threads = 1;
+  core::ReconfigurationSession single(lat::resolve_scenario("tower16"),
+                                      config);
+  EXPECT_EQ(single.simulator().shard_thread_count(), 1u);
+
+  config.sim.shard_threads = 4;
+  core::ReconfigurationSession tower(lat::resolve_scenario("tower16"),
+                                     config);
+  sim::Simulator& sim = tower.simulator();
+  ASSERT_EQ(sim.shard_count(), 4u);
+  EXPECT_EQ(sim.shard_thread_count(), 2u);
+
+  check::InvariantOracle oracle;
+  oracle.attach(tower);
+  sim.enable_event_trace();
+  tower.step_events(200);
+  const lat::Vec2 site{3, 0};  // beside block 2 at (2, 0), in stripe 2
+  ASSERT_FALSE(sim.world().view().occupied(site));
+  ASSERT_FALSE(sim.cell_in_motion(site));
+  tower.hot_join(lat::BlockId{99}, site);
+  oracle.expect_join();
+  ASSERT_EQ(sim.shard_of(lat::BlockId{99}), 2u);
+  const core::SessionResult result = tower.run();
+  EXPECT_TRUE(result.complete || result.blocked)
+      << sim::to_string(result.stop_reason);
+  EXPECT_TRUE(oracle.clean()) << oracle.violations().front();
+  size_t joined_events = 0;
+  for (const std::string& line : sim.event_trace()[2]) {
+    joined_events += trace_target(line) == 99u ? 1 : 0;
+  }
+  EXPECT_GT(joined_events, 1u);  // its start, then deliveries to it
+}
+
 // A block keeps the shard its module registered on, however far it moves:
 // every event addressed to it sits in that shard's trace stream. Fault-mode
 // ack timers fire 1000 ticks out, so a block that hops across a stripe

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -197,23 +198,23 @@ TEST(CalendarRing, DeepBucketsChainAcrossChunks) {
       for (uint64_t i = tick; i < 5000; i += 3) {
         const EventRecord record = queue.pop();
         ASSERT_EQ(record.time, round * 10 + tick);
-        ASSERT_EQ(record.tag, i);
+        ASSERT_EQ(record.tag(), i);
       }
     }
     EXPECT_TRUE(queue.empty());
   }
 }
 
-/// Payload of the deliveries the queue differential pushes.
-struct QueueProbeMsg final : msg::Message {
-  [[nodiscard]] std::string_view kind() const override { return "QueueProbe"; }
-  [[nodiscard]] msg::MessagePtr clone() const override {
-    return std::make_unique<QueueProbeMsg>(*this);
-  }
+/// Body of the deliveries the queue differential pushes: their label.
+struct QueueProbeMsg {
+  static constexpr uint8_t kTag = 1;
+  static constexpr std::string_view kName = "QueueProbe";
+  static constexpr uint8_t kWireBytes = sizeof(uint64_t);
+  uint64_t label = 0;
 };
 
-/// (time, seq, label) of a record; the label rides in `tag` (timers) or
-/// the payload-bytes field (deliveries).
+/// (time, seq, label) of a record; the label rides in the timer tag or in
+/// the delivery's QueueProbeMsg body.
 struct Popped {
   SimTime time;
   uint64_t seq;
@@ -222,7 +223,11 @@ struct Popped {
 };
 
 Popped popped(const EventRecord& record) {
-  return {record.time, record.seq, record.tag};
+  const uint64_t label =
+      record.kind == EventKind::kDelivery
+          ? record.message().unpack<QueueProbeMsg>().label
+          : record.tag();
+  return {record.time, record.seq, label};
 }
 
 TEST(CalendarRing, MatchesBinaryHeapOverSimulatorPatterns) {
@@ -241,10 +246,9 @@ TEST(CalendarRing, MatchesBinaryHeapOverSimulatorPatterns) {
     const lat::BlockId target{static_cast<uint32_t>(rng.next_below(8)) + 1};
     if (rng.next_below(4) == 0) {
       const lat::BlockId sender{static_cast<uint32_t>(rng.next_below(8)) + 1};
-      heap.push(EventRecord::delivery(
-          t, sender, target, std::make_unique<QueueProbeMsg>(), label));
-      calendar.push(EventRecord::delivery(
-          t, sender, target, std::make_unique<QueueProbeMsg>(), label));
+      const msg::Message probe = msg::Message::pack(QueueProbeMsg{label});
+      heap.push(EventRecord::delivery(t, sender, target, probe));
+      calendar.push(EventRecord::delivery(t, sender, target, probe));
     } else {
       heap.push(EventRecord::timer(t, target, label));
       calendar.push(EventRecord::timer(t, target, label));
@@ -300,13 +304,11 @@ TEST(CalendarRing, MatchesBinaryHeapOverSimulatorPatterns) {
 // Test module
 // ---------------------------------------------------------------------------
 
-struct PingMsg final : msg::Message {
+struct PingMsg {
+  static constexpr uint8_t kTag = 1;
+  static constexpr std::string_view kName = "Ping";
+  static constexpr uint8_t kWireBytes = sizeof(int);
   int hops = 0;
-  [[nodiscard]] std::string_view kind() const override { return "Ping"; }
-  [[nodiscard]] msg::MessagePtr clone() const override {
-    return std::make_unique<PingMsg>(*this);
-  }
-  [[nodiscard]] size_t payload_bytes() const override { return sizeof(hops); }
 };
 
 /// Records everything that happens to it; can be told to forward pings.
@@ -317,15 +319,12 @@ class RecorderModule final : public Module {
 
   void on_start() override { ++starts; }
   void on_message(Direction from, const msg::Message& m) override {
-    received.emplace_back(from, std::string(m.kind()));
-    if (forward_) {
-      if (const auto* ping = dynamic_cast<const PingMsg*>(&m)) {
-        if (ping->hops > 0) {
-          auto next = std::make_unique<PingMsg>(*ping);
-          next->hops -= 1;
-          send(opposite(from), std::move(next));
-        }
-      }
+    ASSERT_EQ(m.tag(), PingMsg::kTag);
+    PingMsg ping = m.unpack<PingMsg>();
+    received.emplace_back(from, ping.hops);
+    if (forward_ && ping.hops > 0) {
+      ping.hops -= 1;
+      send(opposite(from), ping);
     }
   }
   void on_timer(uint64_t tag) override { timer_tags.push_back(tag); }
@@ -336,7 +335,8 @@ class RecorderModule final : public Module {
 
   int starts = 0;
   int motions = 0;
-  std::vector<std::pair<Direction, std::string>> received;
+  /// (arrival side, the ping's remaining hops) per delivered message.
+  std::vector<std::pair<Direction, int>> received;
   std::vector<uint64_t> timer_tags;
   std::vector<std::pair<Direction, BlockId>> neighbor_changes;
 
@@ -359,9 +359,7 @@ class SendAtStart final : public Event {
       : Event(0), module_(module), side_(side), hops_(hops) {}
   [[nodiscard]] std::string_view kind() const override { return "Kick"; }
   void execute(Simulator& sim) override {
-    auto ping = std::make_unique<PingMsg>();
-    ping->hops = hops_;
-    sim.send_from(*module_, side_, std::move(ping));
+    sim.send_from(*module_, side_, PingMsg{hops_});
   }
 
  private:
@@ -448,6 +446,8 @@ TEST(Simulator, PingChainTraversesRow) {
   EXPECT_EQ(modules[2]->received.size(), 1u);
   EXPECT_EQ(modules[3]->received.size(), 1u);
   EXPECT_EQ(modules[4]->received.size(), 1u);
+  EXPECT_EQ(modules[1]->received[0].second, 3);  // hops left on arrival
+  EXPECT_EQ(modules[4]->received[0].second, 0);
   EXPECT_EQ(sim.now(), 8u);  // 4 links x 2 ticks
   EXPECT_EQ(sim.stats().messages_by_kind.at("Ping"), 4u);
 }
@@ -576,6 +576,87 @@ TEST(Simulator, KilledModuleReceivesNothing) {
   EXPECT_EQ(sim.stats().messages_dropped, 1u);
 }
 
+/// Kills a block's program at a given time.
+class KillAt final : public Event {
+ public:
+  KillAt(SimTime time, BlockId id) : Event(time), id_(id) {}
+  [[nodiscard]] std::string_view kind() const override { return "Kill"; }
+  void execute(Simulator& sim) override { sim.kill_module(id_); }
+
+ private:
+  BlockId id_;
+};
+
+TEST(Simulator, ReceiverKilledInFlightDropsTheMessage) {
+  SimConfig config;
+  config.latency = msg::LatencyModel::fixed(5);
+  Simulator sim(make_world({{1, 1}, {2, 1}}), config);
+  auto& a = sim.add_module(std::make_unique<RecorderModule>(BlockId{1}));
+  auto& b = static_cast<RecorderModule&>(
+      sim.add_module(std::make_unique<RecorderModule>(BlockId{2})));
+  sim.schedule(0, std::make_unique<SendAtStart>(&a, Direction::kEast));
+  sim.schedule(2, std::make_unique<KillAt>(2, BlockId{2}));
+  sim.run();
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(sim.stats().messages_sent, 1u);
+  EXPECT_EQ(sim.stats().messages_delivered, 0u);
+  EXPECT_EQ(sim.stats().messages_dropped, 1u);
+}
+
+/// Counters of one message sent at t=0 across the contact between the
+/// slide_ES mover (1,1) and its support (1,0) while the mover hops to
+/// (2,1), which ends the contact at t=3. `from_mover` picks the sender.
+struct HopRace {
+  uint64_t delivered = 0;
+  uint64_t dropped = 0;
+};
+
+HopRace race_message_against_hop(bool from_mover, Ticks latency) {
+  SimConfig config;
+  config.latency = msg::LatencyModel::fixed(latency);
+  config.motion_duration = 3;
+  Simulator sim(make_world({{1, 1}, {1, 0}, {2, 0}}), config);
+  auto& mover = static_cast<RecorderModule&>(
+      sim.add_module(std::make_unique<RecorderModule>(BlockId{1})));
+  auto& support = static_cast<RecorderModule&>(
+      sim.add_module(std::make_unique<RecorderModule>(BlockId{2})));
+  sim.add_module(std::make_unique<RecorderModule>(BlockId{3}));
+  if (from_mover) {
+    sim.schedule(0, std::make_unique<SendAtStart>(&mover, Direction::kSouth));
+  } else {
+    sim.schedule(0,
+                 std::make_unique<SendAtStart>(&support, Direction::kNorth));
+  }
+  const motion::MotionRule* rule = sim.world().rules().find("slide_ES");
+  sim.start_motion_for(mover, motion::RuleApplication{rule, {1, 1}, 0});
+  sim.run();
+  EXPECT_EQ(sim.world().view().at({2, 1}), BlockId{1});
+  EXPECT_EQ(sim.stats().messages_sent, 1u);
+  RecorderModule& receiver = from_mover ? support : mover;
+  EXPECT_EQ(receiver.received.size(), sim.stats().messages_delivered);
+  return {sim.stats().messages_delivered, sim.stats().messages_dropped};
+}
+
+TEST(Simulator, MessageLandingBeforeTheHopIsDelivered) {
+  for (const bool from_mover : {true, false}) {
+    const HopRace race = race_message_against_hop(from_mover, 2);
+    EXPECT_EQ(race.delivered, 1u) << "from_mover=" << from_mover;
+    EXPECT_EQ(race.dropped, 0u) << "from_mover=" << from_mover;
+  }
+}
+
+TEST(Simulator, SenderThatHopsOutOfContactLosesItsMessage) {
+  const HopRace race = race_message_against_hop(/*from_mover=*/true, 10);
+  EXPECT_EQ(race.delivered, 0u);
+  EXPECT_EQ(race.dropped, 1u);
+}
+
+TEST(Simulator, ReceiverThatHopsOutOfContactLosesItsMessage) {
+  const HopRace race = race_message_against_hop(/*from_mover=*/false, 10);
+  EXPECT_EQ(race.delivered, 0u);
+  EXPECT_EQ(race.dropped, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Sensing
 // ---------------------------------------------------------------------------
@@ -623,6 +704,71 @@ TEST(Latency, DescribeNamesModel) {
   EXPECT_NE(
       msg::LatencyModel::exponential(2.0).describe().find("exponential"),
       std::string::npos);
+}
+
+TEST(Latency, UniformDrawsMatchRngNextIn) {
+  // The model reduces a power-of-two span with a mask and hands any other
+  // span to Rng::next_below; every draw must still be Rng::next_in's,
+  // consuming the same raw draws. At 3 * 2^61 a quarter of the raw draws
+  // fall below the rejection threshold and are rejected.
+  const uint64_t spans[] = {1, 2, 7, 8, 9, 50, uint64_t{3} << 61};
+  constexpr int kDraws = 100'000;
+  for (const uint64_t span : spans) {
+    const Ticks lo = 3;
+    const Ticks hi = lo + span - 1;
+    const auto model = msg::LatencyModel::uniform(lo, hi);
+    Rng sampled(span);
+    Rng reference(span);
+    for (int i = 0; i < kDraws; ++i) {
+      const auto expected = static_cast<Ticks>(reference.next_in(
+          static_cast<int64_t>(lo), static_cast<int64_t>(hi)));
+      ASSERT_EQ(model.sample(sampled), expected)
+          << "span " << span << ", draw " << i;
+    }
+    // Count the raw draws rejection consumed on a third twin.
+    Rng raw(span);
+    const uint64_t threshold = (0 - span) % span;
+    uint64_t rejected = 0;
+    for (int accepted = 0; accepted < kDraws;) {
+      if (raw.next() >= threshold) {
+        ++accepted;
+      } else {
+        ++rejected;
+      }
+    }
+    EXPECT_EQ(sampled.next(), raw.next()) << "span " << span;
+    if (span == (uint64_t{3} << 61)) {
+      EXPECT_GT(rejected, 0u);
+    }
+  }
+}
+
+TEST(Latency, BoundsAreExactIntegers) {
+  // Above 2^53 a double cannot hold every integer, and a bound at or above
+  // 2^63 does not fit an int64: the model keeps its bounds as ticks.
+  const Ticks lo = (Ticks{1} << 53) + 1;
+  const Ticks hi = (Ticks{1} << 53) + 3;
+  const auto model = msg::LatencyModel::uniform(lo, hi);
+  EXPECT_EQ(model.describe(), "uniform(9007199254740993,9007199254740995)");
+  EXPECT_EQ(model.min_ticks(), lo);
+  EXPECT_EQ(msg::LatencyModel::fixed(lo).describe(),
+            "fixed(9007199254740993)");
+  Rng rng(7);
+  std::array<bool, 3> seen{};
+  for (int i = 0; i < 1000; ++i) {
+    const Ticks t = model.sample(rng);
+    ASSERT_GE(t, lo);
+    ASSERT_LE(t, hi);
+    seen[t - lo] = true;
+  }
+  EXPECT_EQ(seen, (std::array<bool, 3>{true, true, true}));
+
+  const auto top = msg::LatencyModel::uniform(UINT64_MAX - 2, UINT64_MAX);
+  EXPECT_EQ(top.describe(),
+            "uniform(18446744073709551613,18446744073709551615)");
+  for (int i = 0; i < 1000; ++i) ASSERT_GE(top.sample(rng), UINT64_MAX - 2);
+  const auto full = msg::LatencyModel::uniform(1, UINT64_MAX);
+  for (int i = 0; i < 1000; ++i) ASSERT_GE(full.sample(rng), 1u);
 }
 
 TEST(Simulator, SameSeedSameTrajectory) {

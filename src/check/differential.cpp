@@ -136,15 +136,25 @@ std::string outcome_digest(const core::SessionResult& result) {
       result.elementary_moves, result.premature_completion);
 }
 
+/// The per-kind message counts, " <kind>=<count>" each.
+std::string kinds_digest(const core::SessionResult& result) {
+  std::string digest;
+  for (const auto& [kind, count] : result.messages_by_kind) {
+    digest += fmt(" {}={}", kind, count);
+  }
+  return digest;
+}
+
 /// Full-result digest for same-engine comparisons (B vs C), where every
-/// counter — messages included — must be identical.
+/// counter — messages and their per-kind split included — must be
+/// identical.
 std::string full_digest(const core::SessionResult& result) {
   return fmt("{} messages_sent={} messages_delivered={} messages_dropped={} "
-             "distance_computations={} elections={} sim_ticks={} events={}",
+             "distance_computations={} elections={} sim_ticks={} events={}{}",
              outcome_digest(result), result.messages_sent,
              result.messages_delivered, result.messages_dropped,
              result.distance_computations, result.elections_completed,
-             result.sim_ticks, result.events_processed);
+             result.sim_ticks, result.events_processed, kinds_digest(result));
 }
 
 }  // namespace

@@ -14,7 +14,7 @@ SmartBlockCode::SmartBlockCode(lat::BlockId id, bool is_root,
       planner_(planner),
       config_(config),
       shared_(shared),
-      tabu_(config->tabu_capacity, config->tabu_horizon) {
+      tabu_(config->tabu_capacity) {
   SB_EXPECTS(planner_ != nullptr && shared_ != nullptr);
 }
 
@@ -249,10 +249,10 @@ void SmartBlockCode::root_conclude_election() {
     // out under the paper's assumptions; it is reported rather than
     // asserted because callers can feed adversarial scenarios.)
     ++empty_elections_;
-    if (empty_elections_ <= config_->tabu_horizon + 1 &&
+    if (empty_elections_ <= kTabuHorizon + 1 &&
         epoch_ < config_->max_iterations) {
       log_debug("election {}: no eligible block; retrying ({}/{})", epoch_,
-                empty_elections_, config_->tabu_horizon + 1);
+                empty_elections_, kTabuHorizon + 1);
       ++epoch_;
       start_election();
       return;

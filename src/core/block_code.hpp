@@ -65,13 +65,9 @@ struct AlgorithmConfig {
   /// reconfiguration as blocked. Sized by the session per Remark 4
   /// (O(N^2) hops suffice under the paper's assumptions).
   uint32_t max_iterations = UINT32_MAX;
-  /// Capacity of the per-block tabu list guarding tier-2 detours.
+  /// Capacity of the per-block tabu list guarding tier-2 detours (its
+  /// entries expire after kTabuHorizon epochs).
   uint32_t tabu_capacity = 8;
-  /// Epochs after which tabu entries expire. An election that finds no
-  /// eligible block is retried until tabu_horizon + 1 consecutive empties
-  /// accumulate - only then is the system genuinely wedged (every detour
-  /// had a chance to be re-offered).
-  uint32_t tabu_horizon = 64;
 };
 
 /// State shared between the session driver and all block codes:

@@ -17,6 +17,7 @@
 
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/distance.hpp"
 #include "lattice/block_id.hpp"
@@ -127,8 +128,19 @@ struct MoveDoneMsg {
   bool reached_output = false;
 };
 
-static_assert(msg::Body<ActivateMsg> && msg::Body<AckMsg> &&
-              msg::Body<SonNotifyMsg> && msg::Body<SelectMsg> &&
-              msg::Body<ElectedAckMsg> && msg::Body<MoveDoneMsg>);
+/// A message type's envelope tag and kind name.
+using MessageKind = std::pair<uint8_t, std::string_view>;
+
+/// A list of message types; the constraint checks each is a msg::Body.
+template <msg::Body... Ms>
+struct MessageTypes {
+  /// Each type's kind, in list order.
+  static constexpr MessageKind kinds[] = {{Ms::kTag, Ms::kName}...};
+};
+
+/// Every algorithm message type, listed once. The session names its
+/// per-tag message counts from this list (ReconfigurationSession::run).
+using AlgoMessages = MessageTypes<ActivateMsg, AckMsg, SonNotifyMsg, SelectMsg,
+                                  ElectedAckMsg, MoveDoneMsg>;
 
 }  // namespace sb::core

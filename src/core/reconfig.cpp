@@ -68,7 +68,6 @@ ReconfigurationSession::ReconfigurationSession(const lat::Scenario& scenario,
   algorithm_.paper_eq6_init = config_.paper_eq6_init;
   algorithm_.ack_timeout = config_.ack_timeout;
   algorithm_.tabu_capacity = config_.tabu_capacity;
-  algorithm_.tabu_horizon = config_.tabu_horizon;
   const auto n = static_cast<uint32_t>(scenario_.block_count());
   algorithm_.max_iterations =
       config_.max_iterations != 0 ? config_.max_iterations
@@ -109,7 +108,7 @@ void ReconfigurationSession::start_if_needed() {
 
 sim::StopReason ReconfigurationSession::step_events(uint64_t max_events) {
   start_if_needed();
-  return simulator_->run({max_events, config_.max_time});
+  return simulator_->run({max_events, sim::kTimeMax});
 }
 
 SessionResult ReconfigurationSession::run() {
@@ -117,7 +116,7 @@ SessionResult ReconfigurationSession::run() {
 
   const auto wall_start = std::chrono::steady_clock::now();
   const sim::StopReason stop =
-      simulator_->run({config_.max_events, config_.max_time});
+      simulator_->run({config_.max_events, sim::kTimeMax});
   const auto wall_end = std::chrono::steady_clock::now();
 
   SessionResult result;
@@ -136,10 +135,14 @@ SessionResult ReconfigurationSession::run() {
   result.election_restarts = shared_.metrics.election_restarts;
 
   const sim::SimStats& stats = simulator_->stats();
-  result.messages_sent = stats.messages_sent;
+  result.messages_sent = stats.messages_sent();
   result.messages_delivered = stats.messages_delivered;
   result.messages_dropped = stats.messages_dropped;
-  result.messages_by_kind = stats.messages_by_kind;
+  for (const auto& [tag, kind] : AlgoMessages::kinds) {
+    if (const uint64_t sent = stats.messages_by_tag[tag]; sent != 0) {
+      result.messages_by_kind.emplace(kind, sent);
+    }
+  }
   const lat::ConnectivityStats conn =
       simulator_->world().view().connectivity_stats();
   result.conn_fast_hits = conn.fast_path_hits;

@@ -10,16 +10,17 @@
 //                                                                config);
 //   // result.complete, result.hops, result.elementary_moves, ...
 
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/block_code.hpp"
 #include "lattice/scenario.hpp"
 #include "motion/rule_library.hpp"
 #include "sim/simulator.hpp"
-#include "util/flat_counts.hpp"
 
 namespace sb::core {
 
@@ -44,11 +45,8 @@ struct SessionConfig {
   bool allow_repositioning = true;
   /// Per-block tabu capacity for tier-2 detours.
   uint32_t tabu_capacity = 8;
-  /// Tabu expiry horizon in epochs; also bounds empty-election retries.
-  uint32_t tabu_horizon = 64;
-  /// Safety limits for the event loop.
+  /// Safety limit for the event loop.
   uint64_t max_events = 500'000'000ULL;
-  sim::SimTime max_time = sim::kTimeMax;
 };
 
 struct SessionResult {
@@ -70,7 +68,8 @@ struct SessionResult {
   uint64_t messages_sent = 0;
   uint64_t messages_delivered = 0;
   uint64_t messages_dropped = 0;
-  util::FlatCounts messages_by_kind;
+  /// Per message kind (AlgoMessages' names); a kind never sent is absent.
+  std::map<std::string_view, uint64_t> messages_by_kind;
 
   // Connectivity-oracle counters (move-validation fast path; see
   // lattice/connectivity.hpp and docs/BENCHMARKS.md).
@@ -90,7 +89,7 @@ struct SessionResult {
   size_t shards = 1;
   /// Events processed per shard, index = shard (empty when shards == 1).
   /// The scalar counters above are the per-shard counters merged via
-  /// util::FlatCounts / SimStats::accumulate.
+  /// SimStats::accumulate.
   std::vector<uint64_t> shard_events;
   /// Round-phase wall-clock totals from the shard engine (all-zero when
   /// shards == 1); barrier_wait_fraction() is the headline number.

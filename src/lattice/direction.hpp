@@ -4,7 +4,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <ostream>
 #include <string_view>
 
@@ -48,17 +47,6 @@ inline constexpr size_t kDirectionCount = 4;
 
 [[nodiscard]] constexpr Direction rotate_ccw(Direction d) {
   return static_cast<Direction>((static_cast<uint8_t>(d) + 3) % 4);
-}
-
-/// Maps a unit displacement to a direction; nullopt for non-unit vectors.
-[[nodiscard]] constexpr std::optional<Direction> direction_from(Vec2 from,
-                                                                Vec2 to) {
-  const Vec2 d = to - from;
-  if (d == Vec2{0, 1}) return Direction::kNorth;
-  if (d == Vec2{1, 0}) return Direction::kEast;
-  if (d == Vec2{0, -1}) return Direction::kSouth;
-  if (d == Vec2{-1, 0}) return Direction::kWest;
-  return std::nullopt;
 }
 
 [[nodiscard]] constexpr std::string_view to_string(Direction d) {

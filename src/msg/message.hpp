@@ -26,12 +26,17 @@ namespace sb::msg {
 /// header bytes 2.
 inline constexpr size_t kMaxBodyBytes = 21;
 
+/// Tags run below this bound, so per-kind counts are one array indexed by
+/// tag (sim::SimStats::messages_by_tag).
+inline constexpr size_t kTagCount = 16;
+
 /// A protocol's message struct: trivially copyable, small enough for the
 /// body, and naming itself through three constants —
-///   kTag       the protocol's dispatch tag, which receivers switch on
-///              (0 is reserved for an empty envelope);
-///   kName      the stable kind name that per-kind counts (the paper's
-///              Remark 3) are keyed by;
+///   kTag       the protocol's dispatch tag, which receivers switch on and
+///              per-kind counts are kept by (0 is reserved for an empty
+///              envelope; tags stay below kTagCount);
+///   kName      the stable kind name the protocol reports those counts
+///              under (the paper's Remark 3);
 ///   kWireBytes the size of the message's paper format on the wire, which
 ///              event traces print as the delivery's tag. It may exceed
 ///              sizeof: fields the envelope already carries (the sender
@@ -53,6 +58,7 @@ class Message {
   template <Body M>
   [[nodiscard]] static Message pack(const M& body) {
     static_assert(M::kTag != 0, "tag 0 marks an empty envelope");
+    static_assert(M::kTag < kTagCount, "tag past the per-tag counters");
     Message m;
     m.tag_ = M::kTag;
     m.wire_bytes_ = M::kWireBytes;

@@ -7,7 +7,6 @@
 
 #include <memory>
 #include <optional>
-#include <string_view>
 
 #include "lattice/block_id.hpp"
 #include "lattice/direction.hpp"
@@ -80,7 +79,7 @@ class Module {
   /// counted in SimStats) when no neighbor is attached there.
   template <msg::Body M>
   void send(lat::Direction side, M message) {
-    send_envelope(side, msg::Message::pack(message), M::kName);
+    send_envelope(side, msg::Message::pack(message));
   }
 
   /// Sends a copy of `message` to every attached neighbor, except the one
@@ -88,7 +87,7 @@ class Module {
   template <msg::Body M>
   void broadcast(M message,
                  std::optional<lat::Direction> skip = std::nullopt) {
-    broadcast_envelope(msg::Message::pack(message), M::kName, skip);
+    broadcast_envelope(msg::Message::pack(message), skip);
   }
 
   /// Schedules on_timer(tag) after `delay` ticks.
@@ -104,9 +103,8 @@ class Module {
  private:
   friend class Simulator;
 
-  void send_envelope(lat::Direction side, const msg::Message& envelope,
-                     std::string_view kind);
-  void broadcast_envelope(const msg::Message& envelope, std::string_view kind,
+  void send_envelope(lat::Direction side, const msg::Message& envelope);
+  void broadcast_envelope(const msg::Message& envelope,
                           std::optional<lat::Direction> skip);
 
   lat::BlockId id_;

@@ -35,18 +35,16 @@ bool Module::alive() const {
   return sim().world().view().alive(id_);
 }
 
-void Module::send_envelope(lat::Direction side, const msg::Message& envelope,
-                           std::string_view kind) {
-  sim().send_envelope(*this, side, envelope, kind);
+void Module::send_envelope(lat::Direction side, const msg::Message& envelope) {
+  sim().send_envelope(*this, side, envelope);
 }
 
 void Module::broadcast_envelope(const msg::Message& envelope,
-                                std::string_view kind,
                                 std::optional<lat::Direction> skip) {
   for (lat::Direction d : lat::all_directions()) {
     if (skip && *skip == d) continue;
     if (neighbors_.neighbor(d).valid()) {
-      sim().send_envelope(*this, d, envelope, kind);
+      sim().send_envelope(*this, d, envelope);
     }
   }
 }
@@ -248,11 +246,9 @@ StopReason Simulator::run(RunLimits limits) {
 }
 
 void Simulator::send_envelope(Module& sender, lat::Direction side,
-                              const msg::Message& envelope,
-                              std::string_view kind) {
+                              const msg::Message& envelope) {
   SimStats& stats = active_stats();
-  ++stats.messages_sent;
-  ++stats.messages_by_kind[kind];
+  ++stats.messages_by_tag[envelope.tag()];
 
   const lat::BlockId receiver = sender.neighbors_.neighbor(side);
   if (!receiver.valid()) {

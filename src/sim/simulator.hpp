@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lattice/shard.hpp"
@@ -22,7 +23,6 @@
 #include "sim/time.hpp"
 #include "sim/world.hpp"
 #include "util/assert.hpp"
-#include "util/flat_counts.hpp"
 #include "util/rng.hpp"
 
 namespace sb::sim {
@@ -223,11 +223,11 @@ class Simulator {
   /// Module::send does (tests and benches inject traffic through it).
   template <msg::Body M>
   void send_from(Module& sender, lat::Direction side, M message) {
-    send_envelope(sender, side, msg::Message::pack(message), M::kName);
+    send_envelope(sender, side, msg::Message::pack(message));
   }
-  /// The untyped half of send_from: `kind` keys the per-kind counts.
+  /// The untyped half of send_from; counts the message under its tag.
   void send_envelope(Module& sender, lat::Direction side,
-                     const msg::Message& envelope, std::string_view kind);
+                     const msg::Message& envelope);
   void timer_for(Module& module, Ticks delay, uint64_t tag);
   void start_motion_for(Module& subject, const motion::RuleApplication& app);
 

@@ -2,15 +2,16 @@
 // Simulator-level counters. In their own header so both the simulator and
 // the per-shard execution state (sim/shard.hpp) can hold them by value.
 
+#include <array>
 #include <cstdint>
+#include <numeric>
 
-#include "util/flat_counts.hpp"
+#include "msg/message.hpp"
 
 namespace sb::sim {
 
 struct SimStats {
   uint64_t events_processed = 0;
-  uint64_t messages_sent = 0;
   uint64_t messages_delivered = 0;
   uint64_t messages_dropped = 0;
   uint64_t motions_started = 0;
@@ -20,23 +21,27 @@ struct SimStats {
   /// possible under external churn). The mover stays put and recovers at
   /// the protocol level (Module::on_motion_rejected).
   uint64_t motions_rejected = 0;
-  /// Per message kind (Activate, Ack, ...); keys are static string tags.
-  /// A flat sorted vector: bumped once per message and copied per sweep
-  /// run, where a node-based map is measurable overhead.
-  util::FlatCounts messages_by_kind;
+  /// Messages sent, per envelope tag. The protocol that owns the tags names
+  /// them (core::ReconfigurationSession::run).
+  std::array<uint64_t, msg::kTagCount> messages_by_tag{};
 
-  /// Adds every counter of `other` into this (scalar sums; the per-kind
-  /// counts merge key-wise). The sharded run folds per-shard stats into the
-  /// simulator totals with this.
+  [[nodiscard]] uint64_t messages_sent() const {
+    return std::accumulate(messages_by_tag.begin(), messages_by_tag.end(),
+                           uint64_t{0});
+  }
+
+  /// Adds every counter of `other` into this. The sharded run folds
+  /// per-shard stats into the simulator totals with this.
   void accumulate(const SimStats& other) {
     events_processed += other.events_processed;
-    messages_sent += other.messages_sent;
     messages_delivered += other.messages_delivered;
     messages_dropped += other.messages_dropped;
     motions_started += other.motions_started;
     motions_completed += other.motions_completed;
     motions_rejected += other.motions_rejected;
-    messages_by_kind.merge(other.messages_by_kind);
+    for (size_t tag = 0; tag < msg::kTagCount; ++tag) {
+      messages_by_tag[tag] += other.messages_by_tag[tag];
+    }
   }
 };
 

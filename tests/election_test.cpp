@@ -60,8 +60,8 @@ TEST_P(ActivateFormulaTest, FirstElectionSendsExactly2EMinusNPlus1) {
     return session.metrics().elections_completed >= 1;
   });
   const auto& stats = session.simulator().stats();
-  EXPECT_EQ(stats.messages_by_kind.at("Activate"), expected);
-  EXPECT_EQ(stats.messages_by_kind.at("Ack"), expected);
+  EXPECT_EQ(stats.messages_by_tag[ActivateMsg::kTag], expected);
+  EXPECT_EQ(stats.messages_by_tag[AckMsg::kTag], expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Scenarios, ActivateFormulaTest,
@@ -152,6 +152,21 @@ TEST(Election, NoSonNotifyWithoutFaultMode) {
   const auto result =
       ReconfigurationSession::run_scenario(lat::make_fig10_scenario(), {});
   EXPECT_EQ(result.messages_by_kind.count("SonNotify"), 0u);
+}
+
+TEST(Election, FaultModeNamesEveryKind) {
+  // Only fault mode sends SonNotify, so this run sends every kind; each
+  // must be named, and the named counts must cover every message sent.
+  SessionConfig config;
+  config.ack_timeout = 500;
+  const auto result =
+      ReconfigurationSession::run_scenario(lat::make_fig10_scenario(), config);
+  ASSERT_TRUE(result.complete);
+  ASSERT_EQ(result.messages_by_kind.count("SonNotify"), 1u);
+  EXPECT_GT(result.messages_by_kind.at("SonNotify"), 0u);
+  uint64_t by_kind = 0;
+  for (const auto& [kind, count] : result.messages_by_kind) by_kind += count;
+  EXPECT_EQ(by_kind, result.messages_sent);
 }
 
 TEST(Election, MessageTotalsAreConsistent) {

@@ -79,16 +79,6 @@ TEST(Direction, RotationCycle) {
   }
 }
 
-TEST(Direction, DirectionFromUnitStep) {
-  EXPECT_EQ(direction_from({2, 2}, {2, 3}), Direction::kNorth);
-  EXPECT_EQ(direction_from({2, 2}, {3, 2}), Direction::kEast);
-  EXPECT_EQ(direction_from({2, 2}, {2, 1}), Direction::kSouth);
-  EXPECT_EQ(direction_from({2, 2}, {1, 2}), Direction::kWest);
-  EXPECT_FALSE(direction_from({2, 2}, {3, 3}).has_value());
-  EXPECT_FALSE(direction_from({2, 2}, {2, 2}).has_value());
-  EXPECT_FALSE(direction_from({2, 2}, {4, 2}).has_value());
-}
-
 // ---------------------------------------------------------------------------
 // Grid
 // ---------------------------------------------------------------------------

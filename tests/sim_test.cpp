@@ -410,7 +410,7 @@ TEST(Simulator, MessageDeliveryWithFixedLatency) {
   ASSERT_EQ(b.received.size(), 1u);
   EXPECT_EQ(b.received[0].first, Direction::kWest);  // arrived on west port
   EXPECT_EQ(sim.now(), 5u);                          // latency respected
-  EXPECT_EQ(sim.stats().messages_sent, 1u);
+  EXPECT_EQ(sim.stats().messages_sent(), 1u);
   EXPECT_EQ(sim.stats().messages_delivered, 1u);
   // The delivery record carries the payload size as its tag.
   ASSERT_EQ(sim.event_trace().size(), 1u);
@@ -449,7 +449,8 @@ TEST(Simulator, PingChainTraversesRow) {
   EXPECT_EQ(modules[1]->received[0].second, 3);  // hops left on arrival
   EXPECT_EQ(modules[4]->received[0].second, 0);
   EXPECT_EQ(sim.now(), 8u);  // 4 links x 2 ticks
-  EXPECT_EQ(sim.stats().messages_by_kind.at("Ping"), 4u);
+  EXPECT_EQ(sim.stats().messages_by_tag[PingMsg::kTag], 4u);
+  EXPECT_EQ(sim.stats().messages_sent(), 4u);
 }
 
 TEST(Simulator, TimersFireWithTags) {
@@ -598,7 +599,7 @@ TEST(Simulator, ReceiverKilledInFlightDropsTheMessage) {
   sim.schedule(2, std::make_unique<KillAt>(2, BlockId{2}));
   sim.run();
   EXPECT_TRUE(b.received.empty());
-  EXPECT_EQ(sim.stats().messages_sent, 1u);
+  EXPECT_EQ(sim.stats().messages_sent(), 1u);
   EXPECT_EQ(sim.stats().messages_delivered, 0u);
   EXPECT_EQ(sim.stats().messages_dropped, 1u);
 }
@@ -631,7 +632,7 @@ HopRace race_message_against_hop(bool from_mover, Ticks latency) {
   sim.start_motion_for(mover, motion::RuleApplication{rule, {1, 1}, 0});
   sim.run();
   EXPECT_EQ(sim.world().view().at({2, 1}), BlockId{1});
-  EXPECT_EQ(sim.stats().messages_sent, 1u);
+  EXPECT_EQ(sim.stats().messages_sent(), 1u);
   RecorderModule& receiver = from_mover ? support : mover;
   EXPECT_EQ(receiver.received.size(), sim.stats().messages_delivered);
   return {sim.stats().messages_delivered, sim.stats().messages_dropped};

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "util/cli.hpp"
-#include "util/flat_counts.hpp"
 #include "util/fmt.hpp"
 #include "util/pool.hpp"
 #include "util/rng.hpp"
@@ -378,130 +377,6 @@ TEST(Pool, AdoptsMemoryParkedByExitedThreads) {
     // of carving fresh slabs.
     EXPECT_EQ(second, 0u);
   }
-}
-
-// ---------------------------------------------------------------------------
-// FlatCounts
-// ---------------------------------------------------------------------------
-
-TEST(FlatCounts, CountsAndIteratesSorted) {
-  util::FlatCounts counts;
-  counts["MoveDone"] += 2;
-  counts["Ack"] += 5;
-  counts["Activate"] += 1;
-  counts["Ack"] += 1;
-  EXPECT_EQ(counts.size(), 3u);
-  EXPECT_EQ(counts.at("Ack"), 6u);
-  EXPECT_EQ(counts.at("MoveDone"), 2u);
-  EXPECT_EQ(counts.count("Activate"), 1u);
-  EXPECT_EQ(counts.count("Select"), 0u);
-  // Iteration is sorted by key regardless of insertion order.
-  std::vector<std::string_view> keys;
-  for (const auto& [kind, value] : counts) keys.push_back(kind);
-  EXPECT_EQ(keys, (std::vector<std::string_view>{"Ack", "Activate",
-                                                 "MoveDone"}));
-}
-
-TEST(FlatCounts, MergesSameContentKeysFromDistinctStorage) {
-  // The fast path compares pointers (kind tags are static literals); keys
-  // with equal content but different addresses — e.g. the same literal
-  // from two translation units — must still land on one counter, and the
-  // mixed insertion path must keep iteration sorted.
-  const std::string heap_a = "Activate";
-  const std::string heap_b = "Activate";
-  const std::string heap_c = "Zeta";
-  util::FlatCounts counts;
-  counts[std::string_view(heap_a)] += 1;
-  counts["Activate"] += 1;  // different address, same content
-  counts[std::string_view(heap_b)] += 1;
-  counts[std::string_view(heap_c)] += 1;
-  counts["Ack"] += 1;
-  EXPECT_EQ(counts.size(), 3u);
-  EXPECT_EQ(counts.at("Activate"), 3u);
-  std::vector<std::string_view> keys;
-  for (const auto& [kind, value] : counts) keys.push_back(kind);
-  EXPECT_EQ(keys,
-            (std::vector<std::string_view>{"Ack", "Activate", "Zeta"}));
-}
-
-TEST(FlatCounts, CopiesIndependently) {
-  util::FlatCounts counts;
-  counts["Ping"] = 7;
-  util::FlatCounts copy = counts;
-  copy["Ping"] += 1;
-  EXPECT_EQ(counts.at("Ping"), 7u);
-  EXPECT_EQ(copy.at("Ping"), 8u);
-  EXPECT_TRUE(counts == counts);
-}
-
-TEST(FlatCounts, MergeSumsOverlappingAndUnionsDisjointKeys) {
-  util::FlatCounts a;
-  a["Ack"] = 3;
-  a["MoveDone"] = 1;
-  util::FlatCounts b;
-  b["Ack"] = 4;
-  b["Select"] = 9;
-  a.merge(b);
-  EXPECT_EQ(a.size(), 3u);
-  EXPECT_EQ(a.at("Ack"), 7u);
-  EXPECT_EQ(a.at("MoveDone"), 1u);
-  EXPECT_EQ(a.at("Select"), 9u);
-  // The source is untouched.
-  EXPECT_EQ(b.size(), 2u);
-  EXPECT_EQ(b.at("Ack"), 4u);
-  // Iteration order stays sorted after the merge inserts.
-  std::vector<std::string_view> keys;
-  for (const auto& [kind, value] : a) keys.push_back(kind);
-  EXPECT_EQ(keys,
-            (std::vector<std::string_view>{"Ack", "MoveDone", "Select"}));
-}
-
-TEST(FlatCounts, MergeWithEmptyEitherWay) {
-  util::FlatCounts counts;
-  counts["Ack"] = 2;
-  util::FlatCounts empty;
-  counts.merge(empty);  // no-op
-  EXPECT_EQ(counts.size(), 1u);
-  EXPECT_EQ(counts.at("Ack"), 2u);
-  empty.merge(counts);  // adopt everything
-  EXPECT_EQ(empty.size(), 1u);
-  EXPECT_EQ(empty.at("Ack"), 2u);
-  EXPECT_TRUE(empty == counts);
-}
-
-TEST(FlatCounts, MergeMatchesKeysByContentAcrossStorage) {
-  // Per-shard maps may intern the same tag at different addresses (one
-  // literal per translation unit); merging must still land on one counter.
-  const std::string heap_key = "Activate";
-  util::FlatCounts a;
-  a[std::string_view(heap_key)] = 5;
-  util::FlatCounts b;
-  b["Activate"] = 6;
-  a.merge(b);
-  EXPECT_EQ(a.size(), 1u);
-  EXPECT_EQ(a.at("Activate"), 11u);
-}
-
-TEST(FlatCounts, SelfMergeDoublesEveryCounter) {
-  util::FlatCounts counts;
-  counts["Ack"] = 3;
-  counts["Select"] = 5;
-  counts.merge(counts);
-  EXPECT_EQ(counts.at("Ack"), 6u);
-  EXPECT_EQ(counts.at("Select"), 10u);
-  EXPECT_EQ(counts.size(), 2u);
-}
-
-TEST(FlatCounts, RepeatedMergeAccumulates) {
-  // The sharded simulator folds shard maps into the totals once per run();
-  // the fold must be a plain sum under repetition.
-  util::FlatCounts total;
-  for (uint64_t round = 1; round <= 4; ++round) {
-    util::FlatCounts shard;
-    shard["Ack"] = round;
-    total.merge(shard);
-  }
-  EXPECT_EQ(total.at("Ack"), 10u);
 }
 
 TEST(Pool, RecyclesFreedNodesOfTheSameClass) {

@@ -4,9 +4,11 @@
 // needs comes from data files.
 //
 //   $ ./run_scenario data/scenarios/fig10.surf
-//   $ ./run_scenario data/scenarios/tower16.surf \
-//         --rules data/rules/standard_capabilities.xml \
-//         --latency exponential --seed 7 --animate
+//   $ ./run_scenario data/scenarios/tower16.surf --latency exponential --seed 7
+//   $ ./run_scenario data/scenarios/tower16.surf --animate --rules "$XML"
+//
+// where XML names a capability file, e.g.
+// data/rules/standard_capabilities.xml.
 
 #include <cstdio>
 

@@ -310,7 +310,7 @@ struct Coordinator::Impl {
     if (hello.role == Role::kClient) {
       log(fmt("client connected (connection {}, pid {})", conn_id,
               hello.worker_pid));
-      serve_client(socket, conn_id);
+      serve_client(socket);
     } else {
       log(fmt("worker connected (connection {}, pid {}, {} cores, {} MB)",
               conn_id, hello.worker_pid, hello.cores, hello.memory_mb));
@@ -457,7 +457,7 @@ struct Coordinator::Impl {
     }
   }
 
-  void serve_client(Socket& socket, uint64_t conn_id) {
+  void serve_client(Socket& socket) {
     for (;;) {
       {
         std::lock_guard<std::mutex> lock(mu);

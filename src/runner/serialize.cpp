@@ -77,18 +77,14 @@ RunRow row_from_json(const JsonValue& json) {
     }
     row.shard_events.push_back(util::parse_u64(events.as_string()));
   }
-  // Absent in journals written before the phase-timing fields existed;
-  // default-zero keeps old journals resumable.
-  if (const JsonValue* phases = json.find("phase_seconds")) {
-    row.phase_fold_s = get_number(*phases, "fold_s");
-    row.phase_integrate_s = get_number(*phases, "integrate_s");
-    row.phase_decide_s = get_number(*phases, "decide_s");
-    row.phase_drain_s = get_number(*phases, "drain_s");
-    row.phase_barrier_wait_s = get_number(*phases, "barrier_wait_s");
-  }
-  if (json.find("barrier_wait_fraction") != nullptr) {
-    row.barrier_wait_fraction = get_number(json, "barrier_wait_fraction");
-  }
+  const JsonValue& phases =
+      get_field(json, "phase_seconds", JsonValue::Kind::kObject);
+  row.phase_fold_s = get_number(phases, "fold_s");
+  row.phase_integrate_s = get_number(phases, "integrate_s");
+  row.phase_decide_s = get_number(phases, "decide_s");
+  row.phase_drain_s = get_number(phases, "drain_s");
+  row.phase_barrier_wait_s = get_number(phases, "barrier_wait_s");
+  row.barrier_wait_fraction = get_number(json, "barrier_wait_fraction");
   row.stop_reason = static_cast<sim::StopReason>(
       get_int(json, "stop_reason",
               static_cast<int64_t>(sim::StopReason::kQueueEmpty),

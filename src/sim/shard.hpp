@@ -1,16 +1,14 @@
 #pragma once
-// Per-shard execution state and the channel-driven engine of the sharded
-// simulator.
+// Per-shard execution state and the round loop of the sharded simulator.
 //
 // When SimConfig::shards > 1 the simulator partitions the surface
 // (lattice/shard.hpp) and runs a conservative windowed schedule: each shard
 // drains its own event queue for one lookahead window of simulated time,
-// pushing cross-shard deliveries straight into the destination shard's
-// inbound channel as it goes. Shards rendezvous only at window edges, where
-// grid mutations and external events are applied sequentially; a resident
-// worker set (ShardEngine) cycles integrate -> decide -> drain rounds over
-// a lightweight sense-reversing barrier instead of forking and joining a
-// coordinator every window.
+// collecting the deliveries it sends to other shards in its own outbox.
+// Shards rendezvous once per window, at its edge: the serial section folds
+// the window, routes every outbox to its destination queue, applies grid
+// mutations and external events sequentially and picks the next horizon;
+// then the workers (run_rounds) drain the next window in parallel.
 //
 // Determinism contract (docs/ARCHITECTURE.md "Sharded worlds"): every field
 // here is either touched by exactly one worker during a window, or only by
@@ -21,7 +19,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -32,12 +29,16 @@
 
 namespace sb::sim {
 
-/// Wall-clock totals for the engine's round phases. fold/decide are the
-/// serial sections (accrued by whichever worker ran them); integrate/drain
-/// sum every worker's parallel loops; barrier_wait is worker time blocked
-/// at a rendezvous with no serial work to run. barrier_wait_fraction is the
-/// share of total worker time spent waiting — the *time* counterpart of the
-/// event-count shard_imbalance metric (docs/OBSERVABILITY.md).
+/// Steady-clock nanoseconds, the clock PhaseBreakdown is measured on.
+[[nodiscard]] uint64_t mono_ns();
+
+/// Wall-clock totals for the engine's round phases. fold, integrate (routing
+/// the outboxes to their destination queues) and decide split the serial
+/// section, accrued by whichever worker ran it; drain sums every worker's
+/// parallel loop; barrier_wait is worker time blocked at the rendezvous
+/// with no serial work to run. barrier_wait_fraction is the share of total
+/// worker time spent waiting — the *time* counterpart of the event-count
+/// shard_imbalance metric (docs/OBSERVABILITY.md).
 struct PhaseBreakdown {
   uint64_t fold_ns = 0;
   uint64_t integrate_ns = 0;
@@ -67,9 +68,8 @@ struct PhaseBreakdown {
 };
 
 /// Everything one shard owns. The owning worker mutates this freely during
-/// its window drain; the inbound channel slots are each written by exactly
-/// one producer shard per window and consumed by the owner in the
-/// integrate phase of the next round.
+/// its window drain; the rendezvous's serial section reads and resets it
+/// between windows.
 struct ShardState {
   size_t index = 0;
   /// Pending events addressed to this shard's blocks: those whose modules
@@ -84,22 +84,18 @@ struct ShardState {
   /// time of the last event this shard processed.
   SimTime now = 0;
   /// Events processed in the current window, the one count the drain
-  /// keeps; the fold rendezvous adds it to total_events and
-  /// stats.events_processed and resets it.
+  /// keeps; the fold adds it to total_events and stats.events_processed
+  /// and resets it.
   uint64_t window_events = 0;
   /// Cumulative events processed by this shard (reported per-shard).
   uint64_t total_events = 0;
   /// Per-shard counters, folded into the simulator totals when run()
   /// returns.
   SimStats stats;
-  /// Inbound message channel: one slot per producer shard. While shard
-  /// `src` drains a window it appends cross-shard deliveries straight into
-  /// `inbound[src]` of the destination — single producer per slot, no
-  /// locks; the owner integrates all slots in producer order during the
-  /// next round's parallel integrate phase. The window barrier is the
-  /// happens-before edge between the producer's writes and the owner's
-  /// reads.
-  std::vector<std::vector<EventRecord>> inbound;
+  /// Cross-shard deliveries sent while this shard drains a window, in send
+  /// order. Only the draining worker appends; the next rendezvous routes
+  /// every shard's outbox, in shard order, to the destination queues.
+  std::vector<EventRecord> outbox;
   /// Grid-mutating / external events scheduled this window (motion
   /// completions); merged into the sequential global queue at the fold.
   std::vector<EventRecord> pending_global;
@@ -107,7 +103,7 @@ struct ShardState {
   bool halt_requested = false;
 };
 
-/// Sense-reversing barrier for the engine's rendezvous points. arrive()
+/// Sense-reversing barrier for the engine's rendezvous. arrive()
 /// blocks until all `threads` participants arrive; the last arriver runs
 /// the serial section before releasing the rest, so serial work happens
 /// exactly once per rendezvous with no extra handoff. Waiters spin briefly
@@ -164,87 +160,25 @@ class WindowBarrier {
   std::condition_variable parked_;
 };
 
-/// The channel-driven shard engine: a fixed set of resident workers that
-/// own shards by stride (worker w owns shards w, w+T, ...). run() executes
-/// rounds of
+/// Runs the sharded engine's rounds on `threads` workers (>= 1, at most
+/// `shards`) until `serial` returns false. A round is one rendezvous and
+/// one parallel drain:
 ///
-///   rendezvous[fold] -> integrate(owned) -> rendezvous[decide] ->
-///   drain(owned, horizon)
+///   rendezvous[serial(&window_end)] -> drain(owned shards, window_end)
 ///
-/// until decide() stops the loop. The parallel phases touch only
-/// worker-owned shards (plus single-producer channel slots); the two
-/// rendezvous run their serial hooks in the last-arriving worker. Workers
-/// park between run() calls; the caller always participates as worker 0,
-/// and with one thread the loop runs inline with no spawned threads at
-/// all.
-class ShardEngine {
- public:
-  struct Hooks {
-    /// Serial: fold the just-drained window (counters, pending globals,
-    /// connectivity hints). The first fold of a run() precedes any drain
-    /// and must be a no-op on untouched state.
-    std::function<void()> fold;
-    /// Parallel: integrate one shard's inbound channel slots.
-    std::function<void(size_t shard)> integrate;
-    /// Serial: run due sequential events and pick the next window horizon.
-    /// Returns false to stop the round loop.
-    std::function<bool(SimTime* window_end)> decide;
-    /// Parallel: drain one shard's queue up to `window_end`.
-    std::function<void(size_t shard, SimTime window_end)> drain;
-  };
-
-  /// `threads` >= 1 total workers (threads - 1 are spawned and parked).
-  ShardEngine(size_t threads, size_t shards);
-  ~ShardEngine();
-
-  ShardEngine(const ShardEngine&) = delete;
-  ShardEngine& operator=(const ShardEngine&) = delete;
-
-  [[nodiscard]] size_t threads() const { return threads_; }
-  [[nodiscard]] size_t shards() const { return shards_; }
-
-  /// Runs rounds until hooks.decide() returns false; the caller
-  /// participates as worker 0 and the call returns only when every worker
-  /// is parked again.
-  void run(const Hooks& hooks);
-
-  /// Phase totals summed over workers since the last reset. Only valid
-  /// while the workers are parked (i.e. outside run()).
-  [[nodiscard]] PhaseBreakdown phase_totals() const;
-  /// Zeroes the phase totals (after the simulator folds them into its own
-  /// accumulator).
-  void reset_observability();
-
- private:
-  /// Per-worker observability state, cache-line separated: each worker is
-  /// the only writer of its slot during a round; readers run while the
-  /// workers are parked.
-  struct alignas(64) WorkerObs {
-    PhaseBreakdown phases;
-  };
-
-  void worker_main(size_t worker);
-  void round_loop(size_t worker);
-
-  const size_t threads_;
-  const size_t shards_;
-  WindowBarrier barrier_;
-
-  /// Round decision, written only inside barrier serial sections and read
-  /// by all workers after the release edge.
-  SimTime window_end_ = 0;
-  bool stop_ = false;
-  const Hooks* hooks_ = nullptr;
-
-  /// Resident-worker parking between run() calls.
-  std::mutex mutex_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  uint64_t generation_ = 0;
-  size_t active_ = 0;
-  bool shutdown_ = false;
-  std::vector<std::thread> workers_;
-  std::vector<WorkerObs> worker_obs_;
-};
+/// Worker w drains shards w, w+T, ... by stride. `serial` runs once per
+/// round, in the last worker to arrive, while every other worker waits; the
+/// barrier's release edge publishes its window_end to them and orders each
+/// drain's writes before the next serial section. N windows therefore take
+/// N + 1 serial sections: the first precedes any drain and the last stops
+/// the loop. The caller is worker 0; the T - 1 helper threads live for this
+/// call only, and with one thread every call runs inline on the caller.
+/// Returns the drain and barrier-wait time summed over workers and the
+/// drained window count; the serial section's own phase split is left to
+/// `serial`.
+PhaseBreakdown run_rounds(
+    size_t threads, size_t shards,
+    const std::function<bool(SimTime* window_end)>& serial,
+    const std::function<void(size_t shard, SimTime window_end)>& drain);
 
 }  // namespace sb::sim

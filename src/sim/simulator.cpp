@@ -132,11 +132,10 @@ void Simulator::schedule_record(EventRecord&& record) {
   }
   // Sharded routing: grid-mutating / external events go to the sequential
   // queue; module events go to the queue of the target block's shard
-  // (shard_of). From inside a window, cross-shard deliveries go straight
-  // into the destination shard's inbound channel slot for this producer —
-  // single-writer, so no thread ever touches another shard's queue or
-  // contends on a lock; the destination integrates the slot after the next
-  // rendezvous.
+  // (shard_of). From inside a window, a delivery to another shard's block
+  // goes into the sending shard's own outbox, so no thread ever touches
+  // another shard's queue or contends on a lock; the next rendezvous
+  // routes it.
   ShardState* ctx = tls_exec_;
   SB_EXPECTS(record.time >= (ctx != nullptr ? ctx->now : now_),
              "cannot schedule into the past (t=", record.time, ")");
@@ -170,7 +169,7 @@ void Simulator::schedule_record(EventRecord&& record) {
           tracer.instant("xshard_push", "sim",
                          {{"src", ctx->index}, {"dst", dest}});
         }
-        shards_[dest]->inbound[ctx->index].push_back(std::move(record));
+        ctx->outbox.push_back(std::move(record));
       } else {
         shards_[dest]->queue.push(std::move(record));
       }

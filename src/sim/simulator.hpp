@@ -86,7 +86,7 @@ class Simulator {
   /// config().shard_threads capped at the stripes that held blocks when
   /// the simulator was built.
   [[nodiscard]] size_t shard_thread_count() const {
-    return engine_ != nullptr ? engine_->threads() : 1;
+    return shard_threads_;
   }
   /// Shard that runs block `id`'s events (always 0 in classic mode): the
   /// stripe the block stood in when its module registered, kept however
@@ -256,17 +256,20 @@ class Simulator {
 
   void init_shards();
   StopReason run_sharded(RunLimits limits);
-  /// Serial rendezvous hook: folds the just-drained window's counters and
-  /// merges pending grid-mutating events into the sequential queue. Fixed
-  /// shard order; runs in the barrier's last-arriving worker.
+  /// The rendezvous's serial section, run by the last-arriving worker:
+  /// fold, route, decide, each timed into phases_. Returns false to stop
+  /// the round loop.
+  bool sharded_rendezvous(SimTime* window_end);
+  /// Folds the just-drained window's counters and merges pending
+  /// grid-mutating events into the sequential queue, in fixed shard order.
   void sharded_fold();
-  /// Parallel rendezvous hook: drains one shard's inbound channel slots
-  /// into its queue, in producer-shard order.
-  void sharded_integrate(size_t index);
-  /// Serial rendezvous hook: executes due sequential (grid-mutating /
-  /// external) events, settles the grid's connectivity verdict, and picks
-  /// the next window horizon. Returns false to stop the round loop,
-  /// recording the reason in run_reason_.
+  /// Moves every shard's outbox, in shard order, onto the queues of the
+  /// receivers' shards.
+  void route_outboxes();
+  /// Executes due sequential (grid-mutating / external) events, settles
+  /// the grid's connectivity verdict, and picks the next window horizon.
+  /// Returns false to stop the round loop, recording the reason in
+  /// run_reason_.
   bool sharded_decide(SimTime* window_end);
   void drain_shard_window(ShardState& shard, SimTime window_end);
   /// Folds per-shard stats into the simulator totals (called whenever
@@ -307,35 +310,32 @@ class Simulator {
   /// once by add_module from shard_map_ (hot-joined blocks included).
   std::vector<uint32_t> block_shard_;
   std::vector<std::unique_ptr<ShardState>> shards_;
-  std::unique_ptr<ShardEngine> engine_;
-  /// Per-run() loop state shared by the engine hooks: limits, events
-  /// counted so far, and the stop reason sharded_decide() settled on.
-  /// Written only inside barrier serial sections.
+  /// Workers that drain shard windows (shard_thread_count()).
+  size_t shard_threads_ = 1;
+  /// Per-run() loop state of the rendezvous: limits, events counted so
+  /// far, and the stop reason sharded_decide() settled on. Written only
+  /// inside the serial section.
   RunLimits run_limits_{};
   uint64_t run_processed_ = 0;
   StopReason run_reason_ = StopReason::kQueueEmpty;
-  /// Phase-time accumulator, folded in from the engine after each sharded
-  /// run() while the workers are parked.
+  /// Phase-time accumulator: the serial section adds its fold, integrate
+  /// and decide times as it runs; each sharded run() adds the workers'
+  /// drain and barrier-wait times once they are joined.
   PhaseBreakdown phases_;
-  /// True between a window drain and the fold that consumes it; the
-  /// bootstrap fold of a run() (no window drained yet) must not advance
-  /// the fault-flush counter.
-  bool window_pending_fold_ = false;
-  /// Set by the fold when the injected fault fires: the following
-  /// integrate phase discards every channel slot instead of routing it.
-  bool drop_integration_ = false;
+  /// Windows sharded_decide() has opened over the simulator's life; they
+  /// number the windows for the injected fault below.
+  int64_t windows_opened_ = 0;
   bool trace_events_ = false;
   std::vector<std::vector<std::string>> trace_streams_;
   /// Deliberate-bug injection for the differential fuzzer's self-test
   /// (tools/fuzz_sim, tests/check_test): when the SB_SIM_FAULT_DROP_FLUSH
-  /// env var holds N >= 0, the rendezvous after the N-th window silently
-  /// discards the cross-shard channel slots instead of integrating them —
-  /// a lost-message bug that only the sharded engine exhibits, so the
+  /// env var holds N >= 0, the rendezvous after the N-th window (counted
+  /// from 0) silently discards every outbox instead of routing it — a
+  /// lost-message bug that only the sharded engine exhibits, so the
   /// differential harness must catch it. -1 = off.
   int64_t fault_drop_flush_ = -1;
-  int64_t flush_count_ = 0;
   /// The shard whose window the current thread is draining (null outside
-  /// parallel phases); routes now()/halt()/scheduling to shard state.
+  /// a drain); routes now()/halt()/scheduling to shard state.
   /// Declared constinit in-class: with an out-of-class definition, GCC 12
   /// -O2 UBSan builds flag the first write on a thread as a null store.
   static constinit inline thread_local ShardState* tls_exec_ = nullptr;

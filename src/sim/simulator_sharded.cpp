@@ -3,52 +3,52 @@
 #include <thread>
 
 #include "lattice/connectivity.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "util/fmt.hpp"
 
-// The channel-driven sharded schedule (SimConfig::shards > 1).
+// The windowed sharded schedule (SimConfig::shards > 1).
 //
 // The surface is split by a ShardMap into column stripes cut at equal block
 // count; each shard owns the blocks that stood in its stripe when their
-// modules registered, and runs their events wherever they move. A
-// resident ShardEngine worker set cycles rounds of
+// modules registered, and runs their events wherever they move. Workers
+// (run_rounds, sim/shard.hpp) cycle rounds of one rendezvous and one drain:
 //
-//   fold -> integrate -> decide -> drain
-//
-// over a sense-reversing barrier:
+//   rendezvous[fold -> route -> decide] -> drain
 //
 //   Drain (parallel) — every shard drains its queue up to a horizon
 //   `window_end`, in local (time, seq) order, on its owning worker. The
 //   grid is frozen (no event in a shard queue mutates it) and its
 //   connectivity verdict was settled before the window opened, so handlers
 //   only read it. Writes stay inside the shard (its modules, queue, RNG,
-//   counters) apart from relaxed-atomic counters and cross-shard
-//   deliveries, which the producer pushes straight into the destination
-//   shard's inbound channel slot. One slot per (producer, consumer) pair
-//   makes every slot single-writer, so no locks are needed; the rendezvous
-//   barrier is the happens-before edge to the consumer. The horizon is
-//   bounded by the lookahead — the minimum link latency — so any message
-//   sent inside the window can only be delivered in a later one, and by the
-//   time of the next grid-mutating event. When LatencyModel::min_ticks > 1
-//   the window spans that many ticks, amortizing one rendezvous over many
-//   events.
+//   counters, outbox) apart from relaxed-atomic counters: a delivery to
+//   another shard's block goes into the sending shard's own outbox, so no
+//   thread ever writes another shard's state and no locks are needed. The
+//   horizon is bounded by the lookahead — the minimum link latency — so
+//   any message sent inside the window can only be delivered in a later
+//   one, and by the time of the next grid-mutating event. When
+//   LatencyModel::min_ticks > 1 the window spans that many ticks,
+//   amortizing one rendezvous over many events.
 //
-//   Fold (serial, in the barrier) — window counters fold into the run
-//   totals and pending grid-mutating events merge into the sequential
-//   queue, in fixed shard order.
+//   The rendezvous runs one serial section, in the last worker to arrive:
 //
-//   Integrate (parallel) — each shard's owner routes its inbound channel
-//   slots into the shard queue, in producer-shard order.
+//   Fold — window counters fold into the run totals and pending
+//   grid-mutating events merge into the sequential queue, in fixed shard
+//   order.
 //
-//   Decide (serial, in the barrier) — grid-mutating or external events due
-//   before the earliest shard event execute one by one on the deciding
-//   thread; their handlers see a quiescent world and may touch any shard.
-//   Then a connectivity verdict the last mutation left unknown is settled
-//   by one flood and the next horizon is chosen, or the round loop stops.
+//   Route — the outboxes of shards 0..S-1, in that order, push their
+//   deliveries onto the queue of each receiver's shard (the integrate
+//   phase of PhaseBreakdown).
+//
+//   Decide — grid-mutating or external events due before the earliest
+//   shard event execute one by one; their handlers see a quiescent world
+//   and may touch any shard. Then a connectivity verdict the last mutation
+//   left unknown is settled by one flood and the next horizon is chosen, or
+//   the round loop stops.
 //
 // Determinism: shard queues pop in (time, seq); seqs are assigned by
-// deterministic per-queue push order; channel slots integrate in fixed
-// producer order on the consumer's worker; each shard draws latencies from
+// deterministic per-queue push order; outboxes are routed in fixed
+// producer order, each in its send order; each shard draws latencies from
 // its own RNG stream. Worker assignment never reorders anything, so event
 // traces are byte-identical for every shard_threads value.
 
@@ -85,7 +85,6 @@ void Simulator::init_shards() {
     auto shard = std::make_unique<ShardState>();
     shard->index = i;
     shard->rng = rng_.fork(kShardRngStreamBase + i);
-    shard->inbound.resize(shard_map_.count());
     shards_.push_back(std::move(shard));
   }
   // A worker per stripe that holds blocks: a stripe with none has no event
@@ -108,8 +107,7 @@ void Simulator::init_shards() {
   if (threads == 0) {
     threads = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
-  threads = std::min(threads, std::max<size_t>(busy_stripes, 1));
-  engine_ = std::make_unique<ShardEngine>(threads, shards_.size());
+  shard_threads_ = std::min(threads, std::max<size_t>(busy_stripes, 1));
 
   // Deliberate-bug injection for the fuzzer self-test (simulator.hpp).
   if (const char* fault = std::getenv("SB_SIM_FAULT_DROP_FLUSH")) {
@@ -139,35 +137,40 @@ StopReason Simulator::run_sharded(RunLimits limits) {
   run_limits_ = limits;
   run_processed_ = 0;
   run_reason_ = StopReason::kQueueEmpty;
-  window_pending_fold_ = false;
-  ShardEngine::Hooks hooks;
-  hooks.fold = [this] { sharded_fold(); };
-  hooks.integrate = [this](size_t index) { sharded_integrate(index); };
-  hooks.decide = [this](SimTime* window_end) {
-    return sharded_decide(window_end);
-  };
-  hooks.drain = [this](size_t index, SimTime window_end) {
-    drain_shard_window(*shards_[index], window_end);
-  };
-  engine_->run(hooks);
+  phases_.merge(run_rounds(
+      shard_threads_, shards_.size(),
+      [this](SimTime* window_end) { return sharded_rendezvous(window_end); },
+      [this](size_t index, SimTime window_end) {
+        drain_shard_window(*shards_[index], window_end);
+      }));
   merge_shard_stats();
-  // Fold the engine's phase times while its workers are parked.
-  phases_.merge(engine_->phase_totals());
-  engine_->reset_observability();
   return run_reason_;
 }
 
-void Simulator::sharded_fold() {
-  // Injected bug (SB_SIM_FAULT_DROP_FLUSH, see simulator.hpp): make the
-  // upcoming integrate phase drop this window's cross-shard deliveries on
-  // the floor. The bootstrap fold of a run() has no window behind it and
-  // must not advance the window numbering.
-  if (window_pending_fold_) {
-    window_pending_fold_ = false;
-    drop_integration_ = flush_count_++ == fault_drop_flush_;
-  } else {
-    drop_integration_ = false;
+bool Simulator::sharded_rendezvous(SimTime* window_end) {
+  const uint64_t fold_start = mono_ns();
+  {
+    const obs::TraceSpan span("fold", "sim");
+    sharded_fold();
   }
+  const uint64_t route_start = mono_ns();
+  {
+    const obs::TraceSpan span("integrate", "sim");
+    route_outboxes();
+  }
+  const uint64_t decide_start = mono_ns();
+  bool open = false;
+  {
+    const obs::TraceSpan span("decide", "sim");
+    open = sharded_decide(window_end);
+  }
+  phases_.fold_ns += route_start - fold_start;
+  phases_.integrate_ns += decide_start - route_start;
+  phases_.decide_ns += mono_ns() - decide_start;
+  return open;
+}
+
+void Simulator::sharded_fold() {
   for (const auto& shard : shards_) {
     run_processed_ += shard->window_events;
     shard->total_events += shard->window_events;
@@ -190,17 +193,25 @@ void Simulator::sharded_fold() {
   }
 }
 
-void Simulator::sharded_integrate(size_t index) {
-  ShardState& shard = *shards_[index];
-  // Producer order 0..N-1 matches the order the former coordinator routed
-  // outboxes in, so destination seqs — and therefore traces — are
-  // unchanged. Each slot was filled by exactly one producer during the
-  // drain; the rendezvous barrier ordered those writes before this read.
-  for (auto& slot : shard.inbound) {
-    if (!drop_integration_) {
-      for (auto& record : slot) shard.queue.push(std::move(record));
+void Simulator::route_outboxes() {
+  // Injected bug (SB_SIM_FAULT_DROP_FLUSH, see simulator.hpp): the window
+  // numbered fault_drop_flush_ loses every cross-shard delivery. The
+  // rendezvous that opens a later run() has no window behind it, and its
+  // outboxes are empty.
+  const bool drop =
+      fault_drop_flush_ >= 0 && windows_opened_ == fault_drop_flush_ + 1;
+  // Producer order 0..S-1, each outbox in send order: every destination
+  // queue receives its cross-shard deliveries, and so assigns their seqs,
+  // in one order that no thread count changes (golden_trace_test's
+  // blob1000 cases pin it). A delivery reaches an outbox only when its
+  // receiver has a module, so it has a shard.
+  for (const auto& producer : shards_) {
+    if (!drop) {
+      for (EventRecord& record : producer->outbox) {
+        shards_[shard_of(record.b)]->queue.push(std::move(record));
+      }
     }
-    slot.clear();
+    producer->outbox.clear();
   }
 }
 
@@ -264,7 +275,7 @@ bool Simulator::sharded_decide(SimTime* window_end) {
       end = run_limits_.until + 1;
     }
     *window_end = end;
-    window_pending_fold_ = true;
+    ++windows_opened_;
     return true;
   }
 }

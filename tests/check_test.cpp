@@ -41,7 +41,9 @@ TEST(Generator, EveryCaseIsValidAndDeterministic) {
     // and fixed latency whenever churn lands mid-run.
     EXPECT_EQ(a.election_tie, core::ElectionTie::kLowestId);
     EXPECT_EQ(a.ack_timeout, 0u);
-    if (!a.churn.empty()) EXPECT_EQ(a.latency_kind, "fixed");
+    if (!a.churn.empty()) {
+      EXPECT_EQ(a.latency_kind, "fixed");
+    }
     uniform_comparable += a.latency_kind == "uniform" ? 1 : 0;
   }
   // 40 seeds must exercise several of the five families, and jitter

@@ -114,6 +114,14 @@ TEST(WireSerialization, MissingFieldsThrow) {
   util::JsonValue bad = runner::row_to_json(sample_row(2));
   bad["seed"] = util::JsonValue(5);
   EXPECT_THROW(runner::row_from_json(bad), std::runtime_error);
+  // A row without its phase timings: every journal and peer that can send
+  // one writes them, so their absence is a malformed row.
+  const util::JsonValue full = runner::row_to_json(sample_row(2));
+  util::JsonValue no_phases = util::JsonValue::object();
+  for (const auto& [key, value] : full.as_object()) {
+    if (key != "phase_seconds") no_phases[key] = value;
+  }
+  EXPECT_THROW(runner::row_from_json(no_phases), std::runtime_error);
 
   // Options that parse_sweep_flags refuses are refused off the wire too
   // (client submit frames and journal job records decode through here),

@@ -54,6 +54,9 @@ struct GoldenCase {
   sim::Ticks ack_timeout;
   uint64_t events;  ///< events processed
   uint64_t digest;  ///< trace_digest of the run's event trace
+  /// Algorithm-1 iteration cap; 0 = automatic. A capped case stops
+  /// blocked, halted at the cap, instead of completing.
+  uint32_t max_iterations = 0;
 };
 
 void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.name; }
@@ -67,13 +70,21 @@ TEST_P(GoldenTraceTest, EventTraceMatchesRecordedDigest) {
   config.sim.shards = c.shards;
   config.sim.shard_threads = c.threads;
   config.ack_timeout = c.ack_timeout;
-  // A bound, not a target: every case converges well inside it.
+  config.max_iterations = c.max_iterations;
+  // A bound, not a target: every case stops well inside it.
   config.max_events = 5'000'000;
   core::ReconfigurationSession session(lat::resolve_scenario(c.scenario),
                                        config);
   session.simulator().enable_event_trace();
   const core::SessionResult result = session.run();
-  ASSERT_TRUE(result.complete) << c.name;
+  if (c.max_iterations == 0) {
+    ASSERT_TRUE(result.complete) << c.name;
+  } else {
+    ASSERT_FALSE(result.complete) << c.name;
+    ASSERT_TRUE(result.blocked) << c.name;
+    ASSERT_EQ(result.stop_reason, sim::StopReason::kHalted) << c.name;
+    ASSERT_EQ(result.iterations, c.max_iterations) << c.name;
+  }
   EXPECT_EQ(result.events_processed, c.events) << c.name;
   const uint64_t digest = trace_digest(session.simulator().event_trace());
   EXPECT_EQ(digest, c.digest)
@@ -85,6 +96,13 @@ TEST_P(GoldenTraceTest, EventTraceMatchesRecordedDigest) {
 // The shards=4 digests depend on the shard map; they were recorded on
 // column stripes cut at equal block count, with every block's events run
 // by the shard it registered on, wherever it moves.
+// The tower cases keep every block in two adjacent stripes, so no shard
+// ever receives cross-shard deliveries from two producers in one window.
+// The blob1000 cases fill all four stripes, so an inner shard receives
+// deliveries from both neighbours in one window, and the digests pin the
+// producer order in which those deliveries reach its queue. A full blob run takes
+// thousands of epochs; an iteration cap of 3 stops it, blocked, after the
+// first elections and moves.
 // The exponential(5) cases run the fault-mode protocol, whose ack timers
 // fire 1000 ticks out — far past the calendar queue's 64-tick ring — so
 // the overflow path and its migration back into the ring are pinned too.
@@ -113,7 +131,13 @@ INSTANTIATE_TEST_SUITE_P(
                    0xe984f9673f646d70ULL},
         GoldenCase{"tower32_exp5_timeout_shards4_threads4", "tower32",
                    msg::LatencyModel::exponential(5.0), 4, 4, 1000, 53437,
-                   0x367d12971b665bf8ULL}),
+                   0x367d12971b665bf8ULL},
+        GoldenCase{"blob1000_shards4_threads1_cap3", "blob1000",
+                   msg::LatencyModel::uniform(1, 8), 4, 1, 0, 26903,
+                   0x029ec701a90ca5b2ULL, 3},
+        GoldenCase{"blob1000_shards4_threads4_cap3", "blob1000",
+                   msg::LatencyModel::uniform(1, 8), 4, 4, 0, 26903,
+                   0x029ec701a90ca5b2ULL, 3}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace

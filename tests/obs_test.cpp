@@ -4,17 +4,22 @@
 // partitioned across workers), JSON and Prometheus serialization, and the
 // trace writer's structural invariants — output parses with util/json,
 // nests properly, and stays timestamp-ordered per thread; disabled, every
-// emission is a no-op.
+// emission is a no-op — and the shard engine's round spans on a real
+// sharded session.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/reconfig.hpp"
+#include "lattice/scenario.hpp"
+#include "msg/latency.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/json.hpp"
@@ -102,7 +107,7 @@ TEST(Registry, MergeIsIndependentOfWorkerPartition) {
   const std::vector<uint64_t> samples = sample_stream(257);
   std::vector<std::string> dumps;
   for (const size_t workers : {size_t{1}, size_t{2}, size_t{4}, size_t{7}}) {
-    // Strided partition, exactly like ShardEngine's shard ownership.
+    // Strided partition, exactly like sim::run_rounds' shard ownership.
     std::vector<Registry> per_worker(workers);
     for (size_t i = 0; i < samples.size(); ++i) {
       Registry& registry = per_worker[i % workers];
@@ -244,6 +249,69 @@ TEST(Trace, SpanLatchedAtConstructionNeverEmitsUnmatchedEnd) {
   tracer.disable();
   const ParsedTrace parsed = parse_current_trace();
   EXPECT_EQ(parsed.events->size(), 0u);
+  tracer.reset_for_tests();
+}
+
+// A round is one rendezvous and one drain on every worker; the serial
+// section's fold, integrate and decide run on whichever worker arrives
+// last, so they are checked here, inside rendezvous inside window, rather
+// than on every thread (trace_check --require-spans window,rendezvous,drain).
+TEST(Trace, ShardSerialPhasesNestInsideRendezvous) {
+  core::SessionConfig config;
+  config.sim.latency = msg::LatencyModel::uniform(1, 8);
+  config.sim.shards = 4;
+  config.sim.shard_threads = 2;
+  core::ReconfigurationSession session(lat::resolve_scenario("tower16"),
+                                       config);
+  ASSERT_EQ(session.simulator().shard_thread_count(), 2u);
+  TraceWriter& tracer = TraceWriter::instance();
+  tracer.reset_for_tests();
+  tracer.enable();
+  const core::SessionResult result = session.run();
+  tracer.disable();
+  ASSERT_TRUE(result.complete);
+  ASSERT_EQ(tracer.dropped(), 0u);
+
+  const ParsedTrace parsed = parse_current_trace();
+  ASSERT_NE(parsed.events, nullptr);
+  std::map<double, std::vector<std::string>> stacks;  // tid -> open spans
+  std::map<double, std::set<std::string>> opened;     // tid -> span names
+  std::map<std::string, uint64_t> serial_phases;
+  for (const util::JsonValue& event : parsed.events->as_array()) {
+    const std::string& ph = event.find("ph")->as_string();
+    if (ph != "B" && ph != "E") continue;
+    const double tid = event.find("tid")->as_number();
+    const std::string& name = event.find("name")->as_string();
+    std::vector<std::string>& stack = stacks[tid];
+    if (ph == "E") {
+      ASSERT_FALSE(stack.empty());
+      ASSERT_EQ(stack.back(), name);
+      stack.pop_back();
+      continue;
+    }
+    if (name == "fold" || name == "integrate" || name == "decide") {
+      ++serial_phases[name];
+      ASSERT_EQ(stack.size(), 2u) << name;
+      EXPECT_EQ(stack[0], "window") << name;
+      EXPECT_EQ(stack[1], "rendezvous") << name;
+    } else if (name == "rendezvous" || name == "drain") {
+      ASSERT_EQ(stack, std::vector<std::string>{"window"}) << name;
+    } else if (name == "drain_shard") {
+      ASSERT_EQ(stack, (std::vector<std::string>{"window", "drain"}));
+    }
+    stack.push_back(name);
+    opened[tid].insert(name);
+  }
+  // One serial section per round, each folding, routing and deciding.
+  EXPECT_GT(serial_phases["fold"], 0u);
+  EXPECT_EQ(serial_phases["integrate"], serial_phases["fold"]);
+  EXPECT_EQ(serial_phases["decide"], serial_phases["fold"]);
+  ASSERT_EQ(opened.size(), 2u) << "both workers must emit spans";
+  for (const auto& [tid, names] : opened) {
+    for (const char* name : {"window", "rendezvous", "drain"}) {
+      EXPECT_EQ(names.count(name), 1u) << "tid " << tid << " lacks " << name;
+    }
+  }
   tracer.reset_for_tests();
 }
 

@@ -1,9 +1,9 @@
 // Tests for the sharded world: the ShardMap's equal-load column cut, the
-// channel-driven sharded schedule (sim/simulator_sharded.cpp), cross-shard
-// messaging, blocks keeping their registration shard as they move, and the
-// determinism contract — event and move traces byte-identical across
-// shard-thread counts (the sharded counterpart of runner_test's sweep
-// determinism).
+// windowed sharded schedule (sim/simulator_sharded.cpp) and its round loop
+// (sim::run_rounds), cross-shard messaging, blocks keeping their
+// registration shard as they move, and the determinism contract — event
+// and move traces byte-identical across shard-thread counts (the sharded
+// counterpart of runner_test's sweep determinism).
 
 #include <gtest/gtest.h>
 
@@ -520,7 +520,7 @@ TEST(ShardedDeterminism, RerunReproducesByteIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// WindowBarrier / ShardEngine
+// WindowBarrier / run_rounds
 // ---------------------------------------------------------------------------
 
 TEST(WindowBarrier, RunsTheSerialSectionOncePerRendezvous) {
@@ -590,65 +590,127 @@ TEST(WindowBarrier, HalfAMillionRendezvousLoseNoWakeup) {
   EXPECT_EQ(serial_runs.load(), kRounds);
 }
 
-TEST(ShardEngine, CyclesFoldIntegrateDecideDrainRounds) {
+// Threads of this process, from /proc/self/status.
+int process_threads() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return -1;
+  char line[256];
+  int threads = -1;
+  while (std::fgets(line, sizeof line, status) != nullptr) {
+    if (std::sscanf(line, "Threads: %d", &threads) == 1) break;
+  }
+  std::fclose(status);
+  return threads;
+}
+
+TEST(RunRounds, NWindowsTakeNPlusOneSerialSectionsAndNTimesSDrains) {
   constexpr size_t kShards = 6;
-  sim::ShardEngine engine(3, kShards);
-  EXPECT_EQ(engine.threads(), 3u);
-  int folds = 0;
-  int windows = 0;
-  std::atomic<int> integrates{0};
+  constexpr int kWindows = 4;
+  int serial_runs = 0;  // written only inside the serial section
   std::atomic<int> drains{0};
-  sim::ShardEngine::Hooks hooks;
-  hooks.fold = [&] { ++folds; };
-  hooks.integrate = [&](size_t) { integrates.fetch_add(1); };
-  hooks.decide = [&](sim::SimTime* window_end) {
-    if (windows == 4) return false;
-    *window_end = static_cast<sim::SimTime>(++windows);
-    return true;
-  };
-  hooks.drain = [&](size_t, sim::SimTime) { drains.fetch_add(1); };
-  engine.run(hooks);
-  // 4 windows: each preceded by a fold+integrate round, plus the final
-  // round that folds the last window and decides to stop.
-  EXPECT_EQ(folds, 5);
-  EXPECT_EQ(integrates.load(), 5 * static_cast<int>(kShards));
-  EXPECT_EQ(drains.load(), 4 * static_cast<int>(kShards));
+  std::atomic<int> wrong_horizon{0};
+  const sim::PhaseBreakdown phases = sim::run_rounds(
+      3, kShards,
+      [&](sim::SimTime* window_end) {
+        if (serial_runs++ == kWindows) return false;
+        *window_end = static_cast<sim::SimTime>(serial_runs);
+        return true;
+      },
+      [&](size_t, sim::SimTime window_end) {
+        // Drains of window k run after serial section k, before k + 1.
+        if (window_end != static_cast<sim::SimTime>(serial_runs)) {
+          wrong_horizon.fetch_add(1);
+        }
+        drains.fetch_add(1);
+      });
+  EXPECT_EQ(serial_runs, kWindows + 1);
+  EXPECT_EQ(drains.load(), kWindows * static_cast<int>(kShards));
+  EXPECT_EQ(wrong_horizon.load(), 0);
+  EXPECT_EQ(phases.windows, static_cast<uint64_t>(kWindows));
+  // The serial split belongs to the serial callable, not the loop.
+  EXPECT_EQ(phases.fold_ns + phases.integrate_ns + phases.decide_ns, 0u);
 }
 
-TEST(ShardEngine, SingleThreadRunsInline) {
-  sim::ShardEngine engine(1, 3);
-  EXPECT_EQ(engine.threads(), 1u);
+// One rendezvous per round: each serial section finds every drain of the
+// rounds before it finished and none of the next one started, and every
+// shard drains on the worker that owns it by stride, the caller owning
+// shard 0.
+TEST(RunRounds, EveryWorkerArrivesOncePerRound) {
+  constexpr size_t kThreads = 3;
+  constexpr size_t kShards = 7;
+  constexpr int kWindows = 50;
   const std::thread::id caller = std::this_thread::get_id();
-  bool inline_drain = true;
-  int windows = 0;
-  sim::ShardEngine::Hooks hooks;
-  hooks.fold = [] {};
-  hooks.integrate = [](size_t) {};
-  hooks.decide = [&](sim::SimTime* window_end) {
-    *window_end = 1;
-    return windows++ < 1;
-  };
-  hooks.drain = [&](size_t, sim::SimTime) {
-    inline_drain = inline_drain && std::this_thread::get_id() == caller;
-  };
-  engine.run(hooks);
-  EXPECT_TRUE(inline_drain);
+  std::vector<int> drains_seen;  // per serial section
+  std::atomic<int> drains{0};
+  // owner[round][shard], each entry written by one drain.
+  std::vector<std::vector<std::thread::id>> owner(
+      kWindows, std::vector<std::thread::id>(kShards));
+  int round = -1;  // written only inside the serial section
+  sim::run_rounds(
+      kThreads, kShards,
+      [&](sim::SimTime* window_end) {
+        drains_seen.push_back(drains.load());
+        *window_end = 1;
+        return ++round < kWindows;
+      },
+      [&](size_t shard, sim::SimTime) {
+        owner[static_cast<size_t>(round)][shard] = std::this_thread::get_id();
+        drains.fetch_add(1);
+      });
+  ASSERT_EQ(drains_seen.size(), static_cast<size_t>(kWindows) + 1);
+  for (size_t k = 0; k < drains_seen.size(); ++k) {
+    EXPECT_EQ(drains_seen[k], static_cast<int>(k * kShards)) << "round " << k;
+  }
+  for (size_t shard = 0; shard < kShards; ++shard) {
+    const std::thread::id worker = owner[0][shard % kThreads];
+    for (int r = 0; r < kWindows; ++r) {
+      EXPECT_EQ(owner[static_cast<size_t>(r)][shard], worker)
+          << "shard " << shard << " round " << r;
+    }
+  }
+  EXPECT_EQ(owner[0][0], caller);
+  EXPECT_NE(owner[0][1], caller);
+  EXPECT_NE(owner[0][2], caller);
+  EXPECT_NE(owner[0][1], owner[0][2]);
 }
 
-TEST(ShardEngine, ReusableAcrossRuns) {
-  sim::ShardEngine engine(2, 4);
+TEST(RunRounds, OneThreadRunsInlineAndStartsNoThread) {
+  const std::thread::id caller = std::this_thread::get_id();
+  const int threads_before = process_threads();
+  ASSERT_GT(threads_before, 0);
+  bool inline_calls = true;
+  int threads_seen = threads_before;
+  int windows = 0;
+  int drains = 0;
+  sim::run_rounds(
+      1, 3,
+      [&](sim::SimTime* window_end) {
+        inline_calls = inline_calls && std::this_thread::get_id() == caller;
+        *window_end = 1;
+        return windows++ < 2;
+      },
+      [&](size_t, sim::SimTime) {
+        inline_calls = inline_calls && std::this_thread::get_id() == caller;
+        threads_seen = std::max(threads_seen, process_threads());
+        ++drains;
+      });
+  EXPECT_TRUE(inline_calls);
+  EXPECT_EQ(threads_seen, threads_before);
+  EXPECT_EQ(drains, 2 * 3);
+}
+
+TEST(RunRounds, BackToBackRuns) {
   std::atomic<int> drains{0};
-  for (int round = 0; round < 25; ++round) {
+  for (int run = 0; run < 25; ++run) {
     int windows = 0;
-    sim::ShardEngine::Hooks hooks;
-    hooks.fold = [] {};
-    hooks.integrate = [](size_t) {};
-    hooks.decide = [&](sim::SimTime* window_end) {
-      *window_end = 1;
-      return windows++ < 2;
-    };
-    hooks.drain = [&](size_t, sim::SimTime) { drains.fetch_add(1); };
-    engine.run(hooks);
+    const sim::PhaseBreakdown phases = sim::run_rounds(
+        2, 4,
+        [&](sim::SimTime* window_end) {
+          *window_end = 1;
+          return windows++ < 2;
+        },
+        [&](size_t, sim::SimTime) { drains.fetch_add(1); });
+    EXPECT_EQ(phases.windows, 2u);
   }
   EXPECT_EQ(drains.load(), 25 * 2 * 4);
 }

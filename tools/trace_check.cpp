@@ -1,7 +1,7 @@
 // Validates a Chrome Trace Event Format file produced by --trace-out:
 //
 //   $ ./trace_check trace.json
-//   $ ./trace_check trace.json --require-spans fold,integrate,decide,drain
+//   $ ./trace_check trace.json --require-spans window,rendezvous,drain
 //
 // Checks, in order:
 //   1. the file parses with util/json and has a traceEvents array;
@@ -13,7 +13,9 @@
 //      matches the name of the innermost open B (proper nesting);
 //   5. each --require-spans name appears as a B event on every thread
 //      that emitted any span at all (CI uses this to prove the shard
-//      phase instrumentation covered every worker).
+//      round instrumentation covered every worker: each one opens window,
+//      rendezvous and drain every round, while fold, integrate and decide
+//      open only on the worker that runs the serial section).
 //
 // Exit codes: 0 = valid, 1 = usage/IO error, 2 = validation failure.
 
@@ -50,7 +52,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
   if (cli.positionals().size() != 1) {
     std::fprintf(stderr, "usage: trace_check <trace.json> "
-                         "[--require-spans fold,drain,...]\n");
+                         "[--require-spans window,rendezvous,drain]\n");
     return 1;
   }
 

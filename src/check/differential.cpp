@@ -295,7 +295,7 @@ DiffOutcome run_case(const FuzzCase& fuzz_case, const DiffOptions& options) {
   }
 
   outcome.runs.push_back(
-      run_backend(fuzz_case, "classic[shards=1]", 1, 1, options.oracle));
+      run_backend(fuzz_case, "one-shard[shards=1]", 1, 1, options.oracle));
   outcome.runs.push_back(
       run_backend(fuzz_case, fmt("sharded[shards={},threads=1]",
                                  options.alt_shards),
@@ -304,7 +304,7 @@ DiffOutcome run_case(const FuzzCase& fuzz_case, const DiffOptions& options) {
       run_backend(fuzz_case, fmt("sharded[shards={},threads={}]",
                                  options.alt_shards, alt_threads),
                   options.alt_shards, alt_threads, options.oracle));
-  const BackendRun& classic = outcome.runs[0];
+  const BackendRun& single = outcome.runs[0];
   const BackendRun& sharded = outcome.runs[1];
   const BackendRun& sharded_mt = outcome.runs[2];
 
@@ -343,21 +343,21 @@ DiffOutcome run_case(const FuzzCase& fuzz_case, const DiffOptions& options) {
         "FuzzCase::comparable)");
   } else if (budget_hit) {
     outcome.notes.push_back(
-        "engine comparison skipped: event budget hit (budgets land at "
-        "window granularity in sharded mode)");
+        "engine comparison skipped: event budget hit (above one shard, "
+        "budgets land at window granularity)");
   } else {
-    diff_traces("engine: move trace", classic.move_trace, classic.name,
+    diff_traces("engine: move trace", single.move_trace, single.name,
                 sharded.move_trace, sharded.name, outcome.divergences);
-    if (outcome_digest(classic.result) != outcome_digest(sharded.result)) {
+    if (outcome_digest(single.result) != outcome_digest(sharded.result)) {
       outcome.divergences.push_back(
-          fmt("engine: outcomes differ\n  {}: {}\n  {}: {}", classic.name,
-              outcome_digest(classic.result), sharded.name,
+          fmt("engine: outcomes differ\n  {}: {}\n  {}: {}", single.name,
+              outcome_digest(single.result), sharded.name,
               outcome_digest(sharded.result)));
     }
-    if (classic.final_blocks != sharded.final_blocks) {
+    if (single.final_blocks != sharded.final_blocks) {
       outcome.divergences.push_back(
           fmt("engine: final occupancy differs\n  {}:\n{}  {}:\n{}",
-              classic.name, classic.final_blocks, sharded.name,
+              single.name, single.final_blocks, sharded.name,
               sharded.final_blocks));
     }
   }

@@ -4,7 +4,7 @@
 //
 // Backends and what is compared (docs/TESTING.md has the full rationale):
 //
-//   A  classic      shards=1                 the reference execution
+//   A  one shard    shards=1                 the reference execution
 //   B  sharded      shards=alt_shards, t=1   window schedule, one thread
 //   C  sharded-mt   shards=alt_shards, t>1   same schedule, parallel drain
 //
@@ -14,8 +14,8 @@
 //   A vs B   move traces plus schedule-independent outcome digest — only
 //            for `comparable` cases (kLowestId ties, no timeouts, fixed
 //            latency or no churn; see FuzzCase::comparable) that did not
-//            hit the event budget (budgets land at window granularity in
-//            sharded mode).
+//            hit the event budget (above one shard, budgets land at window
+//            granularity).
 //   dist     optional (DiffOptions::run_dist): the same scenario swept
 //            through an in-process coordinator/worker fleet; the merged
 //            report must byte-match the local thread-pool backend's.
@@ -82,7 +82,7 @@ struct DiffOutcome {
   [[nodiscard]] std::string report() const;
 };
 
-/// Executes one backend (classic when shards == 1). Exposed for the corpus
+/// Executes one backend at `shards` shards. Exposed for the corpus
 /// replay test; most callers want run_case.
 [[nodiscard]] BackendRun run_backend(const FuzzCase& fuzz_case,
                                      std::string name, size_t shards,

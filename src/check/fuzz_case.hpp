@@ -61,7 +61,7 @@ struct FuzzCase {
   uint64_t max_events = 2'000'000;
   std::vector<ChurnOp> churn;
 
-  /// True when the case's knobs make the classic (shards=1) and sharded
+  /// True when the case's knobs make the one-shard and several-shard
   /// executions logically comparable: an arrival-order-independent tie
   /// policy (kLowestId), ack_timeout == 0 (timeout timers race same-tick
   /// message deliveries, whose relative order is a queue-insertion artifact

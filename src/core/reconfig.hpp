@@ -85,14 +85,14 @@ struct SessionResult {
   sim::SimTime sim_ticks = 0;
   double wall_seconds = 0.0;
   uint64_t events_processed = 0;
-  /// Effective shard count of the world (1 = classic single event loop).
+  /// Effective shard count of the world.
   size_t shards = 1;
   /// Events processed per shard, index = shard (empty when shards == 1).
   /// The scalar counters above are the per-shard counters merged via
   /// SimStats::accumulate.
   std::vector<uint64_t> shard_events;
-  /// Round-phase wall-clock totals from the shard engine (all-zero when
-  /// shards == 1); barrier_wait_fraction() is the headline number.
+  /// Round-phase wall-clock totals from the engine, at any shard count;
+  /// barrier_wait_fraction() is the headline number.
   sim::PhaseBreakdown phases;
 
   // Outcome.
@@ -141,13 +141,15 @@ class ReconfigurationSession {
   /// Mid-run churn: places a fresh block at `pos` (must be a free cell
   /// 4-adjacent to an occupied one, so connectivity is preserved), registers
   /// a SmartBlockCode for it, and schedules its start at the current time.
-  /// In sharded mode call only from a sequential context — an external
-  /// event or between run()/step_events() calls. The scenario itself is not
-  /// modified; SessionResult::block_count keeps reporting the initial count.
+  /// Call only from a sequential context — an external event or between
+  /// run()/step_events() calls. The scenario itself is not modified;
+  /// SessionResult::block_count keeps reporting the initial count.
   sim::Module& hot_join(lat::BlockId id, lat::Vec2 pos);
 
   /// Starts the modules (idempotent) and processes at most `max_events`
-  /// events. Useful to pause mid-run, e.g. for fault injection:
+  /// events — exactly that many at one shard, unless the run halts or
+  /// drains first; above one shard the budget lands at a window's edge.
+  /// Useful to pause mid-run, e.g. for fault injection:
   ///   session.step_events(2000);
   ///   session.simulator().kill_module(id);
   ///   auto result = session.run();

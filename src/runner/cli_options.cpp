@@ -50,7 +50,8 @@ void add_sweep_flags(CliParser& cli, const SweepCliOptions& defaults) {
               "need a cap — completion is O(N^2) hops)");
   cli.add_int("shards", static_cast<int64_t>(defaults.shards),
               "shards per world: column stripes cut at equal block count, "
-              "at most one per column (1 = classic event loop)");
+              "at most one per column; every count runs the one windowed "
+              "engine (1 = a single stripe on one worker)");
   cli.add_int("shard-threads", static_cast<int64_t>(defaults.shard_threads),
               "threads draining shard windows per world (0 = hardware "
               "concurrency; multiplies with --threads)");

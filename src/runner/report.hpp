@@ -30,19 +30,20 @@ struct RunRow {
   uint32_t iterations = 0;
   uint64_t sim_ticks = 0;
   size_t block_count = 0;
-  /// Effective shard count of the run's world (1 = classic event loop; the
-  /// scalar metrics are the per-shard counters merged — docs/BENCHMARKS.md).
+  /// Effective shard count of the run's world (the scalar metrics are the
+  /// per-shard counters merged — docs/BENCHMARKS.md).
   size_t shards = 1;
   /// Connectivity-oracle split on the move-validation path: probes answered
   /// by the O(1) local rule vs. full floods (docs/BENCHMARKS.md).
   uint64_t conn_fast_hits = 0;
   uint64_t conn_slow_floods = 0;
-  /// Cumulative events per shard (empty in classic mode): the raw material
-  /// for diagnosing pathological shard maps.
+  /// Cumulative events per shard (empty when shards == 1): the raw
+  /// material for diagnosing pathological shard maps.
   std::vector<uint64_t> shard_events;
-  /// Shard-engine round-phase breakdown in seconds of summed worker time
-  /// (all-zero when shards == 1). Wall-clock-derived, so scrub_timing()
-  /// zeroes all five along with barrier_wait_fraction.
+  /// Engine round-phase breakdown in seconds of summed worker time, at any
+  /// shard count (reports print it only above one shard). Wall-clock-
+  /// derived, so scrub_timing() zeroes all five along with
+  /// barrier_wait_fraction.
   double phase_fold_s = 0.0;
   double phase_integrate_s = 0.0;
   double phase_decide_s = 0.0;
@@ -107,10 +108,11 @@ struct GroupSummary {
   /// Per-run fast-path hit rate of the connectivity oracle.
   MetricSummary conn_fast_rate;
   /// Per-run busiest-shard/mean load ratio (RunRow::shard_imbalance);
-  /// all-zero for unsharded groups.
+  /// all-zero for one-shard groups.
   MetricSummary shard_imbalance;
   /// Per-run barrier-wait share of worker time (RunRow::
-  /// barrier_wait_fraction); all-zero for unsharded or scrubbed groups.
+  /// barrier_wait_fraction); all-zero for scrubbed groups, and only timer
+  /// overhead where one worker runs every rendezvous inline.
   MetricSummary barrier_wait_fraction;
 };
 

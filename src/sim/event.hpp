@@ -1,5 +1,5 @@
 #pragma once
-// Discrete events. The simulator is a classic event-driven core (the
+// Discrete events. The simulator is an event-driven core (the
 // paper's VisibleSim "mixes a discrete-event core simulator with
 // discrete-time functionalities").
 //

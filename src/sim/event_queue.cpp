@@ -82,38 +82,10 @@ void EventQueue::grow(Bucket& bucket) {
 }
 
 void EventQueue::push_outside_ring(EventRecord&& record) {
-  const SimTime t = record.time;
-  if (t < base_) {
-    // The simulator never schedules below its clock, but the queue accepts
-    // it: the window moves back to start at t.
-    rewind(t);
-    append(ring_[t & kRingMask], std::move(record));
-    occupied_ |= slot_bit(t & kRingMask);
-    return;
-  }
+  SB_EXPECTS(record.time >= base_, "push at t=", record.time,
+             " below the queue's last popped tick ", base_);
   overflow_.push_back(std::move(record));
   std::push_heap(overflow_.begin(), overflow_.end(), later);
-}
-
-void EventQueue::rewind(SimTime t) {
-  // The buckets leaving the window are those at or past t + kRingSize: the
-  // top `shift` offsets of the current window, or all of it. Only their
-  // occupancy bits are visited.
-  const SimTime shift = base_ - t;
-  uint64_t leaving = occupied_;
-  if (shift < kRingSize) {
-    const uint64_t top = ~uint64_t{0} << (kRingSize - shift);
-    leaving &= std::rotl(top, static_cast<int>(base_ & kRingMask));
-  }
-  for (uint64_t bits = leaving; bits != 0; bits &= bits - 1) {
-    Bucket& bucket = ring_[static_cast<size_t>(std::countr_zero(bits))];
-    while (bucket.head != nullptr) {
-      overflow_.push_back(take_front(bucket));
-      std::push_heap(overflow_.begin(), overflow_.end(), later);
-    }
-  }
-  occupied_ &= ~leaving;
-  base_ = t;
 }
 
 void EventQueue::migrate_overflow() {

@@ -1,14 +1,13 @@
 #pragma once
 // The pending-event set.
 //
-// EventQueue is the simulator's one queue — the classic loop, the sharded
-// engine's sequential queue and every shard's queue hold one by value. It
-// is a calendar queue: a 64-tick ring of per-tick FIFO buckets covering
-// [base, base + 64), plus a binary-heap overflow for later ticks. Link
-// latencies and motion durations are a handful of ticks, so nearly every
-// push is an O(1) append to a bucket, and a 64-bit occupancy word turns
-// peek() and pop() into one rotate and one count-trailing-zeros at any
-// depth. Only fault-mode timers and long latency tails reach the overflow.
+// EventQueue is the simulator's one queue — the engine's sequential queue
+// and every shard's queue hold one by value. It is a calendar queue: a
+// 64-tick ring of per-tick FIFO buckets covering [base, base + 64), plus a
+// binary-heap overflow for later ticks. Link latencies and motion
+// durations are a handful of ticks, so nearly every push is an O(1) append
+// to a bucket, and a 64-bit occupancy word turns peek() and pop() into one
+// rotate and one count-trailing-zeros at any depth. Only fault-mode timers and long latency tails reach the overflow.
 // Buckets are chains of fixed-size chunks drawn from one free list, so
 // storage tracks the pending-event count rather than every slot's
 // high-water mark.
@@ -36,13 +35,14 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Takes ownership; assigns the tie-breaking sequence number. Any time is
-  /// accepted, including one below the last popped event's.
+  /// Takes ownership; assigns the tie-breaking sequence number. The time
+  /// must not be below the last popped event's: the simulator never
+  /// schedules before a queue's clock.
   void push(EventRecord&& record) {
     record.seq = next_seq_++;
     ++size_;
     const SimTime t = record.time;
-    if (t - base_ < kRingSize) {  // unsigned: false for t < base_ as well
+    if (t - base_ < kRingSize) {  // unsigned: false for t < base_ too
       append(ring_[t & kRingMask], std::move(record));
       occupied_ |= uint64_t{1} << (t & kRingMask);
     } else {
@@ -107,17 +107,15 @@ class EventQueue {
     chunk->next = free_;
     free_ = chunk;
   }
-  /// Push for a tick outside [base_, base_ + kRingSize): rewinds the window
-  /// first when the tick is below it, then lands in the ring or overflow.
+  /// Push for a tick outside [base_, base_ + kRingSize): one below the
+  /// window fails SB_EXPECTS; a later one lands in the overflow.
   void push_outside_ring(EventRecord&& record);
-  /// Moves the window start back to `t`, spilling the occupied buckets that
-  /// fall off its far end into the overflow.
-  void rewind(SimTime t);
   /// Moves overflow records that the window now covers into the ring, in
   /// (time, seq) order, ahead of any later push to the same tick.
   void migrate_overflow();
 
-  /// Start of the ring window; never above the earliest pending time.
+  /// Start of the ring window: the last popped tick (0 before any pop),
+  /// never above the earliest pending time.
   SimTime base_ = 0;
   /// Bit s set iff ring_[s] holds records (of the window tick ≡ s mod 64).
   uint64_t occupied_ = 0;

@@ -1,14 +1,16 @@
 #pragma once
-// Per-shard execution state and the round loop of the sharded simulator.
+// Per-shard execution state and the round loop of the simulator's engine.
 //
-// When SimConfig::shards > 1 the simulator partitions the surface
-// (lattice/shard.hpp) and runs a conservative windowed schedule: each shard
-// drains its own event queue for one lookahead window of simulated time,
-// collecting the deliveries it sends to other shards in its own outbox.
-// Shards rendezvous once per window, at its edge: the serial section folds
-// the window, routes every outbox to its destination queue, applies grid
-// mutations and external events sequentially and picks the next horizon;
-// then the workers (run_rounds) drain the next window in parallel.
+// The simulator partitions the surface (lattice/shard.hpp) into
+// SimConfig::shards stripes, one or more, and runs a conservative windowed
+// schedule: each shard drains its own event queue for one window of
+// simulated time, collecting the deliveries it sends to other shards in
+// its own outbox. Shards rendezvous once per window, at its edge: the
+// serial section folds the window, routes every outbox to its destination
+// queue, applies grid mutations and external events sequentially and picks
+// the next horizon; then the workers (run_rounds) drain the next window in
+// parallel. A window spans the lookahead above one shard and runs to the
+// next grid mutation at one (sim/simulator_sharded.cpp).
 //
 // Determinism contract (docs/ARCHITECTURE.md "Sharded worlds"): every field
 // here is either touched by exactly one worker during a window, or only by
@@ -76,13 +78,19 @@ struct ShardState {
   /// registered inside its stripe (Simulator::shard_of), wherever they are
   /// now.
   EventQueue queue;
-  /// Independent latency stream, forked from the master seed by shard
-  /// index; consumed only while this shard drains, so draw order is
-  /// deterministic.
+  /// Latency stream of this shard's senders: the master stream when the
+  /// world has one shard, else a stream forked from the master seed by
+  /// shard index. Consumed only by this shard's events and by sequential
+  /// sends from its blocks, so draw order is deterministic.
   Rng rng{0};
   /// Local clock while draining a window (monotone across windows): the
   /// time of the last event this shard processed.
   SimTime now = 0;
+  /// End of the open window: events at or past it wait for a later one.
+  /// The drain starts it at the decided window_end; a grid mutation the
+  /// drain schedules lowers it to the mutation's tick, and halt() at one
+  /// shard lowers it to 0.
+  SimTime horizon = 0;
   /// Events processed in the current window, the one count the drain
   /// keeps; the fold adds it to total_events and stats.events_processed
   /// and resets it.

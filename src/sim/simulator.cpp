@@ -69,11 +69,10 @@ Simulator::Simulator(World world, SimConfig config)
     : world_(std::move(world)),
       config_(config),
       rng_(config.seed) {
-  if (config_.shards > 1) init_shards();
+  init_shards();
 }
 
 Rng& Simulator::active_rng(const Module& sender) {
-  if (!sharded_) return rng_;
   ShardState* ctx = tls_exec_;
   if (ctx != nullptr) return ctx->rng;
   return shards_[shard_of(sender.id())]->rng;
@@ -96,12 +95,10 @@ Module& Simulator::add_module(std::unique_ptr<Module> module) {
   if (id.value >= modules_.size()) {
     modules_.resize(static_cast<size_t>(id.value) + 1);
   }
-  if (sharded_) {
-    if (id.value >= block_shard_.size()) {
-      block_shard_.resize(static_cast<size_t>(id.value) + 1);
-    }
-    block_shard_[id.value] = static_cast<uint32_t>(shard_map_.shard_of(pos));
+  if (id.value >= block_shard_.size()) {
+    block_shard_.resize(static_cast<size_t>(id.value) + 1);
   }
+  block_shard_[id.value] = static_cast<uint32_t>(shard_map_.shard_of(pos));
   auto& slot = modules_[id.value];
   slot = std::move(module);
   ++module_count_;
@@ -124,25 +121,23 @@ void Simulator::start_module(lat::BlockId id) {
 }
 
 void Simulator::schedule_record(EventRecord&& record) {
-  if (!sharded_) {
-    SB_EXPECTS(record.time >= now_, "cannot schedule into the past (t=",
-               record.time, " < now=", now_, ")");
-    queue_.push(std::move(record));
-    return;
-  }
-  // Sharded routing: grid-mutating / external events go to the sequential
-  // queue; module events go to the queue of the target block's shard
-  // (shard_of). From inside a window, a delivery to another shard's block
-  // goes into the sending shard's own outbox, so no thread ever touches
-  // another shard's queue or contends on a lock; the next rendezvous
-  // routes it.
+  // Grid-mutating / external events go to the sequential queue; module
+  // events go to the queue of the target block's shard (shard_of). From
+  // inside a window, a delivery to another shard's block goes into the
+  // sending shard's own outbox, so no thread ever touches another shard's
+  // queue or contends on a lock; the next rendezvous routes it.
   ShardState* ctx = tls_exec_;
   SB_EXPECTS(record.time >= (ctx != nullptr ? ctx->now : now_),
-             "cannot schedule into the past (t=", record.time, ")");
+             "cannot schedule into the past (t=", record.time, " < now=",
+             now(), ")");
   switch (record.kind) {
     case EventKind::kMotionComplete:
     case EventKind::kExternal:
       if (ctx != nullptr) {
+        // The window ends at the next grid mutation, this one included.
+        // Above one shard a motion always lands at or past the horizon
+        // already, since the lookahead is at most motion_duration.
+        ctx->horizon = std::min(ctx->horizon, record.time);
         ctx->pending_global.push_back(std::move(record));
       } else {
         queue_.push(std::move(record));
@@ -159,6 +154,12 @@ void Simulator::schedule_record(EventRecord&& record) {
       return;
     }
     case EventKind::kDelivery: {
+      if (shards_.size() == 1) {
+        // One shard holds every queue a delivery could go to; it reads
+        // neither block's module nor shard.
+        shards_.front()->queue.push(std::move(record));
+        return;
+      }
       // A receiver without a module drops the message on delivery
       // (deliver()), so it stays with the sending shard.
       size_t dest = ctx != nullptr ? ctx->index : shard_of(record.a);
@@ -215,33 +216,6 @@ void Simulator::dispatch(EventRecord& record) {
       return;
   }
   SB_UNREACHABLE();
-}
-
-bool Simulator::step() {
-  SB_EXPECTS(!sharded_, "step() is only supported in classic (shards=1) "
-                        "mode; use run() on a sharded simulator");
-  if (queue_.empty()) return false;
-  EventRecord record = queue_.pop();
-  SB_ASSERT(record.time >= now_, "event time ran backwards");
-  now_ = record.time;
-  ++stats_.events_processed;
-  if (trace_events_) record_trace(0, record);
-  dispatch(record);
-  return true;
-}
-
-StopReason Simulator::run(RunLimits limits) {
-  if (sharded_) return run_sharded(limits);
-  uint64_t processed = 0;
-  while (!halted_) {
-    const EventRecord* next = queue_.peek();
-    if (next == nullptr) return StopReason::kQueueEmpty;
-    if (next->time > limits.until) return StopReason::kTimeLimit;
-    if (processed >= limits.max_events) return StopReason::kEventLimit;
-    step();
-    ++processed;
-  }
-  return StopReason::kHalted;
 }
 
 void Simulator::send_envelope(Module& sender, lat::Direction side,

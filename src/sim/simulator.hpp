@@ -34,16 +34,17 @@ struct SimConfig {
   msg::LatencyModel latency = msg::LatencyModel::fixed(1);
   /// Ticks a motion takes from request to landing.
   Ticks motion_duration = 10;
-  /// Shards the world is partitioned into. 1 keeps the classic single
-  /// event loop byte-for-byte; > 1 switches to the windowed sharded
-  /// schedule (per-shard queues, RNG streams, and counters) over column
-  /// stripes cut at equal block count, clamped to the surface width. See
-  /// docs/ARCHITECTURE.md.
+  /// Shards the world is partitioned into: column stripes cut at equal
+  /// block count, clamped to the surface width, each with its own queue
+  /// and counters. Every count runs the one windowed engine (see
+  /// docs/ARCHITECTURE.md "Sharded worlds"); one shard draws latencies
+  /// from the master stream, more fork a stream per shard.
   size_t shards = 1;
-  /// Worker threads draining shard windows in parallel (only used when
-  /// shards > 1). 0 = hardware concurrency; always capped at the number of
-  /// stripes that hold blocks at construction. Event traces are
-  /// byte-identical for every value — thread count affects wall-clock only.
+  /// Worker threads draining shard windows in parallel. 0 = hardware
+  /// concurrency; always capped at the number of stripes that hold blocks
+  /// at construction, so one shard drains on the calling thread. Event
+  /// traces are byte-identical for every value — thread count affects
+  /// wall-clock only.
   size_t shard_threads = 1;
 };
 
@@ -69,49 +70,44 @@ class Simulator {
     return ctx != nullptr ? ctx->now : now_;
   }
   [[nodiscard]] Rng& rng() { return rng_; }
-  /// Simulator-wide counters. In sharded mode the per-shard counters are
-  /// folded in every time run() returns (mid-run reads see only the
-  /// sequential share).
+  /// Simulator-wide counters. The per-shard counters are folded in every
+  /// time run() returns (mid-run reads see only the sequential share).
   [[nodiscard]] SimStats& stats() { return stats_; }
   [[nodiscard]] const SimConfig& config() const { return config_; }
 
   // -- sharding -------------------------------------------------------------
 
-  /// Effective shard count: 1 in classic mode, else config().shards clamped
-  /// to the surface width.
-  [[nodiscard]] size_t shard_count() const {
-    return sharded_ ? shards_.size() : 1;
-  }
-  /// Worker threads draining shard windows: 1 in classic mode, else
-  /// config().shard_threads capped at the stripes that held blocks when
-  /// the simulator was built.
+  /// Effective shard count: config().shards clamped to the surface width.
+  [[nodiscard]] size_t shard_count() const { return shards_.size(); }
+  /// Worker threads draining shard windows: config().shard_threads capped
+  /// at the stripes that held blocks when the simulator was built.
   [[nodiscard]] size_t shard_thread_count() const {
     return shard_threads_;
   }
-  /// Shard that runs block `id`'s events (always 0 in classic mode): the
-  /// stripe the block stood in when its module registered, kept however
-  /// far the block moves. `id` must have a module.
+  /// Shard that runs block `id`'s events: the stripe the block stood in
+  /// when its module registered, kept however far the block moves. `id`
+  /// must have a module.
   [[nodiscard]] size_t shard_of(lat::BlockId id) const {
-    if (!sharded_) return 0;
     SB_ASSERT(id.value < block_shard_.size(), "block ", id, " has no shard");
     return block_shard_[id.value];
   }
-  /// Cumulative events processed per shard (empty in classic mode).
+  /// Cumulative events processed per shard; empty at one shard, whose
+  /// count is stats().events_processed less the sequential steps.
   [[nodiscard]] std::vector<uint64_t> shard_event_counts() const;
 
   /// Starts recording one line per dispatched event. Streams are per shard
-  /// plus one for the sequential (grid-mutating / external) steps — classic
-  /// mode records a single stream. The determinism tests compare these
-  /// byte-for-byte across shard-thread counts.
+  /// plus one, last, for the sequential (grid-mutating / external) steps.
+  /// The determinism tests compare these byte-for-byte across shard-thread
+  /// counts.
   void enable_event_trace();
   [[nodiscard]] const std::vector<std::vector<std::string>>& event_trace()
       const {
     return trace_streams_;
   }
 
-  /// Round-phase wall-clock accumulated over every sharded run() call
-  /// (all-zero in classic mode); see sim/shard.hpp PhaseBreakdown. Purely
-  /// observational — never feeds back into scheduling.
+  /// Round-phase wall-clock accumulated over every run() call; see
+  /// sim/shard.hpp PhaseBreakdown. Purely observational — never feeds back
+  /// into scheduling.
   [[nodiscard]] const PhaseBreakdown& phase_breakdown() const {
     return phases_;
   }
@@ -151,8 +147,8 @@ class Simulator {
   void kill_module(lat::BlockId id);
 
   /// Schedules on_start() for one module at the current time (hot-join
-  /// churn: a module registered mid-run). In sharded mode, call only from a
-  /// sequential context (an external event or between run() calls).
+  /// churn: a module registered mid-run). Call only from a sequential
+  /// context (an external event or between run() calls).
   void start_module(lat::BlockId id);
 
   /// Recomputes neighbor tables around externally mutated cells and fires
@@ -166,13 +162,13 @@ class Simulator {
   /// True when an in-flight motion touches `pos` (source or destination of
   /// any pending elementary move). External stimuli must not place blocks
   /// on such cells: the mover sweeps through them before its landing event
-  /// executes. Sequential contexts only (the registry is updated at window
-  /// barriers in sharded mode).
+  /// executes. Sequential contexts only (motions requested inside a window
+  /// register at its rendezvous).
   [[nodiscard]] bool cell_in_motion(lat::Vec2 pos) const;
 
   /// Observer invoked after every grid-affecting event (motion completion
-  /// or external event), always from the sequential context — in sharded
-  /// mode these events run between windows on the coordinating thread. The
+  /// or external event), always from the sequential context: these events
+  /// run between windows, in the rendezvous's serial section. The
   /// invariant oracle (src/check/oracle.hpp) hooks here to audit the world
   /// after each mutation.
   void set_mutation_observer(std::function<void(Simulator&)> observer) {
@@ -188,26 +184,26 @@ class Simulator {
   /// Queues on_start() for every registered module at the current time.
   void start_all_modules();
 
-  /// Runs until the queues drain, a limit hits, or halt() is called. In
-  /// sharded mode events execute in lookahead windows; limits are honored
-  /// at window granularity (an event budget may overshoot by one window,
-  /// deterministically).
+  /// Runs until the queues drain, a limit hits, or halt() is called.
+  /// Events execute in windows (sim/shard.hpp). One shard stops exactly on
+  /// the event budget and right after the event that halts; above one,
+  /// budgets and halts are honored at the window's edge (a budget may
+  /// overshoot by one window, deterministically), since a shard stopped
+  /// mid-window would leave the others' clocks ahead of it.
   StopReason run(RunLimits limits = RunLimits{});
 
-  /// Processes a single event; false when the queue is empty. Classic
-  /// (unsharded) mode only.
-  bool step();
-
   /// Stops the run loop after the current event (modules call this through
-  /// their program when the distributed computation finishes). From inside
-  /// a shard window the request is honored at the window barrier.
+  /// their program when the distributed computation finishes). Inside a
+  /// window the request is honored at the window's edge, which at one
+  /// shard it moves to right after the current event.
   void halt() {
     ShardState* ctx = tls_exec_;
-    if (ctx != nullptr) {
-      ctx->halt_requested = true;
-    } else {
+    if (ctx == nullptr) {
       halted_ = true;
+      return;
     }
+    ctx->halt_requested = true;
+    if (shards_.size() == 1) ctx->horizon = 0;
   }
   [[nodiscard]] bool halted() const { return halted_; }
 
@@ -248,14 +244,14 @@ class Simulator {
     ShardState* ctx = tls_exec_;
     return ctx != nullptr ? ctx->stats : stats_;
   }
-  /// Latency stream the current context draws from. Per-shard draws keep
-  /// the draw order deterministic while windows execute in parallel.
+  /// Latency stream the current context draws from: the sender's shard's.
+  /// Per-shard draws keep the draw order deterministic while windows
+  /// execute in parallel.
   [[nodiscard]] Rng& active_rng(const Module& sender);
 
-  // -- sharded mode (simulator_sharded.cpp) ---------------------------------
+  // -- the windowed engine (simulator_sharded.cpp) ---------------------------
 
   void init_shards();
-  StopReason run_sharded(RunLimits limits);
   /// The rendezvous's serial section, run by the last-arriving worker:
   /// fold, route, decide, each timed into phases_. Returns false to stop
   /// the round loop.
@@ -272,8 +268,8 @@ class Simulator {
   /// run_reason_.
   bool sharded_decide(SimTime* window_end);
   void drain_shard_window(ShardState& shard, SimTime window_end);
-  /// Folds per-shard stats into the simulator totals (called whenever
-  /// run_sharded returns).
+  /// Folds per-shard stats into the simulator totals (called whenever run()
+  /// returns).
   void merge_shard_stats();
   void record_trace(size_t stream, const EventRecord& record);
 
@@ -282,28 +278,28 @@ class Simulator {
   Rng rng_;
   SimTime now_ = 0;
   bool halted_ = false;
-  /// Classic mode: every pending event. Sharded mode: the grid-mutating
-  /// (motion-complete) and external events, always executed sequentially
-  /// between windows so handlers see a quiescent world; module events live
-  /// in the shard queues.
+  /// The grid-mutating (motion-complete) and external events, always
+  /// executed sequentially between windows so handlers see a quiescent
+  /// world; module events live in the shard queues.
   EventQueue queue_;
   /// Dense table indexed by id (ids are small and near-contiguous; see
   /// Grid). Index order == id order, so iteration stays deterministic.
   std::vector<std::unique_ptr<Module>> modules_;
   size_t module_count_ = 0;
   SimStats stats_;
-  /// Motions requested but not yet landed, keyed by subject. Classic mode
-  /// registers at request time; sharded mode at the barrier flush (requests
-  /// made inside windows buffer through pending_global), so the registry is
-  /// only ever touched from sequential contexts.
+  /// Motions requested but not yet landed, keyed by subject. A request
+  /// from a sequential context registers at once; one made inside a window
+  /// buffers through pending_global and registers at the fold, so the
+  /// registry is only ever touched from sequential contexts.
   std::vector<std::pair<lat::BlockId, motion::RuleApplication>>
       inflight_motions_;
 
-  // -- sharded mode ---------------------------------------------------------
-
   std::function<void(Simulator&)> mutation_observer_;
 
-  bool sharded_ = false;
+  // -- the windowed engine --------------------------------------------------
+
+  /// Longest window: the guaranteed delay of any cross-shard effect, or
+  /// kTimeMax at one shard, whose windows need no lookahead.
   Ticks lookahead_ = 1;
   lat::ShardMap shard_map_;
   /// Dense table indexed by id: the shard of each registered block, set
@@ -313,13 +309,15 @@ class Simulator {
   /// Workers that drain shard windows (shard_thread_count()).
   size_t shard_threads_ = 1;
   /// Per-run() loop state of the rendezvous: limits, events counted so
-  /// far, and the stop reason sharded_decide() settled on. Written only
-  /// inside the serial section.
+  /// far, the events the open window may process (the rest of the budget
+  /// at one shard, unbounded above), and the stop reason sharded_decide()
+  /// settled on. Written only inside the serial section.
   RunLimits run_limits_{};
   uint64_t run_processed_ = 0;
+  uint64_t window_budget_ = UINT64_MAX;
   StopReason run_reason_ = StopReason::kQueueEmpty;
   /// Phase-time accumulator: the serial section adds its fold, integrate
-  /// and decide times as it runs; each sharded run() adds the workers'
+  /// and decide times as it runs; each run() adds the workers'
   /// drain and barrier-wait times once they are joined.
   PhaseBreakdown phases_;
   /// Windows sharded_decide() has opened over the simulator's life; they
@@ -331,7 +329,7 @@ class Simulator {
   /// (tools/fuzz_sim, tests/check_test): when the SB_SIM_FAULT_DROP_FLUSH
   /// env var holds N >= 0, the rendezvous after the N-th window (counted
   /// from 0) silently discards every outbox instead of routing it — a
-  /// lost-message bug that only the sharded engine exhibits, so the
+  /// lost-message bug that only a world of several shards exhibits, so the
   /// differential harness must catch it. -1 = off.
   int64_t fault_drop_flush_ = -1;
   /// The shard whose window the current thread is draining (null outside

@@ -7,12 +7,13 @@
 #include "sim/simulator.hpp"
 #include "util/fmt.hpp"
 
-// The windowed sharded schedule (SimConfig::shards > 1).
+// The windowed engine: the simulator's one event loop, at any shard count.
 //
 // The surface is split by a ShardMap into column stripes cut at equal block
-// count; each shard owns the blocks that stood in its stripe when their
-// modules registered, and runs their events wherever they move. Workers
-// (run_rounds, sim/shard.hpp) cycle rounds of one rendezvous and one drain:
+// count (SimConfig::shards of them, clamped to the width); each shard owns
+// the blocks that stood in its stripe when their modules registered, and
+// runs their events wherever they move. Workers (run_rounds,
+// sim/shard.hpp) cycle rounds of one rendezvous and one drain:
 //
 //   rendezvous[fold -> route -> decide] -> drain
 //
@@ -30,6 +31,13 @@
 //   LatencyModel::min_ticks > 1 the window spans that many ticks,
 //   amortizing one rendezvous over many events.
 //
+//   One shard needs no lookahead: no other shard can receive its messages
+//   or run ahead of its clock. Its window ends at the next grid mutation,
+//   including one its own drain schedules (a rule that never fires above
+//   one shard, where the lookahead is at most motion_duration); at the
+//   time limit; exactly at the run's event budget; and right after the
+//   event that halts the run.
+//
 //   The rendezvous runs one serial section, in the last worker to arrive:
 //
 //   Fold — window counters fold into the run totals and pending
@@ -40,17 +48,19 @@
 //   deliveries onto the queue of each receiver's shard (the integrate
 //   phase of PhaseBreakdown).
 //
-//   Decide — grid-mutating or external events due before the earliest
-//   shard event execute one by one; their handlers see a quiescent world
-//   and may touch any shard. Then a connectivity verdict the last mutation
-//   left unknown is settled by one flood and the next horizon is chosen, or
-//   the round loop stops.
+//   Decide — grid-mutating or external events due at or before the
+//   earliest shard event execute one by one, so at equal ticks mutations
+//   go first; their handlers see a quiescent world and may touch any
+//   shard. Then a connectivity verdict the last mutation left unknown is
+//   settled by one flood and the next horizon is chosen, or the round loop
+//   stops.
 //
 // Determinism: shard queues pop in (time, seq); seqs are assigned by
 // deterministic per-queue push order; outboxes are routed in fixed
 // producer order, each in its send order; each shard draws latencies from
-// its own RNG stream. Worker assignment never reorders anything, so event
-// traces are byte-identical for every shard_threads value.
+// its own RNG stream (one shard: the master stream). Worker assignment
+// never reorders anything, so event traces are byte-identical for every
+// shard_threads value.
 
 namespace sb::sim {
 
@@ -67,24 +77,27 @@ void Simulator::init_shards() {
     column_blocks[static_cast<size_t>(x)] = view.blocks_in_column(x);
   }
   shard_map_ = lat::ShardMap(column_blocks, config_.shards);
-  if (shard_map_.count() <= 1) return;  // one-column surface: stay classic
-  sharded_ = true;
-  // The lookahead is the guaranteed delay of *any* cross-window effect: a
-  // message needs at least the minimum link latency, and a motion —
-  // the grid mutations the windows must never straddle — needs
-  // motion_duration. Capping at the smaller of the two keeps every
-  // mutation scheduled inside a window strictly beyond its horizon.
-  SB_EXPECTS(config_.motion_duration >= 1,
-             "sharded execution needs motion_duration >= 1 tick (got ",
-             config_.motion_duration, ")");
-  lookahead_ = std::max<Ticks>(
-      1, std::min<Ticks>(config_.latency.min_ticks(),
-                         config_.motion_duration));
-  shards_.reserve(shard_map_.count());
-  for (size_t i = 0; i < shard_map_.count(); ++i) {
+  const size_t count = shard_map_.count();
+  if (count == 1) {
+    lookahead_ = kTimeMax;  // nothing crosses a stripe (see above)
+  } else {
+    // The lookahead is the guaranteed delay of *any* cross-window effect: a
+    // message needs at least the minimum link latency, and a motion — the
+    // grid mutations the windows must never straddle — needs
+    // motion_duration. Capping at the smaller of the two keeps every
+    // mutation scheduled inside a window strictly beyond its horizon.
+    SB_EXPECTS(config_.motion_duration >= 1,
+               "sharded execution needs motion_duration >= 1 tick (got ",
+               config_.motion_duration, ")");
+    lookahead_ = std::max<Ticks>(
+        1, std::min<Ticks>(config_.latency.min_ticks(),
+                           config_.motion_duration));
+  }
+  shards_.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
     auto shard = std::make_unique<ShardState>();
     shard->index = i;
-    shard->rng = rng_.fork(kShardRngStreamBase + i);
+    shard->rng = count == 1 ? rng_ : rng_.fork(kShardRngStreamBase + i);
     shards_.push_back(std::move(shard));
   }
   // A worker per stripe that holds blocks: a stripe with none has no event
@@ -95,7 +108,7 @@ void Simulator::init_shards() {
   // intervals, so the busy stripes are consecutive and the stride gives
   // each its own worker; a disconnected one may pair two busy stripes on a
   // worker, which costs time but never changes a trace.
-  std::vector<bool> stripe_has_blocks(shard_map_.count(), false);
+  std::vector<bool> stripe_has_blocks(count, false);
   for (int32_t x = 0; x < view.width(); ++x) {
     if (column_blocks[static_cast<size_t>(x)] > 0) {
       stripe_has_blocks[shard_map_.shard_of({x, 0})] = true;
@@ -117,6 +130,7 @@ void Simulator::init_shards() {
 
 std::vector<uint64_t> Simulator::shard_event_counts() const {
   std::vector<uint64_t> counts;
+  if (shards_.size() == 1) return counts;
   counts.reserve(shards_.size());
   for (const auto& shard : shards_) counts.push_back(shard->total_events);
   return counts;
@@ -124,7 +138,7 @@ std::vector<uint64_t> Simulator::shard_event_counts() const {
 
 void Simulator::enable_event_trace() {
   trace_events_ = true;
-  trace_streams_.assign(sharded_ ? shards_.size() + 1 : 1, {});
+  trace_streams_.assign(shards_.size() + 1, {});
 }
 
 void Simulator::record_trace(size_t stream, const EventRecord& record) {
@@ -133,7 +147,7 @@ void Simulator::record_trace(size_t stream, const EventRecord& record) {
           record.kind_name(), record.a.value, record.b.value, record.tag()));
 }
 
-StopReason Simulator::run_sharded(RunLimits limits) {
+StopReason Simulator::run(RunLimits limits) {
   run_limits_ = limits;
   run_processed_ = 0;
   run_reason_ = StopReason::kQueueEmpty;
@@ -267,14 +281,18 @@ bool Simulator::sharded_decide(SimTime* window_end) {
       (void)lat::is_connected(grid);
     }
 
-    // Parallel window [t_shard, window_end): bounded by the lookahead, the
-    // next grid mutation, and the time limit.
-    SimTime end = t_shard + lookahead_;
-    if (t_global < end) end = t_global;
+    // Window [t_shard, window_end): bounded by the lookahead, the next grid
+    // mutation (t_global > t_shard here), and the time limit. One shard may
+    // spend the rest of the budget in it; above one, budgets are checked at
+    // the window's edge.
+    SimTime end = t_shard + std::min(lookahead_, t_global - t_shard);
     if (run_limits_.until != kTimeMax && run_limits_.until + 1 < end) {
       end = run_limits_.until + 1;
     }
     *window_end = end;
+    window_budget_ = shards_.size() == 1
+                         ? run_limits_.max_events - run_processed_
+                         : UINT64_MAX;
     ++windows_opened_;
     return true;
   }
@@ -287,15 +305,17 @@ void Simulator::drain_shard_window(ShardState& shard, SimTime window_end) {
                 grid.connectivity_hint() != lat::ConnectivityHint::kUnknown,
             "shard window opened on an unsettled connectivity verdict");
   tls_exec_ = &shard;
+  shard.horizon = window_end;
   EventQueue& queue = shard.queue;
   while (const EventRecord* head = queue.peek()) {
-    if (head->time >= window_end) break;
+    if (head->time >= shard.horizon) break;
     EventRecord record = queue.pop();
     SB_ASSERT(record.time >= shard.now, "shard time ran backwards");
     shard.now = record.time;
     ++shard.window_events;
     if (trace_events_) record_trace(shard.index, record);
     dispatch(record);
+    if (shard.window_events == window_budget_) break;
   }
   tls_exec_ = nullptr;
 }

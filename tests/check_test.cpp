@@ -279,7 +279,7 @@ TEST(Differential, KnownGoodCaseAgreesEverywhere) {
   EXPECT_TRUE(outcome.ok()) << outcome.report();
   ASSERT_EQ(outcome.runs.size(), 3u);
   EXPECT_GT(outcome.runs[0].move_trace.size(), 0u);
-  // Comparable case: classic and sharded move traces byte-identical.
+  // Comparable case: one-shard and four-shard move traces byte-identical.
   EXPECT_EQ(outcome.runs[0].move_trace, outcome.runs[1].move_trace);
   EXPECT_EQ(outcome.runs[1].event_trace, outcome.runs[2].event_trace);
 }
@@ -287,7 +287,7 @@ TEST(Differential, KnownGoodCaseAgreesEverywhere) {
 TEST(Differential, ReportNamesEveryBackend) {
   const DiffOutcome outcome = run_case(generate_case(4));
   const std::string report = outcome.report();
-  EXPECT_NE(report.find("classic[shards=1]"), std::string::npos);
+  EXPECT_NE(report.find("one-shard[shards=1]"), std::string::npos);
   EXPECT_NE(report.find("sharded[shards=4"), std::string::npos);
   EXPECT_NE(report.find("verdict:"), std::string::npos);
 }

@@ -1,5 +1,5 @@
 // Regression corpus replay: every minimized repro committed under
-// tests/corpus/ is run through the full differential harness (classic,
+// tests/corpus/ is run through the full differential harness (one shard,
 // sharded, sharded multi-threaded) with the invariant oracle attached, and
 // must agree everywhere, forever. A case lands here because it once caught a
 // real divergence — if one fails again, a fixed bug has come back.

@@ -93,6 +93,9 @@ TEST_P(GoldenTraceTest, EventTraceMatchesRecordedDigest) {
 
 // The uniform(1,8) cases mirror bench_e2e's latency; shards=4 at 1 and 4
 // threads must hash identically to each other as well as to the record.
+// The shards=1 digests hash two streams, shard 0 and the sequential one.
+// Under exponential(5) the latency tail lands deliveries on a motion's
+// landing tick, where the grid mutation runs first.
 // The shards=4 digests depend on the shard map; they were recorded on
 // column stripes cut at equal block count, with every block's events run
 // by the shard it registered on, wherever it moves.
@@ -100,7 +103,8 @@ TEST_P(GoldenTraceTest, EventTraceMatchesRecordedDigest) {
 // ever receives cross-shard deliveries from two producers in one window.
 // The blob1000 cases fill all four stripes, so an inner shard receives
 // deliveries from both neighbours in one window, and the digests pin the
-// producer order in which those deliveries reach its queue. A full blob run takes
+// producer order in which those deliveries reach its queue; at one shard,
+// they pin a window that spans many columns. A full blob run takes
 // thousands of epochs; an iteration cap of 3 stops it, blocked, after the
 // first elections and moves.
 // The exponential(5) cases run the fault-mode protocol, whose ack timers
@@ -109,29 +113,32 @@ TEST_P(GoldenTraceTest, EventTraceMatchesRecordedDigest) {
 INSTANTIATE_TEST_SUITE_P(
     Recorded, GoldenTraceTest,
     ::testing::Values(
-        GoldenCase{"tower32_classic", "tower32",
+        GoldenCase{"tower32_shards1", "tower32",
                    msg::LatencyModel::uniform(1, 8), 1, 1, 0, 38320,
-                   0xa236bbd7c3e8a864ULL},
+                   0xe1bd94ea3f55d908ULL},
         GoldenCase{"tower32_shards4_threads1", "tower32",
                    msg::LatencyModel::uniform(1, 8), 4, 1, 0, 38326,
                    0x892bc8a13826e63aULL},
         GoldenCase{"tower32_shards4_threads4", "tower32",
                    msg::LatencyModel::uniform(1, 8), 4, 4, 0, 38326,
                    0x892bc8a13826e63aULL},
-        GoldenCase{"fig10_classic", "fig10", msg::LatencyModel::uniform(1, 8),
-                   1, 1, 0, 1781, 0xe2b7f25803451d88ULL},
+        GoldenCase{"fig10_shards1", "fig10", msg::LatencyModel::uniform(1, 8),
+                   1, 1, 0, 1781, 0x3c0664030fca2df9ULL},
         GoldenCase{"fig10_shards4_threads1", "fig10",
                    msg::LatencyModel::uniform(1, 8), 4, 1, 0, 1769,
                    0x6477509e78ffb05cULL},
         GoldenCase{"fig10_shards4_threads4", "fig10",
                    msg::LatencyModel::uniform(1, 8), 4, 4, 0, 1769,
                    0x6477509e78ffb05cULL},
-        GoldenCase{"tower32_exp5_timeout_classic", "tower32",
-                   msg::LatencyModel::exponential(5.0), 1, 1, 1000, 53573,
-                   0xe984f9673f646d70ULL},
+        GoldenCase{"tower32_exp5_timeout_shards1", "tower32",
+                   msg::LatencyModel::exponential(5.0), 1, 1, 1000, 53635,
+                   0xb0f80647092025f2ULL},
         GoldenCase{"tower32_exp5_timeout_shards4_threads4", "tower32",
                    msg::LatencyModel::exponential(5.0), 4, 4, 1000, 53437,
                    0x367d12971b665bf8ULL},
+        GoldenCase{"blob1000_shards1_cap3", "blob1000",
+                   msg::LatencyModel::uniform(1, 8), 1, 1, 0, 26932,
+                   0x84bffea67ecfa9beULL, 3},
         GoldenCase{"blob1000_shards4_threads1_cap3", "blob1000",
                    msg::LatencyModel::uniform(1, 8), 4, 1, 0, 26903,
                    0x029ec701a90ca5b2ULL, 3},

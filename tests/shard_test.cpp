@@ -1,9 +1,10 @@
 // Tests for the sharded world: the ShardMap's equal-load column cut, the
-// windowed sharded schedule (sim/simulator_sharded.cpp) and its round loop
-// (sim::run_rounds), cross-shard messaging, blocks keeping their
-// registration shard as they move, and the determinism contract — event
-// and move traces byte-identical across shard-thread counts (the sharded
-// counterpart of runner_test's sweep determinism).
+// windowed engine (sim/simulator_sharded.cpp) and its round loop
+// (sim::run_rounds) at one shard and at several, cross-shard messaging,
+// blocks keeping their registration shard as they move, and the
+// determinism contract — event and move traces byte-identical across
+// shard-thread counts (the sharded counterpart of runner_test's sweep
+// determinism).
 
 #include <gtest/gtest.h>
 
@@ -25,6 +26,7 @@
 #include "lattice/scenario.hpp"
 #include "lattice/shard.hpp"
 #include "sim/shard.hpp"
+#include "util/fmt.hpp"
 #include "util/rng.hpp"
 
 namespace sb {
@@ -226,29 +228,92 @@ TEST(ShardedDeterminism, SlowLinksStayBehindMotionLandings) {
   core::SessionConfig config;
   config.sim.latency = msg::LatencyModel::fixed(20);
   const lat::Scenario scenario = lat::make_tower_scenario(8);
-  const SessionRun classic = run_session(scenario, config, 1, 1);
+  const SessionRun single = run_session(scenario, config, 1, 1);
   const SessionRun serial = run_session(scenario, config, 3, 1);
   const SessionRun parallel = run_session(scenario, config, 3, 4);
 
-  ASSERT_TRUE(classic.result.complete);
+  ASSERT_TRUE(single.result.complete);
   ASSERT_TRUE(serial.result.complete);
   EXPECT_EQ(serial.event_trace, parallel.event_trace);
-  EXPECT_EQ(serial.result.hops, classic.result.hops);
-  EXPECT_EQ(serial.move_trace, classic.move_trace);
+  EXPECT_EQ(serial.result.hops, single.result.hops);
+  EXPECT_EQ(serial.move_trace, single.move_trace);
 }
 
-// shards = 1 must stay the classic engine: byte-identical to a default
-// configuration, single trace stream.
-TEST(ShardedDeterminism, SingleShardReducesToClassicSchedule) {
+// shards = 1 runs the same engine on two streams: shard 0, then the
+// sequential stream, which holds exactly the motion landings. Its one
+// worker drains on the caller whatever shard_threads asks for, so the
+// trace is the same at 1 and 8 threads; reports list no per-shard split.
+TEST(ShardedDeterminism, SingleShardRunsTwoStreamsOnOneWorker) {
   const lat::Scenario scenario = lat::make_tower_scenario(8);
-  const SessionRun classic = run_session(scenario, {}, 1, 1);
-  const SessionRun classic_threaded = run_session(scenario, {}, 1, 8);
+  const SessionRun single = run_session(scenario, jittery_config(), 1, 1);
+  const SessionRun threaded = run_session(scenario, jittery_config(), 1, 8);
 
-  ASSERT_TRUE(classic.result.complete);
-  EXPECT_EQ(classic.result.shards, 1u);
-  EXPECT_TRUE(classic.result.shard_events.empty());
-  ASSERT_EQ(classic.event_trace.size(), 1u);
-  EXPECT_EQ(classic.event_trace, classic_threaded.event_trace);
+  ASSERT_TRUE(single.result.complete);
+  EXPECT_TRUE(oracle_clean(single));
+  EXPECT_EQ(single.result.shards, 1u);
+  EXPECT_TRUE(single.result.shard_events.empty());
+  ASSERT_EQ(single.event_trace.size(), 2u);
+  EXPECT_EQ(single.event_trace.back().size(), single.result.hops);
+  EXPECT_EQ(single.event_trace.front().size() + single.result.hops,
+            single.result.events_processed);
+  EXPECT_EQ(single.event_trace, threaded.event_trace);
+  EXPECT_EQ(single.move_trace, threaded.move_trace);
+
+  core::SessionConfig config;
+  config.sim.shard_threads = 8;
+  core::ReconfigurationSession session(scenario, config);
+  EXPECT_EQ(session.simulator().shard_count(), 1u);
+  EXPECT_EQ(session.simulator().shard_thread_count(), 1u);
+}
+
+/// The schedule-dependent fields of a session result (everything but the
+/// wall-clock ones).
+std::string result_digest(const core::SessionResult& r) {
+  std::string kinds;
+  for (const auto& [kind, count] : r.messages_by_kind) {
+    kinds += fmt(" {}={}", kind, count);
+  }
+  return fmt("stop={} complete={} blocked={} iterations={} hops={} "
+             "moves={} dist={} sent={} delivered={} dropped={} ticks={} "
+             "events={} shards={} shard_events={}{}",
+             sim::to_string(r.stop_reason), r.complete, r.blocked,
+             r.iterations, r.hops, r.elementary_moves,
+             r.distance_computations, r.messages_sent, r.messages_delivered,
+             r.messages_dropped, r.sim_ticks, r.events_processed, r.shards,
+             r.shard_events.size(), kinds);
+}
+
+// One shard stops exactly on its event budget and right after the event
+// that halts, so a session driven k events at a time runs the very
+// schedule of one run(): every call processes exactly k events, except
+// the one that halts, which ends on the halting event.
+TEST(ShardedSession, SingleShardStepEventsRunsTheScheduleOfOneRun) {
+  const lat::Scenario scenario = lat::make_tower_scenario(8);
+  const SessionRun whole = run_session(scenario, jittery_config(), 1, 1);
+  ASSERT_TRUE(whole.result.complete);
+  for (const uint64_t k : {1, 7, 100, 1000}) {
+    core::ReconfigurationSession session(scenario, jittery_config());
+    sim::Simulator& sim = session.simulator();
+    sim.enable_event_trace();
+    uint64_t processed = 0;
+    sim::StopReason stop = sim::StopReason::kEventLimit;
+    while (stop == sim::StopReason::kEventLimit) {
+      stop = session.step_events(k);
+      const uint64_t step = sim.stats().events_processed - processed;
+      processed += step;
+      if (stop == sim::StopReason::kEventLimit) {
+        ASSERT_EQ(step, k);
+      } else {
+        ASSERT_GE(step, 1u) << "k=" << k;
+        ASSERT_LE(step, k) << "k=" << k;
+      }
+    }
+    const core::SessionResult result = session.run();
+    EXPECT_EQ(stop, sim::StopReason::kHalted) << "k=" << k;
+    EXPECT_EQ(sim.event_trace(), whole.event_trace) << "k=" << k;
+    EXPECT_EQ(result_digest(result), result_digest(whole.result))
+        << "k=" << k;
+  }
 }
 
 // One-column-per-stripe sharding maximizes cross-shard traffic, and every
@@ -256,7 +321,7 @@ TEST(ShardedDeterminism, SingleShardReducesToClassicSchedule) {
 // its shard keeps running its events.
 TEST(ShardedSession, MaximallyShardedTowerCompletes) {
   const lat::Scenario scenario = lat::make_tower_scenario(8);
-  const SessionRun classic = run_session(scenario, {}, 1, 1);
+  const SessionRun single = run_session(scenario, {}, 1, 1);
   const SessionRun sharded =
       run_session(scenario, {}, static_cast<size_t>(scenario.width), 2);
 
@@ -264,9 +329,9 @@ TEST(ShardedSession, MaximallyShardedTowerCompletes) {
   EXPECT_TRUE(oracle_clean(sharded));
   EXPECT_GT(sharded.result.shards, 2u);
   // The distributed algorithm's outcome metrics are schedule-independent.
-  EXPECT_EQ(sharded.result.hops, classic.result.hops);
-  EXPECT_EQ(sharded.result.elementary_moves, classic.result.elementary_moves);
-  EXPECT_EQ(sharded.result.path, classic.result.path);
+  EXPECT_EQ(sharded.result.hops, single.result.hops);
+  EXPECT_EQ(sharded.result.elementary_moves, single.result.elementary_moves);
+  EXPECT_EQ(sharded.result.path, single.result.path);
 }
 
 // Fault-mode timers (ack_timeout) ride the shard queues; a sharded world
@@ -313,23 +378,23 @@ TEST(ShardedSession, PerShardCountersMergeIntoTotals) {
             retrace.result.events_processed - shard_sum);
 }
 
-// Metrics that the paper reasons about must not depend on the engine: the
-// sharded schedule may reorder same-tick events, but with fixed latency the
+// Metrics that the paper reasons about must not depend on the shard count:
+// more shards may reorder same-tick events, but with fixed latency the
 // tower election is tie-free and lands the same hop sequence.
-TEST(ShardedSession, FixedLatencyMetricsMatchClassic) {
+TEST(ShardedSession, FixedLatencyMetricsMatchOneShard) {
   const lat::Scenario scenario = lat::make_tower_scenario(8);
-  const SessionRun classic = run_session(scenario, {}, 1, 1);
+  const SessionRun single = run_session(scenario, {}, 1, 1);
   const SessionRun sharded = run_session(scenario, {}, 4, 2);
 
-  ASSERT_TRUE(classic.result.complete);
+  ASSERT_TRUE(single.result.complete);
   ASSERT_TRUE(sharded.result.complete);
-  EXPECT_TRUE(oracle_clean(classic));
+  EXPECT_TRUE(oracle_clean(single));
   EXPECT_TRUE(oracle_clean(sharded));
-  EXPECT_EQ(sharded.move_trace, classic.move_trace);
-  EXPECT_EQ(sharded.result.hops, classic.result.hops);
+  EXPECT_EQ(sharded.move_trace, single.move_trace);
+  EXPECT_EQ(sharded.result.hops, single.result.hops);
   EXPECT_EQ(sharded.result.distance_computations,
-            classic.result.distance_computations);
-  EXPECT_EQ(sharded.result.messages_sent, classic.result.messages_sent);
+            single.result.distance_computations);
+  EXPECT_EQ(sharded.result.messages_sent, single.result.messages_sent);
 }
 
 // Lemma 1's extremal tower of N blocks takes exactly N^2/4 - 2 hops. The

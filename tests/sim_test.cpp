@@ -113,9 +113,12 @@ TYPED_TEST(QueueTest, InterleavedPushPop) {
   queue.push(probe(10, 1, &sink));
   queue.push(probe(5, 0, &sink));
   EXPECT_EQ(queue.pop().time, 5u);
-  queue.push(probe(3, 2, &sink));  // earlier again
-  EXPECT_EQ(queue.pop().time, 3u);
-  EXPECT_EQ(queue.pop().time, 10u);
+  queue.push(probe(7, 2, &sink));  // before the pending 10, after the pop
+  queue.push(probe(5, 3, &sink));  // on the popped tick itself
+  EXPECT_EQ(label_of(queue.pop()), 3);
+  EXPECT_EQ(label_of(queue.pop()), 2);
+  EXPECT_EQ(label_of(queue.pop()), 1);
+  EXPECT_TRUE(queue.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -167,23 +170,15 @@ TEST(CalendarRing, SameTickSplitAcrossRingAndOverflowKeepsSeqOrder) {
   EXPECT_TRUE(queue.empty());
 }
 
-TEST(CalendarRing, PushBelowTheWindowSpillsItsFarEnd) {
-  // Window at [100, 164): a push at t=50 moves it to [50, 114), so the
-  // bucket at 150 leaves the ring for the overflow and must come back in
-  // order, behind a later push to the same tick made before it returns.
+TEST(CalendarRingDeath, PushBelowTheLastPoppedTickAborts) {
+  // The simulator never schedules before a queue's clock, so the calendar
+  // has no way back: its window starts at the last popped tick.
   EventQueue queue;
   std::vector<int> sink;
   queue.push(probe(100, 0, &sink));
   EXPECT_EQ(label_of(queue.pop()), 0);  // window starts at 100
-  queue.push(probe(150, 1, &sink));
-  queue.push(probe(110, 2, &sink));
-  queue.push(probe(50, 3, &sink));  // below the window
-  queue.push(probe(150, 4, &sink));
-  EXPECT_EQ(label_of(queue.pop()), 3);
-  EXPECT_EQ(label_of(queue.pop()), 2);
-  EXPECT_EQ(label_of(queue.pop()), 1);
-  EXPECT_EQ(label_of(queue.pop()), 4);
-  EXPECT_TRUE(queue.empty());
+  EXPECT_DEATH(queue.push(probe(50, 1, &sink)),
+               "below the queue's last popped tick");
 }
 
 TEST(CalendarRing, DeepBucketsChainAcrossChunks) {
@@ -234,7 +229,7 @@ TEST(CalendarRing, MatchesBinaryHeapOverSimulatorPatterns) {
   // A long randomized differential over the schedules the simulator
   // produces — 1-8 tick sends, 10-tick motion landings, same-tick work,
   // timers and latency tails past the ring, ticks straddling the ring's
-  // end, the odd push below the last popped tick. Both queues see the same
+  // end, each at or after the last popped tick. Both queues see the same
   // operations, so seqs agree, and every pop and peek must agree on
   // (time, seq, label).
   BinaryHeapEventQueue heap;
@@ -264,12 +259,9 @@ TEST(CalendarRing, MatchesBinaryHeapOverSimulatorPatterns) {
       return now + EventQueue::kRingSize - 2 + rng.next_below(5);
     }
     if (pattern < 94) return now + 64 + rng.next_below(2000);  // timers
-    if (pattern < 98) {  // exponential-style tail
-      SimTime tail = 1;
-      while (rng.next_below(4) != 0 && tail < 4096) tail *= 2;
-      return now + tail + rng.next_below(tail);
-    }
-    return now - std::min<SimTime>(now, rng.next_below(300));  // below
+    SimTime tail = 1;  // exponential-style tail
+    while (rng.next_below(4) != 0 && tail < 4096) tail *= 2;
+    return now + tail + rng.next_below(tail);
   };
 
   constexpr int kSteps = 200'000;
@@ -412,10 +404,16 @@ TEST(Simulator, MessageDeliveryWithFixedLatency) {
   EXPECT_EQ(sim.now(), 5u);                          // latency respected
   EXPECT_EQ(sim.stats().messages_sent(), 1u);
   EXPECT_EQ(sim.stats().messages_delivered, 1u);
-  // The delivery record carries the payload size as its tag.
-  ASSERT_EQ(sim.event_trace().size(), 1u);
-  EXPECT_EQ(sim.event_trace()[0].back(),
-            fmt("t=5 seq=1 Delivery a=1 b=2 tag={}", sizeof(int)));
+  // Two streams: shard 0 runs the delivery, whose record carries the
+  // payload size as its tag; the sequential stream, last, runs the send.
+  ASSERT_EQ(sim.event_trace().size(), 2u);
+  EXPECT_EQ(sim.event_trace()[0],
+            std::vector<std::string>{
+                fmt("t=5 seq=0 Delivery a=1 b=2 tag={}", sizeof(int))});
+  EXPECT_EQ(sim.event_trace()[1],
+            std::vector<std::string>{
+                fmt("t=0 seq=0 Kick a={} b={} tag=0", lat::kInvalidBlock.value,
+                    lat::kInvalidBlock.value)});
 }
 
 TEST(Simulator, SendWithoutNeighborIsDropped) {
@@ -497,6 +495,123 @@ TEST(Simulator, HaltStopsRun) {
   sim.schedule(3, std::make_unique<Halter>());
   EXPECT_EQ(sim.run(), StopReason::kHalted);
   EXPECT_EQ(sim.pending_events(), 1u);  // the far timer still queued
+}
+
+// ---------------------------------------------------------------------------
+// One-shard windows
+//
+// One shard needs no lookahead: its window ends at the next grid mutation,
+// one its own drain schedules included, at the time limit, exactly at the
+// event budget, and right after the event that halts the run.
+// ---------------------------------------------------------------------------
+
+/// Requests one motion from on_start — from inside a window — and logs
+/// what reaches it.
+class HopOnStartModule final : public Module {
+ public:
+  HopOnStartModule(BlockId id, motion::RuleApplication app)
+      : Module(id), app_(app) {}
+  void on_start() override {
+    log.push_back(fmt("start t={}", sim().now()));
+    start_motion(app_);
+  }
+  void on_message(Direction from, const msg::Message&) override {
+    log.push_back(fmt("message from side {} t={}", static_cast<int>(from),
+                      sim().now()));
+  }
+  void on_motion_complete() override {
+    log.push_back(fmt("landed t={}", sim().now()));
+  }
+
+  std::vector<std::string> log;
+
+ private:
+  motion::RuleApplication app_;
+};
+
+TEST(OneShardWindow, MotionFromTheWindowLandsBeforeASameTickDelivery) {
+  // The support's message to the mover goes out at t=0, before the window
+  // in which the mover's start requests its hop; both are due at t=3. The
+  // window ends at the landing, so the hop runs first and the delivery
+  // sees the post-move contacts: the support is no longer beside the
+  // mover, and the message is lost.
+  SimConfig config;
+  config.latency = msg::LatencyModel::fixed(3);
+  config.motion_duration = 3;
+  Simulator sim(make_world({{1, 1}, {1, 0}, {2, 0}}), config);
+  const motion::MotionRule* rule = sim.world().rules().find("slide_ES");
+  auto& mover = static_cast<HopOnStartModule&>(
+      sim.add_module(std::make_unique<HopOnStartModule>(
+          BlockId{1}, motion::RuleApplication{rule, {1, 1}, 0})));
+  auto& support = static_cast<RecorderModule&>(
+      sim.add_module(std::make_unique<RecorderModule>(BlockId{2})));
+  sim.add_module(std::make_unique<RecorderModule>(BlockId{3}));
+  sim.schedule(0, std::make_unique<SendAtStart>(&support, Direction::kNorth));
+  sim.start_module(BlockId{1});
+
+  EXPECT_EQ(sim.run(), StopReason::kQueueEmpty);
+  EXPECT_EQ(sim.world().view().at({2, 1}), BlockId{1});
+  EXPECT_EQ(sim.now(), 3u);
+  EXPECT_EQ(mover.log,
+            (std::vector<std::string>{"start t=0", "landed t=3"}));
+  EXPECT_EQ(sim.stats().messages_sent(), 1u);
+  EXPECT_EQ(sim.stats().messages_dropped, 1u);
+  EXPECT_EQ(sim.stats().messages_delivered, 0u);
+}
+
+/// Records its timers and halts the run from the one tagged `halt_tag`.
+class HaltOnTimerModule final : public Module {
+ public:
+  HaltOnTimerModule(BlockId id, uint64_t halt_tag)
+      : Module(id), halt_tag_(halt_tag) {}
+  void on_message(Direction, const msg::Message&) override {}
+  void on_timer(uint64_t tag) override {
+    fired.push_back(tag);
+    if (tag == halt_tag_) sim().halt();
+  }
+
+  std::vector<uint64_t> fired;
+
+ private:
+  uint64_t halt_tag_;
+};
+
+TEST(OneShardWindow, HaltingEventIsTheLastProcessed) {
+  Simulator sim(make_world({{1, 1}, {2, 1}}));
+  auto& module = static_cast<HaltOnTimerModule&>(sim.add_module(
+      std::make_unique<HaltOnTimerModule>(BlockId{1}, /*halt_tag=*/5)));
+  // Tags 1-5 at ticks 1-5, tags 6 and 7 on tick 5 behind the halting one,
+  // tag 8 later.
+  for (uint64_t tag = 1; tag <= 8; ++tag) {
+    sim.timer_for(module, tag <= 5 ? tag : (tag == 8 ? 9 : 5), tag);
+  }
+  EXPECT_EQ(sim.run(), StopReason::kHalted);
+  EXPECT_EQ(module.fired, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.stats().events_processed, 5u);
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_EQ(sim.now(), 5u);
+  EXPECT_EQ(sim.run(), StopReason::kHalted);  // a halted run stays halted
+  EXPECT_EQ(sim.stats().events_processed, 5u);
+}
+
+TEST(OneShardWindow, BudgetIsSpentExactlyAndCheckedBeforeTheEmptyQueue) {
+  Simulator sim(make_world({{1, 1}, {2, 1}}));
+  auto& a = static_cast<RecorderModule&>(
+      sim.add_module(std::make_unique<RecorderModule>(BlockId{1})));
+  for (uint64_t tag = 0; tag < 10; ++tag) {
+    sim.timer_for(a, 1 + tag / 3, tag);  // three timers per tick
+  }
+  uint64_t processed = 0;
+  for (const uint64_t budget : {1, 2, 3, 4}) {
+    EXPECT_EQ(sim.run({budget, kTimeMax}), StopReason::kEventLimit);
+    processed += budget;
+    EXPECT_EQ(a.timer_tags.size(), processed);
+    EXPECT_EQ(sim.stats().events_processed, processed);
+  }
+  // The last run ended on its budget and on the last event alike.
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.run({1, kTimeMax}), StopReason::kQueueEmpty);
+  EXPECT_EQ(sim.stats().events_processed, 10u);
 }
 
 TEST(Simulator, ModuleLookup) {

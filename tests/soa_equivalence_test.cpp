@@ -9,8 +9,8 @@
 //      as read through lat::WorldView (the only read path to either).
 //
 //   2. Traces: a batch of fresh fuzz seeds runs through the full
-//      differential harness, which compares the classic and sharded
-//      engines' move traces and final occupancy byte for byte.
+//      differential harness, which compares one-shard and four-shard
+//      runs' move traces and final occupancy byte for byte.
 //
 // The mask oracle that reads the occupancy image is pinned cell by cell
 // against an independent reference in connectivity_equivalence_test, and
@@ -166,13 +166,14 @@ TEST(SoaEquivalence, ColumnsMirrorTheCellArrayUnderRandomMutations) {
   }
 }
 
-// -- end-to-end: fresh seeds through the classic and sharded engines ---------
+// -- end-to-end: fresh seeds through one shard and four -----------------------
 
 TEST(SoaEquivalence, FreshFuzzSeedsAgreeAcrossOraclePaths) {
   // Fresh seeds (not the minimized corpus shapes), forced comparable so
-  // the harness holds move traces byte-identical between the classic run,
-  // which settles the grid's verdict hint on its first probe, and the
-  // sharded runs, which settle it before each window opens.
+  // the harness holds move traces byte-identical between the one-shard
+  // run, whose windows end at each grid mutation, and the four-shard runs,
+  // whose windows span the lookahead; both settle the grid's verdict hint
+  // before each window opens.
   check::GeneratorOptions options;
   options.always_comparable = true;
   for (uint64_t seed = 0x50A00; seed < 0x50A0C; ++seed) {

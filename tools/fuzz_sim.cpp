@@ -1,7 +1,7 @@
 // Differential scenario fuzzer (docs/TESTING.md).
 //
 // Generates seeded adversarial scenarios, runs each through every execution
-// backend (classic, sharded, sharded multi-thread, optionally the dist
+// backend (one shard, sharded, sharded multi-thread, optionally the dist
 // sweep), and cross-checks traces, outcomes, and the invariant oracle.
 // Failing cases are delta-debugged to a minimal repro and written to the
 // corpus directory, where tests/fuzz_corpus_test replays them forever.
@@ -136,7 +136,7 @@ int fuzz(const CliParser& cli) {
 int main(int argc, char** argv) {
   CliParser cli(
       "Differential scenario fuzzer: generates adversarial scenarios, runs "
-      "them through the classic, sharded, and multi-threaded backends, "
+      "them through the one-shard, sharded, and multi-threaded backends, "
       "cross-checks traces and invariants, and minimizes any failure into a "
       "replayable corpus file (docs/TESTING.md).");
   cli.add_int("runs", 50, "number of generated cases");

@@ -67,8 +67,8 @@ class TokenModule final : public sim::Module {
 
 class SeedEvent final : public sim::Event {
  public:
-  SeedEvent(sim::SimTime time, lat::BlockId target, uint32_t hops)
-      : Event(time), target_(target), hops_(hops) {}
+  SeedEvent(lat::BlockId target, uint32_t hops)
+      : target_(target), hops_(hops) {}
   [[nodiscard]] std::string_view kind() const override { return "Seed"; }
   void execute(sim::Simulator& sim) override {
     auto* module = sim.find_module(target_);
@@ -116,9 +116,8 @@ FloodMeasurement run_flood(size_t module_count, uint64_t target_events) {
   for (uint32_t t = 0; t < tokens; ++t) {
     const uint32_t target = std::min<uint32_t>(
         t * 64 + 1, static_cast<uint32_t>(module_count));
-    sim.schedule(0,
-                 std::make_unique<SeedEvent>(0, lat::BlockId{target},
-                                             UINT32_MAX));
+    sim.schedule(
+        0, std::make_unique<SeedEvent>(lat::BlockId{target}, UINT32_MAX));
   }
   const auto start = std::chrono::steady_clock::now();
   sim.run({target_events, sim::kTimeMax});

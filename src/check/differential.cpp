@@ -37,8 +37,7 @@ struct ChurnState {
 /// same plan stays meaningful while the minimizer shrinks the scenario.
 class ChurnEvent : public sim::Event {
  public:
-  ChurnEvent(sim::SimTime time, ChurnOp op, ChurnState* state)
-      : sim::Event(time), op_(op), state_(state) {}
+  ChurnEvent(ChurnOp op, ChurnState* state) : op_(op), state_(state) {}
 
   [[nodiscard]] std::string_view kind() const override { return "Churn"; }
 
@@ -267,7 +266,7 @@ BackendRun run_backend(const FuzzCase& fuzz_case, std::string name,
   ChurnState churn_state{&session, &oracle, max_id + 1};
   for (const ChurnOp& op : fuzz_case.churn) {
     session.simulator().schedule(
-        op.at, std::make_unique<ChurnEvent>(op.at, op, &churn_state));
+        op.at, std::make_unique<ChurnEvent>(op, &churn_state));
   }
 
   run.result = session.run();
@@ -309,18 +308,8 @@ DiffOutcome run_case(const FuzzCase& fuzz_case, const DiffOptions& options) {
   const BackendRun& sharded_mt = outcome.runs[2];
 
   // B vs C: thread count must be invisible — byte-identical everything.
-  if (sharded.event_trace.size() != sharded_mt.event_trace.size()) {
-    outcome.divergences.push_back(
-        fmt("thread-count: {} trace streams vs {}",
-            sharded.event_trace.size(), sharded_mt.event_trace.size()));
-  } else {
-    for (size_t s = 0; s < sharded.event_trace.size(); ++s) {
-      diff_traces(fmt("thread-count: event trace stream {}", s),
-                  sharded.event_trace[s], sharded.name,
-                  sharded_mt.event_trace[s], sharded_mt.name,
-                  outcome.divergences);
-    }
-  }
+  diff_traces("thread-count: event trace", sharded.event_trace, sharded.name,
+              sharded_mt.event_trace, sharded_mt.name, outcome.divergences);
   diff_traces("thread-count: move trace", sharded.move_trace, sharded.name,
               sharded_mt.move_trace, sharded_mt.name, outcome.divergences);
   if (full_digest(sharded.result) != full_digest(sharded_mt.result)) {

@@ -59,8 +59,8 @@ struct BackendRun {
   core::SessionResult result;
   /// One line per elected hop: "epoch block rule@anchor from->to".
   std::vector<std::string> move_trace;
-  /// Simulator event trace streams (per shard + sequential).
-  std::vector<std::vector<std::string>> event_trace;
+  /// Simulator event trace (Simulator::event_trace).
+  std::vector<std::string> event_trace;
   /// Canonical final occupancy, one "id@x,y" per line in id order.
   std::string final_blocks;
   std::vector<std::string> violations;

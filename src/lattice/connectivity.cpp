@@ -352,80 +352,6 @@ bool connected_after_moves(const Grid& grid,
   return connected_after_moves(grid, moves.data(), moves.size());
 }
 
-std::vector<Vec2> articulation_points(const Grid& grid) {
-  // Hopcroft–Tarjan on the block adjacency graph via iterative DFS. Node
-  // lookup goes through a dense cell-index array instead of a hash map;
-  // this path serves analysis and tests, not the per-move oracle.
-  const int n = static_cast<int>(grid.block_count());
-  if (n <= 2) return {};  // removing one of <=2 blocks cannot disconnect
-
-  std::vector<Vec2> nodes;
-  nodes.reserve(static_cast<size_t>(n));
-  std::vector<int32_t> node_at(grid.cell_count(), -1);
-  for (int32_t y = 0; y < grid.height(); ++y) {
-    for (int32_t x = 0; x < grid.width(); ++x) {
-      const Vec2 p{x, y};
-      const size_t cell = grid.cell_index(p);
-      if (!grid.occupied_index(cell)) continue;
-      node_at[cell] = static_cast<int32_t>(nodes.size());
-      nodes.push_back(p);  // row-major == sorted by Vec2 ordering
-    }
-  }
-
-  std::vector<int> disc(static_cast<size_t>(n), -1);
-  std::vector<int> low(static_cast<size_t>(n), 0);
-  std::vector<int> parent(static_cast<size_t>(n), -1);
-  std::vector<bool> is_art(static_cast<size_t>(n), false);
-  int timer = 0;
-
-  // DFS stack of (node, next direction to try).
-  std::vector<std::pair<int, uint8_t>> stack;
-  for (int root = 0; root < n; ++root) {
-    if (disc[static_cast<size_t>(root)] != -1) continue;
-    disc[static_cast<size_t>(root)] = low[static_cast<size_t>(root)] = timer++;
-    stack.emplace_back(root, 0);
-    int root_children = 0;
-    while (!stack.empty()) {
-      auto& [u, cursor] = stack.back();
-      if (cursor < kDirectionCount) {
-        const Direction d = static_cast<Direction>(cursor++);
-        const Vec2 q = nodes[static_cast<size_t>(u)] + delta(d);
-        if (!grid.in_bounds(q)) continue;
-        const int v = node_at[grid.cell_index(q)];
-        if (v < 0) continue;
-        if (disc[static_cast<size_t>(v)] == -1) {
-          parent[static_cast<size_t>(v)] = u;
-          if (u == root) ++root_children;
-          disc[static_cast<size_t>(v)] = low[static_cast<size_t>(v)] =
-              timer++;
-          stack.emplace_back(v, 0);
-        } else if (v != parent[static_cast<size_t>(u)]) {
-          low[static_cast<size_t>(u)] = std::min(
-              low[static_cast<size_t>(u)], disc[static_cast<size_t>(v)]);
-        }
-      } else {
-        stack.pop_back();
-        const int p = parent[static_cast<size_t>(u)];
-        if (p != -1) {
-          low[static_cast<size_t>(p)] =
-              std::min(low[static_cast<size_t>(p)], low[static_cast<size_t>(u)]);
-          if (p != root &&
-              low[static_cast<size_t>(u)] >= disc[static_cast<size_t>(p)]) {
-            is_art[static_cast<size_t>(p)] = true;
-          }
-        }
-      }
-    }
-    if (root_children > 1) is_art[static_cast<size_t>(root)] = true;
-  }
-
-  std::vector<Vec2> out;
-  for (int i = 0; i < n; ++i) {
-    if (is_art[static_cast<size_t>(i)]) out.push_back(nodes[static_cast<size_t>(i)]);
-  }
-  return out;  // nodes were gathered row-major, so `out` is already sorted
-}
-
 bool is_single_line(const Grid& grid) {
   const size_t n = grid.block_count();
   if (n <= 1) return true;
@@ -476,24 +402,6 @@ bool single_line_after_moves(const Grid& grid,
 bool single_line_after_moves(const Grid& grid,
                              const std::vector<std::pair<Vec2, Vec2>>& moves) {
   return single_line_after_moves(grid, moves.data(), moves.size());
-}
-
-int component_count(const Grid& grid) {
-  // Analysis only — not an oracle probe, so no stats accounting.
-  if (grid.block_count() == 0) return 0;
-  FloodScratch& scratch = flood_scratch(grid.cell_count());
-  const uint32_t gen = scratch.generation;
-  int components = 0;
-  for (int32_t y = 0; y < grid.height(); ++y) {
-    for (int32_t x = 0; x < grid.width(); ++x) {
-      const Vec2 p{x, y};
-      const size_t cell = grid.cell_index(p);
-      if (!grid.occupied_index(cell) || scratch.stamp[cell] == gen) continue;
-      ++components;
-      flood_fill(grid, scratch, p, nullptr, 0, nullptr, 0);
-    }
-  }
-  return components;
 }
 
 }  // namespace sb::lat

@@ -95,11 +95,6 @@ enum class LocalVerdict : uint8_t {
 [[nodiscard]] LocalVerdict local_move_check(const Grid& grid, Vec2 from,
                                             Vec2 to);
 
-/// Positions of blocks whose removal would disconnect the configuration
-/// (articulation points of the adjacency graph), in row-major order.
-/// A single block is never an articulation point.
-[[nodiscard]] std::vector<Vec2> articulation_points(const Grid& grid);
-
 /// True when every block position lies on a single row or a single column.
 /// Assumption 1 excludes such degenerate initial patterns (they cannot
 /// support any motion). O(W + H) via the grid's row/column counts.
@@ -140,8 +135,5 @@ void compute_removal_row_scalar(const Grid& grid, int32_t y, uint8_t* out);
 void compute_removal_row_wide(const Grid& grid, int32_t y, uint8_t* out);
 
 }  // namespace detail
-
-/// Number of 4-connected components among the blocks.
-[[nodiscard]] int component_count(const Grid& grid);
 
 }  // namespace sb::lat

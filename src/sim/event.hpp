@@ -27,24 +27,20 @@ class Simulator;
 
 /// Base class for user-defined events (EventKind::kExternal). The built-in
 /// simulator behaviours do not subclass this — they are dispatched from the
-/// EventRecord tag without a virtual call.
+/// EventRecord tag without a virtual call. An event runs at the time it is
+/// scheduled for (Simulator::schedule); it keeps none of its own.
 class Event {
  public:
-  explicit Event(SimTime time) : time_(time) {}
+  Event() = default;
   virtual ~Event() = default;
 
   Event(const Event&) = delete;
   Event& operator=(const Event&) = delete;
 
-  [[nodiscard]] SimTime time() const { return time_; }
-
   /// Stable tag for statistics ("Seed", "FaultInjection", ...).
   [[nodiscard]] virtual std::string_view kind() const = 0;
 
   virtual void execute(Simulator& sim) = 0;
-
- private:
-  SimTime time_;
 };
 
 enum class EventKind : uint8_t {

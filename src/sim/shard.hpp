@@ -4,13 +4,14 @@
 // The simulator partitions the surface (lattice/shard.hpp) into
 // SimConfig::shards stripes, one or more, and runs a conservative windowed
 // schedule: each shard drains its own event queue for one window of
-// simulated time, collecting the deliveries it sends to other shards in
-// its own outbox. Shards rendezvous once per window, at its edge: the
-// serial section folds the window, routes every outbox to its destination
-// queue, applies grid mutations and external events sequentially and picks
-// the next horizon; then the workers (run_rounds) drain the next window in
-// parallel. A window spans the lookahead above one shard and runs to the
-// next grid mutation at one (sim/simulator_sharded.cpp).
+// simulated time, collecting what it schedules for elsewhere (deliveries
+// to other shards, motion landings) in its own outbox. Shards rendezvous
+// once per window, at its edge: the serial section folds the window,
+// routes every outbox to its destination queues, applies grid mutations
+// and external events sequentially and picks the next horizon; then the
+// workers (run_rounds) drain the next window in parallel. A window spans
+// the lookahead above one shard and runs to the next grid mutation at one
+// (sim/simulator_sharded.cpp).
 //
 // Determinism contract (docs/ARCHITECTURE.md "Sharded worlds"): every field
 // here is either touched by exactly one worker during a window, or only by
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,12 +37,12 @@ namespace sb::sim {
 [[nodiscard]] uint64_t mono_ns();
 
 /// Wall-clock totals for the engine's round phases. fold, integrate (routing
-/// the outboxes to their destination queues) and decide split the serial
-/// section, accrued by whichever worker ran it; drain sums every worker's
-/// parallel loop; barrier_wait is worker time blocked at the rendezvous
-/// with no serial work to run. barrier_wait_fraction is the share of total
-/// worker time spent waiting — the *time* counterpart of the event-count
-/// shard_imbalance metric (docs/OBSERVABILITY.md).
+/// the outboxes' deliveries and landings to their queues) and decide split
+/// the serial section, accrued by whichever worker ran it; drain sums every
+/// worker's parallel loop; barrier_wait is worker time blocked at the
+/// rendezvous with no serial work to run. barrier_wait_fraction is the share
+/// of total worker time spent waiting — the *time* counterpart of the
+/// event-count shard_imbalance metric (docs/OBSERVABILITY.md).
 struct PhaseBreakdown {
   uint64_t fold_ns = 0;
   uint64_t integrate_ns = 0;
@@ -92,21 +94,19 @@ struct ShardState {
   /// shard lowers it to 0.
   SimTime horizon = 0;
   /// Events processed in the current window, the one count the drain
-  /// keeps; the fold adds it to total_events and stats.events_processed
-  /// and resets it.
+  /// keeps; the fold adds it to stats.events_processed and resets it.
   uint64_t window_events = 0;
-  /// Cumulative events processed by this shard (reported per-shard).
-  uint64_t total_events = 0;
-  /// Per-shard counters, folded into the simulator totals when run()
-  /// returns.
+  /// This shard's cumulative counters; Simulator::stats() sums them with
+  /// the sequential share when read.
   SimStats stats;
-  /// Cross-shard deliveries sent while this shard drains a window, in send
-  /// order. Only the draining worker appends; the next rendezvous routes
-  /// every shard's outbox, in shard order, to the destination queues.
+  /// What this shard's window schedules for elsewhere, in schedule order:
+  /// deliveries to other shards' blocks, and motion landings and external
+  /// events for the sequential queue. Only the draining worker appends;
+  /// the next rendezvous routes every shard's outbox, in shard order.
   std::vector<EventRecord> outbox;
-  /// Grid-mutating / external events scheduled this window (motion
-  /// completions); merged into the sequential global queue at the fold.
-  std::vector<EventRecord> pending_global;
+  /// Event-trace lines of the window, in drain order; the fold splices
+  /// every shard's into the simulator's one trace, in shard order.
+  std::vector<std::string> trace;
   /// A module on this shard called halt(); honored at the fold.
   bool halt_requested = false;
 };

@@ -123,9 +123,10 @@ void Simulator::start_module(lat::BlockId id) {
 void Simulator::schedule_record(EventRecord&& record) {
   // Grid-mutating / external events go to the sequential queue; module
   // events go to the queue of the target block's shard (shard_of). From
-  // inside a window, a delivery to another shard's block goes into the
-  // sending shard's own outbox, so no thread ever touches another shard's
-  // queue or contends on a lock; the next rendezvous routes it.
+  // inside a window, anything bound for another queue (a delivery to
+  // another shard's block, a landing, an external event) goes into the
+  // draining shard's own outbox, so no thread ever touches another queue
+  // or contends on a lock; the next rendezvous routes it.
   ShardState* ctx = tls_exec_;
   SB_EXPECTS(record.time >= (ctx != nullptr ? ctx->now : now_),
              "cannot schedule into the past (t=", record.time, " < now=",
@@ -138,7 +139,7 @@ void Simulator::schedule_record(EventRecord&& record) {
         // Above one shard a motion always lands at or past the horizon
         // already, since the lookahead is at most motion_duration.
         ctx->horizon = std::min(ctx->horizon, record.time);
-        ctx->pending_global.push_back(std::move(record));
+        ctx->outbox.push_back(std::move(record));
       } else {
         queue_.push(std::move(record));
       }
@@ -276,8 +277,8 @@ void Simulator::start_motion_for(Module& subject,
   ++active_stats().motions_started;
   const SimTime lands = now() + config_.motion_duration;
   // Sequential contexts register the flight here; requests made inside a
-  // shard window buffer through pending_global and register at the barrier
-  // flush, so the registry is never touched concurrently.
+  // shard window ride its outbox and register when the rendezvous routes
+  // them, so the registry is never touched concurrently.
   if (tls_exec_ == nullptr) inflight_motions_.emplace_back(subject.id(), app);
   schedule_record(EventRecord::motion_complete(lands, subject.id(), app));
 }

@@ -70,9 +70,9 @@ class Simulator {
     return ctx != nullptr ? ctx->now : now_;
   }
   [[nodiscard]] Rng& rng() { return rng_; }
-  /// Simulator-wide counters. The per-shard counters are folded in every
-  /// time run() returns (mid-run reads see only the sequential share).
-  [[nodiscard]] SimStats& stats() { return stats_; }
+  /// Simulator-wide counters: the sequential share plus every shard's,
+  /// summed when read. Read from sequential contexts only.
+  [[nodiscard]] SimStats stats() const;
   [[nodiscard]] const SimConfig& config() const { return config_; }
 
   // -- sharding -------------------------------------------------------------
@@ -95,14 +95,15 @@ class Simulator {
   /// count is stats().events_processed less the sequential steps.
   [[nodiscard]] std::vector<uint64_t> shard_event_counts() const;
 
-  /// Starts recording one line per dispatched event. Streams are per shard
-  /// plus one, last, for the sequential (grid-mutating / external) steps.
-  /// The determinism tests compare these byte-for-byte across shard-thread
-  /// counts.
-  void enable_event_trace();
-  [[nodiscard]] const std::vector<std::vector<std::string>>& event_trace()
-      const {
-    return trace_streams_;
+  /// Starts recording one line per dispatched event, in the order the
+  /// rendezvous sees them: each window's lines shard by shard, then the
+  /// sequential (grid-mutating / external) steps that follow it. A line's
+  /// `s=` names its queue: the shard index, or shard_count() for the
+  /// sequential one. The determinism tests compare traces byte-for-byte
+  /// across shard-thread counts.
+  void enable_event_trace() { trace_events_ = true; }
+  [[nodiscard]] const std::vector<std::string>& event_trace() const {
+    return trace_;
   }
 
   /// Round-phase wall-clock accumulated over every run() call; see
@@ -256,11 +257,12 @@ class Simulator {
   /// fold, route, decide, each timed into phases_. Returns false to stop
   /// the round loop.
   bool sharded_rendezvous(SimTime* window_end);
-  /// Folds the just-drained window's counters and merges pending
-  /// grid-mutating events into the sequential queue, in fixed shard order.
+  /// Folds the just-drained window's event counts, clocks, halts and trace
+  /// lines, in fixed shard order.
   void sharded_fold();
-  /// Moves every shard's outbox, in shard order, onto the queues of the
-  /// receivers' shards.
+  /// Moves every shard's outbox, in shard order, onto its destination
+  /// queues: deliveries to the receivers' shards, landings and external
+  /// events to the sequential queue.
   void route_outboxes();
   /// Executes due sequential (grid-mutating / external) events, settles
   /// the grid's connectivity verdict, and picks the next window horizon.
@@ -268,10 +270,6 @@ class Simulator {
   /// run_reason_.
   bool sharded_decide(SimTime* window_end);
   void drain_shard_window(ShardState& shard, SimTime window_end);
-  /// Folds per-shard stats into the simulator totals (called whenever run()
-  /// returns).
-  void merge_shard_stats();
-  void record_trace(size_t stream, const EventRecord& record);
 
   World world_;
   SimConfig config_;
@@ -286,11 +284,12 @@ class Simulator {
   /// Grid). Index order == id order, so iteration stays deterministic.
   std::vector<std::unique_ptr<Module>> modules_;
   size_t module_count_ = 0;
+  /// The sequential share of the counters (stats() adds the shards').
   SimStats stats_;
   /// Motions requested but not yet landed, keyed by subject. A request
   /// from a sequential context registers at once; one made inside a window
-  /// buffers through pending_global and registers at the fold, so the
-  /// registry is only ever touched from sequential contexts.
+  /// rides its shard's outbox and registers when the rendezvous routes it,
+  /// so the registry is only ever touched from sequential contexts.
   std::vector<std::pair<lat::BlockId, motion::RuleApplication>>
       inflight_motions_;
 
@@ -324,13 +323,14 @@ class Simulator {
   /// number the windows for the injected fault below.
   int64_t windows_opened_ = 0;
   bool trace_events_ = false;
-  std::vector<std::vector<std::string>> trace_streams_;
+  std::vector<std::string> trace_;
   /// Deliberate-bug injection for the differential fuzzer's self-test
   /// (tools/fuzz_sim, tests/check_test): when the SB_SIM_FAULT_DROP_FLUSH
   /// env var holds N >= 0, the rendezvous after the N-th window (counted
-  /// from 0) silently discards every outbox instead of routing it — a
-  /// lost-message bug that only a world of several shards exhibits, so the
-  /// differential harness must catch it. -1 = off.
+  /// from 0) silently discards every delivery in the outboxes instead of
+  /// routing it (landings still route) — a lost-message bug that only a
+  /// world of several shards exhibits, so the differential harness must
+  /// catch it. -1 = off.
   int64_t fault_drop_flush_ = -1;
   /// The shard whose window the current thread is draining (null outside
   /// a drain); routes now()/halt()/scheduling to shard state.

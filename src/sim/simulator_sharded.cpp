@@ -22,9 +22,10 @@
 //   grid is frozen (no event in a shard queue mutates it) and its
 //   connectivity verdict was settled before the window opened, so handlers
 //   only read it. Writes stay inside the shard (its modules, queue, RNG,
-//   counters, outbox) apart from relaxed-atomic counters: a delivery to
-//   another shard's block goes into the sending shard's own outbox, so no
-//   thread ever writes another shard's state and no locks are needed. The
+//   counters, outbox, trace lines) apart from relaxed-atomic counters: a
+//   delivery to another shard's block and a motion's landing go into the
+//   draining shard's own outbox, so no thread ever writes another shard's
+//   state or the sequential queue and no locks are needed. The
 //   horizon is bounded by the lookahead — the minimum link latency — so
 //   any message sent inside the window can only be delivered in a later
 //   one, and by the time of the next grid-mutating event. When
@@ -40,13 +41,14 @@
 //
 //   The rendezvous runs one serial section, in the last worker to arrive:
 //
-//   Fold — window counters fold into the run totals and pending
-//   grid-mutating events merge into the sequential queue, in fixed shard
-//   order.
+//   Fold — in fixed shard order, each window's event count joins the run
+//   total, its clock and halt request reach the simulator, and its trace
+//   lines join the one event trace.
 //
-//   Route — the outboxes of shards 0..S-1, in that order, push their
-//   deliveries onto the queue of each receiver's shard (the integrate
-//   phase of PhaseBreakdown).
+//   Route — the outboxes of shards 0..S-1, in that order, push each record
+//   in schedule order onto its queue: a delivery onto its receiver's
+//   shard's, a landing (registering the flight) or external event onto the
+//   sequential one (the integrate phase of PhaseBreakdown).
 //
 //   Decide — grid-mutating or external events due at or before the
 //   earliest shard event execute one by one, so at equal ticks mutations
@@ -57,10 +59,10 @@
 //
 // Determinism: shard queues pop in (time, seq); seqs are assigned by
 // deterministic per-queue push order; outboxes are routed in fixed
-// producer order, each in its send order; each shard draws latencies from
-// its own RNG stream (one shard: the master stream). Worker assignment
-// never reorders anything, so event traces are byte-identical for every
-// shard_threads value.
+// producer order, each in its schedule order; each shard draws latencies
+// from its own RNG stream (one shard: the master stream); trace lines are
+// spliced in shard order. Worker assignment never reorders anything, so
+// event traces are byte-identical for every shard_threads value.
 
 namespace sb::sim {
 
@@ -68,6 +70,14 @@ namespace {
 /// RNG fork streams for shards live far above the block-id fork space used
 /// by module programs (ids are < 2^26), so the streams never collide.
 constexpr uint64_t kShardRngStreamBase = uint64_t{1} << 32;
+
+/// Appends `record`'s event-trace line, run by queue `queue`, to `trace`.
+void append_trace_line(std::vector<std::string>& trace, size_t queue,
+                       const EventRecord& record) {
+  trace.push_back(fmt("s={} t={} seq={} {} a={} b={} tag={}", queue,
+                      record.time, record.seq, record.kind_name(),
+                      record.a.value, record.b.value, record.tag()));
+}
 }  // namespace
 
 void Simulator::init_shards() {
@@ -128,23 +138,20 @@ void Simulator::init_shards() {
   }
 }
 
+SimStats Simulator::stats() const {
+  SimStats total = stats_;
+  for (const auto& shard : shards_) total.accumulate(shard->stats);
+  return total;
+}
+
 std::vector<uint64_t> Simulator::shard_event_counts() const {
   std::vector<uint64_t> counts;
   if (shards_.size() == 1) return counts;
   counts.reserve(shards_.size());
-  for (const auto& shard : shards_) counts.push_back(shard->total_events);
+  for (const auto& shard : shards_) {
+    counts.push_back(shard->stats.events_processed);
+  }
   return counts;
-}
-
-void Simulator::enable_event_trace() {
-  trace_events_ = true;
-  trace_streams_.assign(shards_.size() + 1, {});
-}
-
-void Simulator::record_trace(size_t stream, const EventRecord& record) {
-  trace_streams_[stream].push_back(
-      fmt("t={} seq={} {} a={} b={} tag={}", record.time, record.seq,
-          record.kind_name(), record.a.value, record.b.value, record.tag()));
 }
 
 StopReason Simulator::run(RunLimits limits) {
@@ -157,7 +164,6 @@ StopReason Simulator::run(RunLimits limits) {
       [this](size_t index, SimTime window_end) {
         drain_shard_window(*shards_[index], window_end);
       }));
-  merge_shard_stats();
   return run_reason_;
 }
 
@@ -187,7 +193,6 @@ bool Simulator::sharded_rendezvous(SimTime* window_end) {
 void Simulator::sharded_fold() {
   for (const auto& shard : shards_) {
     run_processed_ += shard->window_events;
-    shard->total_events += shard->window_events;
     shard->stats.events_processed += shard->window_events;
     shard->window_events = 0;
     if (shard->now > now_) now_ = shard->now;
@@ -195,15 +200,8 @@ void Simulator::sharded_fold() {
       shard->halt_requested = false;
       halted_ = true;
     }
-    for (auto& record : shard->pending_global) {
-      // Motions requested inside the window become visible here: register
-      // the flight so sequential churn can respect cell_in_motion().
-      if (record.kind == EventKind::kMotionComplete) {
-        inflight_motions_.emplace_back(record.a, record.app());
-      }
-      queue_.push(std::move(record));
-    }
-    shard->pending_global.clear();
+    for (std::string& line : shard->trace) trace_.push_back(std::move(line));
+    shard->trace.clear();
   }
 }
 
@@ -214,14 +212,22 @@ void Simulator::route_outboxes() {
   // outboxes are empty.
   const bool drop =
       fault_drop_flush_ >= 0 && windows_opened_ == fault_drop_flush_ + 1;
-  // Producer order 0..S-1, each outbox in send order: every destination
-  // queue receives its cross-shard deliveries, and so assigns their seqs,
-  // in one order that no thread count changes (golden_trace_test's
-  // blob1000 cases pin it). A delivery reaches an outbox only when its
-  // receiver has a module, so it has a shard.
+  // Producer order 0..S-1, each outbox in schedule order: every destination
+  // queue receives its records, and so assigns their seqs, in one order
+  // that no thread count changes (golden_trace_test's blob1000 cases pin
+  // it). A delivery reaches an outbox only when its receiver has a module,
+  // so it has a shard.
   for (const auto& producer : shards_) {
-    if (!drop) {
-      for (EventRecord& record : producer->outbox) {
+    for (EventRecord& record : producer->outbox) {
+      if (record.kind != EventKind::kDelivery) {
+        // A motion requested inside the window becomes visible here:
+        // register the flight so sequential churn can respect
+        // cell_in_motion().
+        if (record.kind == EventKind::kMotionComplete) {
+          inflight_motions_.emplace_back(record.a, record.app());
+        }
+        queue_.push(std::move(record));
+      } else if (!drop) {
         shards_[shard_of(record.b)]->queue.push(std::move(record));
       }
     }
@@ -230,7 +236,6 @@ void Simulator::route_outboxes() {
 }
 
 bool Simulator::sharded_decide(SimTime* window_end) {
-  const size_t sequential_stream = shards_.size();
   for (;;) {
     if (halted_) {
       run_reason_ = StopReason::kHalted;
@@ -267,7 +272,7 @@ bool Simulator::sharded_decide(SimTime* window_end) {
       EventRecord record = queue_.pop();
       now_ = record.time;
       ++stats_.events_processed;
-      if (trace_events_) record_trace(sequential_stream, record);
+      if (trace_events_) append_trace_line(trace_, shards_.size(), record);
       ++run_processed_;
       dispatch(record);
       continue;
@@ -313,18 +318,11 @@ void Simulator::drain_shard_window(ShardState& shard, SimTime window_end) {
     SB_ASSERT(record.time >= shard.now, "shard time ran backwards");
     shard.now = record.time;
     ++shard.window_events;
-    if (trace_events_) record_trace(shard.index, record);
+    if (trace_events_) append_trace_line(shard.trace, shard.index, record);
     dispatch(record);
     if (shard.window_events == window_budget_) break;
   }
   tls_exec_ = nullptr;
-}
-
-void Simulator::merge_shard_stats() {
-  for (const auto& shard : shards_) {
-    stats_.accumulate(shard->stats);
-    shard->stats = SimStats{};
-  }
 }
 
 }  // namespace sb::sim

@@ -30,8 +30,8 @@ struct SimStats {
                            uint64_t{0});
   }
 
-  /// Adds every counter of `other` into this. The sharded run folds
-  /// per-shard stats into the simulator totals with this.
+  /// Adds every counter of `other` into this. Simulator::stats() uses it
+  /// to add every shard's counters to the sequential share.
   void accumulate(const SimStats& other) {
     events_processed += other.events_processed;
     messages_delivered += other.messages_delivered;

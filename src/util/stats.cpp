@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/assert.hpp"
 
@@ -24,25 +23,6 @@ double Accumulator::variance() const {
 }
 
 double Accumulator::stddev() const { return std::sqrt(variance()); }
-
-void Accumulator::merge(const Accumulator& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(count_ + other.count_);
-  const double delta = other.mean_ - mean_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / total;
-  mean_ = (mean_ * static_cast<double>(count_) +
-           other.mean_ * static_cast<double>(other.count_)) /
-          total;
-  sum_ += other.sum_;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
 
 void SampleSet::add(double x) {
   samples_.push_back(x);
@@ -85,46 +65,6 @@ double SampleSet::max() const {
   SB_EXPECTS(!samples_.empty());
   sort_if_needed();
   return samples_.back();
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  SB_EXPECTS(hi > lo, "histogram range must be non-empty");
-  SB_EXPECTS(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<int64_t>(std::floor((x - lo_) / width));
-  idx = std::clamp<int64_t>(idx, 0, static_cast<int64_t>(counts_.size()) - 1);
-  ++counts_[static_cast<size_t>(idx)];
-  ++total_;
-}
-
-uint64_t Histogram::bucket(size_t i) const {
-  SB_EXPECTS(i < counts_.size());
-  return counts_[i];
-}
-
-double Histogram::bucket_low(size_t i) const {
-  SB_EXPECTS(i < counts_.size());
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-std::string Histogram::to_ascii(size_t max_width) const {
-  uint64_t peak = 1;
-  for (uint64_t c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(max_width));
-    os << "[" << bucket_low(i) << ", " << bucket_low(i) + (hi_ - lo_) /
-           static_cast<double>(counts_.size())
-       << ") " << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return os.str();
 }
 
 LinearFit fit_linear(const std::vector<double>& xs,

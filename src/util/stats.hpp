@@ -1,12 +1,10 @@
 #pragma once
 // Statistics helpers used by the benchmark harnesses: streaming accumulators
-// (Welford), percentile extraction, fixed-width histograms, and least-squares
-// fits (including the log-log slope fit used to verify the paper's
-// complexity Remarks 2-4).
+// (Welford), percentile extraction, and least-squares fits (including the
+// log-log slope fit used to verify the paper's complexity Remarks 2-4).
 
-#include <cstdint>
+#include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace sb {
@@ -24,9 +22,6 @@ class Accumulator {
   [[nodiscard]] double min() const { return count_ ? min_ : 0.0; }
   [[nodiscard]] double max() const { return count_ ? max_ : 0.0; }
   [[nodiscard]] double sum() const { return sum_; }
-
-  /// Merges another accumulator (parallel Welford combination).
-  void merge(const Accumulator& other);
 
  private:
   size_t count_ = 0;
@@ -58,28 +53,6 @@ class SampleSet {
   void sort_if_needed() const;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] uint64_t bucket(size_t i) const;
-  [[nodiscard]] double bucket_low(size_t i) const;
-  [[nodiscard]] uint64_t total() const { return total_; }
-
-  /// Renders an ASCII bar chart (one line per bucket).
-  [[nodiscard]] std::string to_ascii(size_t max_width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<uint64_t> counts_;
-  uint64_t total_ = 0;
 };
 
 /// Least-squares fit y = slope * x + intercept.

@@ -41,13 +41,6 @@ TEST(Connectivity, BlobWithHoleConnected) {
                                       {3, 3}})));
 }
 
-TEST(Connectivity, ComponentCount) {
-  EXPECT_EQ(component_count(make_grid({})), 0);
-  EXPECT_EQ(component_count(make_grid({{0, 0}})), 1);
-  EXPECT_EQ(component_count(make_grid({{0, 0}, {0, 1}, {4, 4}})), 2);
-  EXPECT_EQ(component_count(make_grid({{0, 0}, {2, 0}, {4, 0}})), 3);
-}
-
 TEST(Connectivity, ConnectedAfterValidMove) {
   // (2,1) slides north to (2,2): stays attached to (1,1)? No - (2,2) is
   // adjacent to nothing else, but the mover leaves; check a real case:
@@ -80,50 +73,6 @@ TEST(Connectivity, BridgeWithAlternatePathSurvives) {
   // Same move, but a top rail keeps everything connected.
   const Grid grid = make_grid({{0, 0}, {1, 0}, {2, 0}, {0, 1}, {2, 1}});
   EXPECT_TRUE(connected_after_moves(grid, {{{1, 0}, {1, 1}}}));
-}
-
-TEST(Articulation, NoneInSolidSquare) {
-  EXPECT_TRUE(
-      articulation_points(make_grid({{0, 0}, {1, 0}, {0, 1}, {1, 1}}))
-          .empty());
-}
-
-TEST(Articulation, MiddleOfLineIsArticulation) {
-  const auto points =
-      articulation_points(make_grid({{0, 0}, {1, 0}, {2, 0}}));
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_EQ(points[0], Vec2(1, 0));
-}
-
-TEST(Articulation, LongLineAllInteriorAreArticulation) {
-  const auto points = articulation_points(
-      make_grid({{0, 0}, {1, 0}, {2, 0}, {3, 0}, {4, 0}}));
-  EXPECT_EQ(points.size(), 3u);
-}
-
-TEST(Articulation, TJunction) {
-  //   (1,1)
-  // (0,0)(1,0)(2,0)
-  const auto points =
-      articulation_points(make_grid({{0, 0}, {1, 0}, {2, 0}, {1, 1}}));
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_EQ(points[0], Vec2(1, 0));
-}
-
-TEST(Articulation, RingHasNone) {
-  EXPECT_TRUE(articulation_points(make_grid({{1, 1},
-                                             {2, 1},
-                                             {3, 1},
-                                             {1, 2},
-                                             {3, 2},
-                                             {1, 3},
-                                             {2, 3},
-                                             {3, 3}}))
-                  .empty());
-}
-
-TEST(Articulation, TwoBlocksNever) {
-  EXPECT_TRUE(articulation_points(make_grid({{0, 0}, {1, 0}})).empty());
 }
 
 TEST(SingleLine, DetectsRowAndColumn) {

@@ -1,15 +1,20 @@
 // Golden execution-order digests. Each case runs a full reconfiguration
-// session with Simulator::enable_event_trace() on and hashes every trace
-// line — they carry (time, seq, kind, endpoints, tag) — into one FNV-1a
-// digest that must equal a recorded value; the values were recorded on the
-// reference binary-heap queue. The determinism tests elsewhere only compare
+// session with Simulator::enable_event_trace() on and hashes the trace's
+// lines — they carry (queue, time, seq, kind, endpoints, tag), in the order
+// the rendezvous sees them — into one FNV-1a digest that must equal a
+// recorded value. Because the trace is one stream, the digest pins where
+// each grid mutation falls between the shards' windows as well as each
+// queue's own order. The determinism tests elsewhere only compare
 // runs of one build against each other (thread counts, shard counts),
 // which a consistently reordered queue would still pass; these digests pin
 // the schedule itself, so an event-queue or record-layout change that
 // alters the order in which events pop fails here.
 //
 // To re-record after an intended schedule change, run the suite and copy
-// the "actual" digests from the failure messages.
+// the "actual" digests from the failure messages. A change meant to keep
+// every queue's order (say, a new trace layout) can prove it first:
+// grouped by `s=`, with that field dropped, the new trace must equal the
+// old build's per-queue lines byte for byte (docs/TESTING.md).
 
 #include <gtest/gtest.h>
 
@@ -32,15 +37,12 @@ uint64_t fnv1a(uint64_t hash, std::string_view bytes) {
   return hash;
 }
 
-/// Digest of every trace stream in stream order, one line per event.
-uint64_t trace_digest(const std::vector<std::vector<std::string>>& streams) {
+/// Digest of the trace, one line per event.
+uint64_t trace_digest(const std::vector<std::string>& trace) {
   uint64_t hash = 0xcbf29ce484222325ULL;
-  for (size_t s = 0; s < streams.size(); ++s) {
-    hash = fnv1a(hash, "stream " + std::to_string(s) + "\n");
-    for (const std::string& line : streams[s]) {
-      hash = fnv1a(hash, line);
-      hash = fnv1a(hash, "\n");
-    }
+  for (const std::string& line : trace) {
+    hash = fnv1a(hash, line);
+    hash = fnv1a(hash, "\n");
   }
   return hash;
 }
@@ -93,7 +95,6 @@ TEST_P(GoldenTraceTest, EventTraceMatchesRecordedDigest) {
 
 // The uniform(1,8) cases mirror bench_e2e's latency; shards=4 at 1 and 4
 // threads must hash identically to each other as well as to the record.
-// The shards=1 digests hash two streams, shard 0 and the sequential one.
 // Under exponential(5) the latency tail lands deliveries on a motion's
 // landing tick, where the grid mutation runs first.
 // The shards=4 digests depend on the shard map; they were recorded on
@@ -115,36 +116,36 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         GoldenCase{"tower32_shards1", "tower32",
                    msg::LatencyModel::uniform(1, 8), 1, 1, 0, 38320,
-                   0xe1bd94ea3f55d908ULL},
+                   0x94d955415ffc9b43ULL},
         GoldenCase{"tower32_shards4_threads1", "tower32",
                    msg::LatencyModel::uniform(1, 8), 4, 1, 0, 38326,
-                   0x892bc8a13826e63aULL},
+                   0xb208fa62bf009efeULL},
         GoldenCase{"tower32_shards4_threads4", "tower32",
                    msg::LatencyModel::uniform(1, 8), 4, 4, 0, 38326,
-                   0x892bc8a13826e63aULL},
+                   0xb208fa62bf009efeULL},
         GoldenCase{"fig10_shards1", "fig10", msg::LatencyModel::uniform(1, 8),
-                   1, 1, 0, 1781, 0x3c0664030fca2df9ULL},
+                   1, 1, 0, 1781, 0x9d3e690212536da2ULL},
         GoldenCase{"fig10_shards4_threads1", "fig10",
                    msg::LatencyModel::uniform(1, 8), 4, 1, 0, 1769,
-                   0x6477509e78ffb05cULL},
+                   0xdcea026fc61fc8eaULL},
         GoldenCase{"fig10_shards4_threads4", "fig10",
                    msg::LatencyModel::uniform(1, 8), 4, 4, 0, 1769,
-                   0x6477509e78ffb05cULL},
+                   0xdcea026fc61fc8eaULL},
         GoldenCase{"tower32_exp5_timeout_shards1", "tower32",
                    msg::LatencyModel::exponential(5.0), 1, 1, 1000, 53635,
-                   0xb0f80647092025f2ULL},
+                   0x84174a80ce9887a1ULL},
         GoldenCase{"tower32_exp5_timeout_shards4_threads4", "tower32",
                    msg::LatencyModel::exponential(5.0), 4, 4, 1000, 53437,
-                   0x367d12971b665bf8ULL},
+                   0x5e548ee7ee418ca9ULL},
         GoldenCase{"blob1000_shards1_cap3", "blob1000",
                    msg::LatencyModel::uniform(1, 8), 1, 1, 0, 26932,
-                   0x84bffea67ecfa9beULL, 3},
+                   0xa4460e2f755712a6ULL, 3},
         GoldenCase{"blob1000_shards4_threads1_cap3", "blob1000",
                    msg::LatencyModel::uniform(1, 8), 4, 1, 0, 26903,
-                   0x029ec701a90ca5b2ULL, 3},
+                   0x3083f74410a8f5e1ULL, 3},
         GoldenCase{"blob1000_shards4_threads4_cap3", "blob1000",
                    msg::LatencyModel::uniform(1, 8), 4, 4, 0, 26903,
-                   0x029ec701a90ca5b2ULL, 3}),
+                   0x3083f74410a8f5e1ULL, 3}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace

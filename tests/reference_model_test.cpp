@@ -62,13 +62,11 @@ int naive_component_count(const Grid& grid) {
   return static_cast<int>(roots.size());
 }
 
-TEST(ReferenceModel, ComponentCountMatchesUnionFind) {
+TEST(ReferenceModel, IsConnectedMatchesUnionFind) {
   Rng rng(11);
   for (int trial = 0; trial < 200; ++trial) {
     const Grid grid =
         random_grid(rng, 8, 8, static_cast<int>(rng.next_in(0, 20)));
-    EXPECT_EQ(lat::component_count(grid), naive_component_count(grid))
-        << "trial " << trial;
     EXPECT_EQ(lat::is_connected(grid),
               naive_component_count(grid) <= 1)
         << "trial " << trial;

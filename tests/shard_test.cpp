@@ -119,7 +119,7 @@ TEST(ShardMap, EveryColumnMapsToAnInRangeShardInOrder) {
 struct SessionRun {
   core::SessionResult result;
   std::vector<std::string> move_trace;
-  std::vector<std::vector<std::string>> event_trace;
+  std::vector<std::string> event_trace;
   /// Invariant-oracle verdict for the run (src/check/oracle.hpp): every
   /// e2e session below must finish with an empty list.
   std::vector<std::string> violations;
@@ -174,6 +174,29 @@ core::SessionConfig jittery_config() {
   core::SessionConfig config;
   config.sim.latency = msg::LatencyModel::uniform(1, 8);
   return config;
+}
+
+/// Numeric field `key` ("s=", " t=", ...) of an event-trace line.
+uint64_t trace_field(const std::string& line, const std::string& key) {
+  const size_t at = line.find(key);
+  EXPECT_NE(at, std::string::npos) << line;
+  if (at == std::string::npos) return 0;
+  return std::stoull(line.substr(at + key.size()));
+}
+
+/// Queue that ran a trace line: a shard index, or the shard count for the
+/// sequential queue.
+size_t trace_queue(const std::string& line) {
+  EXPECT_EQ(line.rfind("s=", 0), 0u) << line;
+  return static_cast<size_t>(trace_field(line, "s="));
+}
+
+/// Lines of `trace` that queue `queue` ran.
+size_t lines_of_queue(const std::vector<std::string>& trace, size_t queue) {
+  return static_cast<size_t>(
+      std::count_if(trace.begin(), trace.end(), [queue](const auto& line) {
+        return trace_queue(line) == queue;
+      }));
 }
 
 // The tentpole determinism property: for a fixed shard count, event and
@@ -239,11 +262,59 @@ TEST(ShardedDeterminism, SlowLinksStayBehindMotionLandings) {
   EXPECT_EQ(serial.move_trace, single.move_trace);
 }
 
-// shards = 1 runs the same engine on two streams: shard 0, then the
-// sequential stream, which holds exactly the motion landings. Its one
+// Windows never straddle a grid mutation, and at equal ticks mutations run
+// first. The one-stream trace shows both: a sequential line at tick T has
+// only shard lines with t < T before it and only shard lines with t >= T
+// after it. Exponential latency with fault-mode timers puts deliveries and
+// timers on landing ticks; one shard has no lookahead to keep its windows
+// short, so its windows must end at the mutations themselves.
+TEST(ShardedDeterminism, GridMutationsSplitTheTraceByTime) {
+  const lat::Scenario scenario = lat::resolve_scenario("tower32");
+  core::SessionConfig exponential;
+  exponential.sim.latency = msg::LatencyModel::exponential(5.0);
+  exponential.ack_timeout = 1000;
+  for (const core::SessionConfig& config : {jittery_config(), exponential}) {
+    for (const size_t shards : {size_t{1}, size_t{4}}) {
+      const SessionRun run = run_session(scenario, config, shards, 1);
+      ASSERT_TRUE(run.result.complete) << shards;
+      const std::vector<std::string>& trace = run.event_trace;
+      const size_t sequential = run.result.shards;
+      // Forward: the latest shard tick so far, plus one (0: none yet).
+      uint64_t latest = 0;
+      size_t mutations = 0;
+      for (const std::string& line : trace) {
+        const uint64_t tick = trace_field(line, " t=");
+        if (trace_queue(line) != sequential) {
+          latest = std::max(latest, tick + 1);
+          continue;
+        }
+        ++mutations;
+        ASSERT_LE(latest, tick)
+            << "shards=" << shards << ": a shard line at t >= " << tick
+            << " runs before " << line;
+      }
+      // Backward: the earliest shard tick after each line.
+      uint64_t earliest = UINT64_MAX;
+      for (auto line = trace.rbegin(); line != trace.rend(); ++line) {
+        const uint64_t tick = trace_field(*line, " t=");
+        if (trace_queue(*line) != sequential) {
+          earliest = std::min(earliest, tick);
+          continue;
+        }
+        ASSERT_GE(earliest, tick)
+            << "shards=" << shards << ": a shard line at t < " << tick
+            << " runs after " << *line;
+      }
+      EXPECT_EQ(mutations, run.result.hops) << "shards=" << shards;
+    }
+  }
+}
+
+// shards = 1 runs the same engine on two queues: shard 0 (s=0) and the
+// sequential one (s=1), which runs exactly the motion landings. Its one
 // worker drains on the caller whatever shard_threads asks for, so the
 // trace is the same at 1 and 8 threads; reports list no per-shard split.
-TEST(ShardedDeterminism, SingleShardRunsTwoStreamsOnOneWorker) {
+TEST(ShardedDeterminism, SingleShardRunsTwoQueuesOnOneWorker) {
   const lat::Scenario scenario = lat::make_tower_scenario(8);
   const SessionRun single = run_session(scenario, jittery_config(), 1, 1);
   const SessionRun threaded = run_session(scenario, jittery_config(), 1, 8);
@@ -252,9 +323,9 @@ TEST(ShardedDeterminism, SingleShardRunsTwoStreamsOnOneWorker) {
   EXPECT_TRUE(oracle_clean(single));
   EXPECT_EQ(single.result.shards, 1u);
   EXPECT_TRUE(single.result.shard_events.empty());
-  ASSERT_EQ(single.event_trace.size(), 2u);
-  EXPECT_EQ(single.event_trace.back().size(), single.result.hops);
-  EXPECT_EQ(single.event_trace.front().size() + single.result.hops,
+  EXPECT_EQ(single.event_trace.size(), single.result.events_processed);
+  EXPECT_EQ(lines_of_queue(single.event_trace, 1), single.result.hops);
+  EXPECT_EQ(lines_of_queue(single.event_trace, 0) + single.result.hops,
             single.result.events_processed);
   EXPECT_EQ(single.event_trace, threaded.event_trace);
   EXPECT_EQ(single.move_trace, threaded.move_trace);
@@ -349,7 +420,7 @@ TEST(ShardedSession, FaultModeTimersStayDeterministic) {
   EXPECT_EQ(serial.event_trace, parallel.event_trace);
 }
 
-// Per-shard counters merge into the session totals: the by-kind map sums
+// Per-shard counters add up to the session totals: the by-kind map sums
 // to the scalar, and per-shard event counts sum to the processed total
 // minus the sequential (grid-mutating) steps.
 TEST(ShardedSession, PerShardCountersMergeIntoTotals) {
@@ -371,11 +442,47 @@ TEST(ShardedSession, PerShardCountersMergeIntoTotals) {
                       run.result.shard_events.end(), uint64_t{0});
   EXPECT_GT(shard_sum, 0u);
   EXPECT_LT(shard_sum, run.result.events_processed);
-  // The sequential stream holds exactly the remaining (motion) events.
-  const SessionRun retrace = run_session(scenario, {}, 3, 1);
-  ASSERT_EQ(retrace.event_trace.size(), 4u);
-  EXPECT_EQ(retrace.event_trace.back().size(),
-            retrace.result.events_processed - shard_sum);
+  // Each shard's count is the lines its queue ran; the sequential queue
+  // ran exactly the remaining (motion) events.
+  for (size_t shard = 0; shard < 3; ++shard) {
+    EXPECT_EQ(lines_of_queue(run.event_trace, shard),
+              run.result.shard_events[shard])
+        << "shard " << shard;
+  }
+  EXPECT_EQ(lines_of_queue(run.event_trace, 3),
+            run.result.events_processed - shard_sum);
+}
+
+// stats() sums the shards' counters in place, so a read between run()
+// calls sees what the shard windows counted so far.
+TEST(ShardedSession, StatsReadBetweenRunsIncludeTheShards) {
+  core::SessionConfig config = jittery_config();
+  config.sim.shards = 4;
+  core::ReconfigurationSession session(lat::resolve_scenario("tower16"),
+                                       config);
+  sim::Simulator& sim = session.simulator();
+  sim.enable_event_trace();
+  ASSERT_EQ(session.step_events(500), sim::StopReason::kEventLimit);
+  const sim::SimStats stats = sim.stats();
+  const std::vector<std::string>& trace = sim.event_trace();
+  // Events: each shard's count plus the sequential steps, a line each.
+  const std::vector<uint64_t> shard_events = sim.shard_event_counts();
+  ASSERT_EQ(shard_events.size(), 4u);
+  for (size_t shard = 0; shard < 4; ++shard) {
+    EXPECT_EQ(shard_events[shard], lines_of_queue(trace, shard));
+  }
+  EXPECT_EQ(stats.events_processed, trace.size());
+  // Messages: every delivery so far ran on a shard, and was counted there
+  // as delivered or dropped.
+  const auto deliveries = static_cast<uint64_t>(
+      std::count_if(trace.begin(), trace.end(), [](const std::string& line) {
+        return line.find(" Delivery ") != std::string::npos;
+      }));
+  EXPECT_GT(deliveries, 0u);
+  EXPECT_GE(stats.messages_sent(), deliveries);
+  EXPECT_GT(stats.messages_delivered, 0u);
+  EXPECT_LE(stats.messages_delivered, deliveries);
+  EXPECT_GE(stats.messages_delivered + stats.messages_dropped, deliveries);
 }
 
 // Metrics that the paper reasons about must not depend on the shard count:
@@ -491,14 +598,17 @@ TEST(ShardedSession, WorkersOnlyForStripesThatHoldBlocks) {
       << sim::to_string(result.stop_reason);
   EXPECT_TRUE(oracle.clean()) << oracle.violations().front();
   size_t joined_events = 0;
-  for (const std::string& line : sim.event_trace()[2]) {
-    joined_events += trace_target(line) == 99u ? 1 : 0;
+  for (const std::string& line : sim.event_trace()) {
+    if (trace_target(line) == 99u) {
+      EXPECT_EQ(trace_queue(line), 2u) << line;
+      ++joined_events;
+    }
   }
   EXPECT_GT(joined_events, 1u);  // its start, then deliveries to it
 }
 
 // A block keeps the shard its module registered on, however far it moves:
-// every event addressed to it sits in that shard's trace stream. Fault-mode
+// every event addressed to it runs on that shard's queue. Fault-mode
 // ack timers fire 1000 ticks out, so a block that hops across a stripe
 // still has timers pending in its shard's queue.
 TEST(ShardedSession, BlocksStayOnTheirRegistrationShard) {
@@ -532,21 +642,19 @@ TEST(ShardedSession, BlocksStayOnTheirRegistrationShard) {
   }
   EXPECT_GT(crossed, 0u);
 
-  // Streams 0-3 hold the events of their shard's blocks; stream 4, the
-  // sequential steps, holds none.
-  ASSERT_EQ(serial.event_trace.size(), 5u);
+  // Queues 0-3 run the events of their shard's blocks; queue 4, the
+  // sequential steps, runs none.
   size_t addressed = 0;
-  for (size_t stream = 0; stream < serial.event_trace.size(); ++stream) {
-    for (const std::string& line : serial.event_trace[stream]) {
-      const std::optional<uint32_t> target = trace_target(line);
-      if (!target) {
-        EXPECT_EQ(stream, 4u) << line;
-        continue;
-      }
-      ASSERT_LT(*target, serial.home_shard.size()) << line;
-      ASSERT_EQ(stream, serial.home_shard[*target]) << line;
-      ++addressed;
+  for (const std::string& line : serial.event_trace) {
+    const size_t queue = trace_queue(line);
+    const std::optional<uint32_t> target = trace_target(line);
+    if (!target) {
+      EXPECT_EQ(queue, 4u) << line;
+      continue;
     }
+    ASSERT_LT(*target, serial.home_shard.size()) << line;
+    ASSERT_EQ(queue, serial.home_shard[*target]) << line;
+    ++addressed;
   }
   EXPECT_GT(addressed, serial.result.events_processed / 2);
 }

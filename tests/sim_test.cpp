@@ -25,8 +25,8 @@ using lat::Vec2;
 
 class ProbeEvent final : public Event {
  public:
-  ProbeEvent(SimTime time, int label, std::vector<int>* sink)
-      : Event(time), label_(label), sink_(sink) {}
+  ProbeEvent(int label, std::vector<int>* sink)
+      : label_(label), sink_(sink) {}
   [[nodiscard]] std::string_view kind() const override { return "Probe"; }
   void execute(Simulator&) override { sink_->push_back(label_); }
   [[nodiscard]] int label() const { return label_; }
@@ -38,8 +38,7 @@ class ProbeEvent final : public Event {
 
 /// Wraps a ProbeEvent (label carrier) into a by-value record.
 EventRecord probe(SimTime time, int label, std::vector<int>* sink) {
-  return EventRecord::wrap(time,
-                           std::make_unique<ProbeEvent>(time, label, sink));
+  return EventRecord::wrap(time, std::make_unique<ProbeEvent>(label, sink));
 }
 
 int label_of(const EventRecord& record) {
@@ -348,7 +347,7 @@ World make_world(std::initializer_list<Vec2> cells, int32_t w = 8,
 class SendAtStart final : public Event {
  public:
   SendAtStart(Module* module, Direction side, int hops = 0)
-      : Event(0), module_(module), side_(side), hops_(hops) {}
+      : module_(module), side_(side), hops_(hops) {}
   [[nodiscard]] std::string_view kind() const override { return "Kick"; }
   void execute(Simulator& sim) override {
     sim.send_from(*module_, side_, PingMsg{hops_});
@@ -404,16 +403,14 @@ TEST(Simulator, MessageDeliveryWithFixedLatency) {
   EXPECT_EQ(sim.now(), 5u);                          // latency respected
   EXPECT_EQ(sim.stats().messages_sent(), 1u);
   EXPECT_EQ(sim.stats().messages_delivered, 1u);
-  // Two streams: shard 0 runs the delivery, whose record carries the
-  // payload size as its tag; the sequential stream, last, runs the send.
-  ASSERT_EQ(sim.event_trace().size(), 2u);
-  EXPECT_EQ(sim.event_trace()[0],
-            std::vector<std::string>{
-                fmt("t=5 seq=0 Delivery a=1 b=2 tag={}", sizeof(int))});
-  EXPECT_EQ(sim.event_trace()[1],
-            std::vector<std::string>{
-                fmt("t=0 seq=0 Kick a={} b={} tag=0", lat::kInvalidBlock.value,
-                    lat::kInvalidBlock.value)});
+  // One stream in execution order: the sequential queue (s=1) runs the
+  // send, then shard 0 runs the delivery, whose record carries the payload
+  // size as its tag.
+  EXPECT_EQ(sim.event_trace(),
+            (std::vector<std::string>{
+                fmt("s=1 t=0 seq=0 Kick a={} b={} tag=0",
+                    lat::kInvalidBlock.value, lat::kInvalidBlock.value),
+                fmt("s=0 t=5 seq=0 Delivery a=1 b=2 tag={}", sizeof(int))}));
 }
 
 TEST(Simulator, SendWithoutNeighborIsDropped) {
@@ -487,7 +484,6 @@ TEST(Simulator, HaltStopsRun) {
   auto& a = sim.add_module(std::make_unique<RecorderModule>(BlockId{1}));
   class Halter final : public Event {
    public:
-    Halter() : Event(3) {}
     [[nodiscard]] std::string_view kind() const override { return "Halt"; }
     void execute(Simulator& sim) override { sim.halt(); }
   };
@@ -695,7 +691,7 @@ TEST(Simulator, KilledModuleReceivesNothing) {
 /// Kills a block's program at a given time.
 class KillAt final : public Event {
  public:
-  KillAt(SimTime time, BlockId id) : Event(time), id_(id) {}
+  explicit KillAt(BlockId id) : id_(id) {}
   [[nodiscard]] std::string_view kind() const override { return "Kill"; }
   void execute(Simulator& sim) override { sim.kill_module(id_); }
 
@@ -711,7 +707,7 @@ TEST(Simulator, ReceiverKilledInFlightDropsTheMessage) {
   auto& b = static_cast<RecorderModule&>(
       sim.add_module(std::make_unique<RecorderModule>(BlockId{2})));
   sim.schedule(0, std::make_unique<SendAtStart>(&a, Direction::kEast));
-  sim.schedule(2, std::make_unique<KillAt>(2, BlockId{2}));
+  sim.schedule(2, std::make_unique<KillAt>(BlockId{2}));
   sim.run();
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(sim.stats().messages_sent(), 1u);

@@ -141,7 +141,7 @@ TEST(Rng, PickIndexInRange) {
 }
 
 // ---------------------------------------------------------------------------
-// Accumulator / SampleSet / Histogram
+// Accumulator / SampleSet
 // ---------------------------------------------------------------------------
 
 TEST(Accumulator, BasicMoments) {
@@ -162,24 +162,6 @@ TEST(Accumulator, EmptyIsZero) {
   EXPECT_EQ(acc.variance(), 0.0);
 }
 
-TEST(Accumulator, MergeMatchesSequential) {
-  Accumulator all;
-  Accumulator left;
-  Accumulator right;
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double v = rng.next_double_in(-5, 5);
-    all.add(v);
-    (i % 2 ? left : right).add(v);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
 TEST(SampleSet, ExactPercentiles) {
   SampleSet s;
   for (int i = 1; i <= 100; ++i) s.add(i);
@@ -194,20 +176,6 @@ TEST(SampleSet, SingleSample) {
   s.add(3.5);
   EXPECT_DOUBLE_EQ(s.percentile(37), 3.5);
   EXPECT_DOUBLE_EQ(s.median(), 3.5);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0, 10, 5);
-  h.add(0.5);   // bucket 0
-  h.add(9.5);   // bucket 4
-  h.add(-3);    // clamps to 0
-  h.add(42);    // clamps to 4
-  h.add(5.0);   // bucket 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_FALSE(h.to_ascii().empty());
 }
 
 TEST(LinearFit, RecoversExactLine) {

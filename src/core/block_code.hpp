@@ -175,5 +175,9 @@ class SmartBlockCode final : public sim::Module {
 // block of a 10^5-block world would pay 16 more bytes.
 static_assert(sizeof(SmartBlockCode) <= 240,
               "SmartBlockCode grew past 240 bytes");
+// A big world's drain prefetches this many bytes of each receiver.
+static_assert(sizeof(SmartBlockCode) <=
+                  sim::Simulator::kReceiverPrefetchBytes,
+              "SmartBlockCode outgrew the drain's receiver prefetch");
 
 }  // namespace sb::core

@@ -64,6 +64,27 @@ class EventQueue {
     return overflow_.empty() ? nullptr : &overflow_.front();
   }
 
+  /// The record `k` places behind peek()'s in the head tick's bucket (the
+  /// one the (k+1)-th pop from now returns, unless an earlier tick is
+  /// pushed first), or nullptr when that bucket holds k or fewer records or
+  /// the head waits in the overflow. Follows the bucket's chunk chain and
+  /// never reads past its tail. The drain reads it to prefetch ahead of
+  /// pop().
+  [[nodiscard]] const EventRecord* peek_ahead(uint32_t k) const {
+    if (occupied_ == 0) return nullptr;
+    const Bucket& bucket =
+        ring_[(base_ + first_occupied_offset()) & kRingMask];
+    const Chunk* chunk = bucket.head;
+    uint32_t index = bucket.head_index + k;
+    while (index >= kChunkRecords) {
+      if (chunk == bucket.tail) return nullptr;
+      chunk = chunk->next;
+      index -= kChunkRecords;
+    }
+    if (chunk == bucket.tail && index >= bucket.tail_count) return nullptr;
+    return &chunk->records[index];
+  }
+
   [[nodiscard]] size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 

@@ -59,6 +59,19 @@ enum class StopReason { kQueueEmpty, kEventLimit, kTimeLimit, kHalted };
 
 class Simulator {
  public:
+  /// Registered modules from which a window's drain prefetches the program
+  /// of the delivery kReceiverPrefetchDistance records ahead in its queue.
+  /// 8192 programs in 256-byte malloc chunks fill a 2 MiB L2; below that
+  /// the world's programs stay in cache and the prefetch only costs
+  /// instructions. Set from the measured crossover (docs/BENCHMARKS.md
+  /// "Receiver prefetch").
+  static constexpr size_t kReceiverPrefetchModules = 8192;
+  /// Records between the head and the delivery whose receiver is fetched.
+  static constexpr uint32_t kReceiverPrefetchDistance = 8;
+  /// Bytes of a receiver's program the prefetch covers (four cache lines
+  /// from its address); core::SmartBlockCode asserts that it fits.
+  static constexpr size_t kReceiverPrefetchBytes = 240;
+
   explicit Simulator(World world, SimConfig config = SimConfig{});
 
   [[nodiscard]] World& world() { return world_; }

@@ -25,6 +25,7 @@
 #include "core/reconfig.hpp"
 #include "lattice/scenario.hpp"
 #include "msg/latency.hpp"
+#include "sim/simulator.hpp"
 
 namespace sb {
 namespace {
@@ -111,6 +112,11 @@ TEST_P(GoldenTraceTest, EventTraceMatchesRecordedDigest) {
 // The exponential(5) cases run the fault-mode protocol, whose ack timers
 // fire 1000 ticks out — far past the calendar queue's 64-tick ring — so
 // the overflow path and its migration back into the ring are pinned too.
+// The blob20000 cases run a world above the drain's receiver-prefetch gate
+// (recorded before the prefetch existed), one epoch each, so they pin that
+// the prefetch changes no event.
+static_assert(20000 >= 2 * sim::Simulator::kReceiverPrefetchModules,
+              "the blob20000 cases must stay well above the prefetch gate");
 INSTANTIATE_TEST_SUITE_P(
     Recorded, GoldenTraceTest,
     ::testing::Values(
@@ -145,7 +151,13 @@ INSTANTIATE_TEST_SUITE_P(
                    0x3083f74410a8f5e1ULL, 3},
         GoldenCase{"blob1000_shards4_threads4_cap3", "blob1000",
                    msg::LatencyModel::uniform(1, 8), 4, 4, 0, 26903,
-                   0x3083f74410a8f5e1ULL, 3}),
+                   0x3083f74410a8f5e1ULL, 3},
+        GoldenCase{"blob20000_shards1_cap1", "blob20000",
+                   msg::LatencyModel::uniform(1, 8), 1, 1, 0, 198478,
+                   0x571e50227bdc1f02ULL, 1},
+        GoldenCase{"blob20000_shards4_threads4_cap1", "blob20000",
+                   msg::LatencyModel::uniform(1, 8), 4, 4, 0, 198417,
+                   0x34952160ebca6d3fULL, 1}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "lattice/world_view.hpp"
 #include "motion/apply.hpp"
 #include "motion/rule_xml.hpp"
+#include "util/fmt.hpp"
 #include "util/rng.hpp"
 
 namespace sb {
@@ -150,8 +151,7 @@ TEST(ReferenceModel, RandomRuleLibrariesRoundTripThroughXml) {
     for (const motion::MotionRule& rule : base.rules()) {
       if (rng.next_bool(0.4)) {
         motion::MotionRule copy = rule;
-        copy.set_name("r" + std::to_string(trial) + "_" +
-                      std::to_string(added++));
+        copy.set_name(fmt("r{}_{}", trial, added++));
         subset.add(copy);
       }
     }

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -289,6 +291,118 @@ TEST(CalendarRing, MatchesBinaryHeapOverSimulatorPatterns) {
   EXPECT_TRUE(calendar.empty());
   EXPECT_EQ(calendar.peek(), nullptr);
   EXPECT_GT(pops, 100'000u);
+}
+
+// ---------------------------------------------------------------------------
+// Look-ahead (EventQueue::peek_ahead)
+//
+// The drain prefetches the receiver of the record k places behind the head
+// in the head tick's bucket, so that record must be the one popped k pops
+// later, and the look-ahead must stop at the bucket's tail.
+// ---------------------------------------------------------------------------
+
+/// Pops `queue` dry, reading peek_ahead(k) before every pop: a record it
+/// names must be the one popped k pops later, and it must be null exactly
+/// when the head's tick has k or fewer records left. `on_pop` may push
+/// records for ticks after the popped one, as a drain does.
+void expect_look_ahead_matches_pops(
+    EventQueue& queue, uint32_t k,
+    const std::function<void(const EventRecord&)>& on_pop = {}) {
+  std::vector<std::optional<Popped>> ahead;
+  std::vector<Popped> pops;
+  while (!queue.empty()) {
+    const EventRecord* next = queue.peek_ahead(k);
+    ahead.push_back(next != nullptr ? std::optional(popped(*next))
+                                    : std::nullopt);
+    const EventRecord record = queue.pop();
+    pops.push_back(popped(record));
+    if (on_pop) on_pop(record);
+  }
+  for (size_t i = 0; i < pops.size(); ++i) {
+    if (i + k < pops.size() && pops[i + k].time == pops[i].time) {
+      ASSERT_TRUE(ahead[i].has_value()) << "k=" << k << " pop " << i;
+      EXPECT_EQ(*ahead[i], pops[i + k]) << "k=" << k << " pop " << i;
+    } else {
+      EXPECT_FALSE(ahead[i].has_value()) << "k=" << k << " pop " << i;
+    }
+  }
+}
+
+TEST(QueueLookAhead, CrossesChunkBoundariesAndStopsAtTheBucketTail) {
+  // 200 records on one tick span four 64-record chunks; the next tick
+  // holds fewer than k records. k = 64 and 130 skip whole chunks.
+  for (const uint32_t k : {1u, 8u, 63u, 64u, 65u, 130u}) {
+    EventQueue queue;
+    uint64_t label = 0;
+    for (int i = 0; i < 200; ++i) {
+      queue.push(EventRecord::timer(5, BlockId{1}, label++));
+    }
+    for (int i = 0; i < 3; ++i) {
+      queue.push(EventRecord::timer(6, BlockId{1}, label++));
+    }
+    queue.push(EventRecord::timer(9, BlockId{1}, label++));
+    expect_look_ahead_matches_pops(queue, k);
+  }
+}
+
+TEST(QueueLookAhead, EmptyQueueHasNone) {
+  EventQueue queue;
+  EXPECT_EQ(queue.peek_ahead(0), nullptr);
+  EXPECT_EQ(queue.peek_ahead(8), nullptr);
+  queue.push(EventRecord::timer(3, BlockId{1}, 7));
+  EXPECT_EQ(queue.peek_ahead(0), queue.peek());
+  EXPECT_EQ(queue.peek_ahead(1), nullptr);
+  (void)queue.pop();
+  EXPECT_EQ(queue.peek_ahead(0), nullptr);
+  EXPECT_EQ(queue.peek_ahead(8), nullptr);
+}
+
+TEST(QueueLookAhead, FollowsRecordsMigratedFromTheOverflow) {
+  constexpr SimTime kHorizon = EventQueue::kRingSize;  // window starts at 0
+  EventQueue queue;
+  uint64_t label = 0;
+  // 70 records one tick past the ring wait in the overflow, where the
+  // look-ahead sees none of them.
+  for (int i = 0; i < 70; ++i) {
+    queue.push(EventRecord::timer(kHorizon, BlockId{1}, label++));
+  }
+  queue.push(EventRecord::timer(1, BlockId{1}, label++));
+  EXPECT_EQ(queue.peek_ahead(0), queue.peek());
+  EXPECT_EQ(queue.peek_ahead(1), nullptr);
+  // Popping t=1 moves the window: the 70 migrate into the ring, two chunks
+  // of one bucket, and ten more pushes for that tick join them behind.
+  EXPECT_EQ(queue.pop().time, 1u);
+  for (int i = 0; i < 10; ++i) {
+    queue.push(EventRecord::timer(kHorizon, BlockId{1}, label++));
+  }
+  expect_look_ahead_matches_pops(queue, 8);
+
+  // A head in the overflow (the ring empty) has no look-ahead either.
+  for (int i = 0; i < 20; ++i) {
+    queue.push(EventRecord::timer(10 * kHorizon, BlockId{1}, label++));
+  }
+  EXPECT_NE(queue.peek(), nullptr);
+  EXPECT_EQ(queue.peek_ahead(0), nullptr);
+  EXPECT_EQ(queue.pop().time, 10 * kHorizon);  // migrates the other 19
+  expect_look_ahead_matches_pops(queue, 8);
+}
+
+TEST(QueueLookAhead, HoldsWhileTheDrainPushesLaterTicks) {
+  // A flood: each of the first 5 000 pops sends two records 1-8 ticks on.
+  EventQueue queue;
+  Rng rng(0x100CA4EADULL);
+  uint64_t label = 0;
+  for (int i = 0; i < 100; ++i) {
+    queue.push(EventRecord::timer(0, BlockId{1}, label++));
+  }
+  expect_look_ahead_matches_pops(queue, 8, [&](const EventRecord& record) {
+    if (label >= 5000) return;
+    for (int i = 0; i < 2; ++i) {
+      queue.push(EventRecord::timer(record.time + 1 + rng.next_below(8),
+                                    BlockId{1}, label++));
+    }
+  });
+  EXPECT_GE(label, 5000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -324,6 +324,23 @@ BENCHMARK_CAPTURE(BM_ValidateScenario, tower128, "tower128")
 BENCHMARK_CAPTURE(BM_ValidateScenario, blob100000, "blob100000")
     ->Unit(benchmark::kMillisecond);
 
+/// lat::resolve_scenario on a blob name: the generator and its own
+/// validate, which every big-world unit pays before its session is built
+/// (bench_e2e's lattice.generate_s).
+void BM_GenerateBlob(benchmark::State& state, const char* name) {
+  size_t blocks = 0;
+  for (auto _ : state) {
+    const lat::Scenario scenario = lat::resolve_scenario(name);
+    blocks = scenario.block_count();
+    benchmark::DoNotOptimize(scenario.blocks.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(blocks));
+}
+BENCHMARK_CAPTURE(BM_GenerateBlob, blob10000, "blob10000")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_GenerateBlob, blob100000, "blob100000")
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -1,6 +1,7 @@
 #include "lattice/scenario.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -399,6 +400,73 @@ Scenario make_rectangle_scenario(int32_t surface_w, int32_t surface_h,
 
 namespace {
 
+/// A set of cells under the row-major cell index, which orders cells as
+/// Vec2's operator< does: a bitmap of 64-cell words under levels of member
+/// counts, each entry counting kFanout entries of the level below. insert
+/// and erase flip one bit and bump one count per level, so they cost
+/// O(log cells) and move nothing; nth(k), the k-th member in that order,
+/// walks down the levels, skipping whole entries while their counts stay
+/// at or below k, and then walks the bits of the word it reaches.
+class CellPool {
+ public:
+  explicit CellPool(size_t cell_count) : words_((cell_count + 63) / 64, 0) {
+    size_t entries = words_.size();
+    do {
+      entries = (entries + kFanout - 1) / kFanout;
+      levels_.emplace_back(entries, 0);
+    } while (entries > kFanout);
+  }
+
+  [[nodiscard]] bool contains(size_t cell) const {
+    return (words_[cell / 64] >> (cell % 64) & 1) != 0;
+  }
+  [[nodiscard]] size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+
+  /// `cell` must not be a member.
+  void insert(size_t cell) {
+    words_[cell / 64] |= uint64_t{1} << (cell % 64);
+    ++size_;
+    size_t entry = cell / 64;
+    for (std::vector<uint32_t>& level : levels_) ++level[entry /= kFanout];
+  }
+
+  /// `cell` must be a member.
+  void erase(size_t cell) {
+    words_[cell / 64] &= ~(uint64_t{1} << (cell % 64));
+    --size_;
+    size_t entry = cell / 64;
+    for (std::vector<uint32_t>& level : levels_) --level[entry /= kFanout];
+  }
+
+  /// The cell of the k-th member in row-major order; k < size().
+  [[nodiscard]] size_t nth(size_t k) const {
+    size_t entry = 0;  // first entry of the group that holds member k
+    for (auto level = levels_.rbegin(); level != levels_.rend(); ++level) {
+      while ((*level)[entry] <= k) k -= (*level)[entry++];
+      entry *= kFanout;
+    }
+    const auto members = [&](size_t word) {
+      return static_cast<size_t>(std::popcount(words_[word]));
+    };
+    while (members(entry) <= k) k -= members(entry++);
+    uint64_t bits = words_[entry];
+    for (; k > 0; --k) bits &= bits - 1;
+    return entry * 64 + static_cast<size_t>(std::countr_zero(bits));
+  }
+
+ private:
+  /// Eight ties sixteen and beats a Fenwick tree's binary descent and
+  /// fanouts of 32 and 64 on blob100000 and blob2000000
+  /// (docs/BENCHMARKS.md "Blob generation").
+  static constexpr size_t kFanout = 8;
+  std::vector<uint64_t> words_;
+  /// levels_[0] counts the members of each kFanout words, and each level
+  /// above counts kFanout entries of the one below; the top has <= kFanout.
+  std::vector<std::vector<uint32_t>> levels_;
+  size_t size_ = 0;
+};
+
 Scenario try_random_blob(const BlobParams& params, Rng& rng) {
   Scenario s;
   s.name = "blob";
@@ -422,9 +490,10 @@ Scenario try_random_blob(const BlobParams& params, Rng& rng) {
   // Dense state instead of hash sets, and an incrementally maintained
   // frontier instead of a full rescan per grown block: the rescan made the
   // generator O(N^2), which locked it out of the 10^5..10^6-block worlds
-  // the giant benches drive. The frontier stays sorted so the RNG consumes
-  // the exact same stream as the historical implementation (seeded blob
-  // layouts are pinned by tests and ablation baselines).
+  // the giant benches drive. A pick takes the k-th pool member in
+  // row-major order, so every draw lands on the cell the historical
+  // implementation's sorted pools gave it (seeded blob layouts are pinned
+  // by tests and ablation baselines).
   const size_t cell_count = static_cast<size_t>(params.surface_width) *
                             static_cast<size_t>(params.surface_height);
   const auto cell_index = [&](Vec2 p) {
@@ -432,44 +501,36 @@ Scenario try_random_blob(const BlobParams& params, Rng& rng) {
                static_cast<size_t>(params.surface_width) +
            static_cast<size_t>(p.x);
   };
+  const auto cell_at = [&](size_t cell) {
+    const auto width = static_cast<size_t>(params.surface_width);
+    return Vec2{static_cast<int32_t>(cell % width),
+                static_cast<int32_t>(cell / width)};
+  };
   std::vector<uint8_t> occupied(cell_count, 0);
-  std::vector<uint8_t> in_frontier(cell_count, 0);
-  std::vector<uint8_t> in_pockets(cell_count, 0);
   std::vector<uint8_t> support(cell_count, 0);  // occupied-neighbor counts
   occupied[cell_index(params.input)] = 1;
   size_t blob_size = 1;
 
-  // Both pools stay sorted, so the picks consume the exact RNG stream the
-  // historical full-rescan implementation did. Pockets — frontier cells
-  // with >= 2 occupied neighbours, the compactness bias pool — are
-  // maintained incrementally: a cell's support only grows, so it enters
-  // the pocket pool exactly once, when its count reaches two.
-  std::vector<Vec2> frontier;  // empty legal cells touching the blob
-  std::vector<Vec2> pockets;
-  const auto sorted_insert = [](std::vector<Vec2>& pool, Vec2 q) {
-    pool.insert(std::lower_bound(pool.begin(), pool.end(), q), q);
-  };
-  const auto sorted_erase = [](std::vector<Vec2>& pool, Vec2 q) {
-    pool.erase(std::lower_bound(pool.begin(), pool.end(), q));
-  };
+  // Pockets — frontier cells with >= 2 occupied neighbours, the
+  // compactness bias pool — are maintained incrementally: a cell's support
+  // only grows, so it enters the pocket pool exactly once, when its count
+  // reaches two.
+  CellPool frontier(cell_count);  // empty legal cells touching the blob
+  CellPool pockets(cell_count);
   const auto add_frontier_around = [&](Vec2 p) {
     for (Direction d : all_directions()) {
       const Vec2 q = p + delta(d);
       if (!in_bounds(q)) continue;
       const size_t qi = cell_index(q);
-      if (occupied[qi] || in_frontier[qi] || forbidden(q)) continue;
-      in_frontier[qi] = 1;
+      if (occupied[qi] || frontier.contains(qi) || forbidden(q)) continue;
       uint8_t count = 0;
       for (Direction e : all_directions()) {
         const Vec2 r = q + delta(e);
         count += in_bounds(r) && occupied[cell_index(r)] ? 1 : 0;
       }
       support[qi] = count;
-      sorted_insert(frontier, q);
-      if (count >= 2) {
-        in_pockets[qi] = 1;
-        sorted_insert(pockets, q);
-      }
+      frontier.insert(qi);
+      if (count >= 2) pockets.insert(qi);
     }
   };
   add_frontier_around(params.input);
@@ -483,32 +544,25 @@ Scenario try_random_blob(const BlobParams& params, Rng& rng) {
     // two-dimensional and hence physically mobile.
     const bool use_pockets =
         !pockets.empty() && rng.next_bool(params.compactness);
-    const std::vector<Vec2>& pool = use_pockets ? pockets : frontier;
-    const Vec2 pick = pool[rng.pick_index(pool)];
-    const size_t pick_cell = cell_index(pick);
+    const CellPool& pool = use_pockets ? pockets : frontier;
+    const size_t pick_cell = pool.nth(rng.pick_index(pool));
+    const Vec2 pick = cell_at(pick_cell);
     occupied[pick_cell] = 1;
-    in_frontier[pick_cell] = 0;
-    sorted_erase(frontier, pick);
-    if (in_pockets[pick_cell]) {
-      in_pockets[pick_cell] = 0;
-      sorted_erase(pockets, pick);
-    }
+    frontier.erase(pick_cell);
+    if (pockets.contains(pick_cell)) pockets.erase(pick_cell);
     ++blob_size;
     // Existing frontier neighbours gained support; promote fresh pockets.
     for (Direction d : all_directions()) {
       const Vec2 q = pick + delta(d);
       if (!in_bounds(q)) continue;
       const size_t qi = cell_index(q);
-      if (!in_frontier[qi]) continue;
-      if (++support[qi] == 2) {
-        in_pockets[qi] = 1;
-        sorted_insert(pockets, q);
-      }
+      if (frontier.contains(qi) && ++support[qi] == 2) pockets.insert(qi);
     }
     add_frontier_around(pick);
   }
 
   // Ids are assigned in row-major (sorted) order over the grown blob.
+  s.blocks.reserve(blob_size);
   uint32_t next_id = 1;
   for (int32_t y = 0; y < params.surface_height; ++y) {
     for (int32_t x = 0; x < params.surface_width; ++x) {

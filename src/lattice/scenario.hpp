@@ -139,8 +139,9 @@ struct BlobParams {
 
 /// Grows a random connected blob from the input cell. Deterministic for a
 /// given RNG state; the result always satisfies validate(). The frontier is
-/// maintained incrementally, so generation is near-linear in block_count
-/// and practical up to the 10^6-module scale.
+/// maintained incrementally in rank-select bitmaps, so each grown block
+/// costs O(log surface cells) and an attempt O(N log cells) plus a pass
+/// over the surface (docs/BENCHMARKS.md "Blob generation").
 [[nodiscard]] Scenario random_blob_scenario(const BlobParams& params,
                                             Rng& rng);
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
+#include <optional>
+#include <vector>
 
 #include "lattice/region.hpp"
 #include "lattice/scenario.hpp"
@@ -520,6 +523,195 @@ TEST(ScenarioGen, RandomBlobAvoidsOutputAlignment) {
   }
 }
 
+// One attempt of the blob generator as it was when picks indexed sorted
+// std::vector pools, kept as the reference the current generator must match
+// draw for draw. nullopt where the frontier runs dry, on which that
+// generator aborted.
+std::optional<Scenario> reference_try_blob(const BlobParams& params,
+                                           Rng& rng) {
+  Scenario s;
+  s.name = "blob";
+  s.width = params.surface_width;
+  s.height = params.surface_height;
+  s.input = params.input;
+  s.output = params.output;
+  const Rect rect = bounding_rect(params.input, params.output);
+  const auto forbidden = [&](Vec2 p) {
+    if (p == params.output) return true;
+    if (!params.avoid_output_alignment || p == params.input) return false;
+    return rect.contains(p) &&
+           (p.x == params.output.x || p.y == params.output.y);
+  };
+  const auto in_bounds = [&](Vec2 p) {
+    return p.x >= 0 && p.x < params.surface_width && p.y >= 0 &&
+           p.y < params.surface_height;
+  };
+  const auto cell_index = [&](Vec2 p) {
+    return static_cast<size_t>(p.y) *
+               static_cast<size_t>(params.surface_width) +
+           static_cast<size_t>(p.x);
+  };
+  const size_t cell_count = static_cast<size_t>(params.surface_width) *
+                            static_cast<size_t>(params.surface_height);
+  std::vector<uint8_t> occupied(cell_count, 0);
+  std::vector<uint8_t> in_frontier(cell_count, 0);
+  std::vector<uint8_t> in_pockets(cell_count, 0);
+  std::vector<uint8_t> support(cell_count, 0);
+  occupied[cell_index(params.input)] = 1;
+  size_t blob_size = 1;
+  std::vector<Vec2> frontier;
+  std::vector<Vec2> pockets;
+  const auto sorted_insert = [](std::vector<Vec2>& pool, Vec2 q) {
+    pool.insert(std::lower_bound(pool.begin(), pool.end(), q), q);
+  };
+  const auto sorted_erase = [](std::vector<Vec2>& pool, Vec2 q) {
+    pool.erase(std::lower_bound(pool.begin(), pool.end(), q));
+  };
+  const auto add_frontier_around = [&](Vec2 p) {
+    for (Direction d : all_directions()) {
+      const Vec2 q = p + delta(d);
+      if (!in_bounds(q)) continue;
+      const size_t qi = cell_index(q);
+      if (occupied[qi] || in_frontier[qi] || forbidden(q)) continue;
+      in_frontier[qi] = 1;
+      uint8_t count = 0;
+      for (Direction e : all_directions()) {
+        const Vec2 r = q + delta(e);
+        count += in_bounds(r) && occupied[cell_index(r)] ? 1 : 0;
+      }
+      support[qi] = count;
+      sorted_insert(frontier, q);
+      if (count >= 2) {
+        in_pockets[qi] = 1;
+        sorted_insert(pockets, q);
+      }
+    }
+  };
+  add_frontier_around(params.input);
+  while (static_cast<int32_t>(blob_size) < params.block_count) {
+    if (frontier.empty()) return std::nullopt;
+    const bool use_pockets =
+        !pockets.empty() && rng.next_bool(params.compactness);
+    const std::vector<Vec2>& pool = use_pockets ? pockets : frontier;
+    const Vec2 pick = pool[rng.pick_index(pool)];
+    const size_t pick_cell = cell_index(pick);
+    occupied[pick_cell] = 1;
+    in_frontier[pick_cell] = 0;
+    sorted_erase(frontier, pick);
+    if (in_pockets[pick_cell]) {
+      in_pockets[pick_cell] = 0;
+      sorted_erase(pockets, pick);
+    }
+    ++blob_size;
+    for (Direction d : all_directions()) {
+      const Vec2 q = pick + delta(d);
+      if (!in_bounds(q)) continue;
+      const size_t qi = cell_index(q);
+      if (!in_frontier[qi]) continue;
+      if (++support[qi] == 2) {
+        in_pockets[qi] = 1;
+        sorted_insert(pockets, q);
+      }
+    }
+    add_frontier_around(pick);
+  }
+  uint32_t next_id = 1;
+  for (int32_t y = 0; y < params.surface_height; ++y) {
+    for (int32_t x = 0; x < params.surface_width; ++x) {
+      if (occupied[cell_index({x, y})]) {
+        s.blocks.emplace_back(BlockId{next_id++}, Vec2{x, y});
+      }
+    }
+  }
+  return s;
+}
+
+// The reference's retry loop: the first attempt that passes validate(),
+// or nullopt where the generator aborted (a dry frontier, or 100 attempts
+// that all fail).
+struct ReferenceBlob {
+  Scenario scenario;
+  int attempts = 0;
+};
+
+std::optional<ReferenceBlob> reference_blob(const BlobParams& params,
+                                            Rng& rng) {
+  for (int attempt = 1; attempt <= 100; ++attempt) {
+    std::optional<Scenario> s = reference_try_blob(params, rng);
+    if (!s) return std::nullopt;
+    if (validate(*s).empty()) return ReferenceBlob{std::move(*s), attempt};
+  }
+  return std::nullopt;
+}
+
+TEST(ScenarioGen, RandomBlobMatchesTheSortedPoolReference) {
+  // Random parameter sets from a fixed meta-seed: surfaces of 4-64 cells a
+  // side, compactness across [0, 1], both alignment modes. Most sets place
+  // I and O anywhere and fill up to 60 % of the surface; a quarter put O
+  // within two cells of I and grow at most two spare blocks, whose straight
+  // lines fail validate() and make the generator retry. Equal blobs and
+  // equal RNG states afterwards mean equal draws, retries included.
+  Rng meta(0xb10bULL);
+  int compared = 0;
+  int retried = 0;
+  int skipped = 0;
+  while (compared < 2000) {
+    BlobParams params;
+    params.surface_width = static_cast<int32_t>(meta.next_in(4, 64));
+    params.surface_height = static_cast<int32_t>(meta.next_in(4, 64));
+    const auto inside = [&](Vec2 p) {
+      return p.x >= 0 && p.x < params.surface_width && p.y >= 0 &&
+             p.y < params.surface_height;
+    };
+    const auto random_cell = [&] {
+      return Vec2{static_cast<int32_t>(meta.next_in(
+                      0, params.surface_width - 1)),
+                  static_cast<int32_t>(
+                      meta.next_in(0, params.surface_height - 1))};
+    };
+    const bool near = meta.next_bool(0.25);
+    params.input = random_cell();
+    do {
+      params.output =
+          near ? params.input + Vec2{static_cast<int32_t>(meta.next_in(-2, 2)),
+                                     static_cast<int32_t>(meta.next_in(-2, 2))}
+               : random_cell();
+    } while (params.output == params.input || !inside(params.output));
+    const int32_t path_cells =
+        shortest_path_cells(params.input, params.output);
+    const int32_t most_blocks =
+        near ? path_cells + 2
+             : std::max(path_cells, params.surface_width *
+                                        params.surface_height * 3 / 5);
+    params.block_count =
+        static_cast<int32_t>(meta.next_in(path_cells, most_blocks));
+    params.compactness = meta.next_double();
+    params.avoid_output_alignment = meta.next_bool();
+    const uint64_t seed = meta.next();
+
+    Rng reference_rng(seed);
+    const std::optional<ReferenceBlob> expected =
+        reference_blob(params, reference_rng);
+    if (!expected) {
+      ++skipped;
+      ASSERT_LT(skipped, 20000) << "too few parameter sets can grow a blob";
+      continue;
+    }
+    Rng rng(seed);
+    const Scenario actual = random_blob_scenario(params, rng);
+    ASSERT_EQ(actual.blocks, expected->scenario.blocks)
+        << "set " << compared << ": " << params.surface_width << "x"
+        << params.surface_height << " I=" << params.input
+        << " O=" << params.output << " N=" << params.block_count
+        << " compactness=" << params.compactness
+        << " avoid=" << params.avoid_output_alignment << " seed=" << seed;
+    ASSERT_EQ(rng.next(), reference_rng.next()) << "set " << compared;
+    retried += expected->attempts > 1 ? 1 : 0;
+    ++compared;
+  }
+  EXPECT_GT(retried, 0) << "no parameter set exercised a retry";
+}
+
 TEST(ScenarioGen, RectangleScenario) {
   const Scenario s =
       make_rectangle_scenario(10, 10, {1, 1}, 3, 4, {1, 1}, {8, 8});
@@ -565,6 +757,41 @@ TEST(ResolveScenario, BlobIsDeterministicPerSeed) {
   const Scenario c = resolve_scenario("blob128", 43);
   EXPECT_EQ(a.blocks, b.blocks);
   EXPECT_NE(a.blocks, c.blocks);
+}
+
+/// FNV-1a of the scenario's text form: name, surface, I/O and every block.
+uint64_t scenario_digest(const Scenario& s) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : serialize_scenario(s)) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+TEST(ResolveScenario, BlobsKeepTheirRecordedDigests) {
+  // Recorded from the sorted-vector generator; a change to the pools or to
+  // the draws that moves any block fails here.
+  struct Case {
+    const char* name;
+    uint64_t seed;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"blob64", 0x5eed, 0xde4e3dfd54dea2afULL},
+      {"blob64", 7, 0xb6ad3d857940a25aULL},
+      {"blob1000", 0x5eed, 0xc8c648378a1a3e6dULL},
+      {"blob1000", 7, 0x24f5d736d90bd808ULL},
+      {"blob20000", 0x5eed, 0xe10a0c7fbc920a99ULL},
+      {"blob20000", 7, 0xe84b265345f9ab67ULL},
+      {"blob100000", 0x5eed, 0x62d72e7c83f2361aULL},
+      {"blob100000", 7, 0xd9861edcfcad2dc1ULL},
+  };
+  for (const Case& c : cases) {
+    const uint64_t digest = scenario_digest(resolve_scenario(c.name, c.seed));
+    EXPECT_EQ(digest, c.digest) << c.name << " seed " << c.seed
+                                << ": actual digest 0x" << std::hex << digest;
+  }
 }
 
 TEST(ResolveScenario, RejectsBadSizes) {

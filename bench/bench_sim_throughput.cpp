@@ -22,10 +22,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/reconfig.hpp"
 #include "lattice/scenario.hpp"
 #include "msg/message.hpp"
 #include "runner/sweep.hpp"
@@ -108,7 +110,7 @@ FloodMeasurement run_flood(size_t module_count, uint64_t target_events) {
   }
   sim::Simulator sim(std::move(world), config);
   for (uint32_t m = 1; m < id; ++m) {
-    sim.add_module(std::make_unique<TokenModule>(lat::BlockId{m}));
+    sim.add_module<TokenModule>(lat::BlockId{m});
   }
   // One token per 64 modules, each with a large hop budget.
   const uint32_t tokens =
@@ -339,6 +341,27 @@ void BM_GenerateBlob(benchmark::State& state, const char* name) {
 BENCHMARK_CAPTURE(BM_GenerateBlob, blob10000, "blob10000")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_GenerateBlob, blob100000, "blob100000")
+    ->Unit(benchmark::kMillisecond);
+
+/// core::ReconfigurationSession's constructor on a blob generated once:
+/// validation, placement, the simulator's shards and one program per block
+/// (bench_e2e's core.session_build_s without the generator, over many warm
+/// builds). Each teardown runs untimed, but its effect on the heap is what
+/// the next build meets, as in a sweep of big sessions.
+void BM_SessionBuild(benchmark::State& state, const char* name) {
+  const lat::Scenario scenario = lat::resolve_scenario(name);
+  for (auto _ : state) {
+    auto session = std::make_unique<core::ReconfigurationSession>(
+        scenario, core::SessionConfig{});
+    benchmark::DoNotOptimize(session.get());
+    state.PauseTiming();
+    session.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(scenario.block_count()));
+}
+BENCHMARK_CAPTURE(BM_SessionBuild, blob100000, "blob100000")
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

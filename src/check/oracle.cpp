@@ -169,15 +169,31 @@ void InvariantOracle::check_columns(sim::Simulator& sim) {
       }
     }
   }
-  // State tags vs the module table: registration stamps kAlive,
-  // kill_module stamps kDead, nothing else writes the tag column.
-  sim.for_each_module([&](sim::Module& module) {
-    if (view.tag(module.id()) == lat::ModuleTag::kUnregistered) {
-      record(sim, fmt("block {} has a registered module but its state tag "
-                      "says unregistered",
-                      module.id().value));
+  // Slot integrity: the tag column is the module registry (registration
+  // stamps kAlive, kill_module kDead, nothing else writes it), and each
+  // program sits in the slot its id computes, so every id the column
+  // registers must find a program of that id, and the registered count
+  // must be the simulator's.
+  size_t registered = 0;
+  for (uint32_t value = 0; value < view.id_capacity(); ++value) {
+    const lat::BlockId id{value};
+    if (view.tag(id) == lat::ModuleTag::kUnregistered) continue;
+    ++registered;
+    const sim::Module* module = sim.find_module(id);
+    if (module == nullptr) {
+      record(sim, fmt("block {} is registered in the tag column but its "
+                      "slot holds no program",
+                      value));
+    } else if (module->id() != id) {
+      record(sim, fmt("block {}'s slot holds the program of block {}", value,
+                      module->id().value));
     }
-  });
+  }
+  if (registered != sim.module_count()) {
+    record(sim, fmt("the tag column registers {} modules but the simulator "
+                    "counts {}",
+                    registered, sim.module_count()));
+  }
 }
 
 void InvariantOracle::check_contacts(sim::Simulator& sim) {

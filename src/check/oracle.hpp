@@ -22,8 +22,10 @@
 //                every block has a registered module (deaths keep the block
 //                on the surface as an inert obstacle);
 //   columns      the SoA columns (lat::WorldState) agree with their sources
-//                of truth: the occupancy image with the cell array, and the
-//                state-tag column with module registration;
+//                of truth: the occupancy image with the cell array; and the
+//                state-tag column, which is the module registry, with the
+//                programs: every id it registers finds, in its slot, a
+//                program of that id, and it registers module_count() ids;
 //   contacts     every registered module's neighbour table equals the
 //                grid's four neighbours of its block — the simulator
 //                delivers a message only if the receiver's table lists the

@@ -170,14 +170,12 @@ class SmartBlockCode final : public sim::Module {
 };
 
 // One program per block, and the election flood touches every one, so its
-// size is a per-block cost of large worlds. At 256 bytes a program no longer
-// fits a 256-byte malloc chunk (the chunk header takes it to 272), so every
-// block of a 10^5-block world would pay 16 more bytes.
-static_assert(sizeof(SmartBlockCode) <= 240,
-              "SmartBlockCode grew past 240 bytes");
-// A big world's drain prefetches this many bytes of each receiver.
-static_assert(sizeof(SmartBlockCode) <=
-                  sim::Simulator::kReceiverPrefetchBytes,
-              "SmartBlockCode outgrew the drain's receiver prefetch");
+// size is a per-block cost of large worlds. Every program is built in a
+// fixed slot of the simulator's (Simulator::add_module, which asserts the
+// fit for any module type); a big world's drain prefetches whole slots, and
+// a larger slot would stretch every block of a 10^5-block world. Asserted
+// here too, so a field that outgrows it fails where it is added.
+static_assert(sizeof(SmartBlockCode) <= sim::Simulator::kModuleSlotBytes,
+              "SmartBlockCode outgrew its module slot");
 
 }  // namespace sb::core

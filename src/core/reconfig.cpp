@@ -75,8 +75,8 @@ ReconfigurationSession::ReconfigurationSession(const lat::Scenario& scenario,
 
   for (const auto& [id, pos] : scenario_.blocks) {
     const bool is_root = pos == scenario_.input;
-    simulator_->add_module(std::make_unique<SmartBlockCode>(
-        id, is_root, planner_.get(), &algorithm_, &shared_));
+    simulator_->add_module<SmartBlockCode>(id, is_root, planner_.get(),
+                                           &algorithm_, &shared_);
   }
 }
 
@@ -92,9 +92,8 @@ sim::Module& ReconfigurationSession::hot_join(lat::BlockId id, lat::Vec2 pos) {
   simulator_->world().grid().place(id, pos);
   // Register before the neighbors hear of the block: a message they send it
   // must find its module, and so its shard.
-  sim::Module& module =
-      simulator_->add_module(std::make_unique<SmartBlockCode>(
-          id, /*is_root=*/false, planner_.get(), &algorithm_, &shared_));
+  sim::Module& module = simulator_->add_module<SmartBlockCode>(
+      id, /*is_root=*/false, planner_.get(), &algorithm_, &shared_);
   simulator_->notify_cells_changed({pos});
   simulator_->start_module(id);
   return module;

@@ -89,6 +89,11 @@ class WorldView {
 
   // -- liveness (the tag column, written by the simulator) -------------------
 
+  /// Ids the SoA columns cover: every id at or above it is off the
+  /// surface and kUnregistered.
+  [[nodiscard]] size_t id_capacity() const {
+    return grid_->state_.id_capacity();
+  }
   [[nodiscard]] ModuleTag tag(BlockId id) const {
     return grid_->state_.tag(id);
   }

@@ -69,7 +69,21 @@ Simulator::Simulator(World world, SimConfig config)
     : world_(std::move(world)),
       config_(config),
       rng_(config.seed) {
+  // The tag column is the module registry: a tag stamped before this
+  // simulator owned the world would name a slot that holds nothing.
+  const lat::WorldView view = world_.view();
+  for (uint32_t value = 0; value < view.id_capacity(); ++value) {
+    SB_EXPECTS(view.tag(lat::BlockId{value}) == lat::ModuleTag::kUnregistered,
+               "block ", lat::BlockId{value},
+               " arrives with a module tag but no program");
+  }
   init_shards();
+}
+
+Simulator::~Simulator() {
+  // The programs go before the members: the walk reads the world's tag
+  // column, and the chunks they live in are freed with module_chunks_.
+  for_each_module([](Module& module) { std::destroy_at(&module); });
 }
 
 Rng& Simulator::active_rng(const Module& sender) {
@@ -78,32 +92,41 @@ Rng& Simulator::active_rng(const Module& sender) {
   return shards_[shard_of(sender.id())]->rng;
 }
 
-Module& Simulator::add_module(std::unique_ptr<Module> module) {
-  SB_EXPECTS(module != nullptr);
-  const lat::BlockId id = module->id();
+std::byte* Simulator::claim_slot(lat::BlockId id) {
+  SB_EXPECTS(tls_exec_ == nullptr,
+             "add_module must run in a sequential context");
   const lat::WorldView view = world_.view();
   SB_EXPECTS(view.contains(id), "block ", id,
              " must be placed on the grid before registering its module");
-  SB_EXPECTS(find_module(id) == nullptr, "module for ", id,
-             " is already registered");
-  module->host_ = this;
+  SB_EXPECTS(view.tag(id) == lat::ModuleTag::kUnregistered, "module for ",
+             id, " is already registered");
+  const size_t chunk = id.value / kModuleChunkIds;
+  if (chunk >= module_chunks_.size()) module_chunks_.resize(chunk + 1);
+  if (module_chunks_[chunk] == nullptr) {
+    module_chunks_[chunk] = std::make_unique_for_overwrite<std::byte[]>(
+        size_t{kModuleChunkIds} * kModuleSlotBytes);
+  }
+  return slot_of(id);
+}
+
+void Simulator::register_module(Module& module, const std::byte* slot) {
+  const lat::BlockId id = module.id();
+  // module_at() reads a slot as its Module: the base must start it.
+  SB_ASSERT(static_cast<const void*>(&module) == slot && slot == slot_of(id),
+            "module ", id, " is not at the start of its own slot");
+  module.host_ = this;
   // Initialize the neighbor table from the physical contacts.
+  const lat::WorldView view = world_.view();
   const lat::Vec2 pos = view.position_of(id);
   for (lat::Direction d : lat::all_directions()) {
-    module->neighbors_.set_neighbor(d, view.at(pos + delta(d)));
-  }
-  if (id.value >= modules_.size()) {
-    modules_.resize(static_cast<size_t>(id.value) + 1);
+    module.neighbors_.set_neighbor(d, view.at(pos + delta(d)));
   }
   if (id.value >= block_shard_.size()) {
     block_shard_.resize(static_cast<size_t>(id.value) + 1);
   }
   block_shard_[id.value] = static_cast<uint32_t>(shard_map_.shard_of(pos));
-  auto& slot = modules_[id.value];
-  slot = std::move(module);
   ++module_count_;
   world_.grid().mutable_state().set_tag(id, lat::ModuleTag::kAlive);
-  return *slot;
 }
 
 void Simulator::kill_module(lat::BlockId id) {
@@ -164,7 +187,9 @@ void Simulator::schedule_record(EventRecord&& record) {
       // A receiver without a module drops the message on delivery
       // (deliver()), so it stays with the sending shard.
       size_t dest = ctx != nullptr ? ctx->index : shard_of(record.a);
-      if (find_module(record.b) != nullptr) dest = shard_of(record.b);
+      if (world_.view().tag(record.b) != lat::ModuleTag::kUnregistered) {
+        dest = shard_of(record.b);
+      }
       if (ctx != nullptr && dest != ctx->index) {
         obs::TraceWriter& tracer = obs::TraceWriter::instance();
         if (tracer.enabled()) {
@@ -187,23 +212,21 @@ void Simulator::schedule(SimTime when, std::unique_ptr<Event> event) {
 }
 
 void Simulator::start_all_modules() {
-  for_each_module([this](Module& module) {
-    schedule_record(EventRecord::start(now_, module.id()));
+  for_each_registered_id([this](lat::BlockId id) {
+    schedule_record(EventRecord::start(now_, id));
   });
 }
 
 void Simulator::dispatch(EventRecord& record) {
   switch (record.kind) {
-    case EventKind::kStart: {
-      Module* module = find_module(record.a);
-      if (module != nullptr && module->alive()) module->on_start();
+    case EventKind::kStart:
+      if (Module* module = live_module(record.a)) module->on_start();
       return;
-    }
-    case EventKind::kTimer: {
-      Module* module = find_module(record.a);
-      if (module != nullptr && module->alive()) module->on_timer(record.tag());
+    case EventKind::kTimer:
+      if (Module* module = live_module(record.a)) {
+        module->on_timer(record.tag());
+      }
       return;
-    }
     case EventKind::kDelivery:
       deliver(record);
       return;
@@ -236,8 +259,8 @@ void Simulator::send_envelope(Module& sender, lat::Direction side,
 
 void Simulator::deliver(const EventRecord& record) {
   SimStats& stats = active_stats();
-  Module* target = find_module(record.b);
-  if (target == nullptr || !target->alive()) {
+  Module* target = live_module(record.b);
+  if (target == nullptr) {
     ++stats.messages_dropped;
     return;
   }
@@ -318,8 +341,7 @@ void Simulator::complete_motion(lat::BlockId subject,
   }
   refresh_neighbors_around(touched);
 
-  Module* module = find_module(subject);
-  if (module != nullptr && module->alive()) module->on_motion_complete();
+  if (Module* module = live_module(subject)) module->on_motion_complete();
 }
 
 void Simulator::refresh_neighbors_around(const std::vector<lat::Vec2>& cells) {

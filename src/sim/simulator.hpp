@@ -6,10 +6,14 @@
 // only through messages with randomized link latency. Executions are
 // deterministic for a fixed seed.
 
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "lattice/shard.hpp"
@@ -59,20 +63,32 @@ enum class StopReason { kQueueEmpty, kEventLimit, kTimeLimit, kHalted };
 
 class Simulator {
  public:
-  /// Registered modules from which a window's drain prefetches the program
+  /// Bytes of the slot each block's program is built in (add_module). A
+  /// slot is a multiple of the 16-byte new-alignment, so slots pack with no
+  /// padding between them; core::SmartBlockCode asserts that it fits.
+  static constexpr size_t kModuleSlotBytes = 240;
+  /// Consecutive ids whose slots share one allocation: 256 × 240 = 61 440
+  /// bytes, under glibc's 128 KiB mmap threshold, so the heap serves every
+  /// chunk whatever the malloc settings, and a chunk never moves.
+  static constexpr uint32_t kModuleChunkIds = 256;
+  static_assert(kModuleSlotBytes % alignof(std::max_align_t) == 0);
+  /// Registered modules from which a window's drain prefetches the slot
   /// of the delivery kReceiverPrefetchDistance records ahead in its queue.
-  /// 8192 programs in 256-byte malloc chunks fill a 2 MiB L2; below that
-  /// the world's programs stay in cache and the prefetch only costs
+  /// 8192 programs in 240-byte slots take 1.9 MiB, about a 2 MiB L2; below
+  /// that the world's programs stay in cache and the prefetch only costs
   /// instructions. Set from the measured crossover (docs/BENCHMARKS.md
   /// "Receiver prefetch").
   static constexpr size_t kReceiverPrefetchModules = 8192;
   /// Records between the head and the delivery whose receiver is fetched.
   static constexpr uint32_t kReceiverPrefetchDistance = 8;
-  /// Bytes of a receiver's program the prefetch covers (four cache lines
-  /// from its address); core::SmartBlockCode asserts that it fits.
-  static constexpr size_t kReceiverPrefetchBytes = 240;
 
   explicit Simulator(World world, SimConfig config = SimConfig{});
+  /// Destroys every registered program in id order, killed and hot-joined
+  /// ones included, before the world and the slots go.
+  ~Simulator();
+  /// Programs point back at their simulator (Module::sim()).
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   [[nodiscard]] World& world() { return world_; }
   [[nodiscard]] const World& world() const { return world_; }
@@ -128,13 +144,31 @@ class Simulator {
 
   // -- modules --------------------------------------------------------------
 
-  /// Registers the program for a block already placed on the grid.
-  Module& add_module(std::unique_ptr<Module> module);
+  /// Builds block `id`'s program, T(id, args...), in place in the id's
+  /// slot and registers it. The block must be on the grid and have no
+  /// program yet; both are checked before anything is built. Sequential
+  /// contexts only. The program keeps its address until the simulator is
+  /// destroyed (a later registration never moves it).
+  template <class T, class... Args>
+  T& add_module(lat::BlockId id, Args&&... args) {
+    static_assert(std::is_base_of_v<Module, T>, "a module derives from Module");
+    static_assert(sizeof(T) <= kModuleSlotBytes,
+                  "a module program must fit its slot");
+    static_assert(alignof(T) <= alignof(std::max_align_t),
+                  "a module slot is only new-aligned");
+    std::byte* slot = claim_slot(id);
+    T* module = ::new (static_cast<void*>(slot))
+        T(id, std::forward<Args>(args)...);
+    register_module(*module, slot);
+    return *module;
+  }
 
-  /// O(1): the module table is a dense array indexed by block id.
+  /// O(1) and free of any table of programs: the world's tag column says
+  /// whether `id` has a program, and the id gives its slot.
   [[nodiscard]] Module* find_module(lat::BlockId id) {
-    return id.valid() && id.value < modules_.size() ? modules_[id.value].get()
-                                                    : nullptr;
+    return world_.view().tag(id) != lat::ModuleTag::kUnregistered
+               ? module_at(id)
+               : nullptr;
   }
   [[nodiscard]] size_t module_count() const { return module_count_; }
 
@@ -151,9 +185,7 @@ class Simulator {
   /// Iterates modules in id order.
   template <typename Fn>
   void for_each_module(Fn&& fn) {
-    for (auto& module : modules_) {
-      if (module != nullptr) fn(*module);
-    }
+    for_each_registered_id([&](lat::BlockId id) { fn(*module_at(id)); });
   }
 
   /// Fault injection: the block's program stops responding; the block stays
@@ -195,7 +227,8 @@ class Simulator {
   /// built-in behaviours go through allocation-free EventRecords instead.
   void schedule(SimTime when, std::unique_ptr<Event> event);
 
-  /// Queues on_start() for every registered module at the current time.
+  /// Queues on_start() for every registered module at the current time,
+  /// in id order.
   void start_all_modules();
 
   /// Runs until the queues drain, a limit hits, or halt() is called.
@@ -242,6 +275,51 @@ class Simulator {
   void start_motion_for(Module& subject, const motion::RuleApplication& app);
 
  private:
+  /// Checks add_module's preconditions for `id` and returns its slot,
+  /// allocating the slot's chunk on first use.
+  [[nodiscard]] std::byte* claim_slot(lat::BlockId id);
+  /// Registers the program just built in `slot`: host, neighbour table,
+  /// shard, and the kAlive tag that makes it findable.
+  void register_module(Module& module, const std::byte* slot);
+
+  /// Slot of `id`, or null when no chunk holds it (an invalid id, an id
+  /// past the chunk table, or one in a chunk nothing registered in).
+  [[nodiscard]] std::byte* slot_of(lat::BlockId id) const {
+    const size_t chunk = id.value / kModuleChunkIds;
+    if (chunk >= module_chunks_.size()) return nullptr;
+    std::byte* base = module_chunks_[chunk].get();
+    return base == nullptr
+               ? nullptr
+               : base + size_t{id.value % kModuleChunkIds} * kModuleSlotBytes;
+  }
+  /// The program in `id`'s slot, for a registered `id` (null if its chunk
+  /// is missing). register_module checked that the Module base starts the
+  /// slot.
+  [[nodiscard]] Module* module_at(lat::BlockId id) const {
+    std::byte* slot = slot_of(id);
+    return slot != nullptr ? std::launder(reinterpret_cast<Module*>(slot))
+                           : nullptr;
+  }
+  /// `id`'s program if its tag says alive, else null: one tag read answers
+  /// both "registered" and "alive".
+  [[nodiscard]] Module* live_module(lat::BlockId id) const {
+    return world_.view().alive(id) ? module_at(id) : nullptr;
+  }
+  /// Calls fn(id) for every registered id in id order, reading the chunk
+  /// table and the tag column only, never a program.
+  template <typename Fn>
+  void for_each_registered_id(Fn&& fn) const {
+    const lat::WorldView view = world_.view();
+    for (size_t chunk = 0; chunk < module_chunks_.size(); ++chunk) {
+      if (module_chunks_[chunk] == nullptr) continue;
+      const auto first = static_cast<uint32_t>(chunk * kModuleChunkIds);
+      for (uint32_t value = first; value < first + kModuleChunkIds; ++value) {
+        const lat::BlockId id{value};
+        if (view.tag(id) != lat::ModuleTag::kUnregistered) fn(id);
+      }
+    }
+  }
+
   void schedule_record(EventRecord&& record);
   void dispatch(EventRecord& record);
 
@@ -293,9 +371,12 @@ class Simulator {
   /// executed sequentially between windows so handlers see a quiescent
   /// world; module events live in the shard queues.
   EventQueue queue_;
-  /// Dense table indexed by id (ids are small and near-contiguous; see
-  /// Grid). Index order == id order, so iteration stays deterministic.
-  std::vector<std::unique_ptr<Module>> modules_;
+  /// The programs' storage: chunk c holds the kModuleSlotBytes slots of
+  /// ids [c·kModuleChunkIds, (c+1)·kModuleChunkIds), allocated when the
+  /// first of them registers (ids are small and near-contiguous; see Grid).
+  /// The world's tag column, not this table, says which slots hold a
+  /// program.
+  std::vector<std::unique_ptr<std::byte[]>> module_chunks_;
   size_t module_count_ = 0;
   /// The sequential share of the counters (stats() adds the shards').
   SimStats stats_;

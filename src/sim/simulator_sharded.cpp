@@ -79,23 +79,16 @@ void append_trace_line(std::vector<std::string>& trace, size_t queue,
                       record.a.value, record.b.value, record.tag()));
 }
 
-/// Prefetches the program of `ahead`'s receiver, if `ahead` is a delivery
-/// to a block with a module. Forced inline: GCC 12 deems a function whose
-/// only effects are prefetches side-effect free and deletes the call.
-[[gnu::always_inline]] inline void prefetch_receiver(
-    const std::vector<std::unique_ptr<Module>>& modules,
-    const EventRecord* ahead) {
-  if (ahead == nullptr || ahead->kind != EventKind::kDelivery ||
-      ahead->b.value >= modules.size()) {
-    return;
-  }
-  const auto* program =
-      reinterpret_cast<const char*>(modules[ahead->b.value].get());
-  if (program == nullptr) return;
-  for (size_t offset = 0; offset < Simulator::kReceiverPrefetchBytes;
+/// Prefetches a receiver's slot (null: none), all five cache lines a
+/// 240-byte slot can straddle. Forced inline: GCC 12 deems a function
+/// whose only effects are prefetches side-effect free and deletes the call.
+[[gnu::always_inline]] inline void prefetch_slot(const std::byte* slot) {
+  if (slot == nullptr) return;
+  for (size_t offset = 0; offset < Simulator::kModuleSlotBytes;
        offset += 64) {
-    __builtin_prefetch(program + offset);
+    __builtin_prefetch(slot + offset);
   }
+  __builtin_prefetch(slot + Simulator::kModuleSlotBytes - 1);
 }
 }  // namespace
 
@@ -341,12 +334,16 @@ void Simulator::drain_shard_window(ShardState& shard, SimTime window_end) {
   // In a world whose programs outgrow the cache, nearly every delivery
   // reaches a receiver whose program left it long ago; asking for that
   // program a few records early hides the miss behind the events between.
+  // The slot follows from the receiver's id and the small chunk table, so
+  // the look-ahead loads no per-block entry.
   const bool prefetch = module_count_ >= kReceiverPrefetchModules;
   while (const EventRecord* head = queue.peek()) {
     if (head->time >= shard.horizon) break;
     if (prefetch) {
-      prefetch_receiver(modules_,
-                        queue.peek_ahead(kReceiverPrefetchDistance));
+      const EventRecord* ahead = queue.peek_ahead(kReceiverPrefetchDistance);
+      if (ahead != nullptr && ahead->kind == EventKind::kDelivery) {
+        prefetch_slot(slot_of(ahead->b));
+      }
     }
     EventRecord record = queue.pop();
     SB_ASSERT(record.time >= shard.now, "shard time ran backwards");

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <set>
 
 #include "check/differential.hpp"
@@ -212,6 +213,36 @@ TEST(Oracle, DetectsStaleConnectivityCache) {
   ASSERT_FALSE(oracle.clean());
   EXPECT_NE(oracle.violations().front().find("cached connectivity"),
             std::string::npos);
+}
+
+TEST(Oracle, SlotAuditHoldsAcrossChunksAndKills) {
+  // A hot-join whose id (5000) opens a chunk of slots of its own, far past
+  // the tower's ids, and a kill: every id the tag column registers still
+  // finds its own program, and the count matches.
+  const lat::Scenario scenario = lat::make_tower_scenario(4);
+  core::ReconfigurationSession session(scenario, core::SessionConfig{});
+  InvariantOracle oracle;
+  oracle.attach(session);
+  session.step_events(40);
+  sim::Simulator& sim = session.simulator();
+  const lat::WorldView view = sim.world().view();
+  std::optional<lat::Vec2> site;
+  for (int32_t y = 0; y < view.height() && !site; ++y) {
+    for (int32_t x = 0; x < view.width() && !site; ++x) {
+      const lat::Vec2 cell{x, y};
+      if (!view.occupied(cell) && view.occupied_neighbor_count(cell) > 0 &&
+          !sim.cell_in_motion(cell)) {
+        site = cell;
+      }
+    }
+  }
+  ASSERT_TRUE(site.has_value());
+  session.hot_join(lat::BlockId{5000}, *site);
+  oracle.expect_join();
+  sim.kill_module(scenario.blocks.back().first);
+  oracle.check_now(sim);
+  EXPECT_EQ(sim.module_count(), scenario.block_count() + 1);
+  EXPECT_TRUE(oracle.clean()) << oracle.violations().front();
 }
 
 // ---------------------------------------------------------------------------

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "lattice/scenario.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "util/fmt.hpp"
@@ -479,10 +482,8 @@ class SendAtStart final : public Event {
 
 TEST(Simulator, StartsAllModules) {
   Simulator sim(make_world({{1, 1}, {2, 1}}));
-  auto& a = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{1})));
-  auto& b = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{2})));
+  auto& a = sim.add_module<RecorderModule>(BlockId{1});
+  auto& b = sim.add_module<RecorderModule>(BlockId{2});
   sim.start_all_modules();
   EXPECT_EQ(sim.run(), StopReason::kQueueEmpty);
   EXPECT_EQ(a.starts, 1);
@@ -492,7 +493,7 @@ TEST(Simulator, StartsAllModules) {
 
 TEST(Simulator, NeighborTableInitializedFromGrid) {
   Simulator sim(make_world({{1, 1}, {2, 1}, {1, 2}}));
-  auto& a = sim.add_module(std::make_unique<RecorderModule>(BlockId{1}));
+  auto& a = sim.add_module<RecorderModule>(BlockId{1});
   EXPECT_EQ(a.neighbor_table().neighbor(Direction::kEast), BlockId{2});
   EXPECT_EQ(a.neighbor_table().neighbor(Direction::kNorth), BlockId{3});
   EXPECT_EQ(a.neighbor_table().neighbor(Direction::kSouth),
@@ -504,10 +505,8 @@ TEST(Simulator, MessageDeliveryWithFixedLatency) {
   SimConfig config;
   config.latency = msg::LatencyModel::fixed(5);
   Simulator sim(make_world({{1, 1}, {2, 1}}), config);
-  auto& a = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{1})));
-  auto& b = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{2})));
+  auto& a = sim.add_module<RecorderModule>(BlockId{1});
+  auto& b = sim.add_module<RecorderModule>(BlockId{2});
 
   sim.enable_event_trace();
   sim.schedule(0, std::make_unique<SendAtStart>(&a, Direction::kEast));
@@ -529,8 +528,8 @@ TEST(Simulator, MessageDeliveryWithFixedLatency) {
 
 TEST(Simulator, SendWithoutNeighborIsDropped) {
   Simulator sim(make_world({{1, 1}, {2, 1}}));
-  auto& a = sim.add_module(std::make_unique<RecorderModule>(BlockId{1}));
-  sim.add_module(std::make_unique<RecorderModule>(BlockId{2}));
+  auto& a = sim.add_module<RecorderModule>(BlockId{1});
+  sim.add_module<RecorderModule>(BlockId{2});
   sim.schedule(0, std::make_unique<SendAtStart>(&a, Direction::kNorth));
   sim.run();
   EXPECT_EQ(sim.stats().messages_dropped, 1u);
@@ -545,8 +544,8 @@ TEST(Simulator, PingChainTraversesRow) {
                 config);
   std::vector<RecorderModule*> modules;
   for (uint32_t id = 1; id <= 5; ++id) {
-    modules.push_back(static_cast<RecorderModule*>(&sim.add_module(
-        std::make_unique<RecorderModule>(BlockId{id}, /*forward=*/true))));
+    modules.push_back(
+        &sim.add_module<RecorderModule>(BlockId{id}, /*forward=*/true));
   }
   sim.schedule(
       0, std::make_unique<SendAtStart>(modules[0], Direction::kEast, 3));
@@ -564,8 +563,7 @@ TEST(Simulator, PingChainTraversesRow) {
 
 TEST(Simulator, TimersFireWithTags) {
   Simulator sim(make_world({{1, 1}, {2, 1}}));
-  auto& a = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{1})));
+  auto& a = sim.add_module<RecorderModule>(BlockId{1});
   sim.timer_for(a, 10, 42);
   sim.timer_for(a, 5, 7);
   sim.run();
@@ -577,8 +575,7 @@ TEST(Simulator, TimersFireWithTags) {
 
 TEST(Simulator, RunLimits) {
   Simulator sim(make_world({{1, 1}, {2, 1}}));
-  auto& a = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{1})));
+  auto& a = sim.add_module<RecorderModule>(BlockId{1});
   for (int i = 0; i < 10; ++i) {
     sim.timer_for(a, static_cast<Ticks>(i + 1), 0);
   }
@@ -595,7 +592,7 @@ TEST(Simulator, RunLimits) {
 
 TEST(Simulator, HaltStopsRun) {
   Simulator sim(make_world({{1, 1}, {2, 1}}));
-  auto& a = sim.add_module(std::make_unique<RecorderModule>(BlockId{1}));
+  auto& a = sim.add_module<RecorderModule>(BlockId{1});
   class Halter final : public Event {
    public:
     [[nodiscard]] std::string_view kind() const override { return "Halt"; }
@@ -650,12 +647,10 @@ TEST(OneShardWindow, MotionFromTheWindowLandsBeforeASameTickDelivery) {
   config.motion_duration = 3;
   Simulator sim(make_world({{1, 1}, {1, 0}, {2, 0}}), config);
   const motion::MotionRule* rule = sim.world().rules().find("slide_ES");
-  auto& mover = static_cast<HopOnStartModule&>(
-      sim.add_module(std::make_unique<HopOnStartModule>(
-          BlockId{1}, motion::RuleApplication{rule, {1, 1}, 0})));
-  auto& support = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{2})));
-  sim.add_module(std::make_unique<RecorderModule>(BlockId{3}));
+  auto& mover = sim.add_module<HopOnStartModule>(
+      BlockId{1}, motion::RuleApplication{rule, {1, 1}, 0});
+  auto& support = sim.add_module<RecorderModule>(BlockId{2});
+  sim.add_module<RecorderModule>(BlockId{3});
   sim.schedule(0, std::make_unique<SendAtStart>(&support, Direction::kNorth));
   sim.start_module(BlockId{1});
 
@@ -688,8 +683,8 @@ class HaltOnTimerModule final : public Module {
 
 TEST(OneShardWindow, HaltingEventIsTheLastProcessed) {
   Simulator sim(make_world({{1, 1}, {2, 1}}));
-  auto& module = static_cast<HaltOnTimerModule&>(sim.add_module(
-      std::make_unique<HaltOnTimerModule>(BlockId{1}, /*halt_tag=*/5)));
+  auto& module =
+      sim.add_module<HaltOnTimerModule>(BlockId{1}, /*halt_tag=*/5);
   // Tags 1-5 at ticks 1-5, tags 6 and 7 on tick 5 behind the halting one,
   // tag 8 later.
   for (uint64_t tag = 1; tag <= 8; ++tag) {
@@ -706,8 +701,7 @@ TEST(OneShardWindow, HaltingEventIsTheLastProcessed) {
 
 TEST(OneShardWindow, BudgetIsSpentExactlyAndCheckedBeforeTheEmptyQueue) {
   Simulator sim(make_world({{1, 1}, {2, 1}}));
-  auto& a = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{1})));
+  auto& a = sim.add_module<RecorderModule>(BlockId{1});
   for (uint64_t tag = 0; tag < 10; ++tag) {
     sim.timer_for(a, 1 + tag / 3, tag);  // three timers per tick
   }
@@ -726,7 +720,7 @@ TEST(OneShardWindow, BudgetIsSpentExactlyAndCheckedBeforeTheEmptyQueue) {
 
 TEST(Simulator, ModuleLookup) {
   Simulator sim(make_world({{1, 1}, {2, 1}}));
-  sim.add_module(std::make_unique<RecorderModule>(BlockId{1}));
+  sim.add_module<RecorderModule>(BlockId{1});
   EXPECT_NE(sim.find_module(BlockId{1}), nullptr);
   EXPECT_EQ(sim.find_module(BlockId{9}), nullptr);
   EXPECT_EQ(sim.module_count(), 1u);
@@ -735,7 +729,140 @@ TEST(Simulator, ModuleLookup) {
 
 TEST(SimulatorDeath, ModuleWithoutGridBlockAborts) {
   Simulator sim(make_world({{1, 1}}));
-  EXPECT_DEATH(sim.add_module(std::make_unique<RecorderModule>(BlockId{9})),
+  EXPECT_DEATH(sim.add_module<RecorderModule>(BlockId{9}),
+               "placed on the grid");
+}
+
+// ---------------------------------------------------------------------------
+// Module slots
+//
+// Every program is built in place in its id's slot; chunks of
+// Simulator::kModuleChunkIds slots are allocated as ids first register,
+// and the world's tag column alone says which slots hold a program.
+// ---------------------------------------------------------------------------
+
+TEST(ModuleSlots, HotJoinIntoANewChunkMovesNoProgram) {
+  // tower16's blocks with every third id left without a program, then a
+  // block hot-joined as id 5000, in a chunk nothing has allocated yet.
+  const lat::Scenario tower = lat::resolve_scenario("tower16");
+  World world(tower.width, tower.height, motion::RuleLibrary::standard());
+  for (const auto& [id, pos] : tower.blocks) world.grid().place(id, pos);
+  Simulator sim(std::move(world));
+  std::vector<std::pair<BlockId, RecorderModule*>> programs;
+  for (const auto& [id, pos] : tower.blocks) {
+    ASSERT_LT(id.value, Simulator::kModuleChunkIds);
+    if (id.value % 3 == 0) continue;
+    programs.emplace_back(id, &sim.add_module<RecorderModule>(id));
+  }
+  sim.start_all_modules();
+  sim.run();
+
+  // A free cell beside a block that has a program.
+  const lat::WorldView view = sim.world().view();
+  std::optional<Vec2> site;
+  BlockId host;
+  for (const auto& [id, module] : programs) {
+    for (const Direction d : lat::all_directions()) {
+      const Vec2 cell = view.position_of(id) + delta(d);
+      if (!site && view.in_bounds(cell) && !view.occupied(cell)) {
+        site = cell;
+        host = id;
+      }
+    }
+  }
+  ASSERT_TRUE(site.has_value());
+  const BlockId joiner{5000};
+  sim.world().grid().place(joiner, *site);
+  auto& joined = sim.add_module<RecorderModule>(joiner);
+  sim.notify_cells_changed({*site});
+  sim.start_module(joiner);
+  sim.run();
+
+  EXPECT_EQ(joined.starts, 1);
+  EXPECT_EQ(sim.find_module(joiner), &joined);
+  EXPECT_EQ(sim.module_count(), programs.size() + 1);
+  for (const auto& [id, module] : programs) {
+    EXPECT_EQ(sim.find_module(id), module) << id;
+    EXPECT_EQ(module->id(), id);
+    EXPECT_EQ(module->starts, 1) << id;
+  }
+  const auto* neighbour =
+      static_cast<const RecorderModule*>(sim.find_module(host));
+  ASSERT_FALSE(neighbour->neighbor_changes.empty());
+  EXPECT_EQ(neighbour->neighbor_changes.back().second, joiner);
+}
+
+/// Logs its id when destroyed.
+class CountingModule final : public Module {
+ public:
+  CountingModule(BlockId id, std::vector<uint32_t>* destroyed)
+      : Module(id), destroyed_(destroyed) {}
+  CountingModule(const CountingModule&) = delete;
+  CountingModule& operator=(const CountingModule&) = delete;
+  ~CountingModule() override { destroyed_->push_back(id().value); }
+  void on_message(Direction, const msg::Message&) override {}
+
+ private:
+  std::vector<uint32_t>* destroyed_;
+};
+
+TEST(ModuleSlots, ProgramsAreDestroyedOnceInIdOrder) {
+  std::vector<uint32_t> destroyed;
+  {
+    // Block 2 stays without a program; 4 is killed; 700 hot-joins.
+    Simulator sim(make_world({{1, 1}, {2, 1}, {3, 1}, {4, 1}}));
+    for (const uint32_t id : {3u, 1u, 4u}) {
+      sim.add_module<CountingModule>(BlockId{id}, &destroyed);
+    }
+    sim.start_all_modules();
+    sim.run();
+    sim.kill_module(BlockId{4});
+    sim.world().grid().place(BlockId{700}, {5, 1});
+    sim.add_module<CountingModule>(BlockId{700}, &destroyed);
+    sim.notify_cells_changed({{5, 1}});
+    sim.start_module(BlockId{700});
+    sim.run();
+    EXPECT_TRUE(destroyed.empty());
+  }
+  EXPECT_EQ(destroyed, (std::vector<uint32_t>{1, 3, 4, 700}));
+}
+
+TEST(ModuleSlots, FindModuleIsNullWhereNoProgramIs) {
+  Simulator sim(make_world({{1, 1}, {2, 1}}));
+  auto& only = sim.add_module<RecorderModule>(BlockId{1});
+  EXPECT_EQ(sim.find_module(BlockId{1}), &only);
+  // Inside the allocated chunk: placed without a program, and never placed.
+  EXPECT_EQ(sim.find_module(BlockId{2}), nullptr);
+  EXPECT_EQ(sim.find_module(BlockId{0}), nullptr);
+  EXPECT_EQ(sim.find_module(BlockId{Simulator::kModuleChunkIds - 1}),
+            nullptr);
+  // Past the chunk table, and the invalid id.
+  EXPECT_EQ(sim.find_module(BlockId{Simulator::kModuleChunkIds}), nullptr);
+  EXPECT_EQ(sim.find_module(BlockId{1u << 25}), nullptr);
+  EXPECT_EQ(sim.find_module(lat::kInvalidBlock), nullptr);
+}
+
+/// Dies in its constructor, so a death test that expects a precondition's
+/// message shows that add_module built nothing before checking.
+class DiesWhenBuiltModule final : public Module {
+ public:
+  explicit DiesWhenBuiltModule(BlockId id) : Module(id) {
+    std::fputs("a program was built in the slot\n", stderr);
+    std::abort();
+  }
+  void on_message(Direction, const msg::Message&) override {}
+};
+
+TEST(SimulatorDeath, DuplicateRegistrationDiesBeforeBuilding) {
+  Simulator sim(make_world({{1, 1}}));
+  sim.add_module<RecorderModule>(BlockId{1});
+  EXPECT_DEATH(sim.add_module<DiesWhenBuiltModule>(BlockId{1}),
+               "already registered");
+}
+
+TEST(SimulatorDeath, UnplacedRegistrationDiesBeforeBuilding) {
+  Simulator sim(make_world({{1, 1}}));
+  EXPECT_DEATH(sim.add_module<DiesWhenBuiltModule>(BlockId{9}),
                "placed on the grid");
 }
 
@@ -748,12 +875,9 @@ TEST(Simulator, MotionCompletesAndNotifies) {
   config.motion_duration = 7;
   // slide_ES setup: mover (1,1) over supports (1,0),(2,0).
   Simulator sim(make_world({{1, 1}, {1, 0}, {2, 0}}), config);
-  auto& mover = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{1})));
-  auto& support_a = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{2})));
-  auto& support_b = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{3})));
+  auto& mover = sim.add_module<RecorderModule>(BlockId{1});
+  auto& support_a = sim.add_module<RecorderModule>(BlockId{2});
+  auto& support_b = sim.add_module<RecorderModule>(BlockId{3});
 
   const motion::MotionRule* rule = sim.world().rules().find("slide_ES");
   motion::RuleApplication app{rule, {1, 1}, 0};
@@ -781,7 +905,7 @@ TEST(Simulator, InvalidMotionIsRejectedNotStarted) {
   // change between sensing and election under external churn), not aborted:
   // the mover stays put and the rejection is counted.
   Simulator sim(make_world({{1, 1}, {2, 1}}));
-  auto& mover = sim.add_module(std::make_unique<RecorderModule>(BlockId{1}));
+  auto& mover = sim.add_module<RecorderModule>(BlockId{1});
   const motion::MotionRule* rule = sim.world().rules().find("slide_ES");
   motion::RuleApplication app{rule, {1, 1}, 0};  // no supports -> invalid
   sim.start_motion_for(mover, app);
@@ -792,9 +916,8 @@ TEST(Simulator, InvalidMotionIsRejectedNotStarted) {
 
 TEST(Simulator, KilledModuleReceivesNothing) {
   Simulator sim(make_world({{1, 1}, {2, 1}}));
-  auto& a = sim.add_module(std::make_unique<RecorderModule>(BlockId{1}));
-  auto& b = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{2})));
+  auto& a = sim.add_module<RecorderModule>(BlockId{1});
+  auto& b = sim.add_module<RecorderModule>(BlockId{2});
   sim.kill_module(BlockId{2});
   sim.schedule(0, std::make_unique<SendAtStart>(&a, Direction::kEast));
   sim.run();
@@ -817,9 +940,8 @@ TEST(Simulator, ReceiverKilledInFlightDropsTheMessage) {
   SimConfig config;
   config.latency = msg::LatencyModel::fixed(5);
   Simulator sim(make_world({{1, 1}, {2, 1}}), config);
-  auto& a = sim.add_module(std::make_unique<RecorderModule>(BlockId{1}));
-  auto& b = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{2})));
+  auto& a = sim.add_module<RecorderModule>(BlockId{1});
+  auto& b = sim.add_module<RecorderModule>(BlockId{2});
   sim.schedule(0, std::make_unique<SendAtStart>(&a, Direction::kEast));
   sim.schedule(2, std::make_unique<KillAt>(BlockId{2}));
   sim.run();
@@ -842,11 +964,9 @@ HopRace race_message_against_hop(bool from_mover, Ticks latency) {
   config.latency = msg::LatencyModel::fixed(latency);
   config.motion_duration = 3;
   Simulator sim(make_world({{1, 1}, {1, 0}, {2, 0}}), config);
-  auto& mover = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{1})));
-  auto& support = static_cast<RecorderModule&>(
-      sim.add_module(std::make_unique<RecorderModule>(BlockId{2})));
-  sim.add_module(std::make_unique<RecorderModule>(BlockId{3}));
+  auto& mover = sim.add_module<RecorderModule>(BlockId{1});
+  auto& support = sim.add_module<RecorderModule>(BlockId{2});
+  sim.add_module<RecorderModule>(BlockId{3});
   if (from_mover) {
     sim.schedule(0, std::make_unique<SendAtStart>(&mover, Direction::kSouth));
   } else {
@@ -1005,8 +1125,7 @@ TEST(Simulator, SameSeedSameTrajectory) {
     Simulator sim(make_world({{0, 0}, {1, 0}, {2, 0}}), config);
     std::vector<RecorderModule*> modules;
     for (uint32_t id = 1; id <= 3; ++id) {
-      modules.push_back(static_cast<RecorderModule*>(&sim.add_module(
-          std::make_unique<RecorderModule>(BlockId{id}, true))));
+      modules.push_back(&sim.add_module<RecorderModule>(BlockId{id}, true));
     }
     sim.schedule(
         0, std::make_unique<SendAtStart>(modules[0], Direction::kEast, 5));

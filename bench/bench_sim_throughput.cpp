@@ -266,8 +266,8 @@ int report_json(const std::string& path, int repeat, bool include_giant) {
   for (const auto& group : report.summarize()) {
     std::printf("%-14s mean %12.0f events/s over %zu runs (conn fast-path "
                 "%.4f)\n",
-                group.scenario.c_str(), group.events_per_sec.mean,
-                group.runs, group.conn_fast_rate.mean);
+                group.scenario.c_str(), group.events_per_sec.mean(),
+                group.runs, group.conn_fast_rate.mean());
   }
   return 0;
 }

@@ -81,9 +81,9 @@ int run_fleet(const sb::lat::Scenario& scenario,
     std::printf(
         "completed %zu/%zu  hops mean=%.1f [%.0f, %.0f]  moves mean=%.1f  "
         "events/s mean=%.0f  wall mean=%.3fs\n",
-        group.completed, group.runs, group.hops.mean, group.hops.min,
-        group.hops.max, group.elementary_moves.mean,
-        group.events_per_sec.mean, group.wall_seconds.mean);
+        group.completed, group.runs, group.hops.mean(), group.hops.min(),
+        group.hops.max(), group.elementary_moves.mean(),
+        group.events_per_sec.mean(), group.wall_seconds.mean());
   }
   if (!json_path.empty()) {
     result.report.write_file(json_path);

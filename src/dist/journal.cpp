@@ -173,7 +173,7 @@ void JournalWriter::record_batch(uint64_t job, const WorkUnit& unit,
   record["end"] = JsonValue(unit.end);
   JsonValue out_rows = JsonValue::array();
   for (const runner::RunRow& row : rows) {
-    out_rows.push_back(runner::row_to_json(row));
+    out_rows.push_back(runner::encode_row(row, runner::RowFormat::kWire));
   }
   record["rows"] = std::move(out_rows);
   append_line(record.dump());

@@ -252,7 +252,7 @@ std::string encode(const Message& message) {
       out["unit"] = unit_to_json(message.unit);
       JsonValue rows = JsonValue::array();
       for (const runner::RunRow& row : message.rows) {
-        rows.push_back(runner::row_to_json(row));
+        rows.push_back(runner::encode_row(row, runner::RowFormat::kWire));
       }
       out["rows"] = std::move(rows);
       break;

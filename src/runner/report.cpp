@@ -2,9 +2,8 @@
 
 #include <fstream>
 #include <stdexcept>
-
-#include "util/assert.hpp"
-#include "util/stats.hpp"
+#include <string_view>
+#include <type_traits>
 
 namespace sb::runner {
 
@@ -43,61 +42,78 @@ RunRow make_row(const std::string& scenario, const std::string& ruleset,
   return row;
 }
 
-BenchReport::BenchReport(std::string generator)
-    : generator_(std::move(generator)) {}
-
 namespace {
 
-MetricSummary summarize_metric(const Accumulator& acc) {
-  MetricSummary s;
-  s.mean = acc.mean();
-  s.min = acc.min();
-  s.max = acc.max();
-  s.stddev = acc.stddev();
-  return s;
+/// One field's JSON value; `hex` writes an integer as a hex_u64 string.
+template <class T>
+util::JsonValue field_json(const T& value, bool hex) {
+  if constexpr (std::is_same_v<T, std::vector<uint64_t>>) {
+    util::JsonValue out = util::JsonValue::array();
+    for (const uint64_t entry : value) out.push_back(field_json(entry, hex));
+    return out;
+  } else if constexpr (std::is_enum_v<T>) {
+    return util::JsonValue(static_cast<int>(value));
+  } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+    return hex ? util::JsonValue(util::hex_u64(value)) : util::JsonValue(value);
+  } else {
+    return util::JsonValue(value);
+  }
 }
 
-util::JsonValue metric_json(const MetricSummary& s) {
+util::JsonValue metric_json(const Accumulator& acc) {
   util::JsonValue out = util::JsonValue::object();
-  out["mean"] = util::JsonValue(s.mean);
-  out["min"] = util::JsonValue(s.min);
-  out["max"] = util::JsonValue(s.max);
-  out["stddev"] = util::JsonValue(s.stddev);
+  out["mean"] = util::JsonValue(acc.mean());
+  out["min"] = util::JsonValue(acc.min());
+  out["max"] = util::JsonValue(acc.max());
+  out["stddev"] = util::JsonValue(acc.stddev());
   return out;
 }
 
 }  // namespace
 
-std::vector<GroupSummary> BenchReport::summarize() const {
-  struct Group {
-    GroupSummary out;
-    Accumulator events_per_sec;
-    Accumulator wall_seconds;
-    Accumulator hops;
-    Accumulator elementary_moves;
-    Accumulator messages_sent;
-    Accumulator conn_fast_rate;
-    Accumulator shard_imbalance;
-    Accumulator barrier_wait_fraction;
-  };
-  std::vector<Group> groups;
-  for (const RunRow& row : rows_) {
-    Group* group = nullptr;
-    for (Group& g : groups) {
-      if (g.out.scenario == row.scenario && g.out.ruleset == row.ruleset) {
-        group = &g;
-        break;
+util::JsonValue encode_row(const RunRow& row, RowFormat format) {
+  const bool wire = format == RowFormat::kWire;
+  util::JsonValue out = util::JsonValue::object();
+  out["scenario"] = util::JsonValue(row.scenario);
+  out["ruleset"] = util::JsonValue(row.ruleset);
+  out["seed"] = util::JsonValue(util::hex_u64(row.seed));
+  visit_row_fields(row, [&](std::string_view key, const auto& value,
+                            unsigned flags) {
+    if (!wire) {
+      if ((flags & row_field::kWireOnly) ||
+          ((flags & row_field::kShardedOnly) && row.shards < 2)) {
+        return;
       }
+      if constexpr (requires { value.empty(); }) {
+        if (value.empty()) return;
+      }
+      if (key == "block_count") key = "blocks";  // the report's spelling
+    }
+    util::JsonValue& object =
+        (flags & row_field::kPhase) ? out["phase_seconds"] : out;
+    object[key] = field_json(value, wire && (flags & row_field::kHexOnWire));
+  });
+  return out;
+}
+
+BenchReport::BenchReport(std::string generator)
+    : generator_(std::move(generator)) {}
+
+std::vector<GroupSummary> BenchReport::summarize() const {
+  std::vector<GroupSummary> groups;
+  for (const RunRow& row : rows_) {
+    GroupSummary* group = nullptr;
+    for (GroupSummary& g : groups) {
+      if (g.scenario == row.scenario && g.ruleset == row.ruleset) group = &g;
     }
     if (group == nullptr) {
-      groups.emplace_back();
-      group = &groups.back();
-      group->out.scenario = row.scenario;
-      group->out.ruleset = row.ruleset;
-      group->out.shards = row.shards;
+      group = &groups.emplace_back();
+      group->scenario = row.scenario;
+      group->ruleset = row.ruleset;
+      group->shards = row.shards;
     }
-    ++group->out.runs;
-    if (row.complete) ++group->out.completed;
+    ++group->runs;
+    if (row.complete) ++group->completed;
     group->events_per_sec.add(row.events_per_sec);
     group->wall_seconds.add(row.wall_seconds);
     group->hops.add(static_cast<double>(row.hops));
@@ -107,20 +123,7 @@ std::vector<GroupSummary> BenchReport::summarize() const {
     group->shard_imbalance.add(row.shard_imbalance());
     group->barrier_wait_fraction.add(row.barrier_wait_fraction);
   }
-  std::vector<GroupSummary> out;
-  out.reserve(groups.size());
-  for (Group& g : groups) {
-    g.out.events_per_sec = summarize_metric(g.events_per_sec);
-    g.out.wall_seconds = summarize_metric(g.wall_seconds);
-    g.out.hops = summarize_metric(g.hops);
-    g.out.elementary_moves = summarize_metric(g.elementary_moves);
-    g.out.messages_sent = summarize_metric(g.messages_sent);
-    g.out.conn_fast_rate = summarize_metric(g.conn_fast_rate);
-    g.out.shard_imbalance = summarize_metric(g.shard_imbalance);
-    g.out.barrier_wait_fraction = summarize_metric(g.barrier_wait_fraction);
-    out.push_back(std::move(g.out));
-  }
-  return out;
+  return groups;
 }
 
 util::JsonValue BenchReport::to_json() const {
@@ -133,42 +136,7 @@ util::JsonValue BenchReport::to_json() const {
 
   util::JsonValue runs = util::JsonValue::array();
   for (const RunRow& row : rows_) {
-    util::JsonValue r = util::JsonValue::object();
-    r["scenario"] = util::JsonValue(row.scenario);
-    r["ruleset"] = util::JsonValue(row.ruleset);
-    r["seed"] = util::JsonValue(util::hex_u64(row.seed));
-    r["complete"] = util::JsonValue(row.complete);
-    r["blocks"] = util::JsonValue(row.block_count);
-    r["events"] = util::JsonValue(row.events);
-    r["events_per_sec"] = util::JsonValue(row.events_per_sec);
-    r["wall_seconds"] = util::JsonValue(row.wall_seconds);
-    r["hops"] = util::JsonValue(row.hops);
-    r["elementary_moves"] = util::JsonValue(row.elementary_moves);
-    r["messages_sent"] = util::JsonValue(row.messages_sent);
-    r["iterations"] = util::JsonValue(row.iterations);
-    r["sim_ticks"] = util::JsonValue(row.sim_ticks);
-    r["shards"] = util::JsonValue(row.shards);
-    r["conn_fast_hits"] = util::JsonValue(row.conn_fast_hits);
-    r["conn_slow_floods"] = util::JsonValue(row.conn_slow_floods);
-    if (!row.shard_events.empty()) {
-      util::JsonValue per_shard = util::JsonValue::array();
-      for (const uint64_t events : row.shard_events) {
-        per_shard.push_back(util::JsonValue(events));
-      }
-      r["shard_events"] = std::move(per_shard);
-    }
-    if (row.shards > 1) {
-      util::JsonValue phases = util::JsonValue::object();
-      phases["fold_s"] = util::JsonValue(row.phase_fold_s);
-      phases["integrate_s"] = util::JsonValue(row.phase_integrate_s);
-      phases["decide_s"] = util::JsonValue(row.phase_decide_s);
-      phases["drain_s"] = util::JsonValue(row.phase_drain_s);
-      phases["barrier_wait_s"] = util::JsonValue(row.phase_barrier_wait_s);
-      r["phase_seconds"] = std::move(phases);
-      r["barrier_wait_fraction"] =
-          util::JsonValue(row.barrier_wait_fraction);
-    }
-    runs.push_back(std::move(r));
+    runs.push_back(encode_row(row, RowFormat::kReport));
   }
   root["runs"] = std::move(runs);
 
@@ -196,14 +164,9 @@ util::JsonValue BenchReport::to_json() const {
 
 void BenchReport::scrub_timing() {
   for (RunRow& row : rows_) {
-    row.wall_seconds = 0.0;
-    row.events_per_sec = 0.0;
-    row.phase_fold_s = 0.0;
-    row.phase_integrate_s = 0.0;
-    row.phase_decide_s = 0.0;
-    row.phase_drain_s = 0.0;
-    row.phase_barrier_wait_s = 0.0;
-    row.barrier_wait_fraction = 0.0;
+    visit_row_fields(row, [](std::string_view, auto& value, unsigned flags) {
+      if (flags & row_field::kWallClock) value = {};
+    });
   }
 }
 

@@ -5,6 +5,8 @@
 // (scenario, ruleset), aggregates each metric with util/stats Accumulators,
 // and serializes to the stable JSON schema that benches, examples, the
 // sweep tool, and the CI perf gate all consume (docs/BENCHMARKS.md).
+// visit_row_fields lists a row's fields once; the report's run entries and
+// the dist wire rows are both written from it by encode_row.
 
 #include <string>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "core/reconfig.hpp"
 #include "lattice/grid.hpp"
 #include "util/json.hpp"
+#include "util/stats.hpp"
 
 namespace sb::runner {
 
@@ -41,9 +44,7 @@ struct RunRow {
   /// material for diagnosing pathological shard maps.
   std::vector<uint64_t> shard_events;
   /// Engine round-phase breakdown in seconds of summed worker time, at any
-  /// shard count (reports print it only above one shard). Wall-clock-
-  /// derived, so scrub_timing() zeroes all five along with
-  /// barrier_wait_fraction.
+  /// shard count (reports print it only above one shard).
   double phase_fold_s = 0.0;
   double phase_integrate_s = 0.0;
   double phase_decide_s = 0.0;
@@ -53,10 +54,12 @@ struct RunRow {
   /// worker time — the time counterpart of shard_imbalance (0 = never
   /// waited, 0.75 = three quarters of worker time spent at barriers).
   double barrier_wait_fraction = 0.0;
-  /// Why the run stopped. Travels over the dist wire (runner/serialize) so
-  /// remote front ends can apply the same exit-code policy as local ones;
-  /// not part of the BENCH_sim.json schema.
+  /// Why the run stopped. Travels over the dist wire so remote front ends
+  /// can apply the same exit-code policy as local ones; not part of the
+  /// BENCH_sim.json schema.
   sim::StopReason stop_reason = sim::StopReason::kQueueEmpty;
+
+  bool operator==(const RunRow&) const = default;
 
   [[nodiscard]] double conn_fast_rate() const {
     return lat::ConnectivityStats{conn_fast_hits, conn_slow_floods}
@@ -79,19 +82,67 @@ struct RunRow {
   }
 };
 
+/// How a field differs between its uses (the flags of visit_row_fields).
+namespace row_field {
+enum Flags : unsigned {
+  kPlain = 0,
+  kHexOnWire = 1u << 0,    ///< u64 counter: a hex string on the wire
+  kWallClock = 1u << 1,    ///< wall-clock-derived: scrub_timing() zeroes it
+  kShardedOnly = 1u << 2,  ///< in the report only above one shard
+  kPhase = 1u << 3,        ///< inside the row's "phase_seconds" object
+  kWireOnly = 1u << 4,     ///< not in the BENCH_sim.json schema
+};
+}  // namespace row_field
+
+/// The fields of a row after its identity (scenario, ruleset, seed), in
+/// report order: calls fn(key, member, flags) once for each. encode_row,
+/// row_from_json (runner/serialize) and BenchReport::scrub_timing() walk
+/// this list, so a new metric is a member, one line here and one line in
+/// make_row. `Row` is RunRow or const RunRow.
+template <class Row, class Fn>
+void visit_row_fields(Row& row, Fn&& fn) {
+  using namespace row_field;
+  constexpr unsigned kPhaseTime = kPhase | kShardedOnly | kWallClock;
+  fn("complete", row.complete, kPlain);
+  fn("block_count", row.block_count, kPlain);  // "blocks" in the report
+  fn("events", row.events, kHexOnWire);
+  fn("events_per_sec", row.events_per_sec, kWallClock);
+  fn("wall_seconds", row.wall_seconds, kWallClock);
+  fn("hops", row.hops, kHexOnWire);
+  fn("elementary_moves", row.elementary_moves, kHexOnWire);
+  fn("messages_sent", row.messages_sent, kHexOnWire);
+  fn("iterations", row.iterations, kPlain);
+  fn("sim_ticks", row.sim_ticks, kHexOnWire);
+  fn("shards", row.shards, kPlain);
+  fn("conn_fast_hits", row.conn_fast_hits, kHexOnWire);
+  fn("conn_slow_floods", row.conn_slow_floods, kHexOnWire);
+  fn("shard_events", row.shard_events, kHexOnWire);  // report: if not empty
+  fn("fold_s", row.phase_fold_s, kPhaseTime);
+  fn("integrate_s", row.phase_integrate_s, kPhaseTime);
+  fn("decide_s", row.phase_decide_s, kPhaseTime);
+  fn("drain_s", row.phase_drain_s, kPhaseTime);
+  fn("barrier_wait_s", row.phase_barrier_wait_s, kPhaseTime);
+  fn("barrier_wait_fraction", row.barrier_wait_fraction,
+     kShardedOnly | kWallClock);
+  fn("stop_reason", row.stop_reason, kWireOnly);
+}
+
+/// Where a row is written: a BENCH_sim.json run entry, or a dist wire and
+/// journal row (every field, u64 counters as hex strings).
+enum class RowFormat { kReport, kWire };
+
+/// The one RunRow writer: scenario, ruleset and seed (hex), then the
+/// fields of visit_row_fields as `format` takes them. The wire form's
+/// inverse is row_from_json (runner/serialize).
+[[nodiscard]] util::JsonValue encode_row(const RunRow& row, RowFormat format);
+
 /// Flattens a session outcome into a report row.
 [[nodiscard]] RunRow make_row(const std::string& scenario,
                               const std::string& ruleset, uint64_t seed,
                               const core::SessionResult& result);
 
-/// Per-(scenario, ruleset) aggregate of a metric.
-struct MetricSummary {
-  double mean = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double stddev = 0.0;
-};
-
+/// Per-(scenario, ruleset) aggregate: one Accumulator per summary metric
+/// over the group's runs.
 struct GroupSummary {
   std::string scenario;
   std::string ruleset;
@@ -100,20 +151,20 @@ struct GroupSummary {
   /// Shard count of the group's runs (groups never mix shard counts in
   /// practice; the first row's value is reported).
   size_t shards = 1;
-  MetricSummary events_per_sec;
-  MetricSummary wall_seconds;
-  MetricSummary hops;
-  MetricSummary elementary_moves;
-  MetricSummary messages_sent;
+  Accumulator events_per_sec;
+  Accumulator wall_seconds;
+  Accumulator hops;
+  Accumulator elementary_moves;
+  Accumulator messages_sent;
   /// Per-run fast-path hit rate of the connectivity oracle.
-  MetricSummary conn_fast_rate;
+  Accumulator conn_fast_rate;
   /// Per-run busiest-shard/mean load ratio (RunRow::shard_imbalance);
   /// all-zero for one-shard groups.
-  MetricSummary shard_imbalance;
+  Accumulator shard_imbalance;
   /// Per-run barrier-wait share of worker time (RunRow::
   /// barrier_wait_fraction); all-zero for scrubbed groups, and only timer
   /// overhead where one worker runs every rendezvous inline.
-  MetricSummary barrier_wait_fraction;
+  Accumulator barrier_wait_fraction;
 };
 
 class BenchReport {
@@ -132,9 +183,8 @@ class BenchReport {
 
   [[nodiscard]] const std::vector<RunRow>& rows() const { return rows_; }
 
-  /// Zeroes the wall-clock-derived fields (wall_seconds, events_per_sec,
-  /// the phase breakdown and barrier_wait_fraction) of every row, making
-  /// to_json_text() a pure function of the grid. The
+  /// Zeroes the wall-clock-derived fields (row_field::kWallClock) of every
+  /// row, making to_json_text() a pure function of the grid. The
   /// dist-vs-local byte-identity checks compare reports scrubbed on both
   /// sides (docs/BENCHMARKS.md).
   void scrub_timing();

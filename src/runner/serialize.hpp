@@ -3,7 +3,8 @@
 //
 // RunRow results and the SweepCliOptions grid description travel between
 // coordinator and workers as JSON payloads inside length-prefixed frames
-// (dist/protocol.hpp). Round trips are value-exact: 64-bit integers go as
+// (dist/protocol.hpp). Rows are written by encode_row(row, RowFormat::kWire)
+// (runner/report.hpp). Round trips are value-exact: 64-bit integers go as
 // hex strings (doubles cannot hold them), and doubles rely on util/json's
 // %.17g writer + correctly-rounded parser, so a merged report is built from
 // bit-identical values no matter how many hops a row took.
@@ -14,12 +15,9 @@
 
 namespace sb::runner {
 
-/// Full-fidelity RunRow encoding (every field, including stop_reason —
-/// distinct from the BENCH_sim.json row schema, which is a report format).
-[[nodiscard]] util::JsonValue row_to_json(const RunRow& row);
-
-/// Inverse of row_to_json. Throws std::runtime_error naming the field on a
-/// missing, mistyped or out-of-range field.
+/// Inverse of encode_row(row, RowFormat::kWire): reads every field of
+/// visit_row_fields by key. Throws std::runtime_error naming the field on
+/// a missing, mistyped or out-of-range field.
 [[nodiscard]] RunRow row_from_json(const util::JsonValue& json);
 
 /// Grid-description encoding: two processes that exchange this reconstruct

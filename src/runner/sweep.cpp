@@ -74,9 +74,8 @@ SweepRun execute_run(const RunSpec& spec, bool capture_trace,
       out.move_trace.push_back(core::move_trace_line(epoch, block, app));
     });
   }
-  out.session = session.run();
-  out.row = make_row(spec.scenario_label, spec.ruleset, spec.seed,
-                     out.session);
+  out.row =
+      make_row(spec.scenario_label, spec.ruleset, spec.seed, session.run());
   return out;
 }
 

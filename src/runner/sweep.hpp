@@ -58,7 +58,6 @@ struct SweepGrid {
 /// Outcome of one run, in spec order regardless of thread schedule.
 struct SweepRun {
   RunRow row;
-  core::SessionResult session;
   /// One line per elected hop ("epoch block rule@anchor from->to"); filled
   /// when SweepOptions::capture_traces. Byte-identical across thread counts
   /// for a fixed (scenario, config, seed).

@@ -32,6 +32,8 @@ namespace {
 // Wire serialization (runner/serialize)
 // ---------------------------------------------------------------------------
 
+/// Every field away from its default, each to a different value, so a
+/// decoder that reads one field into another fails the round trip.
 runner::RunRow sample_row(uint64_t salt) {
   runner::RunRow row;
   row.scenario = "tower16";
@@ -50,37 +52,63 @@ runner::RunRow sample_row(uint64_t salt) {
   row.shards = 4;
   row.conn_fast_hits = 999;
   row.conn_slow_floods = 7;
+  row.shard_events = {(1ULL << 53) + 3, 5000, 0, 41};
+  row.phase_fold_s = 0.001;
+  row.phase_integrate_s = 0.002;
+  row.phase_decide_s = 0.003;
+  row.phase_drain_s = 0.25;
+  row.phase_barrier_wait_s = 0.125;
+  row.barrier_wait_fraction = 0.3333333333333333;
   row.stop_reason = sim::StopReason::kEventLimit;
   return row;
-}
-
-void expect_rows_equal(const runner::RunRow& a, const runner::RunRow& b) {
-  EXPECT_EQ(a.scenario, b.scenario);
-  EXPECT_EQ(a.ruleset, b.ruleset);
-  EXPECT_EQ(a.seed, b.seed);
-  EXPECT_EQ(a.complete, b.complete);
-  EXPECT_EQ(a.events, b.events);
-  // Bit-exact double round trips (util/json writes %.17g).
-  EXPECT_EQ(a.events_per_sec, b.events_per_sec);
-  EXPECT_EQ(a.wall_seconds, b.wall_seconds);
-  EXPECT_EQ(a.hops, b.hops);
-  EXPECT_EQ(a.elementary_moves, b.elementary_moves);
-  EXPECT_EQ(a.messages_sent, b.messages_sent);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.sim_ticks, b.sim_ticks);
-  EXPECT_EQ(a.block_count, b.block_count);
-  EXPECT_EQ(a.shards, b.shards);
-  EXPECT_EQ(a.conn_fast_hits, b.conn_fast_hits);
-  EXPECT_EQ(a.conn_slow_floods, b.conn_slow_floods);
-  EXPECT_EQ(a.stop_reason, b.stop_reason);
 }
 
 TEST(WireSerialization, RunRowRoundTripsExactly) {
   const runner::RunRow row = sample_row(1);
   // Through JSON text, as on the wire — not just the JsonValue tree.
-  const runner::RunRow back = runner::row_from_json(
-      util::parse_json(runner::row_to_json(row).dump()));
-  expect_rows_equal(row, back);
+  const runner::RunRow back = runner::row_from_json(util::parse_json(
+      runner::encode_row(row, runner::RowFormat::kWire).dump()));
+  EXPECT_EQ(row, back);
+}
+
+// A row as builds that wrote `block_count` after `sim_ticks` sent it (wire
+// protocol 4): peers and journals decode by key, so a row in that order
+// still reads back whole.
+TEST(WireSerialization, RowInTheEarlierKeyOrderDecodes) {
+  const char* const earlier = R"({
+  "scenario": "tower16",
+  "ruleset": "uniform",
+  "seed": "0xdeadbeefcafef00c",
+  "complete": true,
+  "events": "0x2000000000303a",
+  "events_per_sec": 123456.78901234567,
+  "wall_seconds": 0.012345678901234568,
+  "hops": "0x3e",
+  "elementary_moves": "0x45",
+  "messages_sent": "0x1092",
+  "iterations": 17,
+  "sim_ticks": "0xffffffffffffff01",
+  "block_count": 16,
+  "shards": 4,
+  "conn_fast_hits": "0x3e7",
+  "conn_slow_floods": "0x7",
+  "shard_events": [
+    "0x20000000000003",
+    "0x1388",
+    "0x0",
+    "0x29"
+  ],
+  "phase_seconds": {
+    "fold_s": 0.001,
+    "integrate_s": 0.002,
+    "decide_s": 0.0030000000000000001,
+    "drain_s": 0.25,
+    "barrier_wait_s": 0.125
+  },
+  "barrier_wait_fraction": 0.33333333333333331,
+  "stop_reason": 1
+})";
+  EXPECT_EQ(runner::row_from_json(util::parse_json(earlier)), sample_row(1));
 }
 
 TEST(WireSerialization, OptionsRoundTripExactly) {
@@ -111,12 +139,14 @@ TEST(WireSerialization, MissingFieldsThrow) {
   EXPECT_THROW(runner::options_from_json(util::parse_json("{}")),
                std::runtime_error);
   // Mistyped field: seed as a number instead of a hex string.
-  util::JsonValue bad = runner::row_to_json(sample_row(2));
+  util::JsonValue bad =
+      runner::encode_row(sample_row(2), runner::RowFormat::kWire);
   bad["seed"] = util::JsonValue(5);
   EXPECT_THROW(runner::row_from_json(bad), std::runtime_error);
   // A row without its phase timings: every journal and peer that can send
   // one writes them, so their absence is a malformed row.
-  const util::JsonValue full = runner::row_to_json(sample_row(2));
+  const util::JsonValue full =
+      runner::encode_row(sample_row(2), runner::RowFormat::kWire);
   util::JsonValue no_phases = util::JsonValue::object();
   for (const auto& [key, value] : full.as_object()) {
     if (key != "phase_seconds") no_phases[key] = value;
@@ -183,8 +213,8 @@ TEST(Protocol, MessagesRoundTrip) {
   EXPECT_EQ(result.job, 5u);
   EXPECT_EQ(result.unit, (WorkUnit{7, 14, 16}));
   ASSERT_EQ(result.rows.size(), 2u);
-  expect_rows_equal(result.rows[0], sample_row(3));
-  expect_rows_equal(result.rows[1], sample_row(4));
+  EXPECT_EQ(result.rows[0], sample_row(3));
+  EXPECT_EQ(result.rows[1], sample_row(4));
 
   EXPECT_EQ(decode(encode(Message::welcome())).type, MsgType::kWelcome);
   EXPECT_EQ(decode(encode(Message::pull())).type, MsgType::kPull);

@@ -110,8 +110,8 @@ TEST(SweepRunner, AggregatesAllRunsIntoGroups) {
   EXPECT_EQ(groups[0].completed, 3u);
   // Fixed latency: all runs take the same number of hops (the algorithm is
   // deterministic), so the spread is zero.
-  EXPECT_EQ(groups[0].hops.min, groups[0].hops.max);
-  EXPECT_GT(groups[0].events_per_sec.mean, 0.0);
+  EXPECT_EQ(groups[0].hops.min(), groups[0].hops.max());
+  EXPECT_GT(groups[0].events_per_sec.mean(), 0.0);
 }
 
 TEST(BenchReportJson, SchemaAndRoundTrip) {
@@ -146,6 +146,302 @@ TEST(BenchReportJson, SchemaAndRoundTrip) {
   EXPECT_EQ(group.find("scenario")->as_string(), "tower16");
   EXPECT_DOUBLE_EQ(
       group.find_path({"events_per_sec", "mean"})->as_number(), 123456.5);
+}
+
+/// Hand-built rows covering each way a run entry's shape varies: one shard
+/// (phases and barrier wait left out), four shards with a per-shard split,
+/// four shards without one, and counters above 2^53 (written as numbers).
+BenchReport pinned_report() {
+  BenchReport report("runner_test");
+  report.set_master_seed(0x0123456789abcdefULL);
+  report.set_threads(3);
+  report.set_cores(8);
+
+  RunRow one_shard;
+  one_shard.scenario = "tower16";
+  one_shard.seed = 0xdeadbeefcafef00dULL;
+  one_shard.complete = true;
+  one_shard.events = 1000;
+  one_shard.events_per_sec = 123456.5;
+  one_shard.wall_seconds = 0.0081;
+  one_shard.hops = 62;
+  one_shard.elementary_moves = 69;
+  one_shard.messages_sent = 4242;
+  one_shard.iterations = 9;
+  one_shard.sim_ticks = 5000;
+  one_shard.block_count = 16;
+  one_shard.conn_fast_hits = 900;
+  one_shard.conn_slow_floods = 12;
+  one_shard.phase_drain_s = 0.5;
+  one_shard.barrier_wait_fraction = 0.01;
+  one_shard.stop_reason = sim::StopReason::kHalted;
+  report.add_row(one_shard);
+
+  RunRow split;
+  split.scenario = "blob1000";
+  split.ruleset = "shards4";
+  split.seed = 7;
+  split.complete = true;
+  split.events = 1000;
+  split.events_per_sec = 2.5e6;
+  split.wall_seconds = 0.0004;
+  split.hops = 120;
+  split.elementary_moves = 131;
+  split.messages_sent = 9000;
+  split.iterations = 40;
+  split.sim_ticks = 7777;
+  split.block_count = 1000;
+  split.shards = 4;
+  split.conn_fast_hits = 100;
+  split.conn_slow_floods = 3;
+  split.shard_events = {300, 250, 260, 190};
+  split.phase_fold_s = 0.001;
+  split.phase_integrate_s = 0.002;
+  split.phase_decide_s = 0.0005;
+  split.phase_drain_s = 0.04;
+  split.phase_barrier_wait_s = 0.02;
+  split.barrier_wait_fraction = 0.25;
+  report.add_row(split);
+
+  RunRow no_split = split;
+  no_split.seed = 8;
+  no_split.complete = false;
+  no_split.shard_events.clear();
+  no_split.phase_drain_s = 0.06;
+  no_split.barrier_wait_fraction = 0.5;
+  no_split.stop_reason = sim::StopReason::kEventLimit;
+  report.add_row(no_split);
+
+  RunRow huge = one_shard;
+  huge.seed = 0xffffffffffffffffULL;
+  huge.events = (1ULL << 53) + 1;
+  huge.hops = (1ULL << 60) + 5;
+  huge.sim_ticks = 0xffffffffffffff01ULL;
+  huge.conn_slow_floods = (1ULL << 54) + 3;
+  report.add_row(huge);
+  return report;
+}
+
+// The report's bytes for those rows, recorded before run entries were
+// written from the field list (visit_row_fields): a key renamed, moved or
+// dropped, or a number printed in another form, fails here.
+TEST(BenchReportJson, HandBuiltRowsPrintTheRecordedBytes) {
+  EXPECT_EQ(pinned_report().to_json_text(), R"({
+  "schema": "sb-bench-sim/v1",
+  "generator": "runner_test",
+  "master_seed": "0x123456789abcdef",
+  "threads": 3,
+  "cores": 8,
+  "runs": [
+    {
+      "scenario": "tower16",
+      "ruleset": "standard",
+      "seed": "0xdeadbeefcafef00d",
+      "complete": true,
+      "blocks": 16,
+      "events": 1000,
+      "events_per_sec": 123456.5,
+      "wall_seconds": 0.0080999999999999996,
+      "hops": 62,
+      "elementary_moves": 69,
+      "messages_sent": 4242,
+      "iterations": 9,
+      "sim_ticks": 5000,
+      "shards": 1,
+      "conn_fast_hits": 900,
+      "conn_slow_floods": 12
+    },
+    {
+      "scenario": "blob1000",
+      "ruleset": "shards4",
+      "seed": "0x7",
+      "complete": true,
+      "blocks": 1000,
+      "events": 1000,
+      "events_per_sec": 2500000,
+      "wall_seconds": 0.00040000000000000002,
+      "hops": 120,
+      "elementary_moves": 131,
+      "messages_sent": 9000,
+      "iterations": 40,
+      "sim_ticks": 7777,
+      "shards": 4,
+      "conn_fast_hits": 100,
+      "conn_slow_floods": 3,
+      "shard_events": [
+        300,
+        250,
+        260,
+        190
+      ],
+      "phase_seconds": {
+        "fold_s": 0.001,
+        "integrate_s": 0.002,
+        "decide_s": 0.00050000000000000001,
+        "drain_s": 0.040000000000000001,
+        "barrier_wait_s": 0.02
+      },
+      "barrier_wait_fraction": 0.25
+    },
+    {
+      "scenario": "blob1000",
+      "ruleset": "shards4",
+      "seed": "0x8",
+      "complete": false,
+      "blocks": 1000,
+      "events": 1000,
+      "events_per_sec": 2500000,
+      "wall_seconds": 0.00040000000000000002,
+      "hops": 120,
+      "elementary_moves": 131,
+      "messages_sent": 9000,
+      "iterations": 40,
+      "sim_ticks": 7777,
+      "shards": 4,
+      "conn_fast_hits": 100,
+      "conn_slow_floods": 3,
+      "phase_seconds": {
+        "fold_s": 0.001,
+        "integrate_s": 0.002,
+        "decide_s": 0.00050000000000000001,
+        "drain_s": 0.059999999999999998,
+        "barrier_wait_s": 0.02
+      },
+      "barrier_wait_fraction": 0.5
+    },
+    {
+      "scenario": "tower16",
+      "ruleset": "standard",
+      "seed": "0xffffffffffffffff",
+      "complete": true,
+      "blocks": 16,
+      "events": 9007199254740992,
+      "events_per_sec": 123456.5,
+      "wall_seconds": 0.0080999999999999996,
+      "hops": 1.152921504606847e+18,
+      "elementary_moves": 69,
+      "messages_sent": 4242,
+      "iterations": 9,
+      "sim_ticks": 1.8446744073709552e+19,
+      "shards": 1,
+      "conn_fast_hits": 900,
+      "conn_slow_floods": 18014398509481988
+    }
+  ],
+  "summary": [
+    {
+      "scenario": "tower16",
+      "ruleset": "standard",
+      "runs": 2,
+      "completed": 2,
+      "shards": 1,
+      "events_per_sec": {
+        "mean": 123456.5,
+        "min": 123456.5,
+        "max": 123456.5,
+        "stddev": 0
+      },
+      "wall_seconds": {
+        "mean": 0.0080999999999999996,
+        "min": 0.0080999999999999996,
+        "max": 0.0080999999999999996,
+        "stddev": 0
+      },
+      "hops": {
+        "mean": 5.7646075230342349e+17,
+        "min": 62,
+        "max": 1.152921504606847e+18,
+        "stddev": 8.1523861408329894e+17
+      },
+      "elementary_moves": {
+        "mean": 69,
+        "min": 69,
+        "max": 69,
+        "stddev": 0
+      },
+      "messages_sent": {
+        "mean": 4242,
+        "min": 4242,
+        "max": 4242,
+        "stddev": 0
+      },
+      "conn_fast_rate": {
+        "mean": 0.49342105263160391,
+        "min": 4.9960036108129539e-14,
+        "max": 0.98684210526315785,
+        "stddev": 0.69780274459195235
+      },
+      "shard_imbalance": {
+        "mean": 0,
+        "min": 0,
+        "max": 0,
+        "stddev": 0
+      },
+      "barrier_wait_fraction": {
+        "mean": 0.01,
+        "min": 0.01,
+        "max": 0.01,
+        "stddev": 0
+      }
+    },
+    {
+      "scenario": "blob1000",
+      "ruleset": "shards4",
+      "runs": 2,
+      "completed": 1,
+      "shards": 4,
+      "events_per_sec": {
+        "mean": 2500000,
+        "min": 2500000,
+        "max": 2500000,
+        "stddev": 0
+      },
+      "wall_seconds": {
+        "mean": 0.00040000000000000002,
+        "min": 0.00040000000000000002,
+        "max": 0.00040000000000000002,
+        "stddev": 0
+      },
+      "hops": {
+        "mean": 120,
+        "min": 120,
+        "max": 120,
+        "stddev": 0
+      },
+      "elementary_moves": {
+        "mean": 131,
+        "min": 131,
+        "max": 131,
+        "stddev": 0
+      },
+      "messages_sent": {
+        "mean": 9000,
+        "min": 9000,
+        "max": 9000,
+        "stddev": 0
+      },
+      "conn_fast_rate": {
+        "mean": 0.970873786407767,
+        "min": 0.970873786407767,
+        "max": 0.970873786407767,
+        "stddev": 0
+      },
+      "shard_imbalance": {
+        "mean": 0.59999999999999998,
+        "min": 0,
+        "max": 1.2,
+        "stddev": 0.84852813742385702
+      },
+      "barrier_wait_fraction": {
+        "mean": 0.375,
+        "min": 0.25,
+        "max": 0.5,
+        "stddev": 0.17677669529663689
+      }
+    }
+  ]
+}
+)");
 }
 
 }  // namespace

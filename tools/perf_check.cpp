@@ -17,49 +17,120 @@
 // (single-core boxes cannot demonstrate parallel speedup; the windows
 // serialize). 0 disables the gate.
 //
-// Exit codes: 0 = pass, 1 = usage/IO error, 3 = regression detected.
+// Exit codes: 0 = pass, 1 = usage/IO error or a malformed report (one
+// stderr line naming the file and the field), 3 = regression detected.
 
 #include <cstdio>
 #include <fstream>
-#include <functional>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/cli.hpp"
+#include "util/fmt.hpp"
 #include "util/json.hpp"
 #include "util/string_util.hpp"
 
 namespace {
 
+using sb::util::get_field;
+using sb::util::get_number;
+using sb::util::get_string;
 using sb::util::JsonValue;
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) {
-    std::fprintf(stderr, "perf_check: cannot read '%s'\n", path.c_str());
-    std::exit(1);
+/// One summary group as the gate reads it. The optional means are absent
+/// from reports written before their metric existed.
+struct Group {
+  std::string scenario;
+  std::string ruleset;
+  double events_per_sec = 0.0;
+  std::optional<double> shards;
+  std::optional<double> conn_fast_rate;
+  std::optional<double> shard_imbalance;
+  std::optional<double> barrier_wait_fraction;
+};
+
+struct Report {
+  double cores = 0.0;  ///< 0 = not recorded
+  std::vector<Group> groups;
+
+  /// The group for (scenario, ruleset); nullptr when absent.
+  [[nodiscard]] const Group* find(const std::string& scenario,
+                                  const std::string& ruleset) const {
+    for (const Group& group : groups) {
+      if (group.scenario == scenario && group.ruleset == ruleset) {
+        return &group;
+      }
+    }
+    return nullptr;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+};
+
+/// `<metric>.mean` of a summary group.
+double metric_mean(const JsonValue& group, std::string_view metric) {
+  const JsonValue& summary =
+      get_field(group, metric, JsonValue::Kind::kObject);
+  try {
+    return get_number(summary, "mean");
+  } catch (const std::runtime_error& error) {
+    throw std::runtime_error(sb::fmt("in '{}': {}", metric, error.what()));
+  }
 }
 
-/// Finds the summary group for (scenario, ruleset); nullptr when absent.
-const JsonValue* find_group(const JsonValue& report,
-                            const std::string& scenario,
-                            const std::string& ruleset) {
-  const JsonValue* summary = report.find("summary");
-  if (summary == nullptr || !summary->is_array()) return nullptr;
-  for (const JsonValue& group : summary->as_array()) {
-    const JsonValue* s = group.find("scenario");
-    const JsonValue* r = group.find("ruleset");
-    if (s != nullptr && r != nullptr && s->as_string() == scenario &&
-        r->as_string() == ruleset) {
-      return &group;
-    }
+std::optional<double> optional_mean(const JsonValue& group,
+                                    std::string_view metric) {
+  if (group.find(metric) == nullptr) return std::nullopt;
+  return metric_mean(group, metric);
+}
+
+/// Loads a BENCH_sim.json report. Throws std::runtime_error naming the
+/// field when the text does not parse or a field the gate reads is
+/// missing or of another kind.
+Report read_report(const std::string& path) {
+  std::ifstream in(path);
+  if (!in.good()) throw std::runtime_error("cannot read the file");
+  std::ostringstream text;
+  text << in.rdbuf();
+  const JsonValue json = sb::util::parse_json(text.str());
+  if (get_string(json, "schema") != "sb-bench-sim/v1") {
+    throw std::runtime_error("unexpected schema (want sb-bench-sim/v1)");
   }
-  return nullptr;
+  Report report;
+  if (json.find("cores") != nullptr) report.cores = get_number(json, "cores");
+  for (const JsonValue& entry :
+       get_field(json, "summary", JsonValue::Kind::kArray).as_array()) {
+    Group group;
+    try {
+      group.scenario = get_string(entry, "scenario");
+      group.ruleset = get_string(entry, "ruleset");
+      group.events_per_sec = metric_mean(entry, "events_per_sec");
+      if (entry.find("shards") != nullptr) {
+        group.shards = get_number(entry, "shards");
+      }
+      group.conn_fast_rate = optional_mean(entry, "conn_fast_rate");
+      group.shard_imbalance = optional_mean(entry, "shard_imbalance");
+      group.barrier_wait_fraction =
+          optional_mean(entry, "barrier_wait_fraction");
+    } catch (const std::runtime_error& error) {
+      throw std::runtime_error(sb::fmt("summary group {}: {}",
+                                       report.groups.size(), error.what()));
+    }
+    report.groups.push_back(std::move(group));
+  }
+  return report;
+}
+
+/// read_report, or one stderr line naming the file and the field.
+std::optional<Report> load_report(const std::string& path) {
+  try {
+    return read_report(path);
+  } catch (const std::runtime_error& error) {
+    std::fprintf(stderr, "perf_check: %s: %s\n", path.c_str(), error.what());
+    return std::nullopt;
+  }
 }
 
 }  // namespace
@@ -88,22 +159,11 @@ int main(int argc, char** argv) {
   }
 
   const double tolerance = cli.get_double("tolerance");
-  const JsonValue baseline = sb::util::parse_json(
-      read_file(cli.positionals()[0]));
-  const JsonValue current = sb::util::parse_json(
-      read_file(cli.positionals()[1]));
-
-  for (const JsonValue* report : {&baseline, &current}) {
-    const JsonValue* schema = report->find("schema");
-    if (schema == nullptr || schema->as_string() != "sb-bench-sim/v1") {
-      std::fprintf(stderr, "perf_check: unexpected schema (want "
-                           "sb-bench-sim/v1)\n");
-      return 1;
-    }
-  }
-
-  const JsonValue* summary = baseline.find("summary");
-  if (summary == nullptr || summary->size() == 0) {
+  const std::optional<Report> baseline = load_report(cli.positionals()[0]);
+  if (!baseline) return 1;
+  const std::optional<Report> current = load_report(cli.positionals()[1]);
+  if (!current) return 1;
+  if (baseline->groups.empty()) {
     std::fprintf(stderr, "perf_check: baseline has no summary groups\n");
     return 1;
   }
@@ -112,63 +172,46 @@ int main(int argc, char** argv) {
   std::printf("%-16s %-12s %6s %14s %14s %8s %10s  %s\n", "scenario",
               "ruleset", "shards", "baseline ev/s", "current ev/s", "ratio",
               "conn fast", "verdict");
-  for (const JsonValue& group : summary->as_array()) {
-    const JsonValue* scenario_v = group.find("scenario");
-    const JsonValue* ruleset_v = group.find("ruleset");
-    const JsonValue* base_mean_v =
-        group.find_path({"events_per_sec", "mean"});
-    if (scenario_v == nullptr || ruleset_v == nullptr ||
-        base_mean_v == nullptr) {
-      std::fprintf(stderr,
-                   "perf_check: malformed baseline summary group (needs "
-                   "scenario, ruleset, events_per_sec.mean)\n");
-      return 1;
-    }
-    const std::string& scenario = scenario_v->as_string();
-    const std::string& ruleset = ruleset_v->as_string();
-    const double base_mean = base_mean_v->as_number();
-    const JsonValue* current_group = find_group(current, scenario, ruleset);
-    const JsonValue* cur_mean_v =
-        current_group == nullptr
-            ? nullptr
-            : current_group->find_path({"events_per_sec", "mean"});
+  for (const Group& group : baseline->groups) {
+    const Group* current_group =
+        current->find(group.scenario, group.ruleset);
     // Shard-scaling groups (docs/BENCHMARKS.md): the shard count rides in
     // the summary so the gate output shows which engine configuration a
     // group measured (absent in pre-sharding reports).
-    const JsonValue* shards_v = group.find("shards");
     char shards[8] = "-";
-    if (shards_v != nullptr) {
-      std::snprintf(shards, sizeof(shards), "%.0f", shards_v->as_number());
+    if (group.shards) {
+      std::snprintf(shards, sizeof(shards), "%.0f", *group.shards);
     }
-    if (cur_mean_v == nullptr) {
+    if (current_group == nullptr) {
       // Gated giant workloads are measured out-of-band and committed to
       // the baseline; a CI runner that did not produce them must not fail
       // on their absence.
       bool optional = false;
       for (const std::string& name :
            sb::split(cli.get_string("optional"), ',')) {
-        optional |= name == scenario;
+        optional |= name == group.scenario;
       }
       std::printf("%-16s %-12s %6s %14.0f %14s %8s %10s  %s\n",
-                  scenario.c_str(), ruleset.c_str(), shards, base_mean, "-",
-                  "-", "-", optional ? "SKIPPED (optional)" : "MISSING");
+                  group.scenario.c_str(), group.ruleset.c_str(), shards,
+                  group.events_per_sec, "-", "-", "-",
+                  optional ? "SKIPPED (optional)" : "MISSING");
       failed |= !optional;
       continue;
     }
-    const double cur_mean = cur_mean_v->as_number();
+    const double base_mean = group.events_per_sec;
+    const double cur_mean = current_group->events_per_sec;
     const double ratio = base_mean > 0.0 ? cur_mean / base_mean : 1.0;
     const bool ok = ratio >= 1.0 - tolerance;
     // Informational: the connectivity-oracle fast-path hit rate of the
     // current run (absent in pre-fast-path reports).
-    const JsonValue* fast_v =
-        current_group->find_path({"conn_fast_rate", "mean"});
     char fast[16] = "-";
-    if (fast_v != nullptr) {
-      std::snprintf(fast, sizeof(fast), "%.4f", fast_v->as_number());
+    if (current_group->conn_fast_rate) {
+      std::snprintf(fast, sizeof(fast), "%.4f",
+                    *current_group->conn_fast_rate);
     }
     std::printf("%-16s %-12s %6s %14.0f %14.0f %8.2f %10s  %s\n",
-                scenario.c_str(), ruleset.c_str(), shards, base_mean,
-                cur_mean, ratio, fast, ok ? "ok" : "REGRESSED");
+                group.scenario.c_str(), group.ruleset.c_str(), shards,
+                base_mean, cur_mean, ratio, fast, ok ? "ok" : "REGRESSED");
     failed |= !ok;
   }
 
@@ -176,50 +219,31 @@ int main(int argc, char** argv) {
   // RunRow::shard_imbalance — busiest shard relative to the mean shard;
   // 1.0 is perfectly balanced). Informational: a lopsided map explains a
   // weak speedup before anyone re-runs the bench by hand.
-  const JsonValue* cur_summary = current.find("summary");
-  if (cur_summary != nullptr && cur_summary->is_array()) {
-    for (const JsonValue& group : cur_summary->as_array()) {
-      const JsonValue* scenario_v = group.find("scenario");
-      const JsonValue* ruleset_v = group.find("ruleset");
-      const JsonValue* shards_v = group.find("shards");
-      const JsonValue* imbalance_v =
-          group.find_path({"shard_imbalance", "mean"});
-      if (scenario_v == nullptr || ruleset_v == nullptr ||
-          shards_v == nullptr || imbalance_v == nullptr ||
-          shards_v->as_number() < 2.0 || imbalance_v->as_number() <= 0.0) {
-        continue;
-      }
-      std::printf("shard balance  %-16s %-12s busiest/mean %.2fx\n",
-                  scenario_v->as_string().c_str(),
-                  ruleset_v->as_string().c_str(), imbalance_v->as_number());
+  const auto sharded = [](const Group& group) {
+    return group.shards && *group.shards >= 2.0;
+  };
+  for (const Group& group : current->groups) {
+    if (!sharded(group) || group.shard_imbalance.value_or(0.0) <= 0.0) {
+      continue;
     }
+    std::printf("shard balance  %-16s %-12s busiest/mean %.2fx\n",
+                group.scenario.c_str(), group.ruleset.c_str(),
+                *group.shard_imbalance);
   }
 
   // Barrier-wait share of worker time per current sharded group — the time
   // counterpart of the balance figure above. --max-barrier-wait turns the
   // report line into a gate.
   const double max_barrier_wait = cli.get_double("max-barrier-wait");
-  if (cur_summary != nullptr && cur_summary->is_array()) {
-    for (const JsonValue& group : cur_summary->as_array()) {
-      const JsonValue* scenario_v = group.find("scenario");
-      const JsonValue* ruleset_v = group.find("ruleset");
-      const JsonValue* shards_v = group.find("shards");
-      const JsonValue* wait_v =
-          group.find_path({"barrier_wait_fraction", "mean"});
-      if (scenario_v == nullptr || ruleset_v == nullptr ||
-          shards_v == nullptr || wait_v == nullptr ||
-          shards_v->as_number() < 2.0 || wait_v->as_number() <= 0.0) {
-        continue;
-      }
-      const double wait = wait_v->as_number();
-      const bool gated = max_barrier_wait > 0.0;
-      const bool ok = !gated || wait <= max_barrier_wait;
-      std::printf("barrier wait   %-16s %-12s %.1f%% of worker time%s%s\n",
-                  scenario_v->as_string().c_str(),
-                  ruleset_v->as_string().c_str(), wait * 100.0,
-                  gated ? "" : " (not gated)", ok ? "" : "  TOO HIGH");
-      failed |= !ok;
-    }
+  for (const Group& group : current->groups) {
+    const double wait = group.barrier_wait_fraction.value_or(0.0);
+    if (!sharded(group) || wait <= 0.0) continue;
+    const bool gated = max_barrier_wait > 0.0;
+    const bool ok = !gated || wait <= max_barrier_wait;
+    std::printf("barrier wait   %-16s %-12s %.1f%% of worker time%s%s\n",
+                group.scenario.c_str(), group.ruleset.c_str(), wait * 100.0,
+                gated ? "" : " (not gated)", ok ? "" : "  TOO HIGH");
+    failed |= !ok;
   }
 
   // Shard-scaling gate: the parallel speedup the channel engine actually
@@ -228,37 +252,18 @@ int main(int argc, char** argv) {
   // >= 4 cores (a smaller box serializes the windows and the figure says
   // nothing about the engine).
   const double min_speedup = cli.get_double("min-shard-speedup");
-  const JsonValue* cores_v = current.find("cores");
-  const double cores = cores_v == nullptr ? 0.0 : cores_v->as_number();
-  if (min_speedup > 0.0 && cur_summary != nullptr &&
-      cur_summary->is_array()) {
-    for (const JsonValue& group : cur_summary->as_array()) {
-      const JsonValue* scenario_v = group.find("scenario");
-      const JsonValue* ruleset_v = group.find("ruleset");
-      if (scenario_v == nullptr || ruleset_v == nullptr ||
-          ruleset_v->as_string() != "shards1") {
-        continue;
-      }
-      const std::string& scenario = scenario_v->as_string();
-      const JsonValue* narrow_v = group.find_path({"events_per_sec", "mean"});
-      const JsonValue* wide = find_group(current, scenario, "shards4");
-      const JsonValue* wide_v =
-          wide == nullptr ? nullptr
-                          : wide->find_path({"events_per_sec", "mean"});
-      if (narrow_v == nullptr || wide_v == nullptr ||
-          narrow_v->as_number() <= 0.0) {
-        continue;
-      }
-      const double speedup = wide_v->as_number() / narrow_v->as_number();
-      const bool enforced = cores >= 4.0;
-      const bool ok = !enforced || speedup >= min_speedup;
-      std::printf("shard scaling  %-16s shards4/shards1 %.2fx (min %.2fx, "
-                  "%.0f cores%s)  %s\n",
-                  scenario.c_str(), speedup, min_speedup, cores,
-                  enforced ? "" : "; not enforced",
-                  ok ? "ok" : "TOO SLOW");
-      failed |= !ok;
-    }
+  for (const Group& group : current->groups) {
+    if (min_speedup <= 0.0 || group.ruleset != "shards1") continue;
+    const Group* wide = current->find(group.scenario, "shards4");
+    if (wide == nullptr || group.events_per_sec <= 0.0) continue;
+    const double speedup = wide->events_per_sec / group.events_per_sec;
+    const bool enforced = current->cores >= 4.0;
+    const bool ok = !enforced || speedup >= min_speedup;
+    std::printf("shard scaling  %-16s shards4/shards1 %.2fx (min %.2fx, "
+                "%.0f cores%s)  %s\n",
+                group.scenario.c_str(), speedup, min_speedup, current->cores,
+                enforced ? "" : "; not enforced", ok ? "ok" : "TOO SLOW");
+    failed |= !ok;
   }
 
   if (failed) {

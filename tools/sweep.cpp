@@ -248,9 +248,9 @@ int emit_report(runner::BenchReport& report, const CliParser& cli,
   for (const auto& group : report.summarize()) {
     std::printf("%-12s %-12s %6zu %6zu %10zu %14.0f %10.1f %10.1f %10.4f\n",
                 group.scenario.c_str(), group.ruleset.c_str(), group.shards,
-                group.runs, group.completed, group.events_per_sec.mean,
-                group.hops.mean, group.elementary_moves.mean,
-                group.conn_fast_rate.mean);
+                group.runs, group.completed, group.events_per_sec.mean(),
+                group.hops.mean(), group.elementary_moves.mean(),
+                group.conn_fast_rate.mean());
     if (group.shards < 2) continue;
     // Shard-load diagnostic: a pathological map shows up as a busiest
     // shard far above the mean (imbalance 1.0 = perfectly balanced).
@@ -270,7 +270,7 @@ int emit_report(runner::BenchReport& report, const CliParser& cli,
                 "(busiest/mean)\n",
                 "", static_cast<unsigned long long>(lightest),
                 static_cast<unsigned long long>(busiest),
-                group.shard_imbalance.mean);
+                group.shard_imbalance.mean());
   }
 
   const std::string json_path = cli.get_string("json");

@@ -43,6 +43,7 @@ void InvariantOracle::check_now(sim::Simulator& sim) {
   check_conservation(sim);
   check_columns(sim);
   check_contacts(sim);
+  check_messages(sim);
 }
 
 void InvariantOracle::on_move(core::Epoch epoch, lat::BlockId mover) {
@@ -212,6 +213,23 @@ void InvariantOracle::check_contacts(sim::Simulator& sim) {
       }
     }
   });
+}
+
+void InvariantOracle::check_messages(sim::Simulator& sim) {
+  const sim::SimStats stats = sim.stats();
+  const uint64_t queued = sim.queued_deliveries();
+  const uint64_t settled =
+      stats.messages_delivered + stats.messages_dropped + queued;
+  const auto unaccounted =
+      static_cast<int64_t>(stats.messages_sent() - settled);
+  if (unaccounted != messages_unaccounted_) {
+    record(sim, fmt("message conservation broken: {} sent but {} delivered "
+                    "+ {} dropped + {} queued",
+                    stats.messages_sent(), stats.messages_delivered,
+                    stats.messages_dropped, queued));
+    // Resync so one loss doesn't re-report on every later audit.
+    messages_unaccounted_ = unaccounted;
+  }
 }
 
 }  // namespace sb::check

@@ -31,6 +31,10 @@
 //                delivers a message only if the receiver's table lists the
 //                sender, so a stale table would deliver across a broken
 //                contact or drop across a live one;
+//   messages     every message sent was delivered, dropped, or is still
+//                queued as a delivery (Simulator::queued_deliveries): a
+//                lost delivery, such as the injected drop-flush fault's, is
+//                reported once, when the audit first sees it;
 //   epochs       the elected-move epoch sequence is non-decreasing.
 //
 // Violations are collected as human-readable strings (capped) rather than
@@ -98,11 +102,15 @@ class InvariantOracle {
   void check_conservation(sim::Simulator& sim);
   void check_columns(sim::Simulator& sim);
   void check_contacts(sim::Simulator& sim);
+  void check_messages(sim::Simulator& sim);
 
   OracleOptions options_;
   Rng rng_;
   bool attached_ = false;
   size_t expected_blocks_ = 0;
+  /// Messages sent less those delivered, dropped or queued, as the last
+  /// audit found them (0 while conservation holds).
+  int64_t messages_unaccounted_ = 0;
   uint64_t mutations_seen_ = 0;
   uint64_t checks_run_ = 0;
   uint64_t hint_probes_ = 0;

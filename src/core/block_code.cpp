@@ -6,27 +6,21 @@
 namespace sb::core {
 
 SmartBlockCode::SmartBlockCode(lat::BlockId id, bool is_root,
-                               const MotionPlanner* planner,
-                               const AlgorithmConfig* config,
-                               SessionShared* shared)
-    : sim::Module(id),
-      is_root_(is_root),
-      planner_(planner),
-      config_(config),
-      shared_(shared),
-      tabu_(config->tabu_capacity) {
-  SB_EXPECTS(planner_ != nullptr && shared_ != nullptr);
+                               const BlockContext* context)
+    : sim::Module(id), context_(context), is_root_(is_root) {
+  SB_EXPECTS(context_ != nullptr && context_->planner != nullptr &&
+             context_->shared != nullptr);
 }
 
 void SmartBlockCode::on_start() {
   // Derive the per-block RNG from the simulation seed so runs stay
   // reproducible; only the kRandom tie policies consume it.
-  if (config_->election_tie == ElectionTie::kRandom ||
-      planner_->config().tie == MoveTie::kRandom) {
+  if (config().election_tie == ElectionTie::kRandom ||
+      context_->planner->config().tie == MoveTie::kRandom) {
     tie_rng_ = std::make_unique<Rng>(sim().rng().fork(id().value));
   }
   if (is_root_) {
-    SB_ASSERT(position() == config_->input,
+    SB_ASSERT(position() == config().input,
               "the Root must sit on the input cell");
     epoch_ = 1;
     start_election();
@@ -39,7 +33,7 @@ void SmartBlockCode::reset_for_epoch(Epoch epoch) {
   father_side_.reset();
   pending_acks_ = 0;
   acks_closed_ = false;
-  awaiting_contact_.fill(false);  // dead_sides_ persists across epochs
+  awaiting_contact_ = 0;  // dead_sides_ persists across epochs
   best_dist_ = kInfiniteDistance;
   best_id_ = lat::kInvalidBlock;
   best_via_.reset();
@@ -49,7 +43,7 @@ void SmartBlockCode::reset_for_epoch(Epoch epoch) {
 ActivateMsg SmartBlockCode::make_activate() const {
   ActivateMsg m;
   m.epoch = epoch_;
-  m.output = config_->output;
+  m.output = config().output;
   m.shortest_distance = best_dist_;
   m.id_shortest = best_id_;
   return m;
@@ -57,22 +51,22 @@ ActivateMsg SmartBlockCode::make_activate() const {
 
 void SmartBlockCode::start_election() {
   SB_ASSERT(is_root_, "only the Root starts elections");
-  if (epoch_ > config_->max_iterations) {
-    shared_->metrics.blocked = true;
-    shared_->metrics.final_epoch = epoch_ - 1;
+  if (epoch_ > config().max_iterations) {
+    metrics().blocked = true;
+    metrics().final_epoch = epoch_ - 1;
     log_warn("iteration cap {} reached - reporting blocked",
-             config_->max_iterations);
+             config().max_iterations);
     sim().halt();
     return;
   }
   reset_for_epoch(epoch_);
   phase_ = Phase::kEngaged;
-  ++shared_->metrics.elections_started;
+  ++metrics().elections_started;
 
   // Eq (6)/(7): the paper initializes the record with the I-to-O distance
   // and the Root's id; the library default is +inf (DESIGN.md note).
-  if (config_->paper_eq6_init) {
-    best_dist_ = initial_shortest_distance(config_->input, config_->output);
+  if (config().paper_eq6_init) {
+    best_dist_ = initial_shortest_distance(config().input, config().output);
     best_id_ = id();
     best_via_.reset();
   }
@@ -87,23 +81,21 @@ void SmartBlockCode::start_election() {
   }
 }
 
-int SmartBlockCode::broadcast_activates(
+uint8_t SmartBlockCode::broadcast_activates(
     std::optional<lat::Direction> skip) {
-  int sent = 0;
+  uint8_t sent = 0;
   const ActivateMsg activate = make_activate();
   for (lat::Direction d : lat::all_directions()) {
     if (skip && *skip == d) continue;
-    if (dead_sides_[static_cast<size_t>(d)]) continue;
+    if ((dead_sides_ & side_bit(d)) != 0) continue;
     if (!neighbor_table().neighbor(d).valid()) continue;
     send(d, activate);
-    if (config_->ack_timeout > 0) {
-      awaiting_contact_[static_cast<size_t>(d)] = true;
-    }
+    if (config().ack_timeout > 0) awaiting_contact_ |= side_bit(d);
     ++sent;
   }
-  if (sent > 0 && config_->ack_timeout > 0) {
+  if (sent > 0 && config().ack_timeout > 0) {
     ack_timer_renewals_ = 0;
-    set_timer(config_->ack_timeout, timer_tag(epoch_, kAckTimer));
+    set_timer(config().ack_timeout, timer_tag(epoch_, kAckTimer));
   }
   return sent;
 }
@@ -157,7 +149,7 @@ void SmartBlockCode::handle_activate(lat::Direction from_side,
 
   // Fault mode: tell the father right away that this block engaged (its
   // subtree Ack may take a while; silence must only ever mean death).
-  if (config_->ack_timeout > 0) {
+  if (config().ack_timeout > 0) {
     SonNotifyMsg notify;
     notify.epoch = epoch_;
     notify.son = id();
@@ -167,13 +159,11 @@ void SmartBlockCode::handle_activate(lat::Direction from_side,
   // Evaluate dBO (Eqs 8-10). The Root never evaluates (it anchors I), but a
   // non-root block always does - this is the "distance computation" counted
   // by Remark 2. The decision lands in the block's own memo.
-  (void)planner_->evaluate(sim().world(), position(), &tabu_, epoch_,
-                           &shared_->metrics, tie_rng_.get(), &memo_);
+  (void)context_->planner->evaluate(sim().world(), position(), tabu_.get(),
+                                    epoch_, &metrics(), tie_rng_.get(), &memo_);
   // Fold the incoming record and our own distance into the local minimum.
   merge_report(m.shortest_distance, m.id_shortest, std::nullopt);
-  if (memo_.decision.eligible()) {
-    merge_report(memo_.decision.distance, id(), std::nullopt);
-  }
+  if (memo_.eligible()) merge_report(memo_.distance, id(), std::nullopt);
 
   pending_acks_ = broadcast_activates(from_side);
   if (pending_acks_ == 0) finish_aggregation();
@@ -184,7 +174,7 @@ void SmartBlockCode::merge_report(int32_t dist, lat::BlockId report_id,
   if (dist == kInfiniteDistance || !report_id.valid()) return;
   bool better = dist < best_dist_;
   if (dist == best_dist_) {
-    switch (config_->election_tie) {
+    switch (config().election_tie) {
       case ElectionTie::kFirst:
         better = false;
         break;
@@ -205,11 +195,11 @@ void SmartBlockCode::merge_report(int32_t dist, lat::BlockId report_id,
 
 void SmartBlockCode::handle_ack(lat::Direction from_side, const AckMsg& m) {
   if (m.epoch != epoch_ || acks_closed_ || phase_ != Phase::kEngaged) return;
-  awaiting_contact_[static_cast<size_t>(from_side)] = false;
+  awaiting_contact_ &= static_cast<uint8_t>(~side_bit(from_side));
   if (m.engaged) {
     merge_report(m.shortest_distance, m.id_shortest, from_side);
   }
-  if (config_->ack_timeout > 0 && pending_acks_ == 0) {
+  if (config().ack_timeout > 0 && pending_acks_ == 0) {
     return;  // a neighbour declared dead turned out to be merely slow
   }
   SB_ASSERT(pending_acks_ > 0, "unexpected Ack at block ", id());
@@ -219,7 +209,7 @@ void SmartBlockCode::handle_ack(lat::Direction from_side, const AckMsg& m) {
 void SmartBlockCode::handle_son_notify(lat::Direction from_side,
                                        const SonNotifyMsg& m) {
   if (m.epoch != epoch_) return;
-  awaiting_contact_[static_cast<size_t>(from_side)] = false;
+  awaiting_contact_ &= static_cast<uint8_t>(~side_bit(from_side));
 }
 
 void SmartBlockCode::finish_aggregation() {
@@ -250,23 +240,23 @@ void SmartBlockCode::root_conclude_election() {
     // asserted because callers can feed adversarial scenarios.)
     ++empty_elections_;
     if (empty_elections_ <= kTabuHorizon + 1 &&
-        epoch_ < config_->max_iterations) {
+        epoch_ < config().max_iterations) {
       log_debug("election {}: no eligible block; retrying ({}/{})", epoch_,
-                empty_elections_, kTabuHorizon + 1);
+                unsigned{empty_elections_}, kTabuHorizon + 1);
       ++epoch_;
       start_election();
       return;
     }
-    shared_->metrics.blocked = true;
-    shared_->metrics.final_epoch = epoch_;
+    metrics().blocked = true;
+    metrics().final_epoch = epoch_;
     log_warn("election {}: no eligible block after {} retries - "
              "reconfiguration blocked",
-             epoch_, empty_elections_ - 1);
+             epoch_, unsigned{empty_elections_} - 1);
     sim().halt();
     return;
   }
   empty_elections_ = 0;
-  ++shared_->metrics.elections_completed;
+  ++metrics().elections_completed;
   log_debug("election {}: elected {} at distance {}", epoch_,
             best_id_.value, best_dist_);
 
@@ -278,8 +268,8 @@ void SmartBlockCode::root_conclude_election() {
   } else {
     SB_UNREACHABLE("the Root cannot elect itself");
   }
-  if (config_->ack_timeout > 0) {
-    set_timer(config_->ack_timeout, timer_tag(epoch_, kRootMoveTimer));
+  if (config().ack_timeout > 0) {
+    set_timer(config().ack_timeout, timer_tag(epoch_, kRootMoveTimer));
   }
 }
 
@@ -292,7 +282,7 @@ void SmartBlockCode::handle_select(const SelectMsg& m) {
   // Route the selection down the subtree that reported the winner.
   if (!best_via_.has_value() || best_id_ != m.target) {
     // Possible only when a fault broke the aggregation invariant.
-    SB_ASSERT(config_->ack_timeout > 0,
+    SB_ASSERT(config().ack_timeout > 0,
               "Select routing lost its trail at block ", id());
     log_warn("block {}: cannot route Select for {} (fault recovery pending)",
              id().value, m.target.value);
@@ -302,11 +292,10 @@ void SmartBlockCode::handle_select(const SelectMsg& m) {
 }
 
 void SmartBlockCode::become_elected() {
-  const MoveDecision& decision = memo_.decision;
-  SB_ASSERT(decision.eligible(),
-            "elected block ", id(), " has no planned move");
+  SB_ASSERT(memo_.eligible(), "elected block ", id(), " has no planned move");
+  const motion::RuleApplication move = memo_.move();
   log_debug("block {} elected in epoch {}; moving {}", id().value, epoch_,
-            decision.move->describe());
+            move.describe());
 
   // Paper §V.C: the elected block acknowledges to the Root (routed up the
   // father chain), then performs its hop.
@@ -316,7 +305,7 @@ void SmartBlockCode::become_elected() {
   if (father_side_.has_value()) {
     send(*father_side_, ack);
   }
-  start_motion(*decision.move);
+  start_motion(move);
 }
 
 void SmartBlockCode::handle_elected_ack(const ElectedAckMsg& m) {
@@ -330,15 +319,17 @@ void SmartBlockCode::handle_elected_ack(const ElectedAckMsg& m) {
 
 void SmartBlockCode::on_motion_complete() {
   // The hop of this epoch's elected block has landed.
-  const MoveDecision& decision = memo_.decision;
-  ++shared_->metrics.hops;
-  if (decision.repositioning) ++shared_->metrics.repositioning_hops;
-  if (decision.move.has_value()) {
-    tabu_.push(decision.move->subject_from(), epoch_);
-  }
-  const bool reached = position() == config_->output;
-  if (shared_->move_listener && decision.move.has_value()) {
-    shared_->move_listener(epoch_, id(), *decision.move);
+  ++metrics().hops;
+  if (memo_.repositioning) ++metrics().repositioning_hops;
+  const bool reached = position() == config().output;
+  if (memo_.eligible()) {
+    const motion::RuleApplication move = memo_.move();
+    if (tabu_ == nullptr) {
+      tabu_ = std::make_unique<TabuList>(config().tabu_capacity);
+    }
+    tabu_->push(move.subject_from(), epoch_);
+    const SessionShared& shared = *context_->shared;
+    if (shared.move_listener) shared.move_listener(epoch_, id(), move);
   }
 
   MoveDoneMsg done;
@@ -379,8 +370,8 @@ void SmartBlockCode::root_advance(bool reached_output) {
   if (advanced_this_epoch_) return;
   advanced_this_epoch_ = true;
   if (reached_output) {
-    shared_->metrics.complete = true;
-    shared_->metrics.final_epoch = epoch_;
+    metrics().complete = true;
+    metrics().final_epoch = epoch_;
     log_info("path complete after {} elections", epoch_);
     sim().halt();
     return;
@@ -390,7 +381,7 @@ void SmartBlockCode::root_advance(bool reached_output) {
 }
 
 void SmartBlockCode::on_timer(uint64_t tag) {
-  if (config_->ack_timeout == 0) return;
+  if (config().ack_timeout == 0) return;
   const Epoch tag_epoch = static_cast<Epoch>(tag >> 2);
   const auto kind = static_cast<TimerKind>(tag & 3);
   if (tag_epoch != epoch_) return;  // the epoch moved on; timer is stale
@@ -403,9 +394,9 @@ void SmartBlockCode::on_timer(uint64_t tag) {
     // both bounded by two link latencies) holds a dead neighbour: exclude
     // it now and for all future epochs.
     for (lat::Direction d : lat::all_directions()) {
-      if (!awaiting_contact_[static_cast<size_t>(d)]) continue;
-      awaiting_contact_[static_cast<size_t>(d)] = false;
-      dead_sides_[static_cast<size_t>(d)] = true;
+      if ((awaiting_contact_ & side_bit(d)) == 0) continue;
+      awaiting_contact_ &= static_cast<uint8_t>(~side_bit(d));
+      dead_sides_ |= side_bit(d);
       log_warn("block {}: side {} is silent in epoch {}; declaring the "
                "neighbour dead",
                id().value, to_string(d), epoch_);
@@ -421,10 +412,10 @@ void SmartBlockCode::on_timer(uint64_t tag) {
     // bounded number of renewals as a backstop against a son that died
     // mid-aggregation.
     if (++ack_timer_renewals_ <= kMaxAckTimerRenewals) {
-      set_timer(config_->ack_timeout, timer_tag(epoch_, kAckTimer));
+      set_timer(config().ack_timeout, timer_tag(epoch_, kAckTimer));
     } else {
       log_warn("block {}: forcing aggregation after {} renewals in epoch {}",
-               id().value, ack_timer_renewals_, epoch_);
+               id().value, unsigned{ack_timer_renewals_}, epoch_);
       pending_acks_ = 0;
       finish_aggregation();
     }
@@ -432,7 +423,7 @@ void SmartBlockCode::on_timer(uint64_t tag) {
   }
   if (kind == kRootMoveTimer && is_root_ && !advanced_this_epoch_) {
     // The elected block (or the routing path to it) died: restart.
-    ++shared_->metrics.election_restarts;
+    ++metrics().election_restarts;
     log_warn("root: election {} stalled; restarting", epoch_);
     ++epoch_;
     start_election();

@@ -79,11 +79,18 @@ struct SessionShared {
       move_listener;
 };
 
+/// What every block of a session reads: built once by the session, which
+/// outlives its blocks, and reached through one pointer per block.
+struct BlockContext {
+  const MotionPlanner* planner = nullptr;
+  AlgorithmConfig config;
+  SessionShared* shared = nullptr;
+};
+
 class SmartBlockCode final : public sim::Module {
  public:
-  /// `config` and `shared` are the session's and must outlive the block.
-  SmartBlockCode(lat::BlockId id, bool is_root, const MotionPlanner* planner,
-                 const AlgorithmConfig* config, SessionShared* shared);
+  /// `context` is the session's and must outlive the block.
+  SmartBlockCode(lat::BlockId id, bool is_root, const BlockContext* context);
 
   [[nodiscard]] bool is_root() const { return is_root_; }
   [[nodiscard]] Epoch epoch() const { return epoch_; }
@@ -96,12 +103,16 @@ class SmartBlockCode final : public sim::Module {
   void on_motion_rejected() override;
 
  private:
-  enum class Phase { kIdle, kEngaged, kDone };
+  enum class Phase : uint8_t { kIdle, kEngaged, kDone };
 
   // Timer tags: epoch << 2 | kind.
   enum TimerKind : uint64_t { kAckTimer = 1, kRootMoveTimer = 2 };
   [[nodiscard]] static uint64_t timer_tag(Epoch epoch, TimerKind kind) {
     return (static_cast<uint64_t>(epoch) << 2) | kind;
+  }
+  /// The bit of `side` in a 4-bit side mask.
+  [[nodiscard]] static uint8_t side_bit(lat::Direction side) {
+    return static_cast<uint8_t>(1U << static_cast<unsigned>(side));
   }
 
   void handle_activate(lat::Direction from_side, const ActivateMsg& m);
@@ -115,7 +126,7 @@ class SmartBlockCode final : public sim::Module {
   void start_election();
   /// Sends Activates to all live neighbours except `skip`; returns the
   /// count and arms the fault-mode contact timer.
-  int broadcast_activates(std::optional<lat::Direction> skip);
+  uint8_t broadcast_activates(std::optional<lat::Direction> skip);
   /// Folds a (distance, id) report into the local minimum; `via` is the
   /// side it arrived from (nullopt = the block itself).
   void merge_report(int32_t dist, lat::BlockId id,
@@ -128,45 +139,54 @@ class SmartBlockCode final : public sim::Module {
   void root_advance(bool reached_output);
   void reset_for_epoch(Epoch epoch);
 
+  [[nodiscard]] const AlgorithmConfig& config() const {
+    return context_->config;
+  }
+  [[nodiscard]] ReconfigMetrics& metrics() const {
+    return context_->shared->metrics;
+  }
   [[nodiscard]] ActivateMsg make_activate() const;
 
-  // -- immutable configuration ----------------------------------------------
-  bool is_root_;
-  const MotionPlanner* planner_;
-  const AlgorithmConfig* config_;
-  SessionShared* shared_;
+  // Declared by alignment, widest first after epoch_, which fills the four
+  // bytes of tail padding the Module base leaves after its id, so the
+  // program packs into two cache lines (the slot, asserted below).
+  Epoch epoch_ = 0;
+  /// The session's planner, configuration and shared state.
+  const BlockContext* context_;
   /// Created by on_start only for ElectionTie::kRandom / MoveTie::kRandom.
   std::unique_ptr<Rng> tie_rng_;
-  TabuList tabu_;
-
-  // -- per-epoch election state ----------------------------------------------
-  Epoch epoch_ = 0;
-  Phase phase_ = Phase::kIdle;
-  std::optional<lat::Direction> father_side_;
-  int pending_acks_ = 0;
-  bool acks_closed_ = false;  // aggregation finished for this epoch
-  /// Fault mode: sides on which an Activate got no reply of any kind
-  /// within the timeout - the neighbour is dead; skipped from then on.
-  std::array<bool, lat::kDirectionCount> dead_sides_{};
-  /// Fault mode: sides still owing their initial contact reply this epoch.
-  std::array<bool, lat::kDirectionCount> awaiting_contact_{};
-  /// Fault mode: renewals of the ack timer while live subtrees report.
-  int ack_timer_renewals_ = 0;
-  static constexpr int kMaxAckTimerRenewals = 20;
-  int32_t best_dist_ = kInfiniteDistance;
-  lat::BlockId best_id_;
-  std::optional<lat::Direction> best_via_;  // son subtree holding the best
+  /// Created by the block's first hop: a block that never moved has no
+  /// vacated cell to remember, and a null list refuses nothing, as an
+  /// empty one does.
+  std::unique_ptr<TabuList> tabu_;
   /// This epoch's decision, kept across epochs as the planner's memo.
   PlannerMemo memo_;
-
-  // -- root orchestration -----------------------------------------------------
-  bool advanced_this_epoch_ = false;
-
-  // -- flood deduplication ----------------------------------------------------
+  int32_t best_dist_ = kInfiniteDistance;
+  lat::BlockId best_id_;
+  /// Flood deduplication: the last epoch whose MoveDone this block passed on.
   Epoch move_done_seen_ = 0;
-
-  // -- root: consecutive elections that found no eligible block ---------------
-  uint32_t empty_elections_ = 0;
+  std::optional<lat::Direction> father_side_;
+  std::optional<lat::Direction> best_via_;  // son subtree holding the best
+  Phase phase_ = Phase::kIdle;
+  /// Activates sent this epoch still owing their Ack (at most one a side).
+  uint8_t pending_acks_ = 0;
+  /// Fault mode: renewals of the ack timer while live subtrees report.
+  uint8_t ack_timer_renewals_ = 0;
+  static constexpr uint8_t kMaxAckTimerRenewals = 20;
+  /// Root: consecutive elections that found no eligible block; the root
+  /// halts once it passes kTabuHorizon + 1 (root_conclude_election).
+  uint8_t empty_elections_ = 0;
+  static_assert(kTabuHorizon + 2 <= UINT8_MAX);
+  /// Fault mode, as side_bit masks: sides on which an Activate got no
+  /// reply of any kind within the timeout (the neighbour is dead; skipped
+  /// from then on), and sides still owing their initial contact reply
+  /// this epoch.
+  uint8_t dead_sides_ = 0;
+  uint8_t awaiting_contact_ = 0;
+  bool is_root_;
+  bool acks_closed_ = false;  // aggregation finished for this epoch
+  /// Root: this epoch's MoveDone has been acted on.
+  bool advanced_this_epoch_ = false;
 };
 
 // One program per block, and the election flood touches every one, so its

@@ -21,6 +21,34 @@ int32_t net_progress(const motion::RuleApplication& app, lat::Vec2 output) {
   return net;
 }
 
+PlannerMemo::PlannerMemo(const MoveDecision& decided, uint64_t valid_at,
+                         bool window_bound)
+    : version(valid_at),
+      distance(decided.distance),
+      repositioning(decided.repositioning),
+      window_only(window_bound) {
+  if (decided.move.has_value()) {
+    SB_ASSERT(decided.move->subject_move <= UINT8_MAX,
+              "subject index past the memo's byte");
+    rule = decided.move->rule;
+    anchor = decided.move->anchor;
+    subject_move = static_cast<uint8_t>(decided.move->subject_move);
+  }
+}
+
+MoveDecision PlannerMemo::decision() const {
+  MoveDecision rebuilt;
+  rebuilt.distance = distance;
+  if (eligible()) rebuilt.move = move();
+  rebuilt.repositioning = repositioning;
+  return rebuilt;
+}
+
+motion::RuleApplication PlannerMemo::move() const {
+  SB_ASSERT(eligible(), "the memo holds no move");
+  return motion::RuleApplication{rule, anchor, subject_move};
+}
+
 MotionPlanner::MotionPlanner(const motion::RuleLibrary* rules,
                              PlannerConfig config)
     : rules_(rules), config_(config) {
@@ -130,9 +158,9 @@ bool MotionPlanner::memo_holds(const PlannerMemo& memo, lat::WorldView view,
   // can shift; re-check the memo's move (O(1)). (Decisions whose
   // computation *rejected* a candidate on the single-line rule are never
   // window-only.)
-  if (memo.decision.move.has_value()) {
+  if (memo.eligible()) {
     auto& moves = move_scratch();
-    memo.decision.move->world_moves_into(moves);
+    memo.move().world_moves_into(moves);
     if (view.single_line_after_moves(moves.data(), moves.size())) return false;
   }
   return true;
@@ -158,7 +186,7 @@ MoveDecision MotionPlanner::evaluate(const sim::World& world, lat::Vec2 pos,
   if (memo != nullptr && memo_holds(*memo, view, pos)) {
     ++cache_hits_;
     memo->version = view.version();  // the next move is judged from here
-    return memo->decision;
+    return memo->decision();
   }
 
   // Track whether this evaluation depended on anything beyond the block's

@@ -89,15 +89,33 @@ struct MoveDecision {
 
 /// A block's own memo of its last decision, held in the block's program
 /// (SmartBlockCode) and passed to MotionPlanner::evaluate by that block
-/// only, so no two threads ever share one.
+/// only, so no two threads ever share one. Every block holds one, so the
+/// decision is packed into 32 bytes: the move's rule, anchor and subject
+/// index (a null rule: no move) beside its distance and tier, and
+/// decision() rebuilds the MoveDecision.
 struct PlannerMemo {
-  MoveDecision decision;
+  PlannerMemo() = default;
+  PlannerMemo(const MoveDecision& decided, uint64_t valid_at,
+              bool window_bound);
+
+  [[nodiscard]] MoveDecision decision() const;
+  [[nodiscard]] bool eligible() const { return rule != nullptr; }
+  /// The decided move; requires eligible().
+  [[nodiscard]] motion::RuleApplication move() const;
+
+  const motion::MotionRule* rule = nullptr;
+  lat::Vec2 anchor;
   /// Grid version (lat::WorldView::version) the decision is valid at.
   uint64_t version = 0;
+  int32_t distance = kInfiniteDistance;
+  /// RuleApplication::subject_move; rules have a handful of moves.
+  uint8_t subject_move = 0;
+  bool repositioning = false;
   /// The decision depended only on the block's sensed window, so it may be
   /// served again while no grid change comes near the block.
   bool window_only = false;
 };
+static_assert(sizeof(PlannerMemo) == 32, "PlannerMemo is packed to 32 bytes");
 
 /// Immutable after construction: one planner serves every block of a
 /// session on every shard thread.

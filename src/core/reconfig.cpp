@@ -62,21 +62,23 @@ ReconfigurationSession::ReconfigurationSession(const lat::Scenario& scenario,
   planner_ = std::make_unique<MotionPlanner>(&simulator_->world().rules(),
                                              planner_config);
 
-  algorithm_.input = scenario_.input;
-  algorithm_.output = scenario_.output;
-  algorithm_.election_tie = config_.election_tie;
-  algorithm_.paper_eq6_init = config_.paper_eq6_init;
-  algorithm_.ack_timeout = config_.ack_timeout;
-  algorithm_.tabu_capacity = config_.tabu_capacity;
+  context_.planner = planner_.get();
+  context_.shared = &shared_;
+  AlgorithmConfig& algorithm = context_.config;
+  algorithm.input = scenario_.input;
+  algorithm.output = scenario_.output;
+  algorithm.election_tie = config_.election_tie;
+  algorithm.paper_eq6_init = config_.paper_eq6_init;
+  algorithm.ack_timeout = config_.ack_timeout;
+  algorithm.tabu_capacity = config_.tabu_capacity;
   const auto n = static_cast<uint32_t>(scenario_.block_count());
-  algorithm_.max_iterations =
+  algorithm.max_iterations =
       config_.max_iterations != 0 ? config_.max_iterations
                                   : 20 * n * n + 500;
 
   for (const auto& [id, pos] : scenario_.blocks) {
     const bool is_root = pos == scenario_.input;
-    simulator_->add_module<SmartBlockCode>(id, is_root, planner_.get(),
-                                           &algorithm_, &shared_);
+    simulator_->add_module<SmartBlockCode>(id, is_root, &context_);
   }
 }
 
@@ -93,7 +95,7 @@ sim::Module& ReconfigurationSession::hot_join(lat::BlockId id, lat::Vec2 pos) {
   // Register before the neighbors hear of the block: a message they send it
   // must find its module, and so its shard.
   sim::Module& module = simulator_->add_module<SmartBlockCode>(
-      id, /*is_root=*/false, planner_.get(), &algorithm_, &shared_);
+      id, /*is_root=*/false, &context_);
   simulator_->notify_cells_changed({pos});
   simulator_->start_module(id);
   return module;

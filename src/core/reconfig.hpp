@@ -121,6 +121,10 @@ class ReconfigurationSession {
   /// Validates the scenario (aborts on violations of the paper's
   /// assumptions) and stages it on a fresh simulator.
   ReconfigurationSession(const lat::Scenario& scenario, SessionConfig config);
+  /// Every block points at the session's context_, so a session stays
+  /// where it was built: neither copied nor moved.
+  ReconfigurationSession(const ReconfigurationSession&) = delete;
+  ReconfigurationSession& operator=(const ReconfigurationSession&) = delete;
 
   [[nodiscard]] sim::Simulator& simulator() { return *simulator_; }
   [[nodiscard]] const lat::Scenario& scenario() const { return scenario_; }
@@ -164,10 +168,11 @@ class ReconfigurationSession {
 
   lat::Scenario scenario_;
   SessionConfig config_;
-  /// Per-block algorithm parameters. Every module points here, so this is
-  /// declared before simulator_ and outlives the modules it owns.
-  AlgorithmConfig algorithm_;
   SessionShared shared_;
+  /// The planner, algorithm parameters and shared state every block reads.
+  /// Every module points here, so this is declared before simulator_ and
+  /// outlives the modules it owns.
+  BlockContext context_;
   std::unique_ptr<sim::Simulator> simulator_;
   /// The one immutable planner every block evaluates through, on any
   /// shard thread; each block keeps its own memo.

@@ -88,6 +88,23 @@ class EventQueue {
   [[nodiscard]] size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
+  /// Calls fn(record) for every pending record: the ring's buckets, then
+  /// the overflow, in no promised order. Reads only; audits use it.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    for (const Bucket& bucket : ring_) {
+      for (const Chunk* chunk = bucket.head; chunk != nullptr;
+           chunk = chunk->next) {
+        const uint32_t begin = chunk == bucket.head ? bucket.head_index : 0;
+        const uint32_t end =
+            chunk == bucket.tail ? bucket.tail_count : kChunkRecords;
+        for (uint32_t i = begin; i < end; ++i) fn(chunk->records[i]);
+        if (chunk == bucket.tail) break;
+      }
+    }
+    for (const EventRecord& record : overflow_) fn(record);
+  }
+
  private:
   static constexpr SimTime kRingMask = kRingSize - 1;
   static constexpr uint32_t kChunkRecords = 64;

@@ -107,9 +107,11 @@ class Module {
   void broadcast_envelope(const msg::Message& envelope,
                           std::optional<lat::Direction> skip);
 
-  lat::BlockId id_;
+  // Declared widest first, so the id ends the base and a derived program's
+  // first narrow field fills the four bytes of tail padding after it.
   Simulator* host_ = nullptr;
   msg::NeighborTable neighbors_;
+  lat::BlockId id_;
 };
 
 }  // namespace sb::sim

@@ -103,8 +103,9 @@ std::byte* Simulator::claim_slot(lat::BlockId id) {
   const size_t chunk = id.value / kModuleChunkIds;
   if (chunk >= module_chunks_.size()) module_chunks_.resize(chunk + 1);
   if (module_chunks_[chunk] == nullptr) {
-    module_chunks_[chunk] = std::make_unique_for_overwrite<std::byte[]>(
-        size_t{kModuleChunkIds} * kModuleSlotBytes);
+    void* bytes = ::operator new[](size_t{kModuleChunkIds} * kModuleSlotBytes,
+                                   std::align_val_t{kModuleSlotAlign});
+    module_chunks_[chunk].reset(static_cast<std::byte*>(bytes));
   }
   return slot_of(id);
 }

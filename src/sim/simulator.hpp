@@ -63,22 +63,26 @@ enum class StopReason { kQueueEmpty, kEventLimit, kTimeLimit, kHalted };
 
 class Simulator {
  public:
-  /// Bytes of the slot each block's program is built in (add_module). A
-  /// slot is a multiple of the 16-byte new-alignment, so slots pack with no
-  /// padding between them; core::SmartBlockCode asserts that it fits.
-  static constexpr size_t kModuleSlotBytes = 240;
-  /// Consecutive ids whose slots share one allocation: 256 × 240 = 61 440
+  /// Bytes of the slot each block's program is built in (add_module): two
+  /// cache lines. core::SmartBlockCode asserts that it fits.
+  static constexpr size_t kModuleSlotBytes = 128;
+  /// A cache line. Chunks of slots start on one and a slot is a whole
+  /// number of them, so every program occupies exactly its slot's lines.
+  static constexpr size_t kModuleSlotAlign = 64;
+  static_assert(kModuleSlotBytes % kModuleSlotAlign == 0);
+  /// Consecutive ids whose slots share one allocation: 256 × 128 = 32 768
   /// bytes, under glibc's 128 KiB mmap threshold, so the heap serves every
   /// chunk whatever the malloc settings, and a chunk never moves.
   static constexpr uint32_t kModuleChunkIds = 256;
-  static_assert(kModuleSlotBytes % alignof(std::max_align_t) == 0);
   /// Registered modules from which a window's drain prefetches the slot
   /// of the delivery kReceiverPrefetchDistance records ahead in its queue.
-  /// 8192 programs in 240-byte slots take 1.9 MiB, about a 2 MiB L2; below
-  /// that the world's programs stay in cache and the prefetch only costs
-  /// instructions. Set from the measured crossover (docs/BENCHMARKS.md
-  /// "Receiver prefetch").
-  static constexpr size_t kReceiverPrefetchModules = 8192;
+  /// 16384 programs in 128-byte slots take 2 MiB, about an L2; below that
+  /// the world's programs stay in cache and the prefetch only costs
+  /// instructions. Measured on these slots (docs/BENCHMARKS.md "Programs
+  /// in 128-byte slots"): blob10000 ran at a median 24.4 M events/s with
+  /// the gate here, unprefetched, against 23.3 with it at 8192, faster in
+  /// 9 of 10 rounds; blob100000 and blob1000000, above both, read alike.
+  static constexpr size_t kReceiverPrefetchModules = 16384;
   /// Records between the head and the delivery whose receiver is fetched.
   static constexpr uint32_t kReceiverPrefetchDistance = 8;
 
@@ -154,8 +158,8 @@ class Simulator {
     static_assert(std::is_base_of_v<Module, T>, "a module derives from Module");
     static_assert(sizeof(T) <= kModuleSlotBytes,
                   "a module program must fit its slot");
-    static_assert(alignof(T) <= alignof(std::max_align_t),
-                  "a module slot is only new-aligned");
+    static_assert(alignof(T) <= kModuleSlotAlign,
+                  "a module slot is only line-aligned");
     std::byte* slot = claim_slot(id);
     T* module = ::new (static_cast<void*>(slot))
         T(id, std::forward<Args>(args)...);
@@ -259,6 +263,11 @@ class Simulator {
     for (const auto& shard : shards_) pending += shard->queue.size();
     return pending;
   }
+  /// Deliveries scheduled and not yet run, counted by a read-only walk of
+  /// every queue. Sequential contexts only, where the rendezvous has routed
+  /// every outbox (asserted), so each message sent is delivered, dropped or
+  /// counted here.
+  [[nodiscard]] size_t queued_deliveries() const;
 
   // -- services used by Module ----------------------------------------------
 
@@ -371,12 +380,18 @@ class Simulator {
   /// executed sequentially between windows so handlers see a quiescent
   /// world; module events live in the shard queues.
   EventQueue queue_;
+  /// Frees a chunk with the aligned delete[] matching its aligned new[].
+  struct ChunkDelete {
+    void operator()(std::byte* chunk) const {
+      ::operator delete[](chunk, std::align_val_t{kModuleSlotAlign});
+    }
+  };
   /// The programs' storage: chunk c holds the kModuleSlotBytes slots of
-  /// ids [c·kModuleChunkIds, (c+1)·kModuleChunkIds), allocated when the
-  /// first of them registers (ids are small and near-contiguous; see Grid).
-  /// The world's tag column, not this table, says which slots hold a
-  /// program.
-  std::vector<std::unique_ptr<std::byte[]>> module_chunks_;
+  /// ids [c·kModuleChunkIds, (c+1)·kModuleChunkIds), allocated on a
+  /// kModuleSlotAlign boundary when the first of them registers (ids are
+  /// small and near-contiguous; see Grid). The world's tag column, not this
+  /// table, says which slots hold a program.
+  std::vector<std::unique_ptr<std::byte[], ChunkDelete>> module_chunks_;
   size_t module_count_ = 0;
   /// The sequential share of the counters (stats() adds the shards').
   SimStats stats_;

@@ -79,16 +79,15 @@ void append_trace_line(std::vector<std::string>& trace, size_t queue,
                       record.a.value, record.b.value, record.tag()));
 }
 
-/// Prefetches a receiver's slot (null: none), all five cache lines a
-/// 240-byte slot can straddle. Forced inline: GCC 12 deems a function
-/// whose only effects are prefetches side-effect free and deletes the call.
+/// Prefetches a receiver's slot (null: none): its two cache lines, since
+/// slots are line-aligned. Forced inline: GCC 12 deems a function whose
+/// only effects are prefetches side-effect free and deletes the call.
 [[gnu::always_inline]] inline void prefetch_slot(const std::byte* slot) {
   if (slot == nullptr) return;
   for (size_t offset = 0; offset < Simulator::kModuleSlotBytes;
-       offset += 64) {
+       offset += Simulator::kModuleSlotAlign) {
     __builtin_prefetch(slot + offset);
   }
-  __builtin_prefetch(slot + Simulator::kModuleSlotBytes - 1);
 }
 }  // namespace
 
@@ -166,6 +165,22 @@ std::vector<uint64_t> Simulator::shard_event_counts() const {
   return counts;
 }
 
+size_t Simulator::queued_deliveries() const {
+  SB_EXPECTS(tls_exec_ == nullptr,
+             "queued deliveries are counted between windows");
+  size_t queued = 0;
+  const auto count = [&queued](const EventRecord& record) {
+    queued += record.kind == EventKind::kDelivery ? 1 : 0;
+  };
+  queue_.for_each(count);
+  for (const auto& shard : shards_) {
+    SB_ASSERT(shard->outbox.empty(), "shard ", shard->index,
+              "'s outbox holds records between windows");
+    shard->queue.for_each(count);
+  }
+  return queued;
+}
+
 StopReason Simulator::run(RunLimits limits) {
   run_limits_ = limits;
   run_processed_ = 0;
@@ -176,6 +191,16 @@ StopReason Simulator::run(RunLimits limits) {
       [this](size_t index, SimTime window_end) {
         drain_shard_window(*shards_[index], window_end);
       }));
+  // Message conservation: with every queue empty, each message sent was
+  // delivered or dropped. The injected drop-flush fault loses deliveries
+  // on purpose, and the invariant oracle must be what reports it.
+  if (run_reason_ == StopReason::kQueueEmpty && fault_drop_flush_ < 0) {
+    const SimStats total = stats();
+    const uint64_t sent = total.messages_sent();
+    const uint64_t settled = total.messages_delivered + total.messages_dropped;
+    SB_ASSERT(sent == settled, "message conservation: ", sent,
+              " messages sent but ", settled, " delivered or dropped");
+  }
   return run_reason_;
 }
 

@@ -338,6 +338,32 @@ class ScopedFaultInjection {
   ~ScopedFaultInjection() { ::unsetenv("SB_SIM_FAULT_DROP_FLUSH"); }
 };
 
+TEST(Acceptance, OracleReportsTheDeliveriesAnInjectedFlushDrops) {
+  // The fault discards the cross-shard deliveries of one rendezvous. No
+  // trace comparison is needed to see it: the oracle's message audit finds
+  // messages sent that were neither delivered, dropped nor queued, and
+  // reports them once. The same run without the fault audits clean.
+  const auto audit = [](bool fault_on) {
+    std::optional<ScopedFaultInjection> fault;
+    if (fault_on) fault.emplace("25");
+    core::SessionConfig config;
+    config.sim.shards = 4;
+    core::ReconfigurationSession session(lat::resolve_scenario("blob1000"),
+                                         config);
+    InvariantOracle oracle;
+    oracle.attach(session);
+    (void)session.step_events(20'000);
+    oracle.check_now(session.simulator());
+    return oracle.violations();
+  };
+  EXPECT_TRUE(audit(false).empty());
+  const std::vector<std::string> violations = audit(true);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations.front().find("message conservation broken"),
+            std::string::npos)
+      << violations.front();
+}
+
 TEST(Acceptance, InjectedFlushDropIsCaughtMinimizedAndReplayable) {
   FuzzCase caught;
   {

@@ -112,11 +112,14 @@ TEST_P(GoldenTraceTest, EventTraceMatchesRecordedDigest) {
 // The exponential(5) cases run the fault-mode protocol, whose ack timers
 // fire 1000 ticks out — far past the calendar queue's 64-tick ring — so
 // the overflow path and its migration back into the ring are pinned too.
-// The blob20000 cases run a world above the drain's receiver-prefetch gate
-// (recorded before the prefetch existed), one epoch each, so they pin that
-// the prefetch changes no event.
-static_assert(20000 >= 2 * sim::Simulator::kReceiverPrefetchModules,
-              "the blob20000 cases must stay well above the prefetch gate");
+// The blob20000 and blob40000 cases run worlds above the drain's
+// receiver-prefetch gate, one epoch each, recorded on builds where the
+// prefetch never ran (blob20000 before it existed, blob40000 with its gate
+// out of reach), so they pin that the prefetch changes no event.
+static_assert(20000 > sim::Simulator::kReceiverPrefetchModules,
+              "the blob20000 cases must run above the prefetch gate");
+static_assert(40000 >= 2 * sim::Simulator::kReceiverPrefetchModules,
+              "the blob40000 cases must stay well above the prefetch gate");
 INSTANTIATE_TEST_SUITE_P(
     Recorded, GoldenTraceTest,
     ::testing::Values(
@@ -157,7 +160,13 @@ INSTANTIATE_TEST_SUITE_P(
                    0x571e50227bdc1f02ULL, 1},
         GoldenCase{"blob20000_shards4_threads4_cap1", "blob20000",
                    msg::LatencyModel::uniform(1, 8), 4, 4, 0, 198417,
-                   0x34952160ebca6d3fULL, 1}),
+                   0x34952160ebca6d3fULL, 1},
+        GoldenCase{"blob40000_shards1_cap1", "blob40000",
+                   msg::LatencyModel::uniform(1, 8), 1, 1, 0, 397803,
+                   0xd8ac1b3bfcfa9bc5ULL, 1},
+        GoldenCase{"blob40000_shards4_threads4_cap1", "blob40000",
+                   msg::LatencyModel::uniform(1, 8), 4, 4, 0, 397532,
+                   0xaf7c3d1d82d3d81bULL, 1}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace

@@ -420,7 +420,7 @@ TEST(Planner, MemoIsNotServedAfterTwoMutationsOrARingRejection) {
                                 &memo)
                    .eligible());
   EXPECT_FALSE(memo.window_only);
-  EXPECT_FALSE(memo.decision.eligible());
+  EXPECT_FALSE(memo.eligible());
   EXPECT_EQ(planner.cache_hits(), 1u);
 }
 
@@ -513,7 +513,7 @@ TEST(Planner, OneConstPlannerServesThreadsFromTheirOwnMemos) {
           for (size_t i = 0; i < blocks.size(); ++i) {
             const MoveDecision decision = planner.evaluate(
                 world, blocks[i], nullptr, 0, nullptr, nullptr, &memos[i]);
-            if (!same_decision(decision, serial[i].decision)) ++mismatches[t];
+            if (!same_decision(decision, serial[i].decision())) ++mismatches[t];
           }
         }
       });
@@ -523,6 +523,93 @@ TEST(Planner, OneConstPlannerServesThreadsFromTheirOwnMemos) {
       EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
     }
     EXPECT_EQ(planner.cache_hits(), kThreads * reusable);
+  }
+}
+
+/// The scenario's world under the standard library, its connectivity
+/// verdict settled as a running session has it, and a planner for it.
+struct ScenarioWorld {
+  explicit ScenarioWorld(const lat::Scenario& scenario)
+      : world(scenario.width, scenario.height,
+              motion::RuleLibrary::standard()) {
+    for (const auto& [id, pos] : scenario.blocks) world.grid().place(id, pos);
+    EXPECT_TRUE(world.view().connected());
+    config.distance.input = scenario.input;
+    config.distance.output = scenario.output;
+  }
+  sim::World world;
+  PlannerConfig config;
+};
+
+TEST(PlannerMemo, RebuildsEveryDecisionFieldByField) {
+  // Each block's decision, and each of its legal moves as a decision of
+  // either tier, packed into a memo and rebuilt: rule, anchor, subject
+  // index, distance and tier come back unchanged. The legal moves include
+  // carry rules, whose subject is not the rule's first move.
+  size_t carried = 0;
+  size_t decisions = 0;
+  for (const char* name : {"fig10", "tower16", "blob1000"}) {
+    SCOPED_TRACE(name);
+    const ScenarioWorld scenario(lat::resolve_scenario(name));
+    const MotionPlanner planner(&scenario.world.rules(), scenario.config);
+    const auto expect_round_trip = [&](const MoveDecision& d) {
+      const MoveDecision rebuilt = PlannerMemo{d, 7, true}.decision();
+      EXPECT_EQ(rebuilt.distance, d.distance);
+      EXPECT_EQ(rebuilt.repositioning, d.repositioning);
+      ASSERT_EQ(rebuilt.move.has_value(), d.move.has_value());
+      if (!d.move.has_value()) return;
+      EXPECT_EQ(rebuilt.move->rule, d.move->rule);
+      EXPECT_EQ(rebuilt.move->anchor, d.move->anchor);
+      EXPECT_EQ(rebuilt.move->subject_move, d.move->subject_move);
+      carried += d.move->subject_move != 0 ? 1 : 0;
+    };
+    for (const auto& [id, pos] : scenario.world.view().blocks()) {
+      const MoveDecision evaluated =
+          planner.evaluate(scenario.world, pos, nullptr, 0, nullptr, nullptr);
+      expect_round_trip(evaluated);
+      ++decisions;
+      for (const motion::RuleApplication& app :
+           planner.legal_moves(scenario.world, pos)) {
+        for (const bool repositioning : {false, true}) {
+          MoveDecision d;
+          d.distance = manhattan(pos, scenario.config.distance.output) +
+                       (repositioning ? kRepositionPenalty : 0);
+          d.move = app;
+          d.repositioning = repositioning;
+          expect_round_trip(d);
+        }
+      }
+    }
+  }
+  EXPECT_GT(decisions, 1000u);
+  EXPECT_GT(carried, 0u) << "no carry rule's subject was past move 0";
+}
+
+TEST(PlannerMemo, ServedDecisionEqualsAFreshEvaluation) {
+  // Each block evaluates into its memo, then again with nothing moved: a
+  // window-only decision is served from the memo, and every decision
+  // equals a fresh evaluation through a planner with no memo.
+  for (const char* name : {"fig10", "tower16", "blob1000"}) {
+    SCOPED_TRACE(name);
+    const ScenarioWorld scenario(lat::resolve_scenario(name));
+    const MotionPlanner planner(&scenario.world.rules(), scenario.config);
+    const MotionPlanner fresh(&scenario.world.rules(), scenario.config);
+    uint64_t served = 0;
+    for (const auto& [id, pos] : scenario.world.view().blocks()) {
+      PlannerMemo memo;
+      (void)planner.evaluate(scenario.world, pos, nullptr, 0, nullptr,
+                             nullptr, &memo);
+      const uint64_t hits = planner.cache_hits();
+      const MoveDecision again = planner.evaluate(
+          scenario.world, pos, nullptr, 0, nullptr, nullptr, &memo);
+      EXPECT_EQ(planner.cache_hits() - hits, memo.window_only ? 1u : 0u)
+          << pos;
+      served += planner.cache_hits() - hits;
+      const MoveDecision recomputed =
+          fresh.evaluate(scenario.world, pos, nullptr, 0, nullptr, nullptr);
+      EXPECT_TRUE(same_decision(again, recomputed)) << pos;
+    }
+    EXPECT_GT(served, 0u);
   }
 }
 

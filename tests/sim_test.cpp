@@ -842,6 +842,43 @@ TEST(ModuleSlots, FindModuleIsNullWhereNoProgramIs) {
   EXPECT_EQ(sim.find_module(lat::kInvalidBlock), nullptr);
 }
 
+TEST(ModuleSlots, ProgramsAreLineAlignedAndStepBySlotAcrossAChunkEdge) {
+  // A row of ids 250..261 straddles the edge between chunks 0 and 1, and
+  // a hot-join opens chunk 19 (id 5000). Every program starts a cache line,
+  // and inside each chunk consecutive ids sit one slot apart, on both sides
+  // of the edge between ids 255 and 256.
+  static_assert(Simulator::kModuleSlotBytes == 2 * Simulator::kModuleSlotAlign);
+  World world(16, 4, motion::RuleLibrary::standard());
+  for (uint32_t id = 250; id <= 261; ++id) {
+    world.grid().place(BlockId{id}, {static_cast<int32_t>(id - 248), 1});
+  }
+  Simulator sim(std::move(world));
+  for (uint32_t id = 250; id <= 261; ++id) {
+    sim.add_module<RecorderModule>(BlockId{id});
+  }
+  sim.world().grid().place(BlockId{5000}, {2, 2});
+  sim.add_module<RecorderModule>(BlockId{5000});
+  sim.notify_cells_changed({{2, 2}});
+
+  const auto address = [&](uint32_t id) {
+    return reinterpret_cast<uintptr_t>(sim.find_module(BlockId{id}));
+  };
+  size_t programs = 0;
+  sim.for_each_module([&](Module& module) {
+    ++programs;
+    const auto at = reinterpret_cast<uintptr_t>(&module);
+    EXPECT_EQ(at % Simulator::kModuleSlotAlign, 0u) << module.id();
+  });
+  EXPECT_EQ(programs, 13u);
+  for (uint32_t id = 250; id < 261; ++id) {
+    if ((id + 1) % Simulator::kModuleChunkIds == 0) continue;  // chunk edge
+    EXPECT_EQ(address(id + 1) - address(id), Simulator::kModuleSlotBytes)
+        << id;
+  }
+  EXPECT_EQ(address(255) - address(250), 5 * Simulator::kModuleSlotBytes);
+  EXPECT_EQ(address(261) - address(256), 5 * Simulator::kModuleSlotBytes);
+}
+
 /// Dies in its constructor, so a death test that expects a precondition's
 /// message shows that add_module built nothing before checking.
 class DiesWhenBuiltModule final : public Module {
